@@ -55,12 +55,10 @@ def _parse_word(raw: Any, genus: int, where: str) -> Word:
     return tuple(letters)
 
 
-def _terms_payload(coords, keyfn) -> list[dict]:
-    out = []
-    for w, c in sorted(coords.items(), key=keyfn):
-        out.append({"coefficient": str(c),
-                    "word": [letter_label(x) for x in w]})
-    return out
+def _terms_payload(coords) -> list[dict]:
+    """Terms sorted by degree, then word."""
+    return [{"coefficient": str(c), "word": [letter_label(x) for x in w]}
+            for w, c in sorted(coords.items(), key=lambda t: (len(t[0]), t[0]))]
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +67,7 @@ def _terms_payload(coords, keyfn) -> list[dict]:
 
 def lie_series_to_doc(x: LieSeries) -> dict:
     return {"genus": x.genus, "max_degree": x.max_degree,
-            "terms": _terms_payload(x.coords, lambda t: (len(t[0]), t[0]))}
+            "terms": _terms_payload(x.coords)}
 
 
 def _series_terms_from_doc(raw: Any, genus: int, max_degree: int,
@@ -115,14 +113,15 @@ def lie_series_from_doc(doc: Any) -> LieSeries:
 # Expansion documents
 
 
+def _images_to_doc(m: ExpansionMap | LieAutomorphism) -> dict:
+    """Generator images of an expansion or an automorphism, as a document."""
+    images = {letter_label(l): _terms_payload(m.images[l].coords)
+              for l in range(gen_count(m.genus))}
+    return {"genus": m.genus, "max_degree": m.max_degree, "images": images}
+
+
 def expansion_to_doc(theta: ExpansionMap) -> dict:
-    images = {}
-    for letter in range(gen_count(theta.genus)):
-        s = theta.images[letter]
-        images[letter_label(letter)] = _terms_payload(
-            s.coords, lambda t: (len(t[0]), t[0]))
-    return {"genus": theta.genus, "max_degree": theta.max_degree,
-            "images": images}
+    return _images_to_doc(theta)
 
 
 def _images_from_doc(doc: Any, lyndon: bool):
@@ -161,13 +160,7 @@ def expansion_from_doc(doc: Any) -> ExpansionMap:
 
 
 def automorphism_to_doc(psi: LieAutomorphism) -> dict:
-    images = {}
-    for letter in range(gen_count(psi.genus)):
-        s = psi.images[letter]
-        images[letter_label(letter)] = _terms_payload(
-            s.coords, lambda t: (len(t[0]), t[0]))
-    return {"genus": psi.genus, "max_degree": psi.max_degree,
-            "images": images}
+    return _images_to_doc(psi)
 
 
 def automorphism_from_doc(doc: Any) -> LieAutomorphism:
@@ -201,8 +194,7 @@ def load_json(text: str) -> Any:
 
 def tree_combo_to_text(c: TreeCombo) -> str:
     lines = []
-    for key in sorted(c.terms):
-        tree, coeff = c.terms[key]
+    for _, (tree, coeff) in sorted(c.terms.items()):
         lines.append(f"{coeff} {tree_text(tree)}")
     return "\n".join(lines) + ("\n" if lines else "")
 

@@ -1,11 +1,16 @@
-"""Exact rational linear algebra on sparse matrices.
+"""Exact rational linear algebra on sparse row dicts.
 
 Every rank, kernel, solve and quotient computation in the package runs
 through this module.  Coefficients are `fractions.Fraction` throughout.
-Pivot selection in `rref` is fixed (leftmost column first, first nonzero
-row in that column) so that echelon forms, particular solutions and
-kernel bases are bit-reproducible; downstream "canonical coordinates"
-depend on that determinism.
+`_eliminate` is the one sparse elimination kernel: Gauss-Jordan with a
+fixed pivot rule (leftmost column first, first nonzero row at or below
+the current one in that column), giving the reduced row echelon form,
+which is unique.  Particular solutions (free variables zero) and kernel
+bases (one vector per free column) read off it are therefore
+bit-reproducible.  `echelon_reduce` is the dense incremental
+semi-echelon routine behind the canonical H3 coordinates, which are
+coordinates in its basis; downstream "canonical coordinates" depend on
+both being deterministic.
 """
 
 from __future__ import annotations
@@ -13,76 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-Q = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-class MatrixQ:
-    """Sparse matrix over the rationals.
-
-    Entries are kept in a dict (row, col) -> Fraction with no explicit
-    zeros.  Values are treated as immutable after construction.
-    """
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int,
-                 entries: Mapping[tuple[int, int], Fraction] | None = None):
-        if rows < 0 or cols < 0:
-            raise ValueError("negative matrix dimensions")
-        self.rows = rows
-        self.cols = cols
-        clean: dict[tuple[int, int], Fraction] = {}
-        for (i, j), v in (entries or {}).items():
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise ValueError(f"entry index ({i}, {j}) out of range")
-            v = Fraction(v)
-            if v:
-                clean[(i, j)] = v
-        self.entries = clean
-
-    @classmethod
-    def from_rows(cls, data: Sequence[Sequence[Fraction | int]]) -> "MatrixQ":
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        entries = {}
-        for i, row in enumerate(data):
-            if len(row) != cols:
-                raise ValueError("ragged row data")
-            for j, v in enumerate(row):
-                if v:
-                    entries[(i, j)] = Fraction(v)
-        return cls(rows, cols, entries)
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[Mapping[int, Fraction]],
-                     rows: int) -> "MatrixQ":
-        entries = {}
-        for j, col in enumerate(columns):
-            for i, v in col.items():
-                if v:
-                    entries[(i, j)] = Fraction(v)
-        return cls(rows, len(columns), entries)
-
-    def __getitem__(self, key: tuple[int, int]) -> Fraction:
-        return self.entries.get(key, ZERO)
-
-    def row(self, i: int) -> dict[int, Fraction]:
-        return {j: v for (r, j), v in self.entries.items() if r == i}
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, MatrixQ) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
-
-    def __repr__(self) -> str:
-        return f"MatrixQ({self.rows}x{self.cols}, {len(self.entries)} nonzero)"
-
-    def _row_dicts(self) -> list[dict[int, Fraction]]:
-        rows: list[dict[int, Fraction]] = [dict() for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            rows[i][j] = v
-        return rows
 
 
 def _eliminate(rows: list[dict[int, Fraction]], ncols: int):
@@ -122,53 +59,19 @@ def _eliminate(rows: list[dict[int, Fraction]], ncols: int):
     return r, pivots
 
 
-def rref(m: MatrixQ) -> tuple[int, list[int], MatrixQ]:
-    """Row-reduced echelon form.
+def kernel_from_rref(rows: list[dict[int, Fraction]], pivots: list[int],
+                     ncols: int) -> list[list[Fraction]]:
+    """Null-space basis read off rows reduced by `_eliminate`.
 
-    Returns (rank, pivot_cols, reduced).  Deterministic: pivots are the
-    leftmost columns, searched top to bottom.
+    One dense vector per free column, with a 1 there; the basis is the
+    unique one with that pattern, so it does not depend on row order.
     """
-    rows = m._row_dicts()
-    rank, pivots = _eliminate(rows, m.cols)
-    entries = {}
-    for i, row in enumerate(rows):
-        for j, v in row.items():
-            entries[(i, j)] = v
-    return rank, pivots, MatrixQ(m.rows, m.cols, entries)
-
-
-def solve(a: MatrixQ, b: Sequence[Fraction | int]) -> Optional[list[Fraction]]:
-    """Particular solution of a·x = b with free variables set to 0.
-
-    Returns None when the system is inconsistent.
-    """
-    if len(b) != a.rows:
-        raise ValueError("right-hand side length does not match row count")
-    rows = a._row_dicts()
-    for i, v in enumerate(b):
-        if v:
-            rows[i][a.cols] = Fraction(v)
-    rank, pivots = _eliminate(rows, a.cols)
-    # a pivot falling in the augmented column means b is not in the image
-    for i in range(rank, len(rows)):
-        if rows[i].get(a.cols):
-            return None
-    x = [ZERO] * a.cols
-    for i, c in enumerate(pivots):
-        x[c] = rows[i].get(a.cols, ZERO)
-    return x
-
-
-def kernel_basis(a: MatrixQ) -> list[list[Fraction]]:
-    """Echelon-normalized basis of the null space, one vector per free column."""
-    rows = a._row_dicts()
-    rank, pivots = _eliminate(rows, a.cols)
     pivot_set = set(pivots)
     basis = []
-    for f in range(a.cols):
+    for f in range(ncols):
         if f in pivot_set:
             continue
-        v = [ZERO] * a.cols
+        v = [ZERO] * ncols
         v[f] = ONE
         for i, c in enumerate(pivots):
             coeff = rows[i].get(f)
@@ -178,15 +81,21 @@ def kernel_basis(a: MatrixQ) -> list[list[Fraction]]:
     return basis
 
 
-def rank_of_columns(columns: Sequence[Mapping[object, Fraction]]) -> int:
-    """Rank of the span of sparse column vectors keyed by arbitrary row labels."""
-    row_keys = sorted({k for col in columns for k in col}, key=repr)
-    index = {k: i for i, k in enumerate(row_keys)}
-    rows: list[dict[int, Fraction]] = [dict() for _ in row_keys]
+def _rows_of(columns: Sequence[Mapping[object, Fraction]],
+             index: Mapping[object, int]) -> list[dict[int, Fraction]]:
+    """Row dicts of the matrix whose j-th column is columns[j]."""
+    rows: list[dict[int, Fraction]] = [dict() for _ in range(len(index))]
     for j, col in enumerate(columns):
         for k, v in col.items():
             if v:
                 rows[index[k]][j] = v
+    return rows
+
+
+def rank_of_columns(columns: Sequence[Mapping[object, Fraction]]) -> int:
+    """Rank of the span of sparse column vectors keyed by arbitrary row labels."""
+    row_keys = sorted({k for col in columns for k in col}, key=repr)
+    rows = _rows_of(columns, {k: i for i, k in enumerate(row_keys)})
     rank, _ = _eliminate(rows, len(columns))
     return rank
 
@@ -196,8 +105,8 @@ class BlockSolver:
 
     Built once from columns over a fixed row universe; solves a·x = b for
     many right-hand sides by replaying the recorded row operations
-    (the rref of [a | I]).  Solutions follow the solve() convention:
-    free variables are zero.
+    (the reduced form of [a | I]).  Solutions set free variables to
+    zero, so each is the unique one supported on the pivot columns.
     """
 
     def __init__(self, row_keys: Sequence[object],
@@ -205,11 +114,7 @@ class BlockSolver:
         self.row_keys = list(row_keys)
         self.index = {k: i for i, k in enumerate(self.row_keys)}
         n, m = len(columns), len(self.row_keys)
-        rows: list[dict[int, Fraction]] = [dict() for _ in range(m)]
-        for j, col in enumerate(columns):
-            for k, v in col.items():
-                if v:
-                    rows[self.index[k]][j] = v
+        rows = _rows_of(columns, self.index)
         for i in range(m):
             rows[i][n + i] = ONE
         self.ncols = n
@@ -245,6 +150,24 @@ class BlockSolver:
         return x
 
 
+def reduce_against(v: list[Fraction], basis: Sequence[Sequence[Fraction]],
+                   pivots: Sequence[int]) -> list[Fraction]:
+    """Reduce v in place against a semi-echelon basis.
+
+    Returns the multiple of each basis vector subtracted, read at its
+    pivot in basis order.
+    """
+    coeffs = []
+    for bvec, p in zip(basis, pivots):
+        f = v[p]
+        coeffs.append(f)
+        if f:
+            for j, bj in enumerate(bvec):
+                if bj:
+                    v[j] -= f * bj
+    return coeffs
+
+
 def echelon_reduce(vectors: Iterable[Sequence[Fraction]],
                    length: int) -> tuple[list[list[Fraction]], list[int]]:
     """Echelonize dense vectors; returns (reduced independent vectors, pivot positions)."""
@@ -252,12 +175,7 @@ def echelon_reduce(vectors: Iterable[Sequence[Fraction]],
     pivots: list[int] = []
     for vec in vectors:
         v = list(vec)
-        for bvec, p in zip(basis, pivots):
-            f = v[p]
-            if f:
-                for j in range(length):
-                    if bvec[j]:
-                        v[j] -= f * bvec[j]
+        reduce_against(v, basis, pivots)
         p = next((j for j in range(length) if v[j]), None)
         if p is None:
             continue

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
+
+from .sparse import SparseCombination, add_into
 
 Word = tuple[int, ...]
 
@@ -131,9 +133,10 @@ def bracket_string(w: Word) -> str:
     return f"[{bracket_string(u)},{bracket_string(v)}]"
 
 
-def _letter_weight(w: Word, genus: int) -> tuple[int, ...]:
+def _letter_weight(letters: Iterable[int], genus: int) -> tuple[int, ...]:
+    """How often each generator occurs among the letters (the weight grading)."""
     counts = [0] * gen_count(genus)
-    for c in w:
+    for c in letters:
         counts[c] += 1
     return tuple(counts)
 
@@ -142,16 +145,6 @@ def _letter_weight(w: Word, genus: int) -> tuple[int, ...]:
 # bracket rewriting on the Lyndon basis
 
 _BRACKET_CACHE: dict[tuple[Word, Word], dict[Word, Fraction]] = {}
-
-
-def _merge(acc: dict[Word, Fraction], terms: Mapping[Word, Fraction],
-           factor: Fraction) -> None:
-    for w, c in terms.items():
-        nv = acc.get(w, 0) + c * factor
-        if nv:
-            acc[w] = nv
-        else:
-            acc.pop(w, None)
 
 
 def bracket_basis(u: Word, v: Word) -> dict[Word, Fraction]:
@@ -178,9 +171,9 @@ def bracket_basis(u: Word, v: Word) -> dict[Word, Fraction]:
         # [[u1,u2],v] = [u1,[u2,v]] - [u2,[u1,v]]
         result: dict[Word, Fraction] = {}
         for w, c in bracket_basis(u2, v).items():
-            _merge(result, bracket_basis(u1, w), c)
+            add_into(result, bracket_basis(u1, w), c)
         for w, c in bracket_basis(u1, v).items():
-            _merge(result, bracket_basis(u2, w), -c)
+            add_into(result, bracket_basis(u2, w), -c)
     _BRACKET_CACHE[key] = result
     return result
 
@@ -189,14 +182,15 @@ def bracket_basis(u: Word, v: Word) -> dict[Word, Fraction]:
 # series
 
 
-class LieSeries:
+class LieSeries(SparseCombination):
     """Element of the free Lie algebra truncated above max_degree.
 
     coords maps Lyndon words to nonzero rational coefficients.  Values
     are immutable by convention; all operations return fresh series.
     """
 
-    __slots__ = ("genus", "max_degree", "coords")
+    __slots__ = ("genus", "max_degree")
+    _context = ("genus", "max_degree")
 
     def __init__(self, genus: int, max_degree: int,
                  coords: Mapping[Word, Fraction] | None = None):
@@ -227,46 +221,6 @@ class LieSeries:
     def gen(cls, genus: int, max_degree: int, letter: int) -> "LieSeries":
         return cls(genus, max_degree, {(letter,): Fraction(1)})
 
-    # -- basic protocol
-
-    def _check(self, other: "LieSeries") -> None:
-        if self.genus != other.genus or self.max_degree != other.max_degree:
-            raise ValueError("mismatched context (genus or truncation degree)")
-
-    def __bool__(self) -> bool:
-        return bool(self.coords)
-
-    def is_zero(self) -> bool:
-        return not self.coords
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, LieSeries) and self.genus == other.genus
-                and self.max_degree == other.max_degree
-                and self.coords == other.coords)
-
-    def __add__(self, other: "LieSeries") -> "LieSeries":
-        self._check(other)
-        out = dict(self.coords)
-        _merge(out, other.coords, Fraction(1))
-        return LieSeries(self.genus, self.max_degree, out)
-
-    def __sub__(self, other: "LieSeries") -> "LieSeries":
-        self._check(other)
-        out = dict(self.coords)
-        _merge(out, other.coords, Fraction(-1))
-        return LieSeries(self.genus, self.max_degree, out)
-
-    def __neg__(self) -> "LieSeries":
-        return LieSeries(self.genus, self.max_degree,
-                         {w: -c for w, c in self.coords.items()})
-
-    def __rmul__(self, scalar) -> "LieSeries":
-        s = Fraction(scalar)
-        return LieSeries(self.genus, self.max_degree,
-                         {w: c * s for w, c in self.coords.items()})
-
-    __mul__ = __rmul__
-
     def bracket(self, other: "LieSeries") -> "LieSeries":
         self._check(other)
         out: dict[Word, Fraction] = {}
@@ -275,8 +229,8 @@ class LieSeries:
             for wv, cv in other.coords.items():
                 if len(wu) + len(wv) > n:
                     continue
-                _merge(out, bracket_basis(wu, wv), cu * cv)
-        return LieSeries(self.genus, self.max_degree, out)
+                add_into(out, bracket_basis(wu, wv), cu * cv)
+        return self._like(out)
 
     # -- structure helpers
 
@@ -287,8 +241,7 @@ class LieSeries:
         return min((len(w) for w in self.coords), default=None)
 
     def graded_part(self, d: int) -> "LieSeries":
-        return LieSeries(self.genus, self.max_degree,
-                         {w: c for w, c in self.coords.items() if len(w) == d})
+        return self._like({w: c for w, c in self.coords.items() if len(w) == d})
 
     def truncated(self, n: int) -> "LieSeries":
         """Same element in the quotient by degrees above n (n may differ from N)."""

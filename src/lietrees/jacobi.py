@@ -29,8 +29,10 @@ from itertools import product
 from typing import Iterable, Mapping
 
 from .exact_linalg import BlockSolver, rank_of_columns
-from .free_lie import (LieSeries, Word, bracket_basis, gen_count,
-                       letter_label, lyndon_basis, parse_letter, witt_dim)
+from .free_lie import (LieSeries, Word, _letter_weight, bracket_basis,
+                       gen_count, letter_label, lyndon_basis, parse_letter,
+                       witt_dim)
+from .sparse import SparseCombination, add_into, add_term
 
 Plant = int | tuple
 ONE = Fraction(1)
@@ -120,12 +122,13 @@ def _encode(graph, start: int, frm: int) -> Plant:
 class TreeDiagram:
     """Canonical representative of a colored tree diagram."""
 
-    __slots__ = ("genus", "root_color", "plant", "_gr")
+    __slots__ = ("genus", "root_color", "plant", "key", "_gr")
 
     def __init__(self, genus: int, root_color: int, plant: Plant):
         self.genus = genus
         self.root_color = root_color
         self.plant = plant
+        self.key = f"{root_color:03d}:{_plant_key(plant)}"
         self._gr = None
 
     @classmethod
@@ -163,10 +166,6 @@ class TreeDiagram:
             return None, 1
         tree = cls(genus, best[0], best[1])
         return tree, signs.pop()
-
-    @property
-    def key(self) -> str:
-        return f"{self.root_color:03d}:{_plant_key(self.plant)}"
 
     def graph(self):
         if self._gr is None:
@@ -217,15 +216,24 @@ def comm(t: TreeDiagram, root: int) -> LieSeries:
     return _nested_series(t.genus, nested, cap)
 
 
-class TreeCombo:
-    """Rational combination of canonical diagrams; keys are canonical strings."""
+class TreeCombo(SparseCombination):
+    """Rational combination of canonical diagrams.
 
-    __slots__ = ("genus", "terms")
+    coords maps each TreeDiagram to its nonzero coefficient; `terms`
+    gives the same data keyed by the canonical strings.
+    """
+
+    __slots__ = ("genus",)
+    _context = ("genus",)
 
     def __init__(self, genus: int,
                  terms: Mapping[str, tuple[TreeDiagram, Fraction]] | None = None):
         self.genus = genus
-        self.terms = {k: (t, c) for k, (t, c) in (terms or {}).items() if c}
+        self.coords = {t: c for t, c in (terms or {}).values() if c}
+
+    @property
+    def terms(self) -> dict[str, tuple[TreeDiagram, Fraction]]:
+        return {t.key: (t, c) for t, c in self.coords.items()}
 
     @classmethod
     def zero(cls, genus: int) -> "TreeCombo":
@@ -234,65 +242,22 @@ class TreeCombo:
     @classmethod
     def from_terms(cls, genus: int,
                    raw: Iterable[tuple[Fraction, int, Plant]]) -> "TreeCombo":
-        acc: dict[str, tuple[TreeDiagram, Fraction]] = {}
+        out = cls(genus)
         for coeff, root_color, plant in raw:
             tree, sign = TreeDiagram.build(genus, root_color, plant)
-            if tree is None:
-                continue
-            c = Fraction(coeff) * sign
-            if tree.key in acc:
-                c += acc[tree.key][1]
-            if c:
-                acc[tree.key] = (tree, c)
-            else:
-                acc.pop(tree.key, None)
-        return cls(genus, acc)
+            if tree is not None:
+                add_term(out.coords, tree, Fraction(coeff) * sign)
+        return out
 
     @classmethod
     def single(cls, tree: TreeDiagram, coeff=ONE) -> "TreeCombo":
-        c = Fraction(coeff)
-        if not c:
-            return cls(tree.genus)
-        return cls(tree.genus, {tree.key: (tree, c)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
+        return cls(tree.genus, {tree.key: (tree, Fraction(coeff))})
 
     def degrees(self) -> list[int]:
-        return sorted({t.degree for t, _ in self.terms.values()})
+        return sorted({t.degree for t in self.coords})
 
     def graded_part(self, d: int) -> "TreeCombo":
-        return TreeCombo(self.genus, {k: (t, c) for k, (t, c) in self.terms.items()
-                                      if t.degree == d})
-
-    def __add__(self, other: "TreeCombo") -> "TreeCombo":
-        if self.genus != other.genus:
-            raise ValueError("mismatched genus")
-        acc = dict(self.terms)
-        for k, (t, c) in other.terms.items():
-            nc = acc[k][1] + c if k in acc else c
-            if nc:
-                acc[k] = (t, nc)
-            else:
-                acc.pop(k, None)
-        return TreeCombo(self.genus, acc)
-
-    def __neg__(self) -> "TreeCombo":
-        return TreeCombo(self.genus,
-                         {k: (t, -c) for k, (t, c) in self.terms.items()})
-
-    def __sub__(self, other: "TreeCombo") -> "TreeCombo":
-        return self + (-other)
-
-    def __rmul__(self, scalar) -> "TreeCombo":
-        s = Fraction(scalar)
-        return TreeCombo(self.genus,
-                         {k: (t, c * s) for k, (t, c) in self.terms.items()} if s else {})
-
-    __mul__ = __rmul__
+        return self._like({t: c for t, c in self.coords.items() if t.degree == d})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TreeCombo):
@@ -300,18 +265,19 @@ class TreeCombo:
         return tree_equal(self, other)
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.coords:
             return "0"
         bits = [f"({c})*{tree_text(t)}"
                 for _, (t, c) in sorted(self.terms.items())]
         return " + ".join(bits)
 
 
-class HLieTensor:
+class HLieTensor(SparseCombination):
     """Element of H tensor L, keyed by (letter, Lyndon word), graded by
     tree degree = bracket length minus 1."""
 
-    __slots__ = ("genus", "coords")
+    __slots__ = ("genus",)
+    _context = ("genus",)
 
     def __init__(self, genus: int,
                  coords: Mapping[tuple[int, Word], Fraction] | None = None):
@@ -331,59 +297,19 @@ class HLieTensor:
     def zero(cls, genus: int) -> "HLieTensor":
         return cls(genus)
 
-    def is_zero(self) -> bool:
-        return not self.coords
-
-    def __bool__(self) -> bool:
-        return bool(self.coords)
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, HLieTensor) and self.genus == other.genus
-                and self.coords == other.coords)
-
-    def __add__(self, other: "HLieTensor") -> "HLieTensor":
-        if self.genus != other.genus:
-            raise ValueError("mismatched genus")
-        acc = dict(self.coords)
-        for k, c in other.coords.items():
-            nv = acc.get(k, 0) + c
-            if nv:
-                acc[k] = nv
-            else:
-                acc.pop(k, None)
-        return HLieTensor(self.genus, acc)
-
-    def __neg__(self) -> "HLieTensor":
-        return HLieTensor(self.genus, {k: -c for k, c in self.coords.items()})
-
-    def __sub__(self, other: "HLieTensor") -> "HLieTensor":
-        return self + (-other)
-
-    def __rmul__(self, scalar) -> "HLieTensor":
-        s = Fraction(scalar)
-        return HLieTensor(self.genus,
-                          {k: c * s for k, c in self.coords.items()} if s else {})
-
-    __mul__ = __rmul__
-
     def degrees(self) -> list[int]:
         return sorted({len(w) - 1 for _, w in self.coords})
 
     def graded_part(self, d: int) -> "HLieTensor":
-        return HLieTensor(self.genus, {(h, w): c for (h, w), c in self.coords.items()
-                                       if len(w) - 1 == d})
+        return self._like({(h, w): c for (h, w), c in self.coords.items()
+                           if len(w) - 1 == d})
 
     def bracket_contraction(self) -> LieSeries:
         """Image under (h, u) -> [h, u]; zero exactly on the D subspaces."""
         cap = max((len(w) + 1 for _, w in self.coords), default=1)
         acc: dict[Word, Fraction] = {}
         for (h, w), c in self.coords.items():
-            for u, cu in bracket_basis((h,), w).items():
-                nv = acc.get(u, 0) + c * cu
-                if nv:
-                    acc[u] = nv
-                else:
-                    del acc[u]
+            add_into(acc, bracket_basis((h,), w), c)
         return LieSeries(self.genus, cap, acc)
 
     def __repr__(self) -> str:
@@ -430,7 +356,7 @@ def fission(c: TreeCombo, nilpotency_class: int | None = None):
 def eta(c: TreeCombo) -> HLieTensor:
     """Sum over leaves of color tensor bracket-of-the-rest."""
     acc: dict[tuple[int, Word], Fraction] = {}
-    for _, (tree, coeff) in c.terms.items():
+    for tree, coeff in c.coords.items():
         graph = tree.graph()
         kinds, colors, nbrs = graph
         cap = len(tree.leaf_ids()) - 1
@@ -439,12 +365,7 @@ def eta(c: TreeCombo) -> HLieTensor:
                 continue
             val = _nested_series(tree.genus, _encode(graph, nbrs[v][0], v), cap)
             for w, cw in val.coords.items():
-                k = (colors[v], w)
-                nv = acc.get(k, 0) + coeff * cw
-                if nv:
-                    acc[k] = nv
-                else:
-                    del acc[k]
+                add_term(acc, (colors[v], w), coeff * cw)
     return HLieTensor(c.genus, acc)
 
 
@@ -453,13 +374,6 @@ def tree_equal(x: TreeCombo, y: TreeCombo) -> bool:
     if x.genus != y.genus:
         raise ValueError("mismatched genus")
     return eta(x) == eta(y)
-
-
-def _weight_of(letters: Iterable[int], genus: int) -> tuple[int, ...]:
-    counts = [0] * gen_count(genus)
-    for x in letters:
-        counts[x] += 1
-    return tuple(counts)
 
 
 @lru_cache(maxsize=None)
@@ -475,7 +389,7 @@ def tree_space_dim(genus: int, d: int) -> int:
         for w in basis:
             total_cols += 1
             col = dict(bracket_basis((h,), w))
-            mu = _weight_of((h,) + w, genus)
+            mu = _letter_weight((h,) + w, genus)
             by_weight.setdefault(mu, []).append(col)
     rank = sum(rank_of_columns(cols) for cols in by_weight.values())
     return total_cols - rank
@@ -501,12 +415,12 @@ def _eta_solvers(genus: int, d: int):
         root, plant = _caterpillar(colors)
         combo = TreeCombo.from_terms(genus, [(ONE, root, plant)])
         col = eta(combo).coords
-        mu = _weight_of(colors, genus)
+        mu = _letter_weight(colors, genus)
         columns.setdefault(mu, []).append((colors, dict(col)))
     rows_by_weight: dict[tuple[int, ...], list] = {}
     for h in range(n):
         for w in lyndon_basis(genus, d + 1):
-            mu = _weight_of((h,) + w, genus)
+            mu = _letter_weight((h,) + w, genus)
             rows_by_weight.setdefault(mu, []).append((h, w))
     solvers = {}
     total_rank = 0
@@ -537,7 +451,7 @@ def eta_inverse(x: HLieTensor, d: int) -> TreeCombo:
     solvers = _eta_solvers(x.genus, d)
     blocks: dict[tuple[int, ...], dict] = {}
     for (h, w), c in x.coords.items():
-        mu = _weight_of((h,) + w, x.genus)
+        mu = _letter_weight((h,) + w, x.genus)
         blocks.setdefault(mu, {})[(h, w)] = c
     raw = []
     for mu, rhs in sorted(blocks.items()):

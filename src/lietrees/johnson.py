@@ -19,6 +19,7 @@ from typing import Mapping
 from .free_lie import (LieSeries, Word, a_letter, b_letter, gen_count,
                        letter_label, std_factorization)
 from .jacobi import HLieTensor, TreeCombo, eta, eta_inverse, random_tree
+from .sparse import add_term
 
 ONE = Fraction(1)
 
@@ -97,14 +98,9 @@ def apply_aut(psi: LieAutomorphism, x: LieSeries) -> LieSeries:
     acc: dict[Word, Fraction] = {}
     for w, c in x.coords.items():
         for wu, cu in _word_image(psi, w).coords.items():
-            if len(wu) > x.max_degree:
-                continue
-            nv = acc.get(wu, 0) + c * cu
-            if nv:
-                acc[wu] = nv
-            else:
-                del acc[wu]
-    return LieSeries(x.genus, x.max_degree, acc)
+            if len(wu) <= x.max_degree:
+                add_term(acc, wu, c * cu)
+    return x._like(acc)
 
 
 def compose_aut(psi: LieAutomorphism, phi: LieAutomorphism) -> LieAutomorphism:
@@ -194,14 +190,9 @@ def apply_der(delta: Derivation, x: LieSeries) -> LieSeries:
     acc: dict[Word, Fraction] = {}
     for w, c in x.coords.items():
         for wu, cu in _word_der(delta, w).coords.items():
-            if len(wu) > x.max_degree:
-                continue
-            nv = acc.get(wu, 0) + c * cu
-            if nv:
-                acc[wu] = nv
-            else:
-                del acc[wu]
-    return LieSeries(x.genus, x.max_degree, acc)
+            if len(wu) <= x.max_degree:
+                add_term(acc, wu, c * cu)
+    return x._like(acc)
 
 
 def exp_der(delta: Derivation) -> LieAutomorphism:
@@ -269,11 +260,7 @@ def derivation_from_tensor(t: HLieTensor, max_degree: int) -> Derivation:
             target, coeff = h - 1, -c
         else:
             target, coeff = h + 1, c
-        nv = acc[target].get(w, 0) + coeff
-        if nv:
-            acc[target][w] = nv
-        else:
-            del acc[target][w]
+        add_term(acc[target], w, coeff)
     return Derivation(genus, max_degree,
                       {l: LieSeries(genus, max_degree, d)
                        for l, d in acc.items()})
@@ -300,12 +287,7 @@ def tau_truncated(psi: LieAutomorphism, k: int) -> HLieTensor:
                                    (b_letter(i), a_letter(i), 1)):
             for w, c in psi.deviation(letter).coords.items():
                 if k + 1 <= len(w) <= 2 * k:
-                    key = (mate, w)
-                    nv = coords.get(key, 0) + sign * c
-                    if nv:
-                        coords[key] = nv
-                    else:
-                        del coords[key]
+                    add_term(coords, (mate, w), sign * c)
     return HLieTensor(genus, coords)
 
 

@@ -15,12 +15,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 from typing import Iterable, Mapping
 
-from .exact_linalg import (BlockSolver, MatrixQ, _eliminate, echelon_reduce,
-                           kernel_basis, rank_of_columns)
-from .free_lie import Word, bracket_basis, gen_count, letter_label, lyndon_basis
+from .exact_linalg import (BlockSolver, _eliminate, echelon_reduce,
+                           kernel_from_rref, rank_of_columns, reduce_against)
+from .free_lie import (Word, _letter_weight, bracket_basis, gen_count,
+                       letter_label, lyndon_basis)
+from .sparse import SparseCombination, add_into, add_term
 
 ONE = Fraction(1)
 Monomial = tuple[Word, ...]
@@ -46,10 +48,11 @@ def _normalize(words: Iterable[Word]) -> tuple[Monomial | None, int]:
     return tuple(lst), sign
 
 
-class WedgeChain:
+class WedgeChain(SparseCombination):
     """Element of Lambda^n(L/L_{>k}); coords on sorted wedge monomials."""
 
-    __slots__ = ("genus", "nilpotency_class", "arity", "coords")
+    __slots__ = ("genus", "nilpotency_class", "arity")
+    _context = ("genus", "nilpotency_class", "arity")
 
     def __init__(self, genus: int, nilpotency_class: int, arity: int,
                  coords: Mapping[Monomial, Fraction] | None = None):
@@ -74,53 +77,11 @@ class WedgeChain:
     def zero(cls, genus: int, nilpotency_class: int, arity: int) -> "WedgeChain":
         return cls(genus, nilpotency_class, arity)
 
-    def _check(self, other: "WedgeChain") -> None:
-        if (self.genus != other.genus or self.arity != other.arity
-                or self.nilpotency_class != other.nilpotency_class):
-            raise ValueError("mismatched wedge context")
-
-    def is_zero(self) -> bool:
-        return not self.coords
-
-    def __bool__(self) -> bool:
-        return bool(self.coords)
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, WedgeChain) and self.genus == other.genus
-                and self.nilpotency_class == other.nilpotency_class
-                and self.arity == other.arity and self.coords == other.coords)
-
-    def __add__(self, other: "WedgeChain") -> "WedgeChain":
-        self._check(other)
-        acc = dict(self.coords)
-        for mon, c in other.coords.items():
-            nv = acc.get(mon, 0) + c
-            if nv:
-                acc[mon] = nv
-            else:
-                acc.pop(mon, None)
-        return WedgeChain(self.genus, self.nilpotency_class, self.arity, acc)
-
-    def __neg__(self) -> "WedgeChain":
-        return WedgeChain(self.genus, self.nilpotency_class, self.arity,
-                          {m: -c for m, c in self.coords.items()})
-
-    def __sub__(self, other: "WedgeChain") -> "WedgeChain":
-        return self + (-other)
-
-    def __rmul__(self, scalar) -> "WedgeChain":
-        s = Fraction(scalar)
-        return WedgeChain(self.genus, self.nilpotency_class, self.arity,
-                          {m: c * s for m, c in self.coords.items()} if s else {})
-
-    __mul__ = __rmul__
-
     def degrees(self) -> list[int]:
         return sorted({sum(len(w) for w in m) for m in self.coords})
 
     def graded_part(self, d: int) -> "WedgeChain":
-        return WedgeChain(self.genus, self.nilpotency_class, self.arity,
-                          {m: c for m, c in self.coords.items()
+        return self._like({m: c for m, c in self.coords.items()
                            if sum(len(w) for w in m) == d})
 
     def reduced_to(self, k: int) -> "WedgeChain":
@@ -151,13 +112,8 @@ def wedge_chain_from_terms(genus: int, nilpotency_class: int, arity: int,
         if not c or any(len(w) > nilpotency_class for w in mon):
             continue
         norm, sign = _normalize(mon)
-        if norm is None:
-            continue
-        nv = acc.get(norm, 0) + Fraction(c) * sign
-        if nv:
-            acc[norm] = nv
-        else:
-            del acc[norm]
+        if norm is not None:
+            add_term(acc, norm, Fraction(c) * sign)
     return WedgeChain(genus, nilpotency_class, arity, acc)
 
 
@@ -175,13 +131,8 @@ def _monomial_boundary(genus: int, k: int,
                 if len(u) > k:
                     continue
                 norm, s2 = _normalize((u,) + rest)
-                if norm is None:
-                    continue
-                nv = acc.get(norm, 0) + cu * sign * s2
-                if nv:
-                    acc[norm] = nv
-                else:
-                    del acc[norm]
+                if norm is not None:
+                    add_term(acc, norm, cu * sign * s2)
     return acc
 
 
@@ -192,32 +143,12 @@ def boundary(c: WedgeChain) -> WedgeChain:
         raise ValueError("boundary needs arity >= 1")
     acc: dict[Monomial, Fraction] = {}
     for mon, coeff in c.coords.items():
-        for norm, v in _monomial_boundary(c.genus, c.nilpotency_class, mon).items():
-            nv = acc.get(norm, 0) + coeff * v
-            if nv:
-                acc[norm] = nv
-            else:
-                acc.pop(norm, None)
+        add_into(acc, _monomial_boundary(c.genus, c.nilpotency_class, mon), coeff)
     return WedgeChain(c.genus, c.nilpotency_class, c.arity - 1, acc)
 
 
 # ---------------------------------------------------------------------------
 # weight-blocked bases
-
-
-def _word_weight(w: Word, genus: int) -> tuple[int, ...]:
-    counts = [0] * gen_count(genus)
-    for x in w:
-        counts[x] += 1
-    return tuple(counts)
-
-
-def _monomial_weight(mon: Monomial, genus: int) -> tuple[int, ...]:
-    counts = [0] * gen_count(genus)
-    for w in mon:
-        for x in w:
-            counts[x] += 1
-    return tuple(counts)
 
 
 @lru_cache(maxsize=None)
@@ -248,7 +179,7 @@ def _monomials(genus: int, k: int, arity: int,
                mu: tuple[int, ...]) -> list[Monomial]:
     """Sorted wedge monomials of the exact letter-count vector mu."""
     basis = _graded_basis(genus, k)
-    weights = [_word_weight(w, genus) for w in basis]
+    weights = [_letter_weight(w, genus) for w in basis]
     out: list[Monomial] = []
 
     def rec(start: int, remaining: tuple[int, ...], chosen: list[Word]):
@@ -291,8 +222,8 @@ def _block_rank(genus: int, k: int, arity: int, mu: tuple[int, ...]) -> int:
 
 def homology_dims(genus: int, k: int, n: int) -> dict[int, int]:
     """Nonzero dimensions of H_n(L/L_{>k}) per total degree."""
-    if k < 1 or n < 1:
-        raise ValueError("need k >= 1 and n >= 1")
+    if genus < 1 or k < 1 or n < 1:
+        raise ValueError("need genus >= 1, class k >= 1 and n >= 1")
     out: dict[int, int] = {}
     for d in range(n, n * k + 1):
         dim = 0
@@ -310,17 +241,6 @@ def homology_dims(genus: int, k: int, n: int) -> dict[int, int]:
 
 # ---------------------------------------------------------------------------
 # canonical H3 coordinates
-
-
-def _reduce_dense(v: list[Fraction], basis: list[list[Fraction]],
-                  pivots: list[int]) -> list[Fraction]:
-    for bvec, p in zip(basis, pivots):
-        f = v[p]
-        if f:
-            for j, bj in enumerate(bvec):
-                if bj:
-                    v[j] -= f * bj
-    return v
 
 
 @lru_cache(maxsize=None)
@@ -346,13 +266,11 @@ def _h3_structure(genus: int, k: int, mu: tuple[int, ...]):
     for j, m in enumerate(mon3):
         for tgt, c in _monomial_boundary(genus, k, m).items():
             rows[idx2[tgt]][j] = c
-    entries = {}
-    for i, r in enumerate(rows):
-        for j, v in r.items():
-            entries[(i, j)] = v
-    ker = kernel_basis(MatrixQ(len(mon2), length, entries))
-    reduced = [_reduce_dense(list(v), im_basis, im_pivots) for v in ker]
-    q_basis, q_pivots = echelon_reduce(reduced, length)
+    _, pivots = _eliminate(rows, length)
+    ker = kernel_from_rref(rows, pivots, length)
+    for v in ker:
+        reduce_against(v, im_basis, im_pivots)
+    q_basis, q_pivots = echelon_reduce(ker, length)
     return index, (im_basis, im_pivots), (q_basis, q_pivots)
 
 
@@ -441,7 +359,7 @@ def class_of(z: WedgeChain, n: int = 3) -> HomologyClass:
     genus, k = z.genus, z.nilpotency_class
     blocks: dict[tuple[int, ...], dict[Monomial, Fraction]] = {}
     for mon, c in z.coords.items():
-        mu = _monomial_weight(mon, genus)
+        mu = _letter_weight(chain.from_iterable(mon), genus)
         blocks.setdefault(mu, {})[mon] = c
     per_degree: dict[int, dict[tuple[int, ...], tuple]] = {}
     for mu, coords in blocks.items():
@@ -452,15 +370,8 @@ def class_of(z: WedgeChain, n: int = 3) -> HomologyClass:
         v = [Fraction(0)] * len(index)
         for mon, c in coords.items():
             v[index[mon]] = c
-        v = _reduce_dense(v, im_basis, im_pivots)
-        coeffs = []
-        for qvec, p in zip(q_basis, q_pivots):
-            c = v[p]
-            coeffs.append(c)
-            if c:
-                for j, qj in enumerate(qvec):
-                    if qj:
-                        v[j] -= c * qj
+        reduce_against(v, im_basis, im_pivots)
+        coeffs = reduce_against(v, q_basis, q_pivots)
         if any(v):
             raise RuntimeError("cycle reduction left a nonzero remainder")
         if any(coeffs):
@@ -494,7 +405,7 @@ def solve_boundary3(z: WedgeChain) -> WedgeChain:
     genus, k = z.genus, z.nilpotency_class
     blocks: dict[tuple[int, ...], dict[Monomial, Fraction]] = {}
     for mon, c in z.coords.items():
-        mu = _monomial_weight(mon, genus)
+        mu = _letter_weight(chain.from_iterable(mon), genus)
         blocks.setdefault(mu, {})[mon] = c
     acc: dict[Monomial, Fraction] = {}
     for mu, rhs in sorted(blocks.items()):
@@ -533,6 +444,8 @@ def phi_matrix_rank(genus: int, k: int) -> int:
     """Rank of capital_phi on the caterpillar spanning family of degrees
     [k, 2k)."""
     from .jacobi import TreeCombo, _caterpillar
+    if genus < 1 or k < 1:
+        raise ValueError("need genus >= 1 and class k >= 1")
     n = gen_count(genus)
     seen: set[str] = set()
     columns = []
@@ -542,7 +455,7 @@ def phi_matrix_rank(genus: int, k: int) -> int:
             combo = TreeCombo.from_terms(genus, [(ONE, root, plant)])
             if not combo:
                 continue
-            key = next(iter(combo.terms))
+            key = next(iter(combo.coords)).key
             if key in seen:
                 continue
             seen.add(key)

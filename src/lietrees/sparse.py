@@ -1,0 +1,93 @@
+"""Sparse rational linear combinations.
+
+Every linear-combination type in the package stores a dict `coords`
+from basis keys to nonzero Fractions, plus a few context fields (genus,
+truncation degree, arity) that two operands must share.  This module
+holds the accumulate helpers and the vector-space protocol on top of
+that one representation; subclasses only name their context fields and
+validate keys in their public constructors.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Mapping
+
+
+def add_term(acc: dict, key, c) -> None:
+    """acc[key] += c, deleting the key when the sum is zero."""
+    nv = acc.get(key, 0) + c
+    if nv:
+        acc[key] = nv
+    else:
+        acc.pop(key, None)
+
+
+def add_into(acc: dict, terms: Mapping, factor=1) -> None:
+    """acc += factor * terms, deleting keys whose sum is zero."""
+    scale = factor != 1
+    for key, c in terms.items():
+        nv = acc.get(key, 0) + (c * factor if scale else c)
+        if nv:
+            acc[key] = nv
+        else:
+            acc.pop(key, None)
+
+
+class SparseCombination:
+    """Vector-space protocol shared by the combination types.
+
+    `_context` names the fields that must agree between operands.
+    Arithmetic builds results through `_like`, which skips the key
+    validation of the public constructor: sums, differences and
+    multiples only carry keys the validated operands already had.
+    """
+
+    __slots__ = ("coords",)
+    _context: tuple[str, ...] = ()
+
+    def _like(self, coords: dict):
+        """A combination in this one's context with the given coords, unchecked."""
+        out = object.__new__(type(self))
+        for field in self._context:
+            setattr(out, field, getattr(self, field))
+        out.coords = coords
+        return out
+
+    def _same_context(self, other: object) -> bool:
+        return type(other) is type(self) and all(
+            getattr(self, f) == getattr(other, f) for f in self._context)
+
+    def _check(self, other: "SparseCombination") -> None:
+        if not self._same_context(other):
+            raise ValueError(f"mismatched context ({', '.join(self._context)})")
+
+    def __bool__(self) -> bool:
+        return bool(self.coords)
+
+    def is_zero(self) -> bool:
+        return not self.coords
+
+    def __eq__(self, other: object) -> bool:
+        return self._same_context(other) and self.coords == other.coords
+
+    def __add__(self, other):
+        self._check(other)
+        out = dict(self.coords)
+        add_into(out, other.coords)
+        return self._like(out)
+
+    def __sub__(self, other):
+        self._check(other)
+        out = dict(self.coords)
+        add_into(out, other.coords, -1)
+        return self._like(out)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.coords.items()})
+
+    def __rmul__(self, scalar):
+        s = Fraction(scalar)
+        return self._like({k: c * s for k, c in self.coords.items()} if s else {})
+
+    __mul__ = __rmul__

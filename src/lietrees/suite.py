@@ -14,6 +14,7 @@ from typing import Callable, NamedTuple
 from . import jacobi, johnson, koszul, symplectic, tensor_hopf
 from .free_lie import (LieSeries, bch, bracket, gen_count, lyndon_basis,
                        witt_dim)
+from .sparse import add_term
 
 ONE = Fraction(1)
 
@@ -32,10 +33,8 @@ def _random_lie(rng: random.Random, genus: int, n: int,
         basis = lyndon_basis(genus, d)
         for _ in range(rng.randint(1, 2)):
             w = basis[rng.randrange(len(basis))]
-            c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-            if c:
-                coords[w] = coords.get(w, 0) + c
-    return LieSeries(genus, n, {w: c for w, c in coords.items() if c})
+            add_term(coords, w, Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+    return LieSeries(genus, n, coords)
 
 
 def _random_derivation(rng: random.Random, genus: int, n: int) -> johnson.Derivation:
@@ -101,7 +100,7 @@ def crit_fission_boundary(seed: int) -> tuple[bool, str]:
         k = degree + 1
         lhs = koszul.boundary(jacobi.fission(combo, nilpotency_class=k))
         if lhs != _eta_as_wedge(combo, k):
-            return False, f"tree {next(iter(combo.terms))}: boundary mismatch"
+            return False, f"tree {next(iter(combo.coords)).key}: boundary mismatch"
         done += 1
     return True, "50 random trees: boundary of fission == leaf-wedge sum"
 

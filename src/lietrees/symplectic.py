@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .exact_linalg import MatrixQ, solve
+from .exact_linalg import BlockSolver
 from .free_lie import (LieSeries, Word, _letter_weight, a_letter, b_letter,
                        gen_count, lyndon_basis, bracket_basis)
 from .johnson import (LieAutomorphism, apply_aut, compose_aut, identity_aut,
@@ -104,18 +104,13 @@ def _solve_splitting(genus: int, max_degree: int, j: int,
         block = tagged.get(weight)
         if not block:
             raise RuntimeError("defect weight outside the bracket image")
-        row_words = sorted({wd for _, col in block for wd in col} | set(rhs))
-        index = {wd: r for r, wd in enumerate(row_words)}
-        mat = MatrixQ.from_columns(
-            [{index[wd]: c for wd, c in col.items()} for _, col in block],
-            len(row_words))
-        sol = solve(mat, [rhs.get(wd, Fraction(0)) for wd in row_words])
+        row_words = sorted({wd for _, col in block for wd in col})
+        sol = BlockSolver(row_words, [col for _, col in block]).solve(rhs)
         if sol is None:
             raise RuntimeError("bracket splitting system is inconsistent")
         for ((tag, i, w), _), c in zip(block, sol):
             if c:
-                store = u if tag == "u" else v
-                store[i][w] = store[i].get(w, Fraction(0)) + c
+                (u if tag == "u" else v)[i][w] = c
     return u, v
 
 
@@ -126,6 +121,8 @@ def build_corrector(genus: int, max_degree: int) -> LieAutomorphism:
     removed by a step sending a_i to a_i + u_i and b_i to b_i + v_i with
     u, v of degree j, then the step is composed on the right.
     """
+    if genus < 1:
+        raise ValueError("genus must be at least 1")
     if max_degree < 2:
         raise ValueError("max_degree must be at least 2")
     target = omega_tilde(genus, max_degree)

@@ -23,23 +23,16 @@ from typing import Mapping, NamedTuple
 
 from .free_lie import (LieSeries, Word, bracket_basis, gen_count,
                        letter_label, std_factorization)
+from .sparse import SparseCombination, add_into, add_term
 
 ONE = Fraction(1)
 
 
-def _merge(acc: dict, terms: Mapping, factor: Fraction) -> None:
-    for k, c in terms.items():
-        nv = acc.get(k, 0) + c * factor
-        if nv:
-            acc[k] = nv
-        else:
-            acc.pop(k, None)
-
-
-class TensorSeries:
+class TensorSeries(SparseCombination):
     """Element of T(H) truncated above max_degree; coords word -> Fraction."""
 
-    __slots__ = ("genus", "max_degree", "coords")
+    __slots__ = ("genus", "max_degree")
+    _context = ("genus", "max_degree")
 
     def __init__(self, genus: int, max_degree: int,
                  coords: Mapping[Word, Fraction] | None = None):
@@ -70,50 +63,11 @@ class TensorSeries:
     def gen(cls, genus: int, max_degree: int, letter: int) -> "TensorSeries":
         return cls(genus, max_degree, {(letter,): ONE})
 
-    def _check(self, other: "TensorSeries") -> None:
-        if self.genus != other.genus or self.max_degree != other.max_degree:
-            raise ValueError("mismatched context (genus or truncation degree)")
-
-    def __bool__(self) -> bool:
-        return bool(self.coords)
-
-    def is_zero(self) -> bool:
-        return not self.coords
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, TensorSeries) and self.genus == other.genus
-                and self.max_degree == other.max_degree
-                and self.coords == other.coords)
-
-    def __add__(self, other: "TensorSeries") -> "TensorSeries":
-        self._check(other)
-        out = dict(self.coords)
-        _merge(out, other.coords, ONE)
-        return TensorSeries(self.genus, self.max_degree, out)
-
-    def __sub__(self, other: "TensorSeries") -> "TensorSeries":
-        self._check(other)
-        out = dict(self.coords)
-        _merge(out, other.coords, -ONE)
-        return TensorSeries(self.genus, self.max_degree, out)
-
-    def __neg__(self) -> "TensorSeries":
-        return TensorSeries(self.genus, self.max_degree,
-                            {w: -c for w, c in self.coords.items()})
-
-    def __rmul__(self, scalar) -> "TensorSeries":
-        s = Fraction(scalar)
-        return TensorSeries(self.genus, self.max_degree,
-                            {w: c * s for w, c in self.coords.items()})
-
-    __mul__ = __rmul__
-
     def constant_term(self) -> Fraction:
         return self.coords.get((), Fraction(0))
 
     def graded_part(self, d: int) -> "TensorSeries":
-        return TensorSeries(self.genus, self.max_degree,
-                            {w: c for w, c in self.coords.items() if len(w) == d})
+        return self._like({w: c for w, c in self.coords.items() if len(w) == d})
 
     def min_degree(self) -> int | None:
         return min((len(w) for w in self.coords), default=None)
@@ -148,13 +102,8 @@ def mul(x: TensorSeries, y: TensorSeries) -> TensorSeries:
             if ly > room:
                 continue
             for wv, cv in terms:
-                k = wu + wv
-                nv = out.get(k, 0) + cu * cv
-                if nv:
-                    out[k] = nv
-                else:
-                    del out[k]
-    return TensorSeries(x.genus, x.max_degree, out)
+                add_term(out, wu + wv, cu * cv)
+    return x._like(out)
 
 
 def exp(x: TensorSeries) -> TensorSeries:
@@ -216,11 +165,7 @@ def coproduct(x: TensorSeries) -> dict[tuple[Word, Word], Fraction]:
                 left_set = set(left)
                 wl = tuple(w[i] for i in left)
                 wr = tuple(w[i] for i in idx if i not in left_set)
-                nv = out.get((wl, wr), 0) + c
-                if nv:
-                    out[(wl, wr)] = nv
-                else:
-                    del out[(wl, wr)]
+                add_term(out, (wl, wr), c)
     return out
 
 
@@ -234,24 +179,15 @@ def is_grouplike(x: TensorSeries) -> bool:
         for wv, cv in x.coords.items():
             if len(wu) + len(wv) > n:
                 continue
-            k = (wu, wv)
-            nv = target.get(k, 0) + cu * cv
-            if nv:
-                target[k] = nv
-            else:
-                del target[k]
+            add_term(target, (wu, wv), cu * cv)
     return coproduct(x) == target
 
 
 def is_primitive(x: TensorSeries) -> bool:
     target: dict[tuple[Word, Word], Fraction] = {}
     for w, c in x.coords.items():
-        for k in ((w, ()), ((), w)):
-            nv = target.get(k, 0) + c
-            if nv:
-                target[k] = nv
-            else:
-                del target[k]
+        add_term(target, (w, ()), c)
+        add_term(target, ((), w), c)
     return coproduct(x) == target
 
 
@@ -269,15 +205,15 @@ def _embed_word(w: Word) -> Mapping[Word, Fraction]:
     out: dict[Word, Fraction] = {}
     for wu, cu in eu.items():
         for wv, cv in ev.items():
-            _merge(out, {wu + wv: cu * cv}, ONE)
-            _merge(out, {wv + wu: cu * cv}, -ONE)
+            add_term(out, wu + wv, cu * cv)
+            add_term(out, wv + wu, -cu * cv)
     return out
 
 
 def embed_lie(x: LieSeries) -> TensorSeries:
     out: dict[Word, Fraction] = {}
     for w, c in x.coords.items():
-        _merge(out, _embed_word(w), c)
+        add_into(out, _embed_word(w), c)
     return TensorSeries(x.genus, x.max_degree, out)
 
 
@@ -290,7 +226,7 @@ def _left_normed(w: Word) -> Mapping[Word, Fraction]:
     out: dict[Word, Fraction] = {}
     last = (w[-1],)
     for u, c in prev.items():
-        _merge(out, bracket_basis(u, last), c)
+        add_into(out, bracket_basis(u, last), c)
     return out
 
 
@@ -304,7 +240,7 @@ def project_lie(x: TensorSeries) -> LieSeries:
         raise ValueError("project_lie needs a primitive element")
     out: dict[Word, Fraction] = {}
     for w, c in x.coords.items():
-        _merge(out, _left_normed(w), c / len(w))
+        add_into(out, _left_normed(w), c / len(w))
     return LieSeries(x.genus, x.max_degree, out)
 
 

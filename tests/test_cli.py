@@ -133,3 +133,16 @@ class TestErrors:
     def test_bad_flag_value_exits_2(self, capsys):
         assert run(["homology", "dims", "--genus", "2", "--class", "2",
                     "--n", "7"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["homology", "dims", "--genus", "0", "--class", "2", "--n", "3"],
+        ["homology", "dims", "--genus", "-1", "--class", "2", "--n", "3"],
+        ["phi", "rank", "--genus", "1", "--class", "0"],
+        ["expand", "construct", "--genus", "0", "--degree", "3"],
+    ])
+    def test_genus_and_class_domain_exits_2(self, argv, capsys):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err

@@ -1,0 +1,28 @@
+"""Golden outputs: canonical documents, tree text and H3 coordinates.
+
+The digests pin the exact bytes of outputs that must not move when the
+implementation changes underneath them.
+"""
+
+import hashlib
+
+from lietrees.cli import run
+from lietrees.documents import tree_combo_to_text
+from lietrees.johnson import morita_mk, random_ic_element, tau_to_trees
+
+
+def test_constructed_expansion_document(capsys):
+    assert run(["expand", "construct", "--genus", "2", "--degree", "6"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == ("f885ec60d8ae9e45741d92147f5a4742"
+                      "4d7b0f85efb8fc925daaba90217d3db6")
+
+
+def test_homology_and_tree_routes():
+    h = hashlib.sha256()
+    for seed in range(5):
+        psi = random_ic_element(2, 2, seed, 4)
+        h.update(repr(sorted(morita_mk(psi, 2).parts.items())).encode())
+        h.update(tree_combo_to_text(tau_to_trees(psi, 2)).encode())
+    assert h.hexdigest() == ("762172aaee16d7e6bc26752bd4fd359a"
+                             "cbaa4ab5ed0c4613fdf858785af6068d")

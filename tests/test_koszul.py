@@ -106,6 +106,13 @@ class TestHomologyDims:
         assert homology_dims(2, 1, 3) == {3: 4}
         assert homology_dims(2, 2, 3) == {4: 20, 5: 36}
 
+    @pytest.mark.parametrize("genus, k", [(0, 2), (-1, 2), (1, 0)])
+    def test_rejects_genus_or_class_below_one(self, genus, k):
+        with pytest.raises(ValueError):
+            homology_dims(genus, k, 3)
+        with pytest.raises(ValueError):
+            phi_matrix_rank(genus, k)
+
 
 class TestClasses:
     def test_rejects_non_cycles(self):

@@ -1,0 +1,77 @@
+"""The shared sparse-combination core, checked on every class built on it."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from lietrees.free_lie import LieSeries
+from lietrees.jacobi import HLieTensor, TreeCombo, TreeDiagram
+from lietrees.koszul import WedgeChain
+from lietrees.sparse import add_into, add_term
+from lietrees.tensor_hopf import TensorSeries
+
+F = Fraction
+
+# trees on distinct keys: the leaf colors differ, so AS never kills one
+TREES = [TreeDiagram.build(2, r, p)[0]
+         for r, p in ((0, (1, 2)), (0, (1, 3)), (1, (2, 3)), (0, ((1, 2), 3)))]
+
+# per class: (basis keys, maker in one context, maker in another context)
+FAMILIES = {
+    "LieSeries": ([(0,), (1,), (0, 1), (0, 0, 1), (0, 1, 1)],
+                  lambda c: LieSeries(1, 3, c), lambda c: LieSeries(1, 4, c)),
+    "TensorSeries": ([(), (0,), (1,), (0, 1), (1, 0)],
+                     lambda c: TensorSeries(1, 2, c),
+                     lambda c: TensorSeries(2, 2, c)),
+    "HLieTensor": ([(0, (1,)), (1, (0,)), (0, (0, 1)), (1, (0, 1))],
+                   lambda c: HLieTensor(1, c), lambda c: HLieTensor(2, c)),
+    "WedgeChain": ([((0,), (1,)), ((0,), (0, 1)), ((1,), (0, 1))],
+                   lambda c: WedgeChain(1, 2, 2, c),
+                   lambda c: WedgeChain(1, 3, 2, c)),
+    "TreeCombo": (TREES,
+                  lambda c: TreeCombo(2, {t.key: (t, v) for t, v in c.items()}),
+                  lambda c: TreeCombo(3, {})),
+}
+
+coeff = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+
+
+def element(draw, name):
+    keys, make, _ = FAMILIES[name]
+    return make({k: draw(coeff) for k in keys if draw(st.booleans())})
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_vector_space_laws(name, data):
+    x, y, z = (element(data.draw, name) for _ in range(3))
+    assert (x - x).is_zero()
+    assert ((x + y) + z).coords == (x + (y + z)).coords
+    assert (0 * x).is_zero()
+    assert (-x).coords == ((-1) * x).coords
+    for r in (x + y, x - y, -x, F(2, 3) * x, y * F(-1)):
+        assert all(r.coords.values()), "a zero coefficient was stored"
+        assert type(r) is type(x)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_context_mismatch_raises(name):
+    keys, make, make_other = FAMILIES[name]
+    x = make({keys[0]: F(1)})
+    other = make_other({})
+    with pytest.raises(ValueError):
+        x + other
+    with pytest.raises(ValueError):
+        x - other
+
+
+def test_helpers_drop_zeros():
+    acc = {"a": F(1)}
+    add_term(acc, "a", F(-1))
+    add_term(acc, "b", F(0))
+    assert acc == {}
+    add_into(acc, {"a": F(1), "b": F(2)}, F(-1, 2))
+    add_into(acc, {"a": F(-1, 2)}, -1)
+    assert acc == {"b": F(-1)}

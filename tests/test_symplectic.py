@@ -86,6 +86,10 @@ class TestConstruction:
             rep = verify_symplectic(construct_symplectic(genus, n), n)
             assert rep.ok, rep.message
 
+    def test_rejects_genus_zero(self):
+        with pytest.raises(ValueError):
+            construct_symplectic(0, 3)
+
     def test_truncation_stability(self):
         theta = construct_symplectic(2, 5)
         for lower in (4, 3, 2):
