@@ -83,8 +83,8 @@ def _lyndon_words(alphabet: int, degree: int) -> tuple[Word, ...]:
 
 def lyndon_basis(genus: int, degree: int) -> list[Word]:
     """Ordered Lyndon-word basis of the degree-d graded piece."""
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
+    if genus < 1 or degree < 1:
+        raise ValueError("genus and degree must be >= 1")
     return list(_lyndon_words(gen_count(genus), degree))
 
 

@@ -30,8 +30,7 @@ from typing import Iterable, Mapping
 
 from .exact_linalg import BlockSolver, rank_of_columns
 from .free_lie import (LieSeries, Word, _letter_weight, bracket_basis,
-                       gen_count, letter_label, lyndon_basis, parse_letter,
-                       witt_dim)
+                       gen_count, letter_label, lyndon_basis, parse_letter)
 from .sparse import SparseCombination, add_into, add_term
 
 Plant = int | tuple
@@ -377,22 +376,23 @@ def tree_equal(x: TreeCombo, y: TreeCombo) -> bool:
 
 
 @lru_cache(maxsize=None)
+def _hl_blocks(genus: int,
+               d: int) -> dict[tuple[int, ...], list[tuple[int, Word]]]:
+    """Basis keys (h, w) of H (x) L_{d+1} by weight, each list sorted."""
+    out: dict[tuple[int, ...], list[tuple[int, Word]]] = {}
+    for h, w in product(range(gen_count(genus)), lyndon_basis(genus, d + 1)):
+        out.setdefault(_letter_weight((h,) + w, genus), []).append((h, w))
+    return out
+
+
+@lru_cache(maxsize=None)
 def tree_space_dim(genus: int, d: int) -> int:
     """dim of ker([-,-]: H (x) L_{d+1} -> L_{d+2}), computed by rank."""
     if d < 0:
         raise ValueError("degree must be >= 0")
-    n = gen_count(genus)
-    basis = lyndon_basis(genus, d + 1)
-    by_weight: dict[tuple[int, ...], list[dict]] = {}
-    total_cols = 0
-    for h in range(n):
-        for w in basis:
-            total_cols += 1
-            col = dict(bracket_basis((h,), w))
-            mu = _letter_weight((h,) + w, genus)
-            by_weight.setdefault(mu, []).append(col)
-    rank = sum(rank_of_columns(cols) for cols in by_weight.values())
-    return total_cols - rank
+    return sum(len(keys) - rank_of_columns([bracket_basis((h,), w)
+                                            for h, w in keys])
+               for keys in _hl_blocks(genus, d).values())
 
 
 def _caterpillar(colors: tuple[int, ...]) -> tuple[int, Plant]:
@@ -417,15 +417,10 @@ def _eta_solvers(genus: int, d: int):
         col = eta(combo).coords
         mu = _letter_weight(colors, genus)
         columns.setdefault(mu, []).append((colors, dict(col)))
-    rows_by_weight: dict[tuple[int, ...], list] = {}
-    for h in range(n):
-        for w in lyndon_basis(genus, d + 1):
-            mu = _letter_weight((h,) + w, genus)
-            rows_by_weight.setdefault(mu, []).append((h, w))
     solvers = {}
     total_rank = 0
     for mu, cols in sorted(columns.items()):
-        row_keys = sorted(rows_by_weight.get(mu, []))
+        row_keys = _hl_blocks(genus, d).get(mu)
         if not row_keys:
             continue
         solver = BlockSolver(row_keys, [c for _, c in cols])

@@ -4,24 +4,26 @@ Chains are wedge powers of the truncated free Lie algebra over the
 Lyndon basis, with monomials kept sorted (basis order: length, then
 word) and signs normalized.  The boundary takes each pair of wedge
 factors to their bracket.  Everything is computed blockwise: monomials
-split by their total letter count vector (weight), brackets preserve
-weights, and each weight block is small even when the degree block is
-not.  Homology dimensions come from exact ranks, canonical H3
-coordinates from echelonized kernel/image bases fixed per block, and
-repeated boundary solves reuse cached elimination transforms.
+are enumerated once per (arity, degree) and bucketed by their letter
+count vector (weight), which brackets preserve, and each weight block
+is small even when the degree block is not.  Homology dimensions come
+from exact ranks, canonical H3 coordinates from echelonized kernel/image
+bases fixed per block, and repeated boundary solves reuse cached
+elimination transforms.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, product
 from typing import Iterable, Mapping
 
-from .exact_linalg import (BlockSolver, _eliminate, echelon_reduce,
+from .exact_linalg import (ZERO, BlockSolver, _eliminate, echelon_reduce,
                            kernel_from_rref, rank_of_columns, reduce_against)
 from .free_lie import (Word, _letter_weight, bracket_basis, gen_count,
-                       letter_label, lyndon_basis)
+                       is_lyndon, letter_label, lyndon_basis)
 from .sparse import SparseCombination, add_into, add_term
 
 ONE = Fraction(1)
@@ -61,6 +63,7 @@ class WedgeChain(SparseCombination):
         self.genus = genus
         self.nilpotency_class = nilpotency_class
         self.arity = arity
+        n = gen_count(genus)
         clean: dict[Monomial, Fraction] = {}
         for mon, c in (coords or {}).items():
             c = Fraction(c)
@@ -70,8 +73,23 @@ class WedgeChain(SparseCombination):
                 raise ValueError("monomial arity mismatch")
             if any(len(w) > nilpotency_class for w in mon):
                 raise ValueError("wedge factor above the nilpotency class")
+            if any(not 0 <= x < n for w in mon for x in w):
+                raise ValueError("wedge factor letter out of range")
+            if not all(map(is_lyndon, mon)):
+                raise ValueError("wedge factor is not a Lyndon word")
+            if any(_wkey(a) >= _wkey(b) for a, b in zip(mon, mon[1:])):
+                raise ValueError("wedge factors not strictly increasing")
             clean[mon] = c
         self.coords = clean
+
+    @classmethod
+    def _of(cls, genus: int, nilpotency_class: int, arity: int,
+            coords: dict[Monomial, Fraction]) -> "WedgeChain":
+        """A chain on sorted monomials with nonzero coords, unchecked."""
+        out = object.__new__(cls)
+        out.genus, out.nilpotency_class, out.arity = genus, nilpotency_class, arity
+        out.coords = coords
+        return out
 
     @classmethod
     def zero(cls, genus: int, nilpotency_class: int, arity: int) -> "WedgeChain":
@@ -86,9 +104,9 @@ class WedgeChain(SparseCombination):
 
     def reduced_to(self, k: int) -> "WedgeChain":
         """Reduction modulo L_{>k}: drop monomials with a long factor."""
-        return WedgeChain(self.genus, k, self.arity,
-                          {m: c for m, c in self.coords.items()
-                           if all(len(w) <= k for w in m)})
+        return WedgeChain._of(self.genus, k, self.arity,
+                              {m: c for m, c in self.coords.items()
+                               if all(len(w) <= k for w in m)})
 
     def __repr__(self) -> str:
         if not self.coords:
@@ -114,7 +132,7 @@ def wedge_chain_from_terms(genus: int, nilpotency_class: int, arity: int,
         norm, sign = _normalize(mon)
         if norm is not None:
             add_term(acc, norm, Fraction(c) * sign)
-    return WedgeChain(genus, nilpotency_class, arity, acc)
+    return WedgeChain._of(genus, nilpotency_class, arity, acc)
 
 
 @lru_cache(maxsize=None)
@@ -144,7 +162,7 @@ def boundary(c: WedgeChain) -> WedgeChain:
     acc: dict[Monomial, Fraction] = {}
     for mon, coeff in c.coords.items():
         add_into(acc, _monomial_boundary(c.genus, c.nilpotency_class, mon), coeff)
-    return WedgeChain(c.genus, c.nilpotency_class, c.arity - 1, acc)
+    return WedgeChain._of(c.genus, c.nilpotency_class, c.arity - 1, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -160,45 +178,51 @@ def _graded_basis(genus: int, k: int) -> list[Word]:
 
 
 @lru_cache(maxsize=None)
-def _weights_of_degree(genus: int, d: int) -> list[tuple[int, ...]]:
-    n = gen_count(genus)
+def _blocks(genus: int, k: int, arity: int,
+            d: int) -> dict[tuple[int, ...], list[Monomial]]:
+    """Sorted wedge monomials of degree d bucketed by weight, each bucket
+    in lexicographic order of indices into the length-sorted basis."""
+    basis = _graded_basis(genus, k)
+    lengths = [len(w) for w in basis]
+    out: dict[tuple[int, ...], list[Monomial]] = {}
 
-    def rec(slots: int, remaining: int):
-        if slots == 1:
-            yield (remaining,)
+    def rec(start: int, remaining: int, chosen: list[Word]):
+        slots = arity - len(chosen)
+        if not slots:
+            if not remaining:
+                mon = tuple(chosen)
+                out.setdefault(_letter_weight(chain.from_iterable(mon), genus),
+                               []).append(mon)
             return
-        for first in range(remaining + 1):
-            for rest in rec(slots - 1, remaining - first):
-                yield (first,) + rest
+        # later factors are no shorter than this one and no longer than k
+        for i in range(bisect_left(lengths, remaining - k * (slots - 1), start),
+                       len(basis)):
+            if lengths[i] * slots > remaining:
+                break
+            chosen.append(basis[i])
+            rec(i + 1, remaining - lengths[i], chosen)
+            chosen.pop()
 
-    return sorted(rec(n, d))
+    rec(0, d, [])
+    return out
 
 
-@lru_cache(maxsize=None)
 def _monomials(genus: int, k: int, arity: int,
                mu: tuple[int, ...]) -> list[Monomial]:
     """Sorted wedge monomials of the exact letter-count vector mu."""
-    basis = _graded_basis(genus, k)
-    weights = [_letter_weight(w, genus) for w in basis]
-    out: list[Monomial] = []
+    return _blocks(genus, k, arity, sum(mu)).get(mu, [])
 
-    def rec(start: int, remaining: tuple[int, ...], chosen: list[Word]):
-        if len(chosen) == arity:
-            if not any(remaining):
-                out.append(tuple(chosen))
-            return
-        slots = arity - len(chosen)
-        if sum(remaining) < slots:
-            return
-        for i in range(start, len(basis)):
-            wt = weights[i]
-            if all(a <= b for a, b in zip(wt, remaining)):
-                chosen.append(basis[i])
-                rec(i + 1, tuple(b - a for a, b in zip(wt, remaining)), chosen)
-                chosen.pop()
 
-    rec(0, mu, [])
-    return out
+def _boundary_rows(genus: int, k: int, arity: int,
+                   mu: tuple[int, ...]) -> list[dict[int, Fraction]]:
+    """Boundary matrix of the (arity, mu) block as fresh row dicts: one row
+    per (arity-1)-monomial of weight mu, one column per arity-monomial."""
+    index = {m: i for i, m in enumerate(_monomials(genus, k, arity - 1, mu))}
+    rows: list[dict[int, Fraction]] = [{} for _ in index]
+    for j, mon in enumerate(_monomials(genus, k, arity, mu)):
+        for tgt, c in _monomial_boundary(genus, k, mon).items():
+            rows[index[tgt]][j] = c
+    return rows
 
 
 @lru_cache(maxsize=None)
@@ -207,16 +231,7 @@ def _block_rank(genus: int, k: int, arity: int, mu: tuple[int, ...]) -> int:
     mons = _monomials(genus, k, arity, mu)
     if not mons or arity < 2:
         return 0
-    target_index: dict[Monomial, int] = {}
-    rows: list[dict[int, Fraction]] = []
-    row_of: dict[Monomial, dict[int, Fraction]] = {}
-    for j, mon in enumerate(mons):
-        for tgt, v in _monomial_boundary(genus, k, mon).items():
-            if tgt not in row_of:
-                row_of[tgt] = {}
-                rows.append(row_of[tgt])
-            row_of[tgt][j] = v
-    rank, _ = _eliminate(rows, len(mons))
+    rank, _ = _eliminate(_boundary_rows(genus, k, arity, mu), len(mons))
     return rank
 
 
@@ -226,14 +241,10 @@ def homology_dims(genus: int, k: int, n: int) -> dict[int, int]:
         raise ValueError("need genus >= 1, class k >= 1 and n >= 1")
     out: dict[int, int] = {}
     for d in range(n, n * k + 1):
-        dim = 0
-        rank_n = 0
-        rank_up = 0
-        for mu in _weights_of_degree(genus, d):
-            dim += len(_monomials(genus, k, n, mu))
-            rank_n += _block_rank(genus, k, n, mu)
-            rank_up += _block_rank(genus, k, n + 1, mu)
-        h = dim - rank_n - rank_up
+        h = 0
+        for mu, mons in sorted(_blocks(genus, k, n, d).items()):
+            h += (len(mons) - _block_rank(genus, k, n, mu)
+                  - _block_rank(genus, k, n + 1, mu))
         if h:
             out[d] = h
     return out
@@ -251,21 +262,13 @@ def _h3_structure(genus: int, k: int, mu: tuple[int, ...]):
         return None
     index = {m: i for i, m in enumerate(mon3)}
     length = len(mon3)
-    mon4 = _monomials(genus, k, 4, mu)
-    im_vecs = []
-    for m in mon4:
-        v = [Fraction(0)] * length
-        for tgt, c in _monomial_boundary(genus, k, m).items():
-            v[index[tgt]] = c
-        im_vecs.append(v)
+    im_vecs = [[ZERO] * length for _ in _monomials(genus, k, 4, mu)]
+    for i, row in enumerate(_boundary_rows(genus, k, 4, mu)):
+        for j, c in row.items():
+            im_vecs[j][i] = c
     im_basis, im_pivots = echelon_reduce(im_vecs, length)
 
-    mon2 = _monomials(genus, k, 2, mu)
-    idx2 = {m: i for i, m in enumerate(mon2)}
-    rows: list[dict[int, Fraction]] = [dict() for _ in mon2]
-    for j, m in enumerate(mon3):
-        for tgt, c in _monomial_boundary(genus, k, m).items():
-            rows[idx2[tgt]][j] = c
+    rows = _boundary_rows(genus, k, 3, mu)
     _, pivots = _eliminate(rows, length)
     ker = kernel_from_rref(rows, pivots, length)
     for v in ker:
@@ -279,7 +282,7 @@ def _quotient_layout(genus: int, k: int, d: int):
     """Offsets of each weight block inside the degree-d H3 coordinates."""
     layout = []
     offset = 0
-    for mu in _weights_of_degree(genus, d):
+    for mu in sorted(_blocks(genus, k, 3, d)):
         st = _h3_structure(genus, k, mu)
         dim = len(st[2][0]) if st else 0
         if dim:
@@ -398,10 +401,16 @@ def _d3_solver(genus: int, k: int, mu: tuple[int, ...]):
     return BlockSolver(mon2, cols), mon3
 
 
+class NotABoundaryError(ValueError, RuntimeError):
+    """A 2-cycle bounding no 3-chain; a RuntimeError too, for older callers."""
+
+
 def solve_boundary3(z: WedgeChain) -> WedgeChain:
     """Some t with boundary(t) = z for an arity-2 cycle z; cached per block."""
     if z.arity != 2:
         raise ValueError("solve_boundary3 takes arity-2 chains")
+    if not boundary(z).is_zero():
+        raise ValueError("input chain is not a cycle")
     genus, k = z.genus, z.nilpotency_class
     blocks: dict[tuple[int, ...], dict[Monomial, Fraction]] = {}
     for mon, c in z.coords.items():
@@ -410,16 +419,13 @@ def solve_boundary3(z: WedgeChain) -> WedgeChain:
     acc: dict[Monomial, Fraction] = {}
     for mu, rhs in sorted(blocks.items()):
         pack = _d3_solver(genus, k, mu)
-        if pack is None:
-            raise RuntimeError("2-cycle block admits no 3-chains")
-        solver, mon3 = pack
-        sol = solver.solve(rhs)
+        sol = pack[0].solve(rhs) if pack else None
         if sol is None:
-            raise RuntimeError("2-cycle is not a 3-boundary")
-        for m, c in zip(mon3, sol):
+            raise NotABoundaryError("2-cycle is not a 3-boundary")
+        for m, c in zip(pack[1], sol):
             if c:
                 acc[m] = c
-    return WedgeChain(genus, k, 3, acc)
+    return WedgeChain._of(genus, k, 3, acc)
 
 
 def capital_phi(c, k: int) -> HomologyClass:

@@ -188,3 +188,9 @@ class TestBch:
             y = rand_series(rng, genus, n)
             z = rand_series(rng, genus, n)
             assert bch(bch(x, y), z) == bch(x, bch(y, z))
+
+
+@pytest.mark.parametrize("genus", [0, -1])
+def test_lyndon_basis_rejects_genus_below_one(genus):
+    with pytest.raises(ValueError):
+        lyndon_basis(genus, 2)

@@ -5,10 +5,13 @@ implementation changes underneath them.
 """
 
 import hashlib
+import random
 
 from lietrees.cli import run
 from lietrees.documents import tree_combo_to_text
+from lietrees.jacobi import TreeCombo, random_tree
 from lietrees.johnson import morita_mk, random_ic_element, tau_to_trees
+from lietrees.koszul import capital_phi
 
 
 def test_constructed_expansion_document(capsys):
@@ -26,3 +29,14 @@ def test_homology_and_tree_routes():
         h.update(tree_combo_to_text(tau_to_trees(psi, 2)).encode())
     assert h.hexdigest() == ("762172aaee16d7e6bc26752bd4fd359a"
                              "cbaa4ab5ed0c4613fdf858785af6068d")
+
+
+def test_class_three_h3_coordinates():
+    rng = random.Random(3)
+    combo = TreeCombo.zero(2)
+    for d in (3, 4, 5):
+        combo = combo + random_tree(2, d, rng)
+        combo = combo + random_tree(2, d, rng)
+    coords = repr(sorted(capital_phi(combo, 3).parts.items()))
+    assert hashlib.sha256(coords.encode()).hexdigest() == (
+        "bfa8053392c77d924d107c0855ab646d6c5e0cb628603de16b1f767afe54237e")

@@ -159,6 +159,11 @@ class TestDimensions:
                 cols.append(dict(eta(TreeCombo.single(tree)).coords))
             assert rank_of_columns(cols) == tree_space_dim(genus, d)
 
+    @pytest.mark.parametrize("genus", [0, -1])
+    def test_rejects_genus_below_one(self, genus):
+        with pytest.raises(ValueError):
+            tree_space_dim(genus, 1)
+
     def test_formula(self):
         for genus in (1, 2, 3):
             for d in range(1, 5):

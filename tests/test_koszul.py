@@ -2,14 +2,16 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from lietrees.free_lie import lyndon_basis, witt_dim
 from lietrees.jacobi import TreeCombo, TreeDiagram, fission, random_tree
-from lietrees.koszul import (HomologyClass, WedgeChain, boundary, capital_phi,
-                             class_of, homology_dims, phi_matrix_rank,
-                             solve_boundary3, wedge_chain_from_terms)
+from lietrees.koszul import (HomologyClass, WedgeChain, _blocks, boundary,
+                             capital_phi, class_of, homology_dims,
+                             phi_matrix_rank, solve_boundary3,
+                             wedge_chain_from_terms)
 
 F = Fraction
 
@@ -56,6 +58,17 @@ class TestNormalization:
         assert list(r.coords) == [((0,), (0, 1))]
 
 
+class TestValidation:
+    @pytest.mark.parametrize("mon", [
+        ((1,), (0,), (2,)),      # factors out of basis order
+        ((0,), (1,), (9,)),      # letter outside the genus-2 alphabet
+        ((0,), (1,), (1, 0)),    # factor that is not a Lyndon word
+    ])
+    def test_constructor_rejects_malformed_monomials(self, mon):
+        with pytest.raises(ValueError):
+            WedgeChain(2, 2, 3, {mon: 1})
+
+
 class TestBoundary:
     def test_pair_of_letters(self):
         c = wedge_chain_from_terms(1, 2, 2, [(((0,), (1,)), F(1))])
@@ -100,6 +113,16 @@ class TestHomologyDims:
             assert homology_dims(genus, k, 2) == {
                 k + 1: witt_dim(2 * genus, k + 1)}
 
+    @pytest.mark.parametrize("genus, k", [(2, 3), (3, 2), (1, 6)])
+    def test_h3_closed_form(self, genus, k):
+        # H3 of L/L_{>k} sits in degrees k+2..2k+1, where it is the
+        # bracket kernel of H (x) L_{d-1} -> L_d
+        n = 2 * genus
+        expect = {d: n * witt_dim(n, d - 1) - witt_dim(n, d)
+                  for d in range(k + 2, 2 * k + 2)}
+        assert homology_dims(genus, k, 3) == {d: h for d, h in expect.items()
+                                              if h}
+
     def test_h3_small(self):
         assert homology_dims(1, 1, 3) == {}
         assert homology_dims(1, 2, 3) == {4: 1}
@@ -139,6 +162,21 @@ class TestClasses:
         assert class_of(WedgeChain.zero(2, 2, 3)).is_zero()
 
 
+class TestBlocks:
+    @pytest.mark.parametrize("genus", [1, 2])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_brute_force(self, genus, k):
+        basis = words_up_to(genus, k)
+        for arity in range(1, 5):
+            expect = {}
+            for mon in combinations(basis, arity):
+                mu = tuple(sum(w.count(x) for w in mon)
+                           for x in range(2 * genus))
+                expect.setdefault(sum(mu), {}).setdefault(mu, []).append(mon)
+            for d in range(arity * k + 2):
+                assert _blocks(genus, k, arity, d) == expect.get(d, {})
+
+
 class TestSolveBoundary3:
     def test_round_trip(self):
         for seed in range(4):
@@ -153,6 +191,18 @@ class TestSolveBoundary3:
         z = wedge_chain_from_terms(1, 2, 2, [(((0,), (0, 1)), F(1))])
         assert boundary(z).is_zero()
         with pytest.raises(RuntimeError):
+            solve_boundary3(z)
+
+    def test_rejects_non_cycle(self):
+        z = WedgeChain(2, 2, 2, {((0,), (1,)): 1})
+        assert not boundary(z).is_zero()
+        with pytest.raises(ValueError):
+            solve_boundary3(z)
+
+    def test_rejects_cycle_that_bounds_nothing(self):
+        z = WedgeChain(1, 1, 2, {((0,), (1,)): 1})
+        assert boundary(z).is_zero()
+        with pytest.raises(ValueError):
             solve_boundary3(z)
 
 
