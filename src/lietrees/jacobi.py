@@ -30,7 +30,8 @@ from typing import Iterable, Mapping
 
 from .exact_linalg import BlockSolver, rank_of_columns
 from .free_lie import (LieSeries, Word, _letter_weight, bracket_basis,
-                       gen_count, letter_label, lyndon_basis, parse_letter)
+                       gen_count, is_lyndon, letter_label, lyndon_basis,
+                       parse_letter)
 from .sparse import SparseCombination, add_into, add_term
 
 Plant = int | tuple
@@ -48,30 +49,24 @@ def _validate_plant(plant: Plant, n: int) -> None:
     _validate_plant(plant[1], n)
 
 
-def _plant_key(plant: Plant) -> str:
+def _canon_plant(plant: Plant) -> tuple[Plant, str, int] | None:
+    """Sort children by key in one bottom-up pass: (plant, key, AS sign),
+    or None when degenerate."""
     if isinstance(plant, int):
-        return f"{plant:03d}"
-    return f"({_plant_key(plant[0])} {_plant_key(plant[1])})"
-
-
-def _canon_plant(plant: Plant) -> tuple[Plant, int] | None:
-    """Sort children by key, tracking the AS sign; None when degenerate."""
-    if isinstance(plant, int):
-        return plant, 1
+        return plant, f"{plant:03d}", 1
     left = _canon_plant(plant[0])
     if left is None:
         return None
     right = _canon_plant(plant[1])
     if right is None:
         return None
-    lp, ls = left
-    rp, rs = right
-    lk, rk = _plant_key(lp), _plant_key(rp)
+    lp, lk, ls = left
+    rp, rk, rs = right
     if lk == rk:
         return None
     if lk < rk:
-        return (lp, rp), ls * rs
-    return (rp, lp), -ls * rs
+        return (lp, rp), f"({lk} {rk})", ls * rs
+    return (rp, lp), f"({rk} {lk})", -ls * rs
 
 
 def _graph_of(root_color: int, plant: Plant):
@@ -123,11 +118,12 @@ class TreeDiagram:
 
     __slots__ = ("genus", "root_color", "plant", "key", "_gr")
 
-    def __init__(self, genus: int, root_color: int, plant: Plant):
+    def __init__(self, genus: int, root_color: int, plant: Plant, key: str):
+        """Unchecked; `build` supplies the canonical plant and its key."""
         self.genus = genus
         self.root_color = root_color
         self.plant = plant
-        self.key = f"{root_color:03d}:{_plant_key(plant)}"
+        self.key = key
         self._gr = None
 
     @classmethod
@@ -143,28 +139,24 @@ class TreeDiagram:
         _validate_plant(plant, n)
         graph = _graph_of(root_color, plant)
         kinds, colors, nbrs = graph
-        best_key = None
         best = None
         signs: set[int] = set()
         for v in range(len(kinds)):
             if kinds[v] != "leaf":
                 continue
-            raw = _encode(graph, nbrs[v][0], v)
-            canon = _canon_plant(raw)
+            canon = _canon_plant(_encode(graph, nbrs[v][0], v))
             if canon is None:
                 return None, 1
-            cp, s = canon
-            key = f"{colors[v]:03d}:{_plant_key(cp)}"
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (colors[v], cp)
+            cp, pk, s = canon
+            key = f"{colors[v]:03d}:{pk}"
+            if best is None or key < best[2]:
+                best = (colors[v], cp, key)
                 signs = {s}
-            elif key == best_key:
+            elif key == best[2]:
                 signs.add(s)
         if len(signs) == 2:
             return None, 1
-        tree = cls(genus, best[0], best[1])
-        return tree, signs.pop()
+        return cls(genus, *best), signs.pop()
 
     def graph(self):
         if self._gr is None:
@@ -288,6 +280,8 @@ class HLieTensor(SparseCombination):
                 continue
             if not 0 <= h < n or any(not 0 <= x < n for x in w):
                 raise ValueError("letter out of range")
+            if not is_lyndon(w):
+                raise ValueError(f"{w} is not a Lyndon word")
             clean[(h, w)] = c
         self.genus = genus
         self.coords = clean
@@ -365,7 +359,7 @@ def eta(c: TreeCombo) -> HLieTensor:
             val = _nested_series(tree.genus, _encode(graph, nbrs[v][0], v), cap)
             for w, cw in val.coords.items():
                 add_term(acc, (colors[v], w), coeff * cw)
-    return HLieTensor(c.genus, acc)
+    return HLieTensor.zero(c.genus)._like(acc)
 
 
 def tree_equal(x: TreeCombo, y: TreeCombo) -> bool:
@@ -395,37 +389,48 @@ def tree_space_dim(genus: int, d: int) -> int:
                for keys in _hl_blocks(genus, d).values())
 
 
-def _caterpillar(colors: tuple[int, ...]) -> tuple[int, Plant]:
-    plant: Plant = colors[1]
-    for x in colors[2:]:
-        plant = (plant, x)
-    return colors[0], plant
+def _caterpillars(genus: int,
+                  d: int) -> dict[tuple[int, ...], list[TreeDiagram]]:
+    """The distinct nonzero caterpillar diagrams of degree d by weight,
+    each bucket ordered by the first colouring that yields each diagram.
+
+    The colouring (c0, c1, c2, ...) is the tree rooted at c0 with plant
+    (((c1 c2) c3) ...).  Swapping c1 and c2 only flips the AS sign and
+    equal c1, c2 force zero, so the first colouring of every diagram has
+    c1 < c2 and no other colouring is built.
+    """
+    seen: set[TreeDiagram] = set()
+    out: dict[tuple[int, ...], list[TreeDiagram]] = {}
+    for colors in product(range(gen_count(genus)), repeat=d + 2):
+        if d > 0 and colors[1] >= colors[2]:
+            continue
+        plant: Plant = colors[1]
+        for x in colors[2:]:
+            plant = (plant, x)
+        tree, _ = TreeDiagram.build(genus, colors[0], plant)
+        if tree is not None and tree not in seen:
+            seen.add(tree)
+            out.setdefault(_letter_weight(colors, genus), []).append(tree)
+    return out
 
 
 @lru_cache(maxsize=None)
 def _eta_solvers(genus: int, d: int):
-    """Per-weight solvers for eta on caterpillar trees of degree d.
+    """Per-weight solvers for eta on the caterpillar diagrams of degree d.
 
     Completeness of the caterpillar family is certified by comparing the
     total achieved rank with tree_space_dim.
     """
-    n = gen_count(genus)
-    columns: dict[tuple[int, ...], list[tuple[tuple[int, ...], dict]]] = {}
-    for colors in product(range(n), repeat=d + 2):
-        root, plant = _caterpillar(colors)
-        combo = TreeCombo.from_terms(genus, [(ONE, root, plant)])
-        col = eta(combo).coords
-        mu = _letter_weight(colors, genus)
-        columns.setdefault(mu, []).append((colors, dict(col)))
     solvers = {}
     total_rank = 0
-    for mu, cols in sorted(columns.items()):
+    for mu, trees in sorted(_caterpillars(genus, d).items()):
         row_keys = _hl_blocks(genus, d).get(mu)
         if not row_keys:
             continue
-        solver = BlockSolver(row_keys, [c for _, c in cols])
+        solver = BlockSolver(row_keys,
+                             [eta(TreeCombo.single(t)).coords for t in trees])
         total_rank += solver.rank
-        solvers[mu] = (solver, [colors for colors, _ in cols])
+        solvers[mu] = (solver, trees)
     if total_rank != tree_space_dim(genus, d):
         raise RuntimeError(
             f"caterpillar family does not span tree space at degree {d}")
@@ -448,19 +453,13 @@ def eta_inverse(x: HLieTensor, d: int) -> TreeCombo:
     for (h, w), c in x.coords.items():
         mu = _letter_weight((h,) + w, x.genus)
         blocks.setdefault(mu, {})[(h, w)] = c
-    raw = []
+    coords: dict[TreeDiagram, Fraction] = {}
     for mu, rhs in sorted(blocks.items()):
-        if mu not in solvers:
-            raise RuntimeError("kernel element outside the certified span")
-        solver, color_list = solvers[mu]
-        sol = solver.solve(rhs)
+        sol = solvers[mu][0].solve(rhs) if mu in solvers else None
         if sol is None:
             raise RuntimeError("kernel element outside the certified span")
-        for colors, coeff in zip(color_list, sol):
-            if coeff:
-                root, plant = _caterpillar(colors)
-                raw.append((coeff, root, plant))
-    return TreeCombo.from_terms(x.genus, raw)
+        coords.update((t, c) for t, c in zip(solvers[mu][1], sol) if c)
+    return TreeCombo.zero(x.genus)._like(coords)
 
 
 def ihx_combination(genus: int, g: int, h: int, k: int, l: int) -> TreeCombo:

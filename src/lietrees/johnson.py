@@ -288,7 +288,7 @@ def tau_truncated(psi: LieAutomorphism, k: int) -> HLieTensor:
             for w, c in psi.deviation(letter).coords.items():
                 if k + 1 <= len(w) <= 2 * k:
                     add_term(coords, (mate, w), sign * c)
-    return HLieTensor(genus, coords)
+    return HLieTensor.zero(genus)._like(coords)
 
 
 def johnson_k(psi: LieAutomorphism, k: int) -> HLieTensor:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, product
+from itertools import chain
 from typing import Iterable, Mapping
 
 from .exact_linalg import (ZERO, BlockSolver, _eliminate, echelon_reduce,
@@ -32,6 +32,13 @@ Monomial = tuple[Word, ...]
 
 def _wkey(w: Word) -> tuple[int, Word]:
     return (len(w), w)
+
+
+def _check_factors(mon: Monomial, n: int) -> None:
+    if any(not 0 <= x < n for w in mon for x in w):
+        raise ValueError("wedge factor letter out of range")
+    if not all(map(is_lyndon, mon)):
+        raise ValueError("wedge factor is not a Lyndon word")
 
 
 def _normalize(words: Iterable[Word]) -> tuple[Monomial | None, int]:
@@ -73,10 +80,7 @@ class WedgeChain(SparseCombination):
                 raise ValueError("monomial arity mismatch")
             if any(len(w) > nilpotency_class for w in mon):
                 raise ValueError("wedge factor above the nilpotency class")
-            if any(not 0 <= x < n for w in mon for x in w):
-                raise ValueError("wedge factor letter out of range")
-            if not all(map(is_lyndon, mon)):
-                raise ValueError("wedge factor is not a Lyndon word")
+            _check_factors(mon, n)
             if any(_wkey(a) >= _wkey(b) for a, b in zip(mon, mon[1:])):
                 raise ValueError("wedge factors not strictly increasing")
             clean[mon] = c
@@ -123,10 +127,12 @@ def wedge_chain_from_terms(genus: int, nilpotency_class: int, arity: int,
                            terms: Iterable[tuple[Monomial, Fraction]]) -> WedgeChain:
     """Build a chain from unnormalized monomials, folding signs and
     dropping factors above the nilpotency class."""
+    n = gen_count(genus)
     acc: dict[Monomial, Fraction] = {}
     for mon, c in terms:
         if len(mon) != arity:
             raise ValueError("monomial arity mismatch")
+        _check_factors(mon, n)
         if not c or any(len(w) > nilpotency_class for w in mon):
             continue
         norm, sign = _normalize(mon)
@@ -437,6 +443,8 @@ def capital_phi(c, k: int) -> HomologyClass:
     from .jacobi import TreeCombo, fission
     if not isinstance(c, TreeCombo):
         raise TypeError("capital_phi takes a TreeCombo")
+    if k < 1:
+        raise ValueError("k must be at least 1")
     degs = c.degrees()
     if degs and degs[0] < k:
         raise ValueError(f"tree degree {degs[0]} below the class bound {k}")
@@ -449,24 +457,14 @@ def capital_phi(c, k: int) -> HomologyClass:
 def phi_matrix_rank(genus: int, k: int) -> int:
     """Rank of capital_phi on the caterpillar spanning family of degrees
     [k, 2k)."""
-    from .jacobi import TreeCombo, _caterpillar
+    from . import jacobi
     if genus < 1 or k < 1:
         raise ValueError("need genus >= 1 and class k >= 1")
-    n = gen_count(genus)
-    seen: set[str] = set()
     columns = []
     for d in range(k, 2 * k):
-        for colors in product(range(n), repeat=d + 2):
-            root, plant = _caterpillar(colors)
-            combo = TreeCombo.from_terms(genus, [(ONE, root, plant)])
-            if not combo:
-                continue
-            key = next(iter(combo.coords)).key
-            if key in seen:
-                continue
-            seen.add(key)
-            cls = capital_phi(combo, k)
-            col = {(d2, i): v for d2, t in cls.parts.items()
-                   for i, v in enumerate(t) if v}
-            columns.append(col)
+        for trees in jacobi._caterpillars(genus, d).values():
+            for tree in trees:
+                cls = capital_phi(jacobi.TreeCombo.single(tree), k)
+                columns.append({(d2, i): v for d2, t in cls.parts.items()
+                                for i, v in enumerate(t) if v})
     return rank_of_columns(columns)

@@ -9,7 +9,7 @@ import random
 
 from lietrees.cli import run
 from lietrees.documents import tree_combo_to_text
-from lietrees.jacobi import TreeCombo, random_tree
+from lietrees.jacobi import TreeCombo, eta, eta_inverse, random_tree
 from lietrees.johnson import morita_mk, random_ic_element, tau_to_trees
 from lietrees.koszul import capital_phi
 
@@ -40,3 +40,15 @@ def test_class_three_h3_coordinates():
     coords = repr(sorted(capital_phi(combo, 3).parts.items()))
     assert hashlib.sha256(coords.encode()).hexdigest() == (
         "bfa8053392c77d924d107c0855ab646d6c5e0cb628603de16b1f767afe54237e")
+
+
+def test_eta_inverse_tree_text():
+    h = hashlib.sha256()
+    for genus, d, seed in ((2, 4, 5), (3, 2, 6)):
+        rng = random.Random(seed)
+        x = eta(random_tree(genus, d, rng))
+        for coeff in (3, -2):
+            x = x + coeff * eta(random_tree(genus, d, rng))
+        h.update(tree_combo_to_text(eta_inverse(x, d)).encode())
+    assert h.hexdigest() == ("5c082dfdeb770c4bd3bbb30e566091d1"
+                             "7b0e54ddb36d7305c4c3fbcc7b4e68eb")

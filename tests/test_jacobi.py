@@ -2,14 +2,20 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lietrees.free_lie import witt_dim
-from lietrees.jacobi import (HLieTensor, TreeCombo, TreeDiagram, comm, eta,
-                             eta_inverse, fission, ihx_combination,
-                             parse_tree_text, random_tree, tree_equal,
-                             tree_space_dim, tree_text)
+from lietrees.exact_linalg import _eliminate, kernel_from_rref
+from lietrees.free_lie import (bracket_basis, gen_count, lyndon_basis,
+                               witt_dim)
+from lietrees.jacobi import (HLieTensor, TreeCombo, TreeDiagram,
+                             _caterpillars, comm, eta, eta_inverse, fission,
+                             ihx_combination, parse_tree_text, random_tree,
+                             tree_equal, tree_space_dim, tree_text)
+from lietrees.sparse import add_term
 
 F = Fraction
 
@@ -125,6 +131,74 @@ class TestEtaInverse:
         bad = HLieTensor(1, {(0, (0, 1)): F(1)})   # not in the image at genus 1
         with pytest.raises(ValueError):
             eta_inverse(bad, 1)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_round_trip_on_bracket_kernel(self, data):
+        genus, d = data.draw(st.sampled_from(
+            [(1, 2), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]))
+        keys, basis = bracket_kernel(genus, d)
+        picks = data.draw(st.dictionaries(
+            st.integers(0, len(basis) - 1), st.integers(-3, 3).filter(bool),
+            min_size=1, max_size=4))
+        acc = {}
+        for i, c in picks.items():
+            for key, v in zip(keys, basis[i]):
+                add_term(acc, key, c * v)
+        x = HLieTensor(genus, acc)
+        assert eta(eta_inverse(x, d)) == x
+
+
+@lru_cache(maxsize=None)
+def bracket_kernel(genus, d):
+    """Keys of H (x) L_{d+1} and a basis of the kernel of (h, u) -> [h, u],
+    computed from the bracket tables alone, without eta or trees."""
+    keys = [(h, w) for h in range(gen_count(genus))
+            for w in lyndon_basis(genus, d + 1)]
+    cols = [bracket_basis((h,), w) for h, w in keys]
+    targets = sorted({u for col in cols for u in col})
+    rows = [{j: col[u] for j, col in enumerate(cols) if u in col}
+            for u in targets]
+    _, pivots = _eliminate(rows, len(keys))
+    return keys, kernel_from_rref(rows, pivots, len(keys))
+
+
+def brute_caterpillars(genus, d):
+    """Every colouring in lexicographic order, deduplicated by diagram."""
+    n = gen_count(genus)
+    seen = set()
+    out = {}
+    for colors in product(range(n), repeat=d + 2):
+        plant = colors[1]
+        for x in colors[2:]:
+            plant = (plant, x)
+        tree, _ = TreeDiagram.build(genus, colors[0], plant)
+        if tree is None or tree.key in seen:
+            continue
+        seen.add(tree.key)
+        mu = tuple(colors.count(i) for i in range(n))
+        out.setdefault(mu, []).append(tree.key)
+    return out
+
+
+class TestCaterpillars:
+    @pytest.mark.parametrize("genus, d", [(1, 1), (1, 2), (1, 3), (2, 1),
+                                          (2, 2), (2, 3), (3, 1), (3, 2)])
+    def test_matches_brute_force_in_order(self, genus, d):
+        got = [(mu, [t.key for t in trees])
+               for mu, trees in _caterpillars(genus, d).items()]
+        assert got == list(brute_caterpillars(genus, d).items())
+
+
+class TestHLieTensor:
+    @pytest.mark.parametrize("word", [(), (1, 0), (0, 1, 0)])
+    def test_rejects_empty_and_non_lyndon_words(self, word):
+        with pytest.raises(ValueError, match="not a Lyndon word"):
+            HLieTensor(1, {(0, word): F(1)})
+
+    def test_rejects_letter_out_of_range(self):
+        with pytest.raises(ValueError, match="out of range"):
+            HLieTensor(1, {(2, (0, 1)): F(1)})
 
 
 class TestDimensions:

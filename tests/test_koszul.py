@@ -68,6 +68,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             WedgeChain(2, 2, 3, {mon: 1})
 
+    @pytest.mark.parametrize("mon, message", [
+        (((9,), (0,), (1,)), "out of range"),
+        (((0,), (1,), (1, 0)), "not a Lyndon word"),
+        (((0,), (), (1,)), "not a Lyndon word"),
+    ])
+    def test_from_terms_rejects_malformed_factors(self, mon, message):
+        with pytest.raises(ValueError, match=message):
+            class_of(wedge_chain_from_terms(2, 1, 3, [(mon, 1)]))
+        with pytest.raises(ValueError, match=message):
+            wedge_chain_from_terms(2, 2, 3, [(mon, 1)])
+
 
 class TestBoundary:
     def test_pair_of_letters(self):
@@ -226,6 +237,19 @@ class TestCapitalPhi:
         c = random_tree(2, 2, random.Random(5))
         assert capital_phi(c, 2) == class_of(fission(c, 2))
 
+    def test_rejects_class_below_one(self):
+        c = random_tree(2, 2, random.Random(1))
+        with pytest.raises(ValueError):
+            capital_phi(c, 0)
+
     def test_rank_small(self):
         assert phi_matrix_rank(2, 1) == 4
         assert phi_matrix_rank(1, 2) == 1
+
+    def test_rank_is_h3_total_genus_3(self):
+        # closed form of dim H3 in degree d: 2g W(2g, d-1) - W(2g, d)
+        genus, k = 3, 2
+        total = sum(2 * genus * witt_dim(2 * genus, d - 1)
+                    - witt_dim(2 * genus, d) for d in range(k + 2, 2 * k + 2))
+        assert total == 441
+        assert phi_matrix_rank(genus, k) == total
