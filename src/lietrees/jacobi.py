@@ -191,10 +191,14 @@ class TreeDiagram:
 
 
 def _nested_series(genus: int, nested: Plant, cap: int) -> LieSeries:
+    return _nested(LieSeries.zero(genus, cap), nested)
+
+
+def _nested(zero: LieSeries, nested: Plant) -> LieSeries:
+    """Iterated bracket of a nested pair structure; leaves built unchecked."""
     if isinstance(nested, int):
-        return LieSeries.gen(genus, cap, nested)
-    return _nested_series(genus, nested[0], cap).bracket(
-        _nested_series(genus, nested[1], cap))
+        return zero._like({(nested,): ONE})
+    return _nested(zero, nested[0]).bracket(_nested(zero, nested[1]))
 
 
 def comm(t: TreeDiagram, root: int) -> LieSeries:

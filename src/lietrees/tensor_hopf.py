@@ -10,6 +10,15 @@ what makes this module an independent oracle for `free_lie`: embed_lie
 expands canonical bracketings by pure tensor arithmetic, and project_lie
 comes back through the Dynkin idempotent (left-bracketing map over n).
 
+The predicates do not expand the coproduct, which has 2^m components
+per word of length m.  By Dynkin-Specht-Wever, a homogeneous element p
+of degree n is primitive iff D(p) = n·p, where D is left-normed
+bracketing; by Friedrichs, x with constant term 1 is group-like iff
+log x is primitive (Reutenauer, Free Lie Algebras, §1.3).  D is computed
+by tensor arithmetic alone, never through the `free_lie` bracket
+tables.  `coproduct` itself stays as the reference the tests compare
+the predicates against.
+
 Also hosts free group words and expansions (multiplicative maps from the
 surface group into the unit group of the tensor algebra).
 """
@@ -73,8 +82,12 @@ class TensorSeries(SparseCombination):
         return min((len(w) for w in self.coords), default=None)
 
     def truncated(self, n: int) -> "TensorSeries":
-        return TensorSeries(self.genus, n,
-                            {w: c for w, c in self.coords.items() if len(w) <= n})
+        """The image in the quotient by degrees above n, 1 <= n <= max_degree."""
+        if not 1 <= n <= self.max_degree:
+            raise ValueError(f"truncation degree {n} outside 1..{self.max_degree}")
+        out = self._like({w: c for w, c in self.coords.items() if len(w) <= n})
+        out.max_degree = n
+        return out
 
     def __repr__(self) -> str:
         if not self.coords:
@@ -151,7 +164,7 @@ def inv_unit(x: TensorSeries) -> TensorSeries:
 
 
 # ---------------------------------------------------------------------------
-# coproduct predicates
+# Hopf predicates
 
 
 def coproduct(x: TensorSeries) -> dict[tuple[Word, Word], Fraction]:
@@ -169,26 +182,51 @@ def coproduct(x: TensorSeries) -> dict[tuple[Word, Word], Fraction]:
     return out
 
 
-def is_grouplike(x: TensorSeries) -> bool:
-    """Coproduct of x equals x (x) x, compared below the truncation degree."""
-    if x.constant_term() != 1:
+def _dynkin(piece: Mapping[Word, Fraction], n: int) -> dict[Word, Fraction]:
+    """Left-normed bracketing of a homogeneous degree-n element.
+
+    Reads the words one letter at a time by D(y·a) = D(y)·a - a·D(y).
+    The state maps each unread suffix to the expanded prefixes in front
+    of it, so like terms merge at every step and the work is bounded by
+    the number of distinct (prefix, suffix) pairs, not 2^m per word.
+    """
+    state: dict[Word, dict[Word, Fraction]] = {}
+    for w, c in piece.items():
+        state.setdefault(w[1:], {})[w[:1]] = c
+    for _ in range(n - 1):
+        nxt: dict[Word, dict[Word, Fraction]] = {}
+        for suffix, prefixes in state.items():
+            a, rest = suffix[:1], suffix[1:]
+            acc = nxt.setdefault(rest, {})
+            for p, c in prefixes.items():
+                add_term(acc, p + a, c)
+                add_term(acc, a + p, -c)
+        state = nxt
+    return state.get((), {})
+
+
+def _is_lie(x: TensorSeries) -> bool:
+    """x is primitive: no constant term, and D(p_n) = n·p_n in every degree n."""
+    if x.constant_term():
         return False
-    n = x.max_degree
-    target: dict[tuple[Word, Word], Fraction] = {}
-    for wu, cu in x.coords.items():
-        for wv, cv in x.coords.items():
-            if len(wu) + len(wv) > n:
-                continue
-            add_term(target, (wu, wv), cu * cv)
-    return coproduct(x) == target
+    pieces: dict[int, dict[Word, Fraction]] = {}
+    for w, c in x.coords.items():
+        pieces.setdefault(len(w), {})[w] = c
+    for n in sorted(pieces):
+        piece = pieces[n]
+        if _dynkin(piece, n) != {w: n * c for w, c in piece.items()}:
+            return False
+    return True
+
+
+def is_grouplike(x: TensorSeries) -> bool:
+    """Coproduct of x equals x (x) x below the truncation degree (Friedrichs)."""
+    return x.constant_term() == 1 and _is_lie(log(x))
 
 
 def is_primitive(x: TensorSeries) -> bool:
-    target: dict[tuple[Word, Word], Fraction] = {}
-    for w, c in x.coords.items():
-        add_term(target, (w, ()), c)
-        add_term(target, ((), w), c)
-    return coproduct(x) == target
+    """Coproduct of x equals x (x) 1 + 1 (x) x (Dynkin-Specht-Wever)."""
+    return _is_lie(x)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +252,7 @@ def embed_lie(x: LieSeries) -> TensorSeries:
     out: dict[Word, Fraction] = {}
     for w, c in x.coords.items():
         add_into(out, _embed_word(w), c)
-    return TensorSeries(x.genus, x.max_degree, out)
+    return TensorSeries.zero(x.genus, x.max_degree)._like(out)
 
 
 @lru_cache(maxsize=None)
@@ -241,7 +279,7 @@ def project_lie(x: TensorSeries) -> LieSeries:
     out: dict[Word, Fraction] = {}
     for w, c in x.coords.items():
         add_into(out, _left_normed(w), c / len(w))
-    return LieSeries(x.genus, x.max_degree, out)
+    return LieSeries.zero(x.genus, x.max_degree)._like(out)
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +372,9 @@ class ExpansionMap:
         return inv
 
     def truncated(self, n: int) -> "ExpansionMap":
+        """Every image truncated above degree n, 1 <= n <= max_degree."""
+        if not 1 <= n <= self.max_degree:
+            raise ValueError(f"truncation degree {n} outside 1..{self.max_degree}")
         return ExpansionMap(self.genus, n,
                             {l: s.truncated(n) for l, s in self.images.items()})
 

@@ -10,9 +10,9 @@ from lietrees.symplectic import (build_corrector, construct_symplectic, omega,
                                  omega_tilde, paper_example_expansion,
                                  symplectic_context, verify_symplectic,
                                  zeta_inverse_word, zeta_word)
-from lietrees.tensor_hopf import (FreeGroupWord, basis_expansion, log,
-                                  magnus_expansion, evaluate_expansion,
-                                  project_lie)
+from lietrees.tensor_hopf import (ExpansionMap, FreeGroupWord, TensorSeries,
+                                  basis_expansion, log, magnus_expansion,
+                                  evaluate_expansion, project_lie)
 
 F = Fraction
 
@@ -139,6 +139,20 @@ class TestVerifier:
         assert not rep.ok
         assert rep.grouplike
         assert rep.first_failing_degree == 3
+
+    def test_edited_constructed_expansion_is_not_grouplike(self):
+        theta = construct_symplectic(2, 5)
+        last = gen_count(2) - 1
+        image = theta.image(last)
+        for d in range(2, 6):
+            w = min(u for u in image.coords if len(u) == d)
+            coords = dict(image.coords)
+            coords[w] += F(1, 7)
+            images = dict(theta.images)
+            images[last] = TensorSeries(2, 5, coords)
+            rep = verify_symplectic(ExpansionMap(2, 5, images), 5)
+            assert rep.normalized
+            assert rep.message == "not group-like", d
 
     def test_rejects_underspecified_truncation(self):
         with pytest.raises(ValueError):

@@ -4,15 +4,39 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lietrees.free_lie import LieSeries, lyndon_basis
+from lietrees.sparse import add_term
+from lietrees.symplectic import paper_example_expansion
 from lietrees.tensor_hopf import (ExpansionMap, FreeGroupWord, TensorSeries,
-                                  basis_expansion, check_expansion, coproduct,
-                                  embed_lie, evaluate_expansion, exp, inv_unit,
-                                  is_grouplike, is_primitive, log,
+                                  _dynkin, basis_expansion, check_expansion,
+                                  coproduct, embed_lie, evaluate_expansion, exp,
+                                  inv_unit, is_grouplike, is_primitive, log,
                                   magnus_expansion, mul, project_lie)
 
 F = Fraction
+
+
+def coproduct_grouplike(x):
+    """Oracle: the coproduct of x equals x (x) x below the truncation degree."""
+    if x.constant_term() != 1:
+        return False
+    target = {}
+    for wu, cu in x.coords.items():
+        for wv, cv in x.coords.items():
+            if len(wu) + len(wv) <= x.max_degree:
+                add_term(target, (wu, wv), cu * cv)
+    return coproduct(x) == target
+
+
+def coproduct_primitive(x):
+    """Oracle: the coproduct of x equals x (x) 1 + 1 (x) x."""
+    target = {}
+    for w, c in x.coords.items():
+        add_term(target, (w, ()), c)
+        add_term(target, ((), w), c)
+    return coproduct(x) == target
 
 
 def rand_lie(rng, genus, n):
@@ -141,6 +165,86 @@ class TestHopfStructure:
         x = TensorSeries.gen(1, 4, 0)
         with pytest.raises(ValueError):
             project_lie(mul(x, x))
+
+
+class TestDynkinPredicates:
+    """The Dynkin-operator predicates agree with the coproduct oracle."""
+
+    def test_left_normed_bracketing(self):
+        assert _dynkin({(0, 1): F(1)}, 2) == {(0, 1): F(1), (1, 0): F(-1)}
+        # [[a,b],c] = abc - bac - cab + cba
+        assert _dynkin({(0, 1, 2): F(2)}, 3) == {
+            (0, 1, 2): F(2), (1, 0, 2): F(-2), (2, 0, 1): F(-2), (2, 1, 0): F(2)}
+        assert _dynkin({(0, 0): F(1)}, 2) == {}
+
+    @staticmethod
+    def draw_lie(data):
+        genus = data.draw(st.integers(1, 2))
+        n = data.draw(st.integers(2, 5))
+        coords = {}
+        for d in range(1, n + 1):
+            basis = lyndon_basis(genus, d)
+            for i in data.draw(st.sets(st.integers(0, len(basis) - 1),
+                                       max_size=3)):
+                coords[basis[i]] = F(data.draw(st.integers(-3, 3).filter(bool)),
+                                     data.draw(st.integers(1, 3)))
+        return LieSeries(genus, n, coords)
+
+    @staticmethod
+    def draw_term(data, genus, d):
+        """A nonzero multiple of one word of length d."""
+        w = tuple(data.draw(st.lists(st.integers(0, 2 * genus - 1),
+                                     min_size=d, max_size=d)))
+        c = F(data.draw(st.integers(-3, 3).filter(bool)),
+              data.draw(st.integers(1, 3)))
+        return w, c
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_exponentials_and_their_edits(self, data):
+        x = self.draw_lie(data)
+        g = exp(embed_lie(x))
+        assert is_grouplike(g) and coproduct_grouplike(g)
+        for d in range(2, x.max_degree + 1):
+            w, c = self.draw_term(data, x.genus, d)
+            coords = dict(g.coords)
+            add_term(coords, w, c)
+            edited = TensorSeries(x.genus, x.max_degree, coords)
+            assert not is_grouplike(edited), (w, c)
+            assert not coproduct_grouplike(edited), (w, c)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_embeddings_and_product_terms(self, data):
+        x = self.draw_lie(data)
+        p = embed_lie(x)
+        assert is_primitive(p) and coproduct_primitive(p)
+        d = data.draw(st.integers(2, x.max_degree))
+        w, c = self.draw_term(data, x.genus, d)
+        q = p + TensorSeries(x.genus, x.max_degree, {w: c})
+        assert not is_primitive(q) and not coproduct_primitive(q)
+
+    def test_constant_terms(self):
+        one = TensorSeries.one(1, 3)
+        assert not is_primitive(one) and not coproduct_primitive(one)
+        assert not is_grouplike(2 * one) and not coproduct_grouplike(2 * one)
+        assert is_grouplike(one) and coproduct_grouplike(one)
+
+
+class TestTruncation:
+    def test_series_rejects_degrees_outside_range(self):
+        x = exp(TensorSeries.gen(1, 4, 0))
+        for n in (0, -1, 5):
+            with pytest.raises(ValueError):
+                x.truncated(n)
+        assert x.truncated(4) == x
+        assert x.truncated(2).coords == {(): F(1), (0,): F(1), (0, 0): F(1, 2)}
+
+    def test_expansion_rejects_degrees_outside_range(self):
+        theta = paper_example_expansion(1)
+        for n in (0, 5, 6):
+            with pytest.raises(ValueError):
+                theta.truncated(n)
 
 
 class TestFreeGroupWords:
