@@ -222,14 +222,25 @@ class LieSeries(SparseCombination):
         return cls(genus, max_degree, {(letter,): Fraction(1)})
 
     def bracket(self, other: "LieSeries") -> "LieSeries":
+        """[self, other]; term pairs above max_degree are never formed.
+
+        The right operand is bucketed by degree once, and each left term
+        walks the buckets upward until the next one would pass the cap.
+        """
         self._check(other)
+        by_len: dict[int, list[tuple[Word, Fraction]]] = {}
+        for wv, cv in other.coords.items():
+            by_len.setdefault(len(wv), []).append((wv, cv))
+        buckets = sorted(by_len.items())
         out: dict[Word, Fraction] = {}
         n = self.max_degree
         for wu, cu in self.coords.items():
-            for wv, cv in other.coords.items():
-                if len(wu) + len(wv) > n:
-                    continue
-                add_into(out, bracket_basis(wu, wv), cu * cv)
+            room = n - len(wu)
+            for d, terms in buckets:
+                if d > room:
+                    break
+                for wv, cv in terms:
+                    add_into(out, bracket_basis(wu, wv), cu * cv)
         return self._like(out)
 
     # -- structure helpers

@@ -42,6 +42,10 @@ class LieAutomorphism:
             img = images[letter]
             if img.genus != genus:
                 raise ValueError("image genus mismatch")
+            if img.max_degree < max_degree:
+                raise ValueError(
+                    f"image of {letter_label(letter)} is truncated at degree "
+                    f"{img.max_degree}, below {max_degree}")
             img = img.truncated(max_degree)
             if img.graded_part(1).coords != {(letter,): ONE}:
                 raise ValueError(
@@ -60,6 +64,9 @@ class LieAutomorphism:
                                                    letter)
 
     def truncated(self, n: int) -> "LieAutomorphism":
+        """The induced automorphism of L/L_{>n}, 1 <= n <= max_degree."""
+        if not 1 <= n <= self.max_degree:
+            raise ValueError(f"truncation degree {n} outside 1..{self.max_degree}")
         return LieAutomorphism(self.genus, n,
                                {l: s.truncated(n) for l, s in self.images.items()})
 
@@ -117,19 +124,21 @@ def invert_aut(psi: LieAutomorphism) -> LieAutomorphism:
     """Group inverse, by successive defect correction.
 
     Each pass removes the lowest-degree defect, so at most N passes are
-    needed; the result is checked to compose to the identity.
+    needed; the result is checked to compose to the identity.  The next
+    defect is computed from the current one alone, which is small and of
+    high degree, instead of from the whole image of phi.
     """
     genus, n = psi.genus, psi.max_degree
+    letters = range(gen_count(genus))
     phi = identity_aut(genus, n)
+    defects = {l: psi.deviation(l) for l in letters}
     for _ in range(n):
-        defects = {l: apply_aut(psi, phi.image_of(l))
-                   - LieSeries.gen(genus, n, l)
-                   for l in range(gen_count(genus))}
         if not any(defects.values()):
             break
         phi = LieAutomorphism(genus, n,
-                              {l: phi.image_of(l) - defects[l]
-                               for l in range(gen_count(genus))})
+                              {l: phi.image_of(l) - defects[l] for l in letters})
+        # psi is linear, so psi(phi - d) - id = d - psi(d).
+        defects = {l: d - apply_aut(psi, d) for l, d in defects.items()}
     if compose_aut(psi, phi) != identity_aut(genus, n):
         raise RuntimeError("inverse iteration failed to converge")
     return phi
@@ -148,6 +157,10 @@ class Derivation:
         for letter in range(gen_count(genus)):
             if letter not in values:
                 raise ValueError(f"missing value for {letter_label(letter)}")
+            if values[letter].max_degree < max_degree:
+                raise ValueError(
+                    f"value on {letter_label(letter)} is truncated at degree "
+                    f"{values[letter].max_degree}, below {max_degree}")
             val = values[letter].truncated(max_degree)
             md = val.min_degree()
             if md is not None and md < 2:

@@ -8,16 +8,18 @@ its letter positions into two subsequences.  Under this structure the
 primitive part is exactly the image of the free Lie algebra, which is
 what makes this module an independent oracle for `free_lie`: embed_lie
 expands canonical bracketings by pure tensor arithmetic, and project_lie
-comes back through the Dynkin idempotent (left-bracketing map over n).
+comes back by peeling off the Lyndon basis, least word first, since the
+canonical bracketing of a Lyndon word w is w plus greater words of the
+same length (Reutenauer, Free Lie Algebras, Thm 5.1).  The module uses
+no `free_lie` bracket table.
 
 The predicates do not expand the coproduct, which has 2^m components
 per word of length m.  By Dynkin-Specht-Wever, a homogeneous element p
 of degree n is primitive iff D(p) = n·p, where D is left-normed
 bracketing; by Friedrichs, x with constant term 1 is group-like iff
 log x is primitive (Reutenauer, Free Lie Algebras, §1.3).  D is computed
-by tensor arithmetic alone, never through the `free_lie` bracket
-tables.  `coproduct` itself stays as the reference the tests compare
-the predicates against.
+by tensor arithmetic alone.  `coproduct` itself stays as the reference
+the tests compare the predicates against.
 
 Also hosts free group words and expansions (multiplicative maps from the
 surface group into the unit group of the tensor algebra).
@@ -25,13 +27,14 @@ surface group into the unit group of the tensor algebra).
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from typing import Mapping, NamedTuple
 
-from .free_lie import (LieSeries, Word, bracket_basis, gen_count,
-                       letter_label, std_factorization)
+from .free_lie import (LieSeries, Word, gen_count, letter_label,
+                       std_factorization)
 from .sparse import SparseCombination, add_into, add_term
 
 ONE = Fraction(1)
@@ -255,30 +258,32 @@ def embed_lie(x: LieSeries) -> TensorSeries:
     return TensorSeries.zero(x.genus, x.max_degree)._like(out)
 
 
-@lru_cache(maxsize=None)
-def _left_normed(w: Word) -> Mapping[Word, Fraction]:
-    """Lyndon coordinates of the left-normed bracket of the letters of w."""
-    if len(w) == 1:
-        return {w: ONE}
-    prev = _left_normed(w[:-1])
-    out: dict[Word, Fraction] = {}
-    last = (w[-1],)
-    for u, c in prev.items():
-        add_into(out, bracket_basis(u, last), c)
-    return out
-
-
 def project_lie(x: TensorSeries) -> LieSeries:
-    """Inverse of embed_lie on primitive elements (Dynkin idempotent).
+    """Inverse of embed_lie on primitive elements, by peeling off the
+    Lyndon basis least word first.
 
-    Each degree-n word contributes its left-normed bracketing divided
-    by n; on primitive input this recovers the Lie element exactly.
+    The canonical bracketing of a Lyndon word w expands to w plus words
+    of the same length greater than w (Reutenauer, Free Lie Algebras,
+    Thm 5.1), so the least word left in a primitive residual is Lyndon
+    and its coefficient is the coordinate on that word.
     """
     if not is_primitive(x):
         raise ValueError("project_lie needs a primitive element")
+    residual = dict(x.coords)
+    heap = list(residual)
+    heapq.heapify(heap)
     out: dict[Word, Fraction] = {}
-    for w, c in x.coords.items():
-        add_into(out, _left_normed(w), c / len(w))
+    while heap:
+        w = heapq.heappop(heap)
+        c = residual.pop(w, None)
+        if c is None:
+            continue
+        out[w] = c
+        for u, e in _embed_word(w).items():
+            if u != w:
+                if u not in residual:
+                    heapq.heappush(heap, u)
+                add_term(residual, u, -c * e)
     return LieSeries.zero(x.genus, x.max_degree)._like(out)
 
 

@@ -4,10 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lietrees.free_lie import (LieSeries, bch, bracket, bracket_basis,
                                is_lyndon, letter_label, lyndon_basis,
                                parse_letter, std_factorization, witt_dim)
+from lietrees.sparse import add_into
 from lietrees.tensor_hopf import embed_lie, mul
 
 F = Fraction
@@ -113,6 +115,51 @@ class TestBracketBasis:
             assert embed_lie(bracket(x, y)) == mul(ex, ey) - mul(ey, ex)
 
 
+def all_pairs_bracket(x, y):
+    """Oracle: form every term pair and drop those above the cap."""
+    out = {}
+    for wu, cu in x.coords.items():
+        for wv, cv in y.coords.items():
+            if len(wu) + len(wv) <= x.max_degree:
+                add_into(out, bracket_basis(wu, wv), cu * cv)
+    return LieSeries(x.genus, x.max_degree, out)
+
+
+def draw_series(data, genus, cap, at_cap=False):
+    """Up to two basis terms per degree 1..cap; at_cap forces one at the cap."""
+    coords = {}
+    for d in range(1, cap + 1):
+        basis = lyndon_basis(genus, d)
+        picks = data.draw(st.sets(st.integers(0, len(basis) - 1), max_size=2))
+        if at_cap and d == cap and not picks:
+            picks = {data.draw(st.integers(0, len(basis) - 1))}
+        for i in picks:
+            coords[basis[i]] = F(data.draw(st.integers(-3, 3).filter(bool)),
+                                 data.draw(st.integers(1, 3)))
+    return LieSeries(genus, cap, coords)
+
+
+class TestBucketedBracket:
+    """The degree-bucketed bracket equals the all-pairs one."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_matches_all_pairs(self, data):
+        genus = data.draw(st.integers(1, 2))
+        cap = data.draw(st.integers(2, 6))
+        x = draw_series(data, genus, cap, at_cap=True)
+        y = draw_series(data, genus, cap, at_cap=True)
+        assert x.bracket(y) == all_pairs_bracket(x, y)
+        assert y.bracket(x) == all_pairs_bracket(y, x)
+
+    def test_pair_landing_on_the_cap_is_kept(self):
+        a = LieSeries.gen(1, 3, 0)
+        ab = LieSeries(1, 3, {(0, 1): F(1)})
+        assert a.bracket(ab).coords == {(0, 0, 1): F(1)}
+        assert ab.bracket(a).coords == {(0, 0, 1): F(-1)}
+        assert ab.bracket(ab).coords == {}
+
+
 class TestLieSeries:
     def test_vector_operations(self):
         x = LieSeries(1, 3, {(0,): F(2), (0, 1): F(1, 2)})
@@ -180,14 +227,14 @@ class TestBch:
                         - F(1, 24) * bracket(y, bracket(x, xy)))
             assert bch(x, y) == expected
 
-    def test_associativity(self):
-        rng = random.Random(13)
-        for _ in range(4):
-            genus, n = rng.randint(1, 2), rng.randint(3, 6)
-            x = rand_series(rng, genus, n)
-            y = rand_series(rng, genus, n)
-            z = rand_series(rng, genus, n)
-            assert bch(bch(x, y), z) == bch(x, bch(y, z))
+    @settings(max_examples=10, deadline=None)
+    @given(st.data())
+    def test_associativity(self, data):
+        genus = data.draw(st.integers(1, 2))
+        n = data.draw(st.integers(2, 6))
+        rng = random.Random(data.draw(st.integers(0, 10**6)))
+        x, y, z = (rand_series(rng, genus, n) for _ in range(3))
+        assert bch(bch(x, y), z) == bch(x, bch(y, z))
 
 
 @pytest.mark.parametrize("genus", [0, -1])

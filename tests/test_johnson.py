@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lietrees.free_lie import LieSeries, gen_count, lyndon_basis
 from lietrees.jacobi import HLieTensor, eta, random_tree
@@ -78,6 +79,25 @@ class TestAutomorphisms:
         assert psi.truncated(3).max_degree == 3
         assert psi.truncated(3).image_of(0) == psi.image_of(0).truncated(3)
 
+    def test_truncation_rejects_degrees_outside_range(self):
+        psi = identity_aut(2, 3)
+        for n in (0, -1, 4, 7):
+            with pytest.raises(ValueError):
+                psi.truncated(n)
+        assert psi.truncated(3) == psi
+
+    def test_rejects_images_truncated_below_max_degree(self):
+        images = {l: LieSeries.gen(2, 3, l) for l in range(4)}
+        with pytest.raises(ValueError):
+            LieAutomorphism(2, 7, images)
+        images[1] = LieSeries.gen(2, 7, 1)
+        with pytest.raises(ValueError):
+            LieAutomorphism(2, 7, images)
+
+    def test_images_above_max_degree_are_truncated(self):
+        images = {l: LieSeries.gen(2, 7, l) for l in range(4)}
+        assert LieAutomorphism(2, 3, images) == identity_aut(2, 3)
+
 
 class TestDerivations:
     def test_degree_raising_enforced(self):
@@ -101,9 +121,50 @@ class TestDerivations:
         psi = rand_aut(2, 4, rng)
         assert exp_der(log_aut(psi)) == psi
 
+    def test_rejects_values_truncated_below_max_degree(self):
+        values = {l: LieSeries.zero(2, 5) for l in range(4)}
+        values[2] = LieSeries(2, 3, {(0, 1): F(1)})
+        with pytest.raises(ValueError):
+            Derivation(2, 5, values)
+
     def test_exp_of_zero(self):
         zero = Derivation(2, 4, {n: LieSeries(2, 4, {}) for n in range(4)})
         assert exp_der(zero) == identity_aut(2, 4)
+
+
+def draw_ic_elements(data, count):
+    """count seeded random_ic_element draws sharing genus, level and degree."""
+    genus = data.draw(st.integers(1, 2))
+    n = data.draw(st.integers(2, 5))
+    k = data.draw(st.integers(1, n // 2))
+    return [random_ic_element(genus, k, data.draw(st.integers(0, 10**6)), n)
+            for _ in range(count)]
+
+
+class TestGroupLaws:
+    @settings(max_examples=15, deadline=None)
+    @given(st.data())
+    def test_compose_is_associative(self, data):
+        psi, phi, chi = draw_ic_elements(data, 3)
+        assert (compose_aut(compose_aut(psi, phi), chi)
+                == compose_aut(psi, compose_aut(phi, chi)))
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.data())
+    def test_identity_is_neutral_and_inverse_two_sided(self, data):
+        (psi,) = draw_ic_elements(data, 1)
+        one = identity_aut(psi.genus, psi.max_degree)
+        assert compose_aut(one, psi) == psi == compose_aut(psi, one)
+        inv = invert_aut(psi)
+        assert compose_aut(psi, inv) == one == compose_aut(inv, psi)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.data())
+    def test_log_inverts_exp(self, data):
+        (psi,) = draw_ic_elements(data, 1)
+        delta = log_aut(psi)
+        assert log_aut(exp_der(delta)) == delta
+        assert exp_der(delta) == psi
 
 
 class TestTensorDerivations:

@@ -2,17 +2,19 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lietrees.free_lie import LieSeries, lyndon_basis
-from lietrees.sparse import add_term
+from lietrees.free_lie import LieSeries, bracket_basis, lyndon_basis
+from lietrees.sparse import add_into, add_term
 from lietrees.symplectic import paper_example_expansion
 from lietrees.tensor_hopf import (ExpansionMap, FreeGroupWord, TensorSeries,
-                                  _dynkin, basis_expansion, check_expansion,
-                                  coproduct, embed_lie, evaluate_expansion, exp,
-                                  inv_unit, is_grouplike, is_primitive, log,
+                                  _dynkin, _embed_word, basis_expansion,
+                                  check_expansion, coproduct, embed_lie,
+                                  evaluate_expansion, exp, inv_unit,
+                                  is_grouplike, is_primitive, log,
                                   magnus_expansion, mul, project_lie)
 
 F = Fraction
@@ -37,6 +39,26 @@ def coproduct_primitive(x):
         add_term(target, (w, ()), c)
         add_term(target, ((), w), c)
     return coproduct(x) == target
+
+
+@lru_cache(maxsize=None)
+def left_normed(w):
+    """Oracle: Lyndon coordinates of the left-normed bracket of the letters of w."""
+    if len(w) == 1:
+        return {w: F(1)}
+    out = {}
+    for u, c in left_normed(w[:-1]).items():
+        add_into(out, bracket_basis(u, (w[-1],)), c)
+    return out
+
+
+def dynkin_project(x):
+    """Oracle for project_lie: the Dynkin idempotent, each degree-n word
+    sent to its left-normed bracketing over n."""
+    out = {}
+    for w, c in x.coords.items():
+        add_into(out, left_normed(w), c / len(w))
+    return LieSeries(x.genus, x.max_degree, out)
 
 
 def rand_lie(rng, genus, n):
@@ -229,6 +251,25 @@ class TestDynkinPredicates:
         assert not is_primitive(one) and not coproduct_primitive(one)
         assert not is_grouplike(2 * one) and not coproduct_grouplike(2 * one)
         assert is_grouplike(one) and coproduct_grouplike(one)
+
+
+class TestLyndonPeel:
+    """project_lie peels the Lyndon basis off least word first."""
+
+    def test_embedded_lyndon_words_are_triangular(self):
+        for d in range(1, 7):
+            for w in lyndon_basis(2, d):
+                e = _embed_word(w)
+                assert e[w] == 1
+                assert all(u > w and len(u) == d for u in e if u != w), w
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_matches_dynkin_idempotent(self, data):
+        x = TestDynkinPredicates.draw_lie(data)
+        p = embed_lie(x)
+        assert project_lie(p) == x
+        assert dynkin_project(p) == x
 
 
 class TestTruncation:
