@@ -245,19 +245,13 @@ class LieSeries(SparseCombination):
 
     # -- structure helpers
 
-    def degrees(self) -> list[int]:
-        return sorted({len(w) for w in self.coords})
-
-    def min_degree(self) -> int | None:
-        return min((len(w) for w in self.coords), default=None)
-
-    def graded_part(self, d: int) -> "LieSeries":
-        return self._like({w: c for w, c in self.coords.items() if len(w) == d})
-
     def truncated(self, n: int) -> "LieSeries":
         """Same element in the quotient by degrees above n (n may differ from N)."""
-        return LieSeries(self.genus, n,
-                         {w: c for w, c in self.coords.items() if len(w) <= n})
+        if n < 1:
+            raise ValueError("bad context")
+        out = self._like({w: c for w, c in self.coords.items() if len(w) <= n})
+        out.max_degree = n
+        return out
 
     def terms(self) -> Iterator[tuple[Word, Fraction]]:
         return iter(sorted(self.coords.items(), key=lambda t: (len(t[0]), t[0])))

@@ -220,6 +220,7 @@ class TreeCombo(SparseCombination):
 
     __slots__ = ("genus",)
     _context = ("genus",)
+    _degree = staticmethod(lambda tree: tree.degree)
 
     def __init__(self, genus: int,
                  terms: Mapping[str, tuple[TreeDiagram, Fraction]] | None = None):
@@ -248,12 +249,6 @@ class TreeCombo(SparseCombination):
     def single(cls, tree: TreeDiagram, coeff=ONE) -> "TreeCombo":
         return cls(tree.genus, {tree.key: (tree, Fraction(coeff))})
 
-    def degrees(self) -> list[int]:
-        return sorted({t.degree for t in self.coords})
-
-    def graded_part(self, d: int) -> "TreeCombo":
-        return self._like({t: c for t, c in self.coords.items() if t.degree == d})
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TreeCombo):
             return NotImplemented
@@ -273,6 +268,7 @@ class HLieTensor(SparseCombination):
 
     __slots__ = ("genus",)
     _context = ("genus",)
+    _degree = staticmethod(lambda key: len(key[1]) - 1)
 
     def __init__(self, genus: int,
                  coords: Mapping[tuple[int, Word], Fraction] | None = None):
@@ -293,13 +289,6 @@ class HLieTensor(SparseCombination):
     @classmethod
     def zero(cls, genus: int) -> "HLieTensor":
         return cls(genus)
-
-    def degrees(self) -> list[int]:
-        return sorted({len(w) - 1 for _, w in self.coords})
-
-    def graded_part(self, d: int) -> "HLieTensor":
-        return self._like({(h, w): c for (h, w), c in self.coords.items()
-                           if len(w) - 1 == d})
 
     def bracket_contraction(self) -> LieSeries:
         """Image under (h, u) -> [h, u]; zero exactly on the D subspaces."""

@@ -24,8 +24,13 @@ from .sparse import add_term
 ONE = Fraction(1)
 
 
-class LieAutomorphism:
-    """Automorphism of L/L_{>N} fixing every generator modulo L_{>=2}."""
+class _GeneratorMap:
+    """A map of L/L_{>N} fixed by its images of the generators.
+
+    Subclasses give their `_kind`, which images they admit
+    (`_check_image`) and how the image of a basis word follows from those
+    of its standard factors (`_extend`); word images are cached.
+    """
 
     __slots__ = ("genus", "max_degree", "images", "_cache")
 
@@ -37,24 +42,65 @@ class LieAutomorphism:
         self.max_degree = max_degree
         clean: dict[int, LieSeries] = {}
         for letter in range(gen_count(genus)):
+            label = letter_label(letter)
             if letter not in images:
-                raise ValueError(f"missing image for {letter_label(letter)}")
+                raise ValueError(f"missing image for {label}")
             img = images[letter]
             if img.genus != genus:
-                raise ValueError("image genus mismatch")
+                raise ValueError(f"image of {label} has genus {img.genus}, "
+                                 f"not {genus}")
             if img.max_degree < max_degree:
                 raise ValueError(
-                    f"image of {letter_label(letter)} is truncated at degree "
+                    f"image of {label} is truncated at degree "
                     f"{img.max_degree}, below {max_degree}")
-            img = img.truncated(max_degree)
-            if img.graded_part(1).coords != {(letter,): ONE}:
-                raise ValueError(
-                    f"image of {letter_label(letter)} must be the generator "
-                    "plus higher-degree terms")
-            clean[letter] = img
+            clean[letter] = img = img.truncated(max_degree)
+            self._check_image(letter, img)
         self.images = clean
         self._cache: dict[Word, LieSeries] = {
             (letter,): img for letter, img in clean.items()}
+
+    def _word(self, w: Word) -> LieSeries:
+        got = self._cache.get(w)
+        if got is None:
+            got = self._cache[w] = self._extend(*std_factorization(w))
+        return got
+
+    def _apply(self, x: LieSeries) -> LieSeries:
+        if x.genus != self.genus:
+            raise ValueError("genus mismatch")
+        if x.max_degree > self.max_degree:
+            raise ValueError(f"series truncated above the {self._kind}")
+        acc: dict[Word, Fraction] = {}
+        for w, c in x.coords.items():
+            for wu, cu in self._word(w).coords.items():
+                if len(wu) <= x.max_degree:
+                    add_term(acc, wu, c * cu)
+        return x._like(acc)
+
+    def __eq__(self, other: object) -> bool:
+        return (type(other) is type(self) and self.genus == other.genus
+                and self.max_degree == other.max_degree
+                and self.images == other.images)
+
+    def __repr__(self) -> str:
+        bits = [f"{letter_label(l)} -> {s!r}" for l, s in sorted(self.images.items())]
+        return "; ".join(bits)
+
+
+class LieAutomorphism(_GeneratorMap):
+    """Automorphism of L/L_{>N} fixing every generator modulo L_{>=2}."""
+
+    __slots__ = ()
+    _kind = "automorphism"
+
+    def _check_image(self, letter: int, img: LieSeries) -> None:
+        if img.graded_part(1).coords != {(letter,): ONE}:
+            raise ValueError(
+                f"image of {letter_label(letter)} must be the generator "
+                "plus higher-degree terms")
+
+    def _extend(self, u: Word, v: Word) -> LieSeries:
+        return self._word(u).bracket(self._word(v))
 
     def image_of(self, letter: int) -> LieSeries:
         return self.images[letter]
@@ -67,18 +113,7 @@ class LieAutomorphism:
         """The induced automorphism of L/L_{>n}, 1 <= n <= max_degree."""
         if not 1 <= n <= self.max_degree:
             raise ValueError(f"truncation degree {n} outside 1..{self.max_degree}")
-        return LieAutomorphism(self.genus, n,
-                               {l: s.truncated(n) for l, s in self.images.items()})
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, LieAutomorphism)
-                and self.genus == other.genus
-                and self.max_degree == other.max_degree
-                and self.images == other.images)
-
-    def __repr__(self) -> str:
-        bits = [f"{letter_label(l)} -> {s!r}" for l, s in sorted(self.images.items())]
-        return "; ".join(bits)
+        return LieAutomorphism(self.genus, n, self.images)
 
 
 def identity_aut(genus: int, max_degree: int) -> LieAutomorphism:
@@ -87,27 +122,9 @@ def identity_aut(genus: int, max_degree: int) -> LieAutomorphism:
                             for l in range(gen_count(genus))})
 
 
-def _word_image(psi: LieAutomorphism, w: Word) -> LieSeries:
-    got = psi._cache.get(w)
-    if got is None:
-        u, v = std_factorization(w)
-        got = _word_image(psi, u).bracket(_word_image(psi, v))
-        psi._cache[w] = got
-    return got
-
-
 def apply_aut(psi: LieAutomorphism, x: LieSeries) -> LieSeries:
     """psi(x); x may live at a coarser truncation than psi."""
-    if x.genus != psi.genus:
-        raise ValueError("genus mismatch")
-    if x.max_degree > psi.max_degree:
-        raise ValueError("series truncated above the automorphism")
-    acc: dict[Word, Fraction] = {}
-    for w, c in x.coords.items():
-        for wu, cu in _word_image(psi, w).coords.items():
-            if len(wu) <= x.max_degree:
-                add_term(acc, wu, c * cu)
-    return x._like(acc)
+    return psi._apply(x)
 
 
 def compose_aut(psi: LieAutomorphism, phi: LieAutomorphism) -> LieAutomorphism:
@@ -144,68 +161,26 @@ def invert_aut(psi: LieAutomorphism) -> LieAutomorphism:
     return phi
 
 
-class Derivation:
+class Derivation(_GeneratorMap):
     """Degree-raising derivation of L/L_{>N}; values have degree >= 2."""
 
-    __slots__ = ("genus", "max_degree", "values", "_cache")
+    __slots__ = ()
+    _kind = "derivation"
 
-    def __init__(self, genus: int, max_degree: int,
-                 values: Mapping[int, LieSeries]):
-        self.genus = genus
-        self.max_degree = max_degree
-        clean: dict[int, LieSeries] = {}
-        for letter in range(gen_count(genus)):
-            if letter not in values:
-                raise ValueError(f"missing value for {letter_label(letter)}")
-            if values[letter].max_degree < max_degree:
-                raise ValueError(
-                    f"value on {letter_label(letter)} is truncated at degree "
-                    f"{values[letter].max_degree}, below {max_degree}")
-            val = values[letter].truncated(max_degree)
-            md = val.min_degree()
-            if md is not None and md < 2:
-                raise ValueError("derivation must raise degree")
-            clean[letter] = val
-        self.values = clean
-        self._cache: dict[Word, LieSeries] = {
-            (letter,): val for letter, val in clean.items()}
+    def _check_image(self, letter: int, img: LieSeries) -> None:
+        md = img.min_degree()
+        if md is not None and md < 2:
+            raise ValueError("derivation must raise degree")
 
-    def value_of(self, letter: int) -> LieSeries:
-        return self.values[letter]
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, Derivation) and self.genus == other.genus
-                and self.max_degree == other.max_degree
-                and self.values == other.values)
-
-    def __repr__(self) -> str:
-        bits = [f"{letter_label(l)} -> {s!r}" for l, s in sorted(self.values.items())]
-        return "; ".join(bits)
-
-
-def _word_der(delta: Derivation, w: Word) -> LieSeries:
-    got = delta._cache.get(w)
-    if got is None:
-        u, v = std_factorization(w)
-        us = LieSeries(delta.genus, delta.max_degree, {u: ONE})
-        vs = LieSeries(delta.genus, delta.max_degree, {v: ONE})
-        got = _word_der(delta, u).bracket(vs) + us.bracket(_word_der(delta, v))
-        delta._cache[w] = got
-    return got
+    def _extend(self, u: Word, v: Word) -> LieSeries:
+        zero = LieSeries.zero(self.genus, self.max_degree)
+        return (self._word(u).bracket(zero._like({v: ONE}))
+                + zero._like({u: ONE}).bracket(self._word(v)))
 
 
 def apply_der(delta: Derivation, x: LieSeries) -> LieSeries:
     """Leibniz extension of the generator values."""
-    if x.genus != delta.genus:
-        raise ValueError("genus mismatch")
-    if x.max_degree > delta.max_degree:
-        raise ValueError("series truncated above the derivation")
-    acc: dict[Word, Fraction] = {}
-    for w, c in x.coords.items():
-        for wu, cu in _word_der(delta, w).coords.items():
-            if len(wu) <= x.max_degree:
-                add_term(acc, wu, c * cu)
-    return x._like(acc)
+    return delta._apply(x)
 
 
 def exp_der(delta: Derivation) -> LieAutomorphism:
@@ -304,6 +279,18 @@ def tau_truncated(psi: LieAutomorphism, k: int) -> HLieTensor:
     return HLieTensor.zero(genus)._like(coords)
 
 
+def _check_level(psi: LieAutomorphism, k: int) -> None:
+    """Reject k < 1, a truncation below 2k, or a deviation of degree <= k."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if psi.max_degree < 2 * k:
+        raise ValueError("automorphism truncated below degree 2k")
+    for letter in range(gen_count(psi.genus)):
+        md = psi.deviation(letter).min_degree()
+        if md is not None and md <= k:
+            raise ValueError(f"automorphism not in filtration level {k}")
+
+
 def johnson_k(psi: LieAutomorphism, k: int) -> HLieTensor:
     """Lowest graded piece (tree degree k) of the window tensor."""
     return tau_truncated(psi, k).graded_part(k)
@@ -321,14 +308,7 @@ def kernel_check(psi: LieAutomorphism, k: int) -> bool:
     generator deviations to vanish through degree 2k.  The routes must
     agree; a disagreement is an internal error.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if psi.max_degree < 2 * k:
-        raise ValueError("automorphism truncated below degree 2k")
-    for letter in range(gen_count(psi.genus)):
-        md = psi.deviation(letter).min_degree()
-        if md is not None and md <= k:
-            raise ValueError(f"automorphism not in filtration level {k}")
+    _check_level(psi, k)
     via_tau = tau_truncated(psi, k).is_zero()
     via_dev = all(not psi.deviation(letter).truncated(2 * k)
                   for letter in range(gen_count(psi.genus)))
@@ -339,6 +319,7 @@ def kernel_check(psi: LieAutomorphism, k: int) -> bool:
 
 def tau_to_trees(psi: LieAutomorphism, k: int) -> TreeCombo:
     """Tree-diagram lift of the window tensor, grade by grade."""
+    _check_level(psi, k)
     t = tau_truncated(psi, k)
     combo = TreeCombo.zero(psi.genus)
     for d in t.degrees():
@@ -378,15 +359,8 @@ def morita_mk(psi: LieAutomorphism, k: int) -> "object":
     chosen bounding chain.
     """
     from .koszul import boundary, class_of, solve_boundary3, wedge_chain_from_terms
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if psi.max_degree < 2 * k:
-        raise ValueError("automorphism truncated below degree 2k")
+    _check_level(psi, k)
     genus = psi.genus
-    for letter in range(gen_count(genus)):
-        md = psi.deviation(letter).min_degree()
-        if md is not None and md <= k:
-            raise ValueError(f"automorphism not in filtration level {k}")
     big = 2 * k
     base = []
     moved = []

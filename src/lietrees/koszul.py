@@ -9,7 +9,9 @@ count vector (weight), which brackets preserve, and each weight block
 is small even when the degree block is not.  Homology dimensions come
 from exact ranks, canonical H3 coordinates from echelonized kernel/image
 bases fixed per block, and repeated boundary solves reuse cached
-elimination transforms.
+elimination transforms.  An H3 class stores those coordinates sparsely,
+keyed by (degree, index); its `parts` is a dense view of them, one tuple
+per degree.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ class WedgeChain(SparseCombination):
 
     __slots__ = ("genus", "nilpotency_class", "arity")
     _context = ("genus", "nilpotency_class", "arity")
+    _degree = staticmethod(lambda mon: sum(map(len, mon)))
 
     def __init__(self, genus: int, nilpotency_class: int, arity: int,
                  coords: Mapping[Monomial, Fraction] | None = None):
@@ -98,13 +101,6 @@ class WedgeChain(SparseCombination):
     @classmethod
     def zero(cls, genus: int, nilpotency_class: int, arity: int) -> "WedgeChain":
         return cls(genus, nilpotency_class, arity)
-
-    def degrees(self) -> list[int]:
-        return sorted({sum(len(w) for w in m) for m in self.coords})
-
-    def graded_part(self, d: int) -> "WedgeChain":
-        return self._like({m: c for m, c in self.coords.items()
-                           if sum(len(w) for w in m) == d})
 
     def reduced_to(self, k: int) -> "WedgeChain":
         """Reduction modulo L_{>k}: drop monomials with a long factor."""
@@ -284,78 +280,59 @@ def _h3_structure(genus: int, k: int, mu: tuple[int, ...]):
 
 
 @lru_cache(maxsize=None)
-def _quotient_layout(genus: int, k: int, d: int):
-    """Offsets of each weight block inside the degree-d H3 coordinates."""
-    layout = []
-    offset = 0
+def _quotient_layout(genus: int, k: int,
+                     d: int) -> tuple[dict[tuple[int, ...], int], int]:
+    """Offset of each weight block inside the degree-d H3 coordinates, and
+    the dimension of H3 in degree d."""
+    offsets = {}
+    total = 0
     for mu in sorted(_blocks(genus, k, 3, d)):
-        st = _h3_structure(genus, k, mu)
-        dim = len(st[2][0]) if st else 0
-        if dim:
-            layout.append((mu, dim, offset))
-            offset += dim
-    return layout, offset
+        offsets[mu] = total
+        total += len(_h3_structure(genus, k, mu)[2][0])
+    return offsets, total
 
 
-class HomologyClass:
-    """Canonical H3 coordinates, graded by total degree."""
+class HomologyClass(SparseCombination):
+    """Canonical H3 coordinates, keyed by (total degree, index).
 
-    __slots__ = ("genus", "nilpotency_class", "parts")
+    `parts` is a read-only dense view of the sparse coordinates: one
+    tuple per degree, laid out by `_quotient_layout`, all-zero degrees
+    left out.  The constructor takes the same dense form.
+    """
+
+    __slots__ = ("genus", "nilpotency_class")
+    _context = ("genus", "nilpotency_class")
+    _degree = staticmethod(lambda key: key[0])
 
     def __init__(self, genus: int, nilpotency_class: int,
                  parts: Mapping[int, tuple] | None = None):
         self.genus = genus
         self.nilpotency_class = nilpotency_class
-        self.parts = {d: tuple(t) for d, t in (parts or {}).items()
-                      if any(t)}
+        self.coords = {}
+        for d, t in (parts or {}).items():
+            dim = _quotient_layout(genus, nilpotency_class, d)[1]
+            if len(t) != dim:
+                raise ValueError(f"degree {d} has {len(t)} coordinates, "
+                                 f"but H3 has dimension {dim} there")
+            for i, c in enumerate(map(Fraction, t)):
+                if c:
+                    self.coords[(d, i)] = c
 
-    def is_zero(self) -> bool:
-        return not self.parts
-
-    def __bool__(self) -> bool:
-        return bool(self.parts)
-
-    def _check(self, other: "HomologyClass") -> None:
-        if (self.genus != other.genus
-                or self.nilpotency_class != other.nilpotency_class):
-            raise ValueError("mismatched homology context")
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, HomologyClass) and self.genus == other.genus
-                and self.nilpotency_class == other.nilpotency_class
-                and self.parts == other.parts)
-
-    def _merge(self, other: "HomologyClass", sign: int) -> "HomologyClass":
-        self._check(other)
-        parts: dict[int, tuple] = {}
-        for d in sorted(set(self.parts) | set(other.parts)):
-            x = self.parts.get(d)
-            y = other.parts.get(d)
-            if x is None:
-                x = (Fraction(0),) * len(y)
-            if y is None:
-                y = (Fraction(0),) * len(x)
-            if len(x) != len(y):
-                raise ValueError("inconsistent coordinate layouts")
-            parts[d] = tuple(a + sign * b for a, b in zip(x, y))
-        return HomologyClass(self.genus, self.nilpotency_class, parts)
-
-    def __add__(self, other: "HomologyClass") -> "HomologyClass":
-        return self._merge(other, 1)
-
-    def __sub__(self, other: "HomologyClass") -> "HomologyClass":
-        return self._merge(other, -1)
-
-    def __neg__(self) -> "HomologyClass":
-        return HomologyClass(self.genus, self.nilpotency_class,
-                             {d: tuple(-c for c in t)
-                              for d, t in self.parts.items()})
+    @property
+    def parts(self) -> dict[int, tuple]:
+        dense: dict[int, list] = {}
+        for (d, i), c in sorted(self.coords.items()):
+            if d not in dense:
+                dense[d] = [ZERO] * _quotient_layout(
+                    self.genus, self.nilpotency_class, d)[1]
+            dense[d][i] = c
+        return {d: tuple(v) for d, v in dense.items()}
 
     def __repr__(self) -> str:
-        if not self.parts:
+        if not self.coords:
             return "0"
         bits = [f"deg {d}: ({', '.join(str(c) for c in t)})"
-                for d, t in sorted(self.parts.items())]
+                for d, t in self.parts.items()]
         return "; ".join(bits)
 
 
@@ -370,31 +347,25 @@ def class_of(z: WedgeChain, n: int = 3) -> HomologyClass:
     for mon, c in z.coords.items():
         mu = _letter_weight(chain.from_iterable(mon), genus)
         blocks.setdefault(mu, {})[mon] = c
-    per_degree: dict[int, dict[tuple[int, ...], tuple]] = {}
-    for mu, coords in blocks.items():
+    coords: dict[tuple[int, int], Fraction] = {}
+    for mu, block in blocks.items():
         st = _h3_structure(genus, k, mu)
         if st is None:
             raise RuntimeError("cycle monomial outside the enumerated basis")
         index, (im_basis, im_pivots), (q_basis, q_pivots) = st
-        v = [Fraction(0)] * len(index)
-        for mon, c in coords.items():
+        v = [ZERO] * len(index)
+        for mon, c in block.items():
             v[index[mon]] = c
         reduce_against(v, im_basis, im_pivots)
         coeffs = reduce_against(v, q_basis, q_pivots)
         if any(v):
             raise RuntimeError("cycle reduction left a nonzero remainder")
-        if any(coeffs):
-            per_degree.setdefault(sum(mu), {})[mu] = tuple(coeffs)
-    parts: dict[int, tuple] = {}
-    for d, by_mu in per_degree.items():
-        layout, total = _quotient_layout(genus, k, d)
-        vec = [Fraction(0)] * total
-        for mu, dim, offset in layout:
-            t = by_mu.get(mu)
-            if t:
-                vec[offset:offset + dim] = list(t)
-        parts[d] = tuple(vec)
-    return HomologyClass(genus, k, parts)
+        d = sum(mu)
+        offset = _quotient_layout(genus, k, d)[0][mu]
+        for i, c in enumerate(coeffs, offset):
+            if c:
+                coords[(d, i)] = c
+    return HomologyClass(genus, k)._like(coords)
 
 
 @lru_cache(maxsize=None)
@@ -464,7 +435,6 @@ def phi_matrix_rank(genus: int, k: int) -> int:
     for d in range(k, 2 * k):
         for trees in jacobi._caterpillars(genus, d).values():
             for tree in trees:
-                cls = capital_phi(jacobi.TreeCombo.single(tree), k)
-                columns.append({(d2, i): v for d2, t in cls.parts.items()
-                                for i, v in enumerate(t) if v})
+                columns.append(
+                    capital_phi(jacobi.TreeCombo.single(tree), k).coords)
     return rank_of_columns(columns)

@@ -4,8 +4,8 @@ Every linear-combination type in the package stores a dict `coords`
 from basis keys to nonzero Fractions, plus a few context fields (genus,
 truncation degree, arity) that two operands must share.  This module
 holds the accumulate helpers and the vector-space protocol on top of
-that one representation; subclasses only name their context fields and
-validate keys in their public constructors.
+that one representation; subclasses only name their context fields,
+say how a key is graded, and validate keys in their public constructors.
 """
 
 from __future__ import annotations
@@ -45,6 +45,8 @@ class SparseCombination:
 
     __slots__ = ("coords",)
     _context: tuple[str, ...] = ()
+    # the grading of a basis key; keys are words unless a subclass says otherwise
+    _degree = staticmethod(len)
 
     def _like(self, coords: dict):
         """A combination in this one's context with the given coords, unchecked."""
@@ -61,6 +63,16 @@ class SparseCombination:
     def _check(self, other: "SparseCombination") -> None:
         if not self._same_context(other):
             raise ValueError(f"mismatched context ({', '.join(self._context)})")
+
+    def degrees(self) -> list[int]:
+        return sorted({self._degree(k) for k in self.coords})
+
+    def min_degree(self) -> int | None:
+        return min(map(self._degree, self.coords), default=None)
+
+    def graded_part(self, d: int):
+        deg = self._degree
+        return self._like({k: c for k, c in self.coords.items() if deg(k) == d})
 
     def __bool__(self) -> bool:
         return bool(self.coords)

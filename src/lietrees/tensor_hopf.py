@@ -78,12 +78,6 @@ class TensorSeries(SparseCombination):
     def constant_term(self) -> Fraction:
         return self.coords.get((), Fraction(0))
 
-    def graded_part(self, d: int) -> "TensorSeries":
-        return self._like({w: c for w, c in self.coords.items() if len(w) == d})
-
-    def min_degree(self) -> int | None:
-        return min((len(w) for w in self.coords), default=None)
-
     def truncated(self, n: int) -> "TensorSeries":
         """The image in the quotient by degrees above n, 1 <= n <= max_degree."""
         if not 1 <= n <= self.max_degree:

@@ -8,8 +8,9 @@ from lietrees.cli import run
 from lietrees.documents import (automorphism_to_doc, dump_json,
                                 expansion_from_doc, expansion_to_doc,
                                 tree_combo_from_text)
+from lietrees.free_lie import LieSeries
 from lietrees.jacobi import eta
-from lietrees.johnson import random_ic_element, tau_to_trees
+from lietrees.johnson import LieAutomorphism, random_ic_element, tau_to_trees
 from lietrees.tensor_hopf import magnus_expansion
 from lietrees.symplectic import verify_symplectic
 
@@ -89,6 +90,17 @@ class TestJohnson:
         text = capsys.readouterr().out
         combo = tree_combo_from_text(text, 2)
         assert eta(combo) == eta(tau_to_trees(psi, 1))
+
+    def test_tau_rejects_automorphism_below_the_level(self, tmp_path, capsys):
+        images = {l: LieSeries.gen(2, 4, l) for l in range(4)}
+        images[0] = images[0] + LieSeries(2, 4, {(2, 3): 1})   # a1 + [a2,b2]
+        path = tmp_path / "aut.json"
+        path.write_text(dump_json(automorphism_to_doc(
+            LieAutomorphism(2, 4, images))))
+        assert run(["johnson", "tau", "--aut", str(path), "--k", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not in filtration level 2" in captured.err
 
 
 class TestMorita:

@@ -3,8 +3,10 @@
 import json
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lietrees.documents import (DocumentError, automorphism_from_doc,
                                 automorphism_to_doc, dump_json,
@@ -13,9 +15,10 @@ from lietrees.documents import (DocumentError, automorphism_from_doc,
                                 load_json, tree_combo_from_text,
                                 tree_combo_to_text)
 from lietrees.free_lie import LieSeries, lyndon_basis
-from lietrees.jacobi import random_tree, tree_equal
-from lietrees.johnson import random_ic_element
+from lietrees.jacobi import TreeCombo, random_tree, tree_equal
+from lietrees.johnson import LieAutomorphism, random_ic_element
 from lietrees.symplectic import construct_symplectic, paper_example_expansion
+from lietrees.tensor_hopf import ExpansionMap, TensorSeries
 
 F = Fraction
 
@@ -152,3 +155,66 @@ class TestTreeText:
     def test_bad_coefficient(self):
         with pytest.raises(DocumentError):
             tree_combo_from_text("q (a1 (b1 a2))", 2)
+
+
+def rand_coeff(rng):
+    return F(rng.randint(-9, 9), rng.randint(1, 7))
+
+
+def rand_lie_coords(rng, genus, lo, n):
+    return {w: rand_coeff(rng) for d in range(lo, n + 1)
+            for w in lyndon_basis(genus, d) if rng.random() < 0.4}
+
+
+def through_json(doc):
+    return load_json(dump_json(doc))
+
+
+SIZES = dict(genus=st.integers(1, 2), n=st.integers(1, 4),
+             seed=st.integers(0, 10**6))
+
+
+class TestWriterRoundTrips:
+    """Whatever a writer emits, its reader turns back into the same value."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(**SIZES)
+    def test_lie_series(self, genus, n, seed):
+        x = LieSeries(genus, n, rand_lie_coords(random.Random(seed), genus, 1, n))
+        assert lie_series_from_doc(through_json(lie_series_to_doc(x))) == x
+
+    @settings(max_examples=25, deadline=None)
+    @given(**SIZES)
+    def test_expansion(self, genus, n, seed):
+        rng = random.Random(seed)
+        words = [w for d in range(n + 1)
+                 for w in product(range(2 * genus), repeat=d)]
+        theta = ExpansionMap(genus, n, {
+            l: TensorSeries(genus, n, {w: rand_coeff(rng) for w in words
+                                       if rng.random() < 0.3})
+            for l in range(2 * genus)})
+        assert expansion_from_doc(through_json(expansion_to_doc(theta))) == theta
+
+    @settings(max_examples=25, deadline=None)
+    @given(**SIZES)
+    def test_automorphism(self, genus, n, seed):
+        rng = random.Random(seed)
+        psi = LieAutomorphism(genus, n, {
+            l: LieSeries.gen(genus, n, l)
+            + LieSeries(genus, n, rand_lie_coords(rng, genus, 2, n))
+            for l in range(2 * genus)})
+        assert automorphism_from_doc(through_json(automorphism_to_doc(psi))) == psi
+
+    @settings(max_examples=25, deadline=None)
+    @given(genus=st.integers(1, 3), terms=st.integers(0, 3),
+           seed=st.integers(0, 10**6))
+    def test_tree_text(self, genus, terms, seed):
+        rng = random.Random(seed)
+        combo = TreeCombo.zero(genus)
+        for _ in range(terms):
+            combo = combo + rand_coeff(rng) * random_tree(
+                genus, rng.randint(1, 3), rng)
+        text = tree_combo_to_text(combo)
+        back = tree_combo_from_text(text, genus)
+        assert back == combo
+        assert tree_combo_to_text(back) == text

@@ -131,6 +131,16 @@ class TestDerivations:
         zero = Derivation(2, 4, {n: LieSeries(2, 4, {}) for n in range(4)})
         assert exp_der(zero) == identity_aut(2, 4)
 
+    def test_rejects_values_of_another_genus(self):
+        values = {l: LieSeries(1, 3, {(0, 1): 1}) for l in range(4)}
+        with pytest.raises(ValueError, match="genus 1, not 2"):
+            Derivation(2, 3, values)
+
+    def test_rejects_max_degree_below_one(self):
+        values = {l: LieSeries.zero(2, 3) for l in range(4)}
+        with pytest.raises(ValueError, match="max_degree must be at least 1"):
+            Derivation(2, 0, values)
+
 
 def draw_ic_elements(data, count):
     """count seeded random_ic_element draws sharing genus, level and degree."""
@@ -262,6 +272,31 @@ class TestTreeLift:
         psi = random_ic_element(2, 2, 6, 4)
         combo = tau_to_trees(psi, 2)
         assert eta(combo) == tau_truncated(psi, 2)
+
+
+def level_one_automorphism():
+    """a1 -> a1 + [a2,b2], every other generator fixed: one degree-2 deviation."""
+    images = {l: LieSeries.gen(2, 4, l) for l in range(4)}
+    images[0] = images[0] + LieSeries(2, 4, {(2, 3): 1})
+    return LieAutomorphism(2, 4, images)
+
+
+class TestFiltrationLevel:
+    SHALLOW = [level_one_automorphism(), random_ic_element(2, 1, 0, 4),
+               random_ic_element(2, 1, 5, 4)]
+
+    @pytest.mark.parametrize("route", [tau_to_trees, kernel_check, morita_mk])
+    @pytest.mark.parametrize("psi", SHALLOW)
+    def test_every_route_rejects_a_lower_level(self, route, psi):
+        with pytest.raises(ValueError, match="not in filtration level 2"):
+            route(psi, 2)
+
+    @pytest.mark.parametrize("route", [tau_to_trees, kernel_check, morita_mk])
+    def test_every_route_checks_k_and_truncation(self, route):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            route(identity_aut(2, 4), 0)
+        with pytest.raises(ValueError, match="truncated below degree 2k"):
+            route(identity_aut(2, 3), 2)
 
 
 class TestObstruction:

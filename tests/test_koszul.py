@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lietrees.free_lie import lyndon_basis, witt_dim
 from lietrees.jacobi import TreeCombo, TreeDiagram, fission, random_tree
@@ -93,12 +94,16 @@ class TestBoundary:
         assert d.coords == {((0, 1), (2, 3)): F(-1)}
         assert boundary(d).is_zero()
 
-    def test_squares_to_zero(self):
-        for seed in range(6):
-            rng = random.Random(seed)
-            for arity in (3, 4):
-                c = random_chain(2, 3, arity, rng)
-                assert boundary(boundary(c)).is_zero()
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_squares_to_zero(self, data):
+        genus = data.draw(st.integers(1, 2), label="genus")
+        k = data.draw(st.integers(1, 3), label="class")
+        pool = len(words_up_to(genus, k))
+        arity = data.draw(st.integers(2, min(4, pool)), label="arity")
+        rng = random.Random(data.draw(st.integers(0, 10**6), label="seed"))
+        c = random_chain(genus, k, arity, rng)
+        assert boundary(boundary(c)).is_zero()
 
     def test_linear(self):
         rng = random.Random(1)
@@ -171,6 +176,46 @@ class TestClasses:
 
     def test_zero_chain_has_zero_class(self):
         assert class_of(WedgeChain.zero(2, 2, 3)).is_zero()
+
+    def test_constructor_rejects_wrong_layout(self):
+        with pytest.raises(ValueError, match="dimension 36"):
+            HomologyClass(2, 3, {5: (1, 0)})
+        with pytest.raises(ValueError, match="dimension 0"):
+            HomologyClass(2, 3, {2: (1,)})
+
+    def test_parts_is_a_dense_view(self):
+        c = HomologyClass(2, 2, {4: (0,) * 19 + (F(1, 2),), 5: (0,) * 36})
+        assert c.coords == {(4, 19): F(1, 2)}
+        assert c.parts == {4: (F(0),) * 19 + (F(1, 2),)}
+        assert c.degrees() == [4]
+
+
+def draw_fission(data, genus, k):
+    """The fission of a random tree of degree k..2k-1, at class k."""
+    d = data.draw(st.integers(k, 2 * k - 1), label="degree")
+    rng = random.Random(data.draw(st.integers(0, 10**6), label="seed"))
+    return fission(random_tree(genus, d, rng), k)
+
+
+class TestClassProperties:
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_dense_round_trip(self, data):
+        genus = data.draw(st.integers(1, 2), label="genus")
+        k = data.draw(st.integers(1, 3), label="class")
+        c = class_of(draw_fission(data, genus, k))
+        assert HomologyClass(genus, k, c.parts) == c
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_linear(self, data):
+        genus = data.draw(st.integers(1, 2), label="genus")
+        k = data.draw(st.integers(1, 3), label="class")
+        x = draw_fission(data, genus, k)
+        y = draw_fission(data, genus, k)
+        q = data.draw(st.fractions(min_value=-5, max_value=5,
+                                   max_denominator=4), label="q")
+        assert class_of(x + q * y) == class_of(x) + q * class_of(y)
 
 
 class TestBlocks:
