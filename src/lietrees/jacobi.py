@@ -15,10 +15,12 @@ decided through the eta map, which is injective on diagram classes.
 
 comm turns a rooted tree into an iterated bracket, fission sends a tree
 to a sum of wedge triples over its trivalent vertices, and eta pairs
-each leaf color with the bracket of the rest.  eta_inverse solves back
-onto caterpillar (left-normed) trees with exact linear algebra; the
-caterpillar family's completeness is certified at runtime against the
-rank-computed dimension of the bracket-map kernel.
+each leaf color with the bracket of the rest; all three read subtree
+brackets bracketed once per directed edge of the tree.  eta_inverse
+solves back onto caterpillar (left-normed) trees with exact linear
+algebra.  The caterpillar family builds one colouring per orbit of the
+caterpillar's symmetries, and its completeness is certified at runtime
+against the rank-computed dimension of the bracket-map kernel.
 """
 
 from __future__ import annotations
@@ -190,15 +192,27 @@ class TreeDiagram:
         return tree_text(self)
 
 
-def _nested_series(genus: int, nested: Plant, cap: int) -> LieSeries:
-    return _nested(LieSeries.zero(genus, cap), nested)
+def _edge_values(t: TreeDiagram, cap: int):
+    """val(u, frm): bracket of the subtree entered at u from frm, in the
+    cyclic order at u, truncated above cap; each directed edge is
+    bracketed once and shared by every caller on the same tree."""
+    kinds, colors, nbrs = t.graph()
+    zero = LieSeries.zero(t.genus, cap)
+    memo: dict[tuple[int, int], LieSeries] = {}
 
+    def val(u: int, frm: int) -> LieSeries:
+        hit = memo.get((u, frm))
+        if hit is None:
+            if kinds[u] == "leaf":
+                hit = zero._like({(colors[u],): ONE})
+            else:
+                nb = nbrs[u]
+                i = nb.index(frm)
+                hit = val(nb[(i + 1) % 3], u).bracket(val(nb[(i + 2) % 3], u))
+            memo[(u, frm)] = hit
+        return hit
 
-def _nested(zero: LieSeries, nested: Plant) -> LieSeries:
-    """Iterated bracket of a nested pair structure; leaves built unchecked."""
-    if isinstance(nested, int):
-        return zero._like({(nested,): ONE})
-    return _nested(zero, nested[0]).bracket(_nested(zero, nested[1]))
+    return val
 
 
 def comm(t: TreeDiagram, root: int) -> LieSeries:
@@ -206,9 +220,7 @@ def comm(t: TreeDiagram, root: int) -> LieSeries:
     kinds, _, nbrs = t.graph()
     if root < 0 or root >= len(kinds) or kinds[root] != "leaf":
         raise ValueError(f"vertex {root} is not a leaf")
-    nested = _encode(t.graph(), nbrs[root][0], root)
-    cap = len(t.leaf_ids()) - 1
-    return _nested_series(t.genus, nested, cap)
+    return _edge_values(t, len(t.leaf_ids()) - 1)(nbrs[root][0], root)
 
 
 class TreeCombo(SparseCombination):
@@ -311,7 +323,9 @@ class HLieTensor(SparseCombination):
 
 def fission(c: TreeCombo, nilpotency_class: int | None = None):
     """Sum over trivalent vertices of the wedge of the three rooted-subtree
-    brackets, read in the cyclic order at the vertex."""
+    brackets, read in the cyclic order at the vertex.  The brackets are
+    built once per directed edge and truncated above the class, whose
+    longer factors the wedge chain drops anyway."""
     from . import koszul
     degs = c.degrees()
     if not degs:
@@ -325,13 +339,11 @@ def fission(c: TreeCombo, nilpotency_class: int | None = None):
     terms = []
     for _, (tree, coeff) in sorted(c.terms.items()):
         kinds, _, nbrs = tree.graph()
-        nleaves = len(tree.leaf_ids())
+        val = _edge_values(tree, nilpotency_class)
         for v in range(len(kinds)):
             if kinds[v] != "int":
                 continue
-            vals = [_nested_series(tree.genus, _encode(tree.graph(), u, v),
-                                   nleaves)
-                    for u in nbrs[v]]
+            vals = [val(u, v) for u in nbrs[v]]
             for w0, c0 in vals[0].coords.items():
                 for w1, c1 in vals[1].coords.items():
                     for w2, c2 in vals[2].coords.items():
@@ -343,14 +355,12 @@ def eta(c: TreeCombo) -> HLieTensor:
     """Sum over leaves of color tensor bracket-of-the-rest."""
     acc: dict[tuple[int, Word], Fraction] = {}
     for tree, coeff in c.coords.items():
-        graph = tree.graph()
-        kinds, colors, nbrs = graph
-        cap = len(tree.leaf_ids()) - 1
+        kinds, colors, nbrs = tree.graph()
+        val = _edge_values(tree, len(tree.leaf_ids()) - 1)
         for v in range(len(kinds)):
             if kinds[v] != "leaf":
                 continue
-            val = _nested_series(tree.genus, _encode(graph, nbrs[v][0], v), cap)
-            for w, cw in val.coords.items():
+            for w, cw in val(nbrs[v][0], v).coords.items():
                 add_term(acc, (colors[v], w), coeff * cw)
     return HLieTensor.zero(c.genus)._like(acc)
 
@@ -388,15 +398,26 @@ def _caterpillars(genus: int,
     each bucket ordered by the first colouring that yields each diagram.
 
     The colouring (c0, c1, c2, ...) is the tree rooted at c0 with plant
-    (((c1 c2) c3) ...).  Swapping c1 and c2 only flips the AS sign and
-    equal c1, c2 force zero, so the first colouring of every diagram has
-    c1 < c2 and no other colouring is built.
+    (((c1 c2) c3) ...).  Two colourings give one diagram, up to AS sign,
+    when a symmetry of the caterpillar maps one to the other, and equal
+    c1, c2 force zero.  For d >= 2 the symmetries are c1 <-> c2,
+    c0 <-> c_{d+1} and the spine reversal (c0, c1, c2, c3, ..., c_{d+1})
+    -> (c1, c0, c_{d+1}, c_d, ..., c3, c2); only the first colouring of
+    each orbit is built: c1 < c2, c0 <= c_{d+1}, and no reversed image,
+    with or without either swap, before it.  For d <= 1 only c1 < c2 is
+    built and repeated diagrams are skipped as they come.
     """
     seen: set[TreeDiagram] = set()
     out: dict[tuple[int, ...], list[TreeDiagram]] = {}
     for colors in product(range(gen_count(genus)), repeat=d + 2):
         if d > 0 and colors[1] >= colors[2]:
             continue
+        if d > 1:
+            c0, c1, c2, last, mid = (*colors[:3], colors[-1], colors[-2:2:-1])
+            if c0 > last or any((x, z, t, *mid, y) < colors
+                                for x, y in ((c1, c2), (c2, c1))
+                                for z, t in ((c0, last), (last, c0))):
+                continue
         plant: Plant = colors[1]
         for x in colors[2:]:
             plant = (plant, x)

@@ -259,15 +259,12 @@ def derivation_from_tensor(t: HLieTensor, max_degree: int) -> Derivation:
 
 
 def tau_truncated(psi: LieAutomorphism, k: int) -> HLieTensor:
-    """Generator deviations in degrees k+1..2k, packaged as a tensor.
+    """Deviations of a level-k psi in degrees k+1..2k, packaged as a tensor.
 
     Deviations of a_i ride with -b_i, deviations of b_i with +a_i, so
     the window data of psi is recovered exactly from the result.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if psi.max_degree < 2 * k:
-        raise ValueError("automorphism truncated below degree 2k")
+    _check_level(psi, k)
     genus = psi.genus
     coords: dict[tuple[int, Word], Fraction] = {}
     for i in range(1, genus + 1):
@@ -308,7 +305,6 @@ def kernel_check(psi: LieAutomorphism, k: int) -> bool:
     generator deviations to vanish through degree 2k.  The routes must
     agree; a disagreement is an internal error.
     """
-    _check_level(psi, k)
     via_tau = tau_truncated(psi, k).is_zero()
     via_dev = all(not psi.deviation(letter).truncated(2 * k)
                   for letter in range(gen_count(psi.genus)))
@@ -319,7 +315,6 @@ def kernel_check(psi: LieAutomorphism, k: int) -> bool:
 
 def tau_to_trees(psi: LieAutomorphism, k: int) -> TreeCombo:
     """Tree-diagram lift of the window tensor, grade by grade."""
-    _check_level(psi, k)
     t = tau_truncated(psi, k)
     combo = TreeCombo.zero(psi.genus)
     for d in t.degrees():

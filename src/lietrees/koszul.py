@@ -427,14 +427,12 @@ def capital_phi(c, k: int) -> HomologyClass:
 
 def phi_matrix_rank(genus: int, k: int) -> int:
     """Rank of capital_phi on the caterpillar spanning family of degrees
-    [k, 2k)."""
+    [k, 2k).  Fission preserves letter weight, so the matrix is block
+    diagonal by caterpillar bucket and its rank is the sum of theirs."""
     from . import jacobi
     if genus < 1 or k < 1:
         raise ValueError("need genus >= 1 and class k >= 1")
-    columns = []
-    for d in range(k, 2 * k):
-        for trees in jacobi._caterpillars(genus, d).values():
-            for tree in trees:
-                columns.append(
-                    capital_phi(jacobi.TreeCombo.single(tree), k).coords)
-    return rank_of_columns(columns)
+    return sum(rank_of_columns([capital_phi(jacobi.TreeCombo.single(tree),
+                                            k).coords for tree in trees])
+               for d in range(k, 2 * k)
+               for trees in jacobi._caterpillars(genus, d).values())

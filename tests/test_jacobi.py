@@ -9,12 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lietrees.exact_linalg import _eliminate, kernel_from_rref
-from lietrees.free_lie import (bracket_basis, gen_count, lyndon_basis,
-                               witt_dim)
+from lietrees.free_lie import (LieSeries, _letter_weight, bracket_basis,
+                               gen_count, lyndon_basis, witt_dim)
 from lietrees.jacobi import (HLieTensor, TreeCombo, TreeDiagram,
-                             _caterpillars, comm, eta, eta_inverse, fission,
-                             ihx_combination, parse_tree_text, random_tree,
-                             tree_equal, tree_space_dim, tree_text)
+                             _caterpillars, _encode, comm, eta, eta_inverse,
+                             fission, ihx_combination, parse_tree_text,
+                             random_tree, tree_equal, tree_space_dim,
+                             tree_text)
+from lietrees.koszul import wedge_chain_from_terms
 from lietrees.sparse import add_term
 
 F = Fraction
@@ -181,6 +183,28 @@ def brute_caterpillars(genus, d):
     return out
 
 
+def c1_below_c2_caterpillars(genus, d):
+    """The enumeration before orbit pruning: every colouring with c1 < c2
+    is built, and repeated diagrams are skipped as they come."""
+    seen = set()
+    out = {}
+    for colors in product(range(gen_count(genus)), repeat=d + 2):
+        if d > 0 and colors[1] >= colors[2]:
+            continue
+        plant = colors[1]
+        for x in colors[2:]:
+            plant = (plant, x)
+        tree, _ = TreeDiagram.build(genus, colors[0], plant)
+        if tree is not None and tree not in seen:
+            seen.add(tree)
+            out.setdefault(_letter_weight(colors, genus), []).append(tree)
+    return out
+
+
+def bucket_keys(buckets):
+    return [(mu, [t.key for t in trees]) for mu, trees in buckets.items()]
+
+
 class TestCaterpillars:
     @pytest.mark.parametrize("genus, d", [(1, 1), (1, 2), (1, 3), (2, 1),
                                           (2, 2), (2, 3), (3, 1), (3, 2)])
@@ -188,6 +212,31 @@ class TestCaterpillars:
         got = [(mu, [t.key for t in trees])
                for mu, trees in _caterpillars(genus, d).items()]
         assert got == list(brute_caterpillars(genus, d).items())
+
+    @pytest.mark.parametrize(
+        "genus, d", [(g, d) for g in (1, 2) for d in range(6)]
+        + [(3, d) for d in range(4)])
+    def test_orbit_pruning_matches_c1_below_c2_loop(self, genus, d):
+        # equal buckets, equal keys, equal bucket and in-bucket order;
+        # d = 0 and d = 1 stay on the c1 < c2 rule
+        assert (bucket_keys(_caterpillars(genus, d))
+                == bucket_keys(c1_below_c2_caterpillars(genus, d)))
+
+    @pytest.mark.parametrize("genus, d", [(1, 4), (2, 2), (2, 4), (3, 3)])
+    def test_each_orbit_built_once(self, genus, d, monkeypatch):
+        built = []
+        real = TreeDiagram.build.__func__
+
+        def record(cls, *args):
+            out = real(cls, *args)
+            built.append(out[0])
+            return out
+
+        monkeypatch.setattr(TreeDiagram, "build", classmethod(record))
+        buckets = _caterpillars(genus, d)
+        nonzero = [t for t in built if t is not None]
+        assert len(nonzero) == len(set(nonzero))
+        assert len(nonzero) == sum(map(len, buckets.values()))
 
 
 class TestHLieTensor:
@@ -244,6 +293,99 @@ class TestDimensions:
                 expect = (2 * genus * witt_dim(2 * genus, d + 1)
                           - witt_dim(2 * genus, d + 2))
                 assert tree_space_dim(genus, d) == expect
+
+
+def nested_series(genus, nested, cap):
+    """Iterated bracket of a nested pair structure, rebuilt from its leaves."""
+    if isinstance(nested, int):
+        return LieSeries(genus, cap, {(nested,): F(1)})
+    return nested_series(genus, nested[0], cap).bracket(
+        nested_series(genus, nested[1], cap))
+
+
+def fission_per_vertex(c, nilpotency_class=None):
+    """Fission that rebuilds all three subtree brackets at every vertex,
+    untruncated, and leaves the class cut to the wedge chain."""
+    degs = c.degrees()
+    if nilpotency_class is None:
+        nilpotency_class = degs[-1] + 1 if degs else 1
+    terms = []
+    for _, (tree, coeff) in sorted(c.terms.items()):
+        kinds, _, nbrs = tree.graph()
+        nleaves = len(tree.leaf_ids())
+        for v in range(len(kinds)):
+            if kinds[v] != "int":
+                continue
+            vals = [nested_series(tree.genus, _encode(tree.graph(), u, v),
+                                  nleaves) for u in nbrs[v]]
+            for w0, c0 in vals[0].coords.items():
+                for w1, c1 in vals[1].coords.items():
+                    for w2, c2 in vals[2].coords.items():
+                        terms.append(((w0, w1, w2), coeff * c0 * c1 * c2))
+    return wedge_chain_from_terms(c.genus, nilpotency_class, 3, terms)
+
+
+def eta_per_leaf(c):
+    """eta that rebuilds the bracket of the rest at every leaf."""
+    acc = {}
+    for tree, coeff in c.coords.items():
+        kinds, colors, nbrs = tree.graph()
+        cap = len(tree.leaf_ids()) - 1
+        for v in range(len(kinds)):
+            if kinds[v] == "leaf":
+                val = nested_series(tree.genus,
+                                    _encode(tree.graph(), nbrs[v][0], v), cap)
+                for w, cw in val.coords.items():
+                    add_term(acc, (colors[v], w), coeff * cw)
+    return HLieTensor(c.genus, acc)
+
+
+@st.composite
+def tree_sums(draw):
+    """A seeded random tree, or a small sum of them, at genus 1-3 and
+    degree 1-5."""
+    genus = draw(st.integers(1, 3))
+    combo = TreeCombo.zero(genus)
+    for _ in range(draw(st.integers(1, 3))):
+        rng = random.Random(draw(st.integers(0, 10 ** 6)))
+        coeff = F(draw(st.integers(-3, 3).filter(bool)), draw(st.integers(1, 3)))
+        combo = combo + coeff * random_tree(genus, draw(st.integers(1, 5)), rng)
+    return combo
+
+
+class TestFissionOracle:
+    """Per-edge shared brackets against the per-vertex rebuild."""
+
+    @pytest.mark.parametrize("cut", ["none", "below", "at_or_above"])
+    @settings(max_examples=25, deadline=None)
+    @given(combo=tree_sums(), data=st.data())
+    def test_fission_matches_per_vertex_rebuild(self, cut, combo, data):
+        # a degree-D tree's largest subtree at a vertex has max(D, 1) leaves
+        top = max(combo.degrees(), default=1)
+        k = {"none": None,
+             "below": data.draw(st.integers(1, max(1, top - 1))),
+             "at_or_above": data.draw(st.integers(top, top + 2))}[cut]
+        got, want = fission(combo, k), fission_per_vertex(combo, k)
+        assert got == want
+        assert list(got.coords.items()) == list(want.coords.items())
+
+    @settings(max_examples=25, deadline=None)
+    @given(combo=tree_sums())
+    def test_eta_matches_per_leaf_rebuild(self, combo):
+        got, want = eta(combo), eta_per_leaf(combo)
+        assert got == want
+        assert list(got.coords.items()) == list(want.coords.items())
+
+    @settings(max_examples=25, deadline=None)
+    @given(combo=tree_sums())
+    def test_comm_matches_per_root_rebuild(self, combo):
+        for tree in combo.coords:
+            nbrs = tree.graph()[2]
+            for v in tree.leaf_ids():
+                want = nested_series(tree.genus,
+                                     _encode(tree.graph(), nbrs[v][0], v),
+                                     len(tree.leaf_ids()) - 1)
+                assert comm(tree, v) == want
 
 
 class TestFission:

@@ -284,14 +284,16 @@ def level_one_automorphism():
 class TestFiltrationLevel:
     SHALLOW = [level_one_automorphism(), random_ic_element(2, 1, 0, 4),
                random_ic_element(2, 1, 5, 4)]
+    ROUTES = [tau_to_trees, kernel_check, morita_mk,
+              tau_truncated, johnson_k, tau_bracket_check]
 
-    @pytest.mark.parametrize("route", [tau_to_trees, kernel_check, morita_mk])
+    @pytest.mark.parametrize("route", ROUTES)
     @pytest.mark.parametrize("psi", SHALLOW)
     def test_every_route_rejects_a_lower_level(self, route, psi):
         with pytest.raises(ValueError, match="not in filtration level 2"):
             route(psi, 2)
 
-    @pytest.mark.parametrize("route", [tau_to_trees, kernel_check, morita_mk])
+    @pytest.mark.parametrize("route", ROUTES)
     def test_every_route_checks_k_and_truncation(self, route):
         with pytest.raises(ValueError, match="k must be at least 1"):
             route(identity_aut(2, 4), 0)

@@ -7,8 +7,10 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lietrees.exact_linalg import rank_of_columns
 from lietrees.free_lie import lyndon_basis, witt_dim
-from lietrees.jacobi import TreeCombo, TreeDiagram, fission, random_tree
+from lietrees.jacobi import (TreeCombo, TreeDiagram, _caterpillars, fission,
+                             random_tree)
 from lietrees.koszul import (HomologyClass, WedgeChain, _blocks, boundary,
                              capital_phi, class_of, homology_dims,
                              phi_matrix_rank, solve_boundary3,
@@ -298,3 +300,14 @@ class TestCapitalPhi:
                     - witt_dim(2 * genus, d) for d in range(k + 2, 2 * k + 2))
         assert total == 441
         assert phi_matrix_rank(genus, k) == total
+
+    def test_rank_genus_2_class_3(self):
+        assert phi_matrix_rank(2, 3) == 522
+
+    @pytest.mark.parametrize("genus, k", [(1, 2), (1, 3), (2, 2), (3, 1)])
+    def test_per_weight_rank_matches_one_global_rank(self, genus, k):
+        columns = [capital_phi(TreeCombo.single(tree), k).coords
+                   for d in range(k, 2 * k)
+                   for trees in _caterpillars(genus, d).values()
+                   for tree in trees]
+        assert phi_matrix_rank(genus, k) == rank_of_columns(columns)
