@@ -1,21 +1,29 @@
-"""Exact rational linear algebra on sparse row dicts.
+"""Exact linear algebra on sparse row dicts.
 
 Every rank, kernel, solve and quotient computation in the package runs
-through this module.  Coefficients are `fractions.Fraction` throughout.
-`_eliminate` is the one sparse elimination kernel: Gauss-Jordan with a
-fixed pivot rule (leftmost column first, first nonzero row at or below
-the current one in that column), giving the reduced row echelon form,
-which is unique.  Particular solutions (free variables zero) and kernel
-bases (one vector per free column) read off it are therefore
-bit-reproducible.  `echelon_reduce` is the dense incremental
-semi-echelon routine behind the canonical H3 coordinates, which are
-coordinates in its basis; downstream "canonical coordinates" depend on
-both being deterministic.
+through this module.  Entries are exact rationals, `int` or `Fraction`;
+there is no floating point.  Three kernels, one per kind of answer:
+
+* ranks: `rank_of_rows`, a fraction-free sparse elimination over the
+  integers (row <- a*row - f*pivot, then divide by the row's content,
+  denominators cleared first), behind `rank_of_columns` and so every
+  rank in the package;
+* reduced row echelon forms: `_eliminate`, Gauss-Jordan over `Fraction`
+  with a fixed pivot rule (leftmost column first, first nonzero row at
+  or below the current one in that column).  The RREF is unique, so the
+  particular solutions (free variables zero) of `BlockSolver` and the
+  kernel bases of `kernel_from_rref` read off it are bit-reproducible;
+* the canonical H3 basis: `echelon_reduce`, the dense incremental
+  semi-echelon routine over `Fraction` whose basis the canonical H3
+  coordinates are taken in.  It depends on the order of its input, and
+  downstream "canonical coordinates" depend on it being deterministic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from numbers import Rational
 from typing import Iterable, Mapping, Optional, Sequence
 
 ZERO = Fraction(0)
@@ -81,10 +89,10 @@ def kernel_from_rref(rows: list[dict[int, Fraction]], pivots: list[int],
     return basis
 
 
-def _rows_of(columns: Sequence[Mapping[object, Fraction]],
-             index: Mapping[object, int]) -> list[dict[int, Fraction]]:
+def _rows_of(columns: Sequence[Mapping[object, Rational]],
+             index: Mapping[object, int]) -> list[dict[int, Rational]]:
     """Row dicts of the matrix whose j-th column is columns[j]."""
-    rows: list[dict[int, Fraction]] = [dict() for _ in range(len(index))]
+    rows: list[dict[int, Rational]] = [dict() for _ in range(len(index))]
     for j, col in enumerate(columns):
         for k, v in col.items():
             if v:
@@ -92,12 +100,60 @@ def _rows_of(columns: Sequence[Mapping[object, Fraction]],
     return rows
 
 
-def rank_of_columns(columns: Sequence[Mapping[object, Fraction]]) -> int:
+def _primitive(vec: Mapping[int, Rational]) -> dict[int, int]:
+    """The nonzero entries of vec times the lcm of their denominators,
+    divided by their gcd: a primitive integer vector on the same line."""
+    items = [(j, v) for j, v in vec.items() if v]
+    if not items:
+        return {}
+    try:
+        den = lcm(*(v.denominator for _, v in items))
+    except AttributeError:
+        raise TypeError("rank entries must be exact rationals") from None
+    row = {j: v.numerator * (den // v.denominator) for j, v in items}
+    g = gcd(*row.values())
+    return {j: v // g for j, v in row.items()} if g != 1 else row
+
+
+def rank_of_rows(rows: Iterable[Mapping[int, Rational]]) -> int:
+    """Rank of sparse rows keyed by column index, fraction-free.
+
+    Each row is made a primitive integer vector and reduced against the
+    independent rows kept so far, each filed under its least column:
+    row <- a*row - f*pivot with a*pivot[c] = f*row[c] in lowest terms,
+    then division by the row's content, until the row vanishes or its
+    least column is free, and it becomes a pivot there.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for vec in rows:
+        row = _primitive(vec)
+        while row:
+            c = min(row)
+            prow = pivots.get(c)
+            if prow is None:
+                pivots[c] = row
+                break
+            a, f = prow[c], row[c]
+            g = gcd(a, f)
+            a, f = a // g, f // g
+            if a != 1:
+                row = {j: a * v for j, v in row.items()}
+            for j, v in prow.items():
+                nv = row.get(j, 0) - f * v
+                if nv:
+                    row[j] = nv
+                else:
+                    del row[j]
+            g = gcd(*row.values())
+            if g > 1:
+                row = {j: v // g for j, v in row.items()}
+    return len(pivots)
+
+
+def rank_of_columns(columns: Sequence[Mapping[object, Rational]]) -> int:
     """Rank of the span of sparse column vectors keyed by arbitrary row labels."""
-    row_keys = sorted({k for col in columns for k in col}, key=repr)
-    rows = _rows_of(columns, {k: i for i, k in enumerate(row_keys)})
-    rank, _ = _eliminate(rows, len(columns))
-    return rank
+    labels = dict.fromkeys(k for col in columns for k in col)
+    return rank_of_rows(_rows_of(columns, {k: i for i, k in enumerate(labels)}))
 
 
 class BlockSolver:

@@ -144,17 +144,19 @@ def _letter_weight(letters: Iterable[int], genus: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # bracket rewriting on the Lyndon basis
 
-_BRACKET_CACHE: dict[tuple[Word, Word], dict[Word, Fraction]] = {}
+_BRACKET_CACHE: dict[tuple[Word, Word], dict[Word, int]] = {}
 
 
-def bracket_basis(u: Word, v: Word) -> dict[Word, Fraction]:
+def bracket_basis(u: Word, v: Word) -> dict[Word, int]:
     """Expansion of the bracket of two basis elements on the Lyndon basis.
 
     Classical collection: for u < v, either u·v is again a standard
     factorization (giving a single basis word) or the Jacobi identity is
     applied to the standard factors of u.  Terminates for any Hall
     family; results are cached globally (they do not depend on genus or
-    truncation).
+    truncation).  The structure constants are integers and are stored
+    as `int`; a caller scaling them by a rational coefficient gets a
+    `Fraction` back.
     """
     if u == v:
         return {}
@@ -165,11 +167,11 @@ def bracket_basis(u: Word, v: Word) -> dict[Word, Fraction]:
     if hit is not None:
         return hit
     if len(u) == 1 or std_factorization(u)[1] >= v:
-        result = {u + v: Fraction(1)}
+        result = {u + v: 1}
     else:
         u1, u2 = std_factorization(u)
         # [[u1,u2],v] = [u1,[u2,v]] - [u2,[u1,v]]
-        result: dict[Word, Fraction] = {}
+        result: dict[Word, int] = {}
         for w, c in bracket_basis(u2, v).items():
             add_into(result, bracket_basis(u1, w), c)
         for w, c in bracket_basis(u1, v).items():

@@ -6,9 +6,11 @@ word) and signs normalized.  The boundary takes each pair of wedge
 factors to their bracket.  Everything is computed blockwise: monomials
 are enumerated once per (arity, degree) and bucketed by their letter
 count vector (weight), which brackets preserve, and each weight block
-is small even when the degree block is not.  Homology dimensions come
-from exact ranks, canonical H3 coordinates from echelonized kernel/image
-bases fixed per block, and repeated boundary solves reuse cached
+is small even when the degree block is not.  The boundary tables are
+integer (`int` structure constants).  Homology dimensions and the phi
+rank come from fraction-free integer ranks of those blocks; canonical H3
+coordinates come from echelonized kernel/image bases over `Fraction`,
+fixed per block, and repeated boundary solves reuse cached `Fraction`
 elimination transforms.  An H3 class stores those coordinates sparsely,
 keyed by (degree, index); its `parts` is a dense view of them, one tuple
 per degree.
@@ -23,12 +25,12 @@ from itertools import chain
 from typing import Iterable, Mapping
 
 from .exact_linalg import (ZERO, BlockSolver, _eliminate, echelon_reduce,
-                           kernel_from_rref, rank_of_columns, reduce_against)
+                           kernel_from_rref, rank_of_columns, rank_of_rows,
+                           reduce_against)
 from .free_lie import (Word, _letter_weight, bracket_basis, gen_count,
                        is_lyndon, letter_label, lyndon_basis)
 from .sparse import SparseCombination, add_into, add_term
 
-ONE = Fraction(1)
 Monomial = tuple[Word, ...]
 
 
@@ -139,20 +141,32 @@ def wedge_chain_from_terms(genus: int, nilpotency_class: int, arity: int,
 
 @lru_cache(maxsize=None)
 def _monomial_boundary(genus: int, k: int,
-                       mon: Monomial) -> Mapping[Monomial, Fraction]:
-    """Boundary of a single wedge monomial, over normalized monomials."""
-    acc: dict[Monomial, Fraction] = {}
+                       mon: Monomial) -> Mapping[Monomial, int]:
+    """Boundary of a single wedge monomial, over normalized monomials;
+    its coefficients are the integer structure constants, signed."""
+    acc: dict[Monomial, int] = {}
     n = len(mon)
     for p in range(n):
         for q in range(p + 1, n):
-            sign = -1 if (p + q) % 2 else 1
+            size = len(mon[p]) + len(mon[q])
+            if size > k:
+                break               # factors are sorted by length
             rest = mon[:p] + mon[p + 1:q] + mon[q + 1:]
+            # the bracket's words all have length `size`: they go between
+            # the shorter and the longer factors of rest, in word order
+            lo = 0
+            while lo < len(rest) and len(rest[lo]) < size:
+                lo += 1
+            hi = lo
+            while hi < len(rest) and len(rest[hi]) == size:
+                hi += 1
             for u, cu in bracket_basis(mon[p], mon[q]).items():
-                if len(u) > k:
+                i = bisect_left(rest, u, lo, hi)
+                if i < hi and rest[i] == u:
                     continue
-                norm, s2 = _normalize((u,) + rest)
-                if norm is not None:
-                    add_term(acc, norm, cu * sign * s2)
+                # (-1)^(p+q) for the pair, (-1)^i for moving u into place
+                add_term(acc, rest[:i] + (u,) + rest[i:],
+                         -cu if (p + q + i) % 2 else cu)
     return acc
 
 
@@ -165,6 +179,15 @@ def boundary(c: WedgeChain) -> WedgeChain:
     for mon, coeff in c.coords.items():
         add_into(acc, _monomial_boundary(c.genus, c.nilpotency_class, mon), coeff)
     return WedgeChain._of(c.genus, c.nilpotency_class, c.arity - 1, acc)
+
+
+def _check_cycle(z: WedgeChain) -> None:
+    if not boundary(z).is_zero():
+        raise ValueError("input chain is not a cycle")
+
+
+class BlockMismatchError(RuntimeError):
+    """A chain monomial outside the weight block it was filed under."""
 
 
 # ---------------------------------------------------------------------------
@@ -216,11 +239,11 @@ def _monomials(genus: int, k: int, arity: int,
 
 
 def _boundary_rows(genus: int, k: int, arity: int,
-                   mu: tuple[int, ...]) -> list[dict[int, Fraction]]:
+                   mu: tuple[int, ...]) -> list[dict[int, int]]:
     """Boundary matrix of the (arity, mu) block as fresh row dicts: one row
     per (arity-1)-monomial of weight mu, one column per arity-monomial."""
     index = {m: i for i, m in enumerate(_monomials(genus, k, arity - 1, mu))}
-    rows: list[dict[int, Fraction]] = [{} for _ in index]
+    rows: list[dict[int, int]] = [{} for _ in index]
     for j, mon in enumerate(_monomials(genus, k, arity, mu)):
         for tgt, c in _monomial_boundary(genus, k, mon).items():
             rows[index[tgt]][j] = c
@@ -230,11 +253,9 @@ def _boundary_rows(genus: int, k: int, arity: int,
 @lru_cache(maxsize=None)
 def _block_rank(genus: int, k: int, arity: int, mu: tuple[int, ...]) -> int:
     """Rank of the boundary restricted to the (arity, mu) block."""
-    mons = _monomials(genus, k, arity, mu)
-    if not mons or arity < 2:
+    if arity < 2:
         return 0
-    rank, _ = _eliminate(_boundary_rows(genus, k, arity, mu), len(mons))
-    return rank
+    return rank_of_rows(_boundary_rows(genus, k, arity, mu))
 
 
 def homology_dims(genus: int, k: int, n: int) -> dict[int, int]:
@@ -340,8 +361,7 @@ def class_of(z: WedgeChain, n: int = 3) -> HomologyClass:
     """Canonical coordinates of a 3-cycle in ker/im."""
     if z.arity != n or n != 3:
         raise ValueError("class_of handles arity-3 chains")
-    if not boundary(z).is_zero():
-        raise ValueError("input chain is not a cycle")
+    _check_cycle(z)
     genus, k = z.genus, z.nilpotency_class
     blocks: dict[tuple[int, ...], dict[Monomial, Fraction]] = {}
     for mon, c in z.coords.items():
@@ -351,7 +371,8 @@ def class_of(z: WedgeChain, n: int = 3) -> HomologyClass:
     for mu, block in blocks.items():
         st = _h3_structure(genus, k, mu)
         if st is None:
-            raise RuntimeError("cycle monomial outside the enumerated basis")
+            raise BlockMismatchError(
+                "cycle monomial outside the enumerated basis")
         index, (im_basis, im_pivots), (q_basis, q_pivots) = st
         v = [ZERO] * len(index)
         for mon, c in block.items():
@@ -386,8 +407,7 @@ def solve_boundary3(z: WedgeChain) -> WedgeChain:
     """Some t with boundary(t) = z for an arity-2 cycle z; cached per block."""
     if z.arity != 2:
         raise ValueError("solve_boundary3 takes arity-2 chains")
-    if not boundary(z).is_zero():
-        raise ValueError("input chain is not a cycle")
+    _check_cycle(z)
     genus, k = z.genus, z.nilpotency_class
     blocks: dict[tuple[int, ...], dict[Monomial, Fraction]] = {}
     for mon, c in z.coords.items():
@@ -427,12 +447,30 @@ def capital_phi(c, k: int) -> HomologyClass:
 
 def phi_matrix_rank(genus: int, k: int) -> int:
     """Rank of capital_phi on the caterpillar spanning family of degrees
-    [k, 2k).  Fission preserves letter weight, so the matrix is block
-    diagonal by caterpillar bucket and its rank is the sum of theirs."""
+    [k, 2k).
+
+    Fission preserves letter weight, so the matrix is block diagonal by
+    caterpillar bucket and its rank is the sum of theirs.  A bucket of
+    weight mu contributes the rank of its fission cycles modulo the
+    boundaries, rank([d4 block ; cycles]) - rank(d4 block), both by
+    the fraction-free integer kernel; no H3 coordinates are formed.
+    """
     from . import jacobi
     if genus < 1 or k < 1:
         raise ValueError("need genus >= 1 and class k >= 1")
-    return sum(rank_of_columns([capital_phi(jacobi.TreeCombo.single(tree),
-                                            k).coords for tree in trees])
-               for d in range(k, 2 * k)
-               for trees in jacobi._caterpillars(genus, d).values())
+    total = 0
+    for d in range(k, 2 * k):
+        for mu, trees in jacobi._caterpillars(genus, d).items():
+            block = set(_monomials(genus, k, 3, mu))
+            columns = [_monomial_boundary(genus, k, m)
+                       for m in _monomials(genus, k, 4, mu)]
+            for tree in trees:
+                z = jacobi.fission(jacobi.TreeCombo.single(tree),
+                                   nilpotency_class=k)
+                _check_cycle(z)
+                if not z.coords.keys() <= block:
+                    raise BlockMismatchError(
+                        "cycle monomial outside the weight block")
+                columns.append(z.coords)
+            total += rank_of_columns(columns) - _block_rank(genus, k, 4, mu)
+    return total

@@ -1,11 +1,13 @@
 """Sparse rational linear combinations.
 
 Every linear-combination type in the package stores a dict `coords`
-from basis keys to nonzero Fractions, plus a few context fields (genus,
-truncation degree, arity) that two operands must share.  This module
-holds the accumulate helpers and the vector-space protocol on top of
-that one representation; subclasses only name their context fields,
-say how a key is graded, and validate keys in their public constructors.
+from basis keys to nonzero exact rationals (`Fraction`, or `int` where a
+value comes straight from the integer bracket tables; the two print
+alike), plus a few context fields (genus, truncation degree, arity) that
+two operands must share.  This module holds the accumulate helpers and
+the vector-space protocol on top of that one representation; subclasses
+only name their context fields, say how a key is graded, and validate
+keys in their public constructors.
 """
 
 from __future__ import annotations
@@ -26,8 +28,10 @@ def add_term(acc: dict, key, c) -> None:
 def add_into(acc: dict, terms: Mapping, factor=1) -> None:
     """acc += factor * terms, deleting keys whose sum is zero."""
     scale = factor != 1
+    # factor first: Fraction * int takes Fraction's fast path, int * Fraction
+    # its slower reflected one
     for key, c in terms.items():
-        nv = acc.get(key, 0) + (c * factor if scale else c)
+        nv = acc.get(key, 0) + (factor * c if scale else c)
         if nv:
             acc[key] = nv
         else:

@@ -54,6 +54,14 @@ class TestLieSeriesDocs:
         assert doc["terms"][0]["coefficient"] == "-3/2"
         assert doc["terms"][0]["word"] == ["a1", "b1"]
 
+    def test_int_coefficients_write_like_fractions(self):
+        # bracket tables are int, so a series built from them may hold int
+        coords = {(0,): 3, (0, 1): -1, (0, 0, 1): 2}
+        as_int = LieSeries.zero(2, 3)._like(dict(coords))
+        as_fraction = LieSeries(2, 3, coords)
+        assert dump_json(lie_series_to_doc(as_int)) == \
+            dump_json(lie_series_to_doc(as_fraction))
+
     def test_diagnostics_name_the_field(self):
         base = {"genus": 1, "max_degree": 3, "terms": []}
         cases = [

@@ -2,10 +2,12 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from lietrees.exact_linalg import (BlockSolver, _eliminate, echelon_reduce,
-                                   kernel_from_rref, rank_of_columns)
+                                   kernel_from_rref, rank_of_columns,
+                                   rank_of_rows)
 
 F = Fraction
 
@@ -139,3 +141,60 @@ class TestEchelonReduce:
 
     def test_empty_input(self):
         assert echelon_reduce([], 3) == ([], [])
+
+
+# The fraction-free rank kernel against the Fraction Gauss-Jordan oracle.
+# Entries are mostly zero, so the matrices are sparse; repeated rows,
+# scaled rows and zero rows are mixed in to force dependencies.
+sparse_int = st.one_of(st.just(0), st.just(0), st.integers(-7, 7))
+sparse_fraction = st.one_of(st.just(0), st.just(0),
+                            st.fractions(min_value=-5, max_value=5,
+                                         max_denominator=9))
+
+
+@st.composite
+def matrices(draw, entries):
+    ncols = draw(st.integers(0, 6))
+    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                         max_size=6))
+    if rows:
+        for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=3)):
+            scale = draw(st.sampled_from([1, -1, 2, F(-3, 4)]))
+            rows.append([scale * v for v in rows[i]])
+    rows += [[0] * ncols] * draw(st.integers(0, 2))
+    return ncols, draw(st.permutations(rows))
+
+
+def oracle_rank(ncols, rows):
+    rank, _ = _eliminate(row_dicts(rows), ncols)
+    return rank
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(matrices(sparse_int), matrices(sparse_fraction)))
+def test_fraction_free_rank_matches_fraction_oracle(matrix):
+    ncols, rows = matrix
+    expect = oracle_rank(ncols, rows)
+    assert rank_of_rows({j: v for j, v in enumerate(row)}
+                        for row in rows) == expect
+    columns = [{i: row[j] for i, row in enumerate(rows)} for j in range(ncols)]
+    assert rank_of_columns(columns) == expect
+
+
+class TestFractionFreeRank:
+    def test_empty_input(self):
+        assert rank_of_columns([]) == 0
+        assert rank_of_rows([]) == 0
+
+    def test_zero_and_repeated_rows_are_dependent(self):
+        rows = [{}, {0: 0}, {0: 2, 3: -4}, {0: F(1, 2), 3: -1}, {3: 5}]
+        assert rank_of_rows(rows) == 2
+        assert rank_of_rows(rows[:4]) == 1
+
+    def test_keys_are_arbitrary_labels(self):
+        cols = [{"p": 1, ("q", 1): F(2, 3)}, {"p": 3, ("q", 1): 2}]
+        assert rank_of_columns(cols) == 1
+
+    def test_rejects_floats(self):
+        with pytest.raises(TypeError, match="exact rationals"):
+            rank_of_columns([{0: 0.5}])

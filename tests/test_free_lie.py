@@ -105,6 +105,26 @@ class TestBracketBasis:
             backward = bracket_basis(v, u)
             assert forward == {w: -c for w, c in backward.items()}
 
+    def test_structure_constants_are_ints(self):
+        # the tables hold int, not merely integral Fractions
+        words = [w for d in range(1, 7) for w in lyndon_basis(2, d)]
+        pairs = 0
+        for u in words:
+            for v in words:
+                if len(u) + len(v) <= 7:
+                    pairs += 1
+                    assert all(type(c) is int
+                               for c in bracket_basis(u, v).values())
+        assert pairs > 10000
+
+    def test_int_and_fraction_coefficients_print_alike(self):
+        coords = {(0,): 3, (0, 1): -1, (0, 0, 1): 2}
+        as_int = LieSeries.zero(2, 3)._like(dict(coords))
+        as_fraction = LieSeries(2, 3, coords)
+        assert all(type(c) is F for c in as_fraction.coords.values())
+        assert str(as_int) == str(as_fraction)
+        assert as_int == as_fraction
+
     def test_matches_tensor_commutator(self):
         # independent oracle: the bracket must agree with xy - yx upstairs
         rng = random.Random(5)

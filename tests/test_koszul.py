@@ -7,11 +7,13 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lietrees import jacobi
 from lietrees.exact_linalg import rank_of_columns
 from lietrees.free_lie import lyndon_basis, witt_dim
 from lietrees.jacobi import (TreeCombo, TreeDiagram, _caterpillars, fission,
                              random_tree)
-from lietrees.koszul import (HomologyClass, WedgeChain, _blocks, boundary,
+from lietrees.koszul import (BlockMismatchError, HomologyClass, WedgeChain,
+                             _blocks, _monomial_boundary, boundary,
                              capital_phi, class_of, homology_dims,
                              phi_matrix_rank, solve_boundary3,
                              wedge_chain_from_terms)
@@ -234,6 +236,19 @@ class TestBlocks:
             for d in range(arity * k + 2):
                 assert _blocks(genus, k, arity, d) == expect.get(d, {})
 
+    def test_boundary_coefficients_are_ints(self):
+        # every block homology_dims(2, 3, 3) eliminates: arities 3 and 4
+        genus, k = 2, 3
+        seen = 0
+        for arity in (3, 4):
+            for d in range(arity, arity * k + 1):
+                for mons in _blocks(genus, k, arity, d).values():
+                    for mon in mons:
+                        for c in _monomial_boundary(genus, k, mon).values():
+                            assert type(c) is int
+                            seen += 1
+        assert seen > 0
+
 
 class TestSolveBoundary3:
     def test_round_trip(self):
@@ -304,10 +319,34 @@ class TestCapitalPhi:
     def test_rank_genus_2_class_3(self):
         assert phi_matrix_rank(2, 3) == 522
 
-    @pytest.mark.parametrize("genus, k", [(1, 2), (1, 3), (2, 2), (3, 1)])
+    @pytest.mark.parametrize("genus, k",
+                             [(1, 2), (1, 3), (2, 2), (3, 1), (2, 3)])
     def test_per_weight_rank_matches_one_global_rank(self, genus, k):
+        # oracle: the canonical H3 coordinates of capital_phi/class_of
         columns = [capital_phi(TreeCombo.single(tree), k).coords
                    for d in range(k, 2 * k)
                    for trees in _caterpillars(genus, d).values()
                    for tree in trees]
         assert phi_matrix_rank(genus, k) == rank_of_columns(columns)
+
+    def test_rank_rejects_a_non_cycle_like_class_of(self, monkeypatch):
+        # a1 ^ b1 ^ a2 has boundary [a1,b1] ^ a2 - ... != 0 at class 2
+        bad = WedgeChain(2, 2, 3, {((0,), (1,), (2,)): 1})
+        with pytest.raises(ValueError) as from_class_of:
+            class_of(bad)
+        monkeypatch.setattr(jacobi, "fission",
+                            lambda c, nilpotency_class: bad)
+        with pytest.raises(ValueError) as from_rank:
+            phi_matrix_rank(2, 2)
+        assert type(from_rank.value) is type(from_class_of.value)
+        assert str(from_rank.value) == str(from_class_of.value)
+
+    def test_rank_rejects_a_cycle_of_another_weight(self, monkeypatch):
+        # every bucket gets the fission of one fixed tree, a genuine cycle
+        tree = next(iter(_caterpillars(2, 2).values()))[0]
+        z = fission(TreeCombo.single(tree), 2)
+        assert boundary(z).is_zero() and not z.is_zero()
+        monkeypatch.setattr(jacobi, "fission",
+                            lambda c, nilpotency_class: z)
+        with pytest.raises(BlockMismatchError, match="outside the weight"):
+            phi_matrix_rank(2, 2)
