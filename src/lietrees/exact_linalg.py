@@ -2,21 +2,19 @@
 
 Every rank, kernel, solve and quotient computation in the package runs
 through this module.  Entries are exact rationals, `int` or `Fraction`;
-there is no floating point.  Three kernels, one per kind of answer:
+there is no floating point.  There are two kernels:
 
-* ranks: `rank_of_rows`, a fraction-free sparse elimination over the
-  integers (row <- a*row - f*pivot, then divide by the row's content,
-  denominators cleared first), behind `rank_of_columns` and so every
-  rank in the package;
-* reduced row echelon forms: `_eliminate`, Gauss-Jordan over `Fraction`
-  with a fixed pivot rule (leftmost column first, first nonzero row at
-  or below the current one in that column).  The RREF is unique, so the
-  particular solutions (free variables zero) of `BlockSolver` and the
-  kernel bases of `kernel_from_rref` read off it are bit-reproducible;
-* the canonical H3 basis: `echelon_reduce`, the dense incremental
-  semi-echelon routine over `Fraction` whose basis the canonical H3
-  coordinates are taken in.  It depends on the order of its input, and
-  downstream "canonical coordinates" depend on it being deterministic.
+* the sparse fraction-free `_echelon` over the integers (denominators
+  cleared, row <- a*row - f*pivot, then division by the row's content).
+  Every rank is its length, and `_rref` back-substitutes it into the
+  reduced row echelon form, whose readers divide by each pivot once, at
+  the end.  The RREF is unique, so the particular solutions of
+  `BlockSolver` and the kernel bases of `kernel_from_rref` do not
+  depend on row order;
+* the dense canonical `echelon_reduce` over `Fraction`, whose basis the
+  canonical H3 coordinates are taken in.  It depends on the order of
+  its input, and downstream "canonical coordinates" depend on it being
+  deterministic.
 """
 
 from __future__ import annotations
@@ -30,46 +28,10 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def _eliminate(rows: list[dict[int, Fraction]], ncols: int):
-    """In-place Gauss-Jordan elimination.  Returns (rank, pivot_cols)."""
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        src = None
-        for i in range(r, len(rows)):
-            if rows[i].get(c):
-                src = i
-                break
-        if src is None:
-            continue
-        rows[r], rows[src] = rows[src], rows[r]
-        inv = ONE / rows[r][c]
-        if inv != 1:
-            rows[r] = {j: v * inv for j, v in rows[r].items()}
-        prow = rows[r]
-        for i in range(len(rows)):
-            if i == r:
-                continue
-            f = rows[i].get(c)
-            if not f:
-                continue
-            tgt = rows[i]
-            for j, v in prow.items():
-                nv = tgt.get(j, ZERO) - f * v
-                if nv:
-                    tgt[j] = nv
-                else:
-                    tgt.pop(j, None)
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return r, pivots
-
-
-def kernel_from_rref(rows: list[dict[int, Fraction]], pivots: list[int],
+def kernel_from_rref(rows: list[dict[int, Rational]], pivots: list[int],
                      ncols: int) -> list[list[Fraction]]:
-    """Null-space basis read off rows reduced by `_eliminate`.
+    """Null-space basis read off reduced row echelon rows, each divided by
+    its entry at its pivot, so that `_rref` rows may keep their scale.
 
     One dense vector per free column, with a 1 there; the basis is the
     unique one with that pattern, so it does not depend on row order.
@@ -81,10 +43,10 @@ def kernel_from_rref(rows: list[dict[int, Fraction]], pivots: list[int],
             continue
         v = [ZERO] * ncols
         v[f] = ONE
-        for i, c in enumerate(pivots):
-            coeff = rows[i].get(f)
+        for row, c in zip(rows, pivots):
+            coeff = row.get(f)
             if coeff:
-                v[c] = -coeff
+                v[c] = -Fraction(coeff, row[c])
         basis.append(v)
     return basis
 
@@ -115,14 +77,32 @@ def _primitive(vec: Mapping[int, Rational]) -> dict[int, int]:
     return {j: v // g for j, v in row.items()} if g != 1 else row
 
 
-def rank_of_rows(rows: Iterable[Mapping[int, Rational]]) -> int:
-    """Rank of sparse rows keyed by column index, fraction-free.
+def _cancel(row: dict[int, int], c: int,
+            prow: Mapping[int, int]) -> dict[int, int]:
+    """a*row - f*prow with a*prow[c] = f*row[c] in lowest terms, so that
+    column c cancels, divided by its content."""
+    a, f = prow[c], row[c]
+    g = gcd(a, f)
+    a, f = a // g, f // g
+    if a != 1:
+        row = {j: a * v for j, v in row.items()}
+    for j, v in prow.items():
+        nv = row.get(j, 0) - f * v
+        if nv:
+            row[j] = nv
+        else:
+            del row[j]
+    g = gcd(*row.values())
+    return {j: v // g for j, v in row.items()} if g > 1 else row
+
+
+def _echelon(rows: Iterable[Mapping[int, Rational]]) -> dict[int, dict[int, int]]:
+    """Fraction-free echelon form of sparse rows keyed by column index.
 
     Each row is made a primitive integer vector and reduced against the
-    independent rows kept so far, each filed under its least column:
-    row <- a*row - f*pivot with a*pivot[c] = f*row[c] in lowest terms,
-    then division by the row's content, until the row vanishes or its
-    least column is free, and it becomes a pivot there.
+    independent rows kept so far, each filed under its least column,
+    until the row vanishes or its least column is free, and it becomes a
+    pivot there.  Returns {least column: primitive integer row}.
     """
     pivots: dict[int, dict[int, int]] = {}
     for vec in rows:
@@ -133,21 +113,33 @@ def rank_of_rows(rows: Iterable[Mapping[int, Rational]]) -> int:
             if prow is None:
                 pivots[c] = row
                 break
-            a, f = prow[c], row[c]
-            g = gcd(a, f)
-            a, f = a // g, f // g
-            if a != 1:
-                row = {j: a * v for j, v in row.items()}
-            for j, v in prow.items():
-                nv = row.get(j, 0) - f * v
-                if nv:
-                    row[j] = nv
-                else:
-                    del row[j]
-            g = gcd(*row.values())
-            if g > 1:
-                row = {j: v // g for j, v in row.items()}
-    return len(pivots)
+            row = _cancel(row, c, prow)
+    return pivots
+
+
+def _rref(echelon: dict[int, dict[int, int]],
+          ncols: int) -> tuple[list[int], list[dict[int, int]]]:
+    """Back-substitution of `_echelon` into the reduced row echelon form
+    on the columns below ncols: (pivot columns, rows) in column order,
+    row i being its RREF row times its entry at pivots[i].
+
+    Fraction-free, from the last pivot up, each row cancels its entries
+    in the later pivot columns against the rows already reduced; entries
+    at ncols and beyond ride along.  Consumes the rows of `echelon`.
+    """
+    pivots = sorted(c for c in echelon if c < ncols)
+    done: dict[int, dict[int, int]] = {}
+    for c in reversed(pivots):
+        row = echelon[c]
+        for j in [j for j in row if j in done]:
+            row = _cancel(row, j, done[j])
+        done[c] = row
+    return pivots, [done[c] for c in pivots]
+
+
+def rank_of_rows(rows: Iterable[Mapping[int, Rational]]) -> int:
+    """Rank of sparse rows keyed by column index, fraction-free."""
+    return len(_echelon(rows))
 
 
 def rank_of_columns(columns: Sequence[Mapping[object, Rational]]) -> int:
@@ -159,50 +151,45 @@ def rank_of_columns(columns: Sequence[Mapping[object, Rational]]) -> int:
 class BlockSolver:
     """Reusable exact solver for a fixed sparse column family.
 
-    Built once from columns over a fixed row universe; solves a·x = b for
-    many right-hand sides by replaying the recorded row operations
-    (the reduced form of [a | I]).  Solutions set free variables to
-    zero, so each is the unique one supported on the pivot columns.
+    Built once by `_echelon` of [a | I] over a fixed row universe.  The
+    rows led in a reduce to the RREF of a, their I part recording how;
+    the rows led in I are a basis of the left kernel of a, so b is
+    consistent exactly when each annihilates it.  Solves run in integers
+    up to one division per pivot and set free variables to zero, so each
+    is the unique solution supported on the pivot columns.
     """
 
     def __init__(self, row_keys: Sequence[object],
-                 columns: Sequence[Mapping[object, Fraction]]):
+                 columns: Sequence[Mapping[object, Rational]]):
         self.row_keys = list(row_keys)
         self.index = {k: i for i, k in enumerate(self.row_keys)}
-        n, m = len(columns), len(self.row_keys)
+        n = self.ncols = len(columns)
         rows = _rows_of(columns, self.index)
-        for i in range(m):
-            rows[i][n + i] = ONE
-        self.ncols = n
-        self.rank, pivots = _eliminate(rows, n)
-        self.pivots = pivots
-        # transform rows: tb[i] = sum_j transform[i][j] * b[j]
-        self.transform = [{j - n: v for j, v in rows[i].items() if j >= n}
-                          for i in range(m)]
+        for i, row in enumerate(rows):
+            row[n + i] = 1
+        echelon = _echelon(rows)
+        self.cokernel = [{j - n: v for j, v in row.items()}
+                         for c, row in echelon.items() if c >= n]
+        self.pivots, reduced = _rref(echelon, n)
+        self.rank = len(self.pivots)
+        # x[c] = sum_j t[j] * b[j] / p for each (c, t, p) in transform
+        self.transform = [(c, {j - n: v for j, v in row.items() if j >= n},
+                           row[c]) for c, row in zip(self.pivots, reduced)]
 
-    def solve(self, b: Mapping[object, Fraction]) -> Optional[list[Fraction]]:
-        bvec: dict[int, Fraction] = {}
-        for k, v in b.items():
-            if v:
-                i = self.index.get(k)
-                if i is None:
-                    return None          # target hits a row no column reaches
-                bvec[i] = v
-        tb = []
-        for i in range(len(self.row_keys)):
-            s = ZERO
-            trow = self.transform[i]
-            for j, bj in bvec.items():
-                t = trow.get(j)
-                if t:
-                    s += t * bj
-            tb.append(s)
-        for i in range(self.rank, len(self.row_keys)):
-            if tb[i]:
+    def solve(self, b: Mapping[object, Rational]) -> Optional[list[Fraction]]:
+        bvec = [(self.index.get(k), v) for k, v in b.items() if v]
+        if any(i is None for i, _ in bvec):
+            return None          # target hits a row no column reaches
+        den = lcm(*(v.denominator for _, v in bvec))
+        bint = [(i, v.numerator * (den // v.denominator)) for i, v in bvec]
+        for y in self.cokernel:
+            if sum(y.get(i, 0) * v for i, v in bint):
                 return None
         x = [ZERO] * self.ncols
-        for i, c in enumerate(self.pivots):
-            x[c] = tb[i]
+        for c, trow, p in self.transform:
+            s = sum(trow.get(i, 0) * v for i, v in bint)
+            if s:
+                x[c] = Fraction(s, p * den)
         return x
 
 

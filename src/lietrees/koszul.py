@@ -6,14 +6,15 @@ word) and signs normalized.  The boundary takes each pair of wedge
 factors to their bracket.  Everything is computed blockwise: monomials
 are enumerated once per (arity, degree) and bucketed by their letter
 count vector (weight), which brackets preserve, and each weight block
-is small even when the degree block is not.  The boundary tables are
-integer (`int` structure constants).  Homology dimensions and the phi
-rank come from fraction-free integer ranks of those blocks; canonical H3
-coordinates come from echelonized kernel/image bases over `Fraction`,
-fixed per block, and repeated boundary solves reuse cached `Fraction`
-elimination transforms.  An H3 class stores those coordinates sparsely,
-keyed by (degree, index); its `parts` is a dense view of them, one tuple
-per degree.
+is small even when the degree block is not.  The boundary coefficients
+are integer (`int` structure constants), computed per monomial as they
+are read.  Homology dimensions and the phi rank come from fraction-free
+integer ranks of those blocks.  Canonical H3 coordinates come from
+echelonized kernel/image bases over `Fraction`, fixed per block; the
+kernel is read off the reduced form of the integer echelon, and repeated
+boundary solves reuse a cached `BlockSolver` per block.  An H3 class
+stores those coordinates sparsely, keyed by (degree, index); its `parts`
+is a dense view of them, one tuple per degree.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from functools import lru_cache
 from itertools import chain
 from typing import Iterable, Mapping
 
-from .exact_linalg import (ZERO, BlockSolver, _eliminate, echelon_reduce,
-                           kernel_from_rref, rank_of_columns, rank_of_rows,
-                           reduce_against)
+from .exact_linalg import (ZERO, BlockSolver, _echelon, _rref,
+                           echelon_reduce, kernel_from_rref, rank_of_columns,
+                           rank_of_rows, reduce_against)
 from .free_lie import (Word, _letter_weight, bracket_basis, gen_count,
                        is_lyndon, letter_label, lyndon_basis)
 from .sparse import SparseCombination, add_into, add_term
@@ -139,9 +140,8 @@ def wedge_chain_from_terms(genus: int, nilpotency_class: int, arity: int,
     return WedgeChain._of(genus, nilpotency_class, arity, acc)
 
 
-@lru_cache(maxsize=None)
 def _monomial_boundary(genus: int, k: int,
-                       mon: Monomial) -> Mapping[Monomial, int]:
+                       mon: Monomial) -> dict[Monomial, int]:
     """Boundary of a single wedge monomial, over normalized monomials;
     its coefficients are the integer structure constants, signed."""
     acc: dict[Monomial, int] = {}
@@ -291,8 +291,7 @@ def _h3_structure(genus: int, k: int, mu: tuple[int, ...]):
             im_vecs[j][i] = c
     im_basis, im_pivots = echelon_reduce(im_vecs, length)
 
-    rows = _boundary_rows(genus, k, 3, mu)
-    _, pivots = _eliminate(rows, length)
+    pivots, rows = _rref(_echelon(_boundary_rows(genus, k, 3, mu)), length)
     ker = kernel_from_rref(rows, pivots, length)
     for v in ker:
         reduce_against(v, im_basis, im_pivots)
@@ -357,9 +356,9 @@ class HomologyClass(SparseCombination):
         return "; ".join(bits)
 
 
-def class_of(z: WedgeChain, n: int = 3) -> HomologyClass:
+def class_of(z: WedgeChain) -> HomologyClass:
     """Canonical coordinates of a 3-cycle in ker/im."""
-    if z.arity != n or n != 3:
+    if z.arity != 3:
         raise ValueError("class_of handles arity-3 chains")
     _check_cycle(z)
     genus, k = z.genus, z.nilpotency_class
@@ -395,7 +394,7 @@ def _d3_solver(genus: int, k: int, mu: tuple[int, ...]):
     if not mon3:
         return None
     mon2 = _monomials(genus, k, 2, mu)
-    cols = [dict(_monomial_boundary(genus, k, m)) for m in mon3]
+    cols = [_monomial_boundary(genus, k, m) for m in mon3]
     return BlockSolver(mon2, cols), mon3
 
 

@@ -121,6 +121,19 @@ class TestMorita:
         out = capsys.readouterr().out
         assert out.startswith("degree 3:")
 
+    def test_rejects_automorphism_moving_the_symplectic_element(
+            self, tmp_path, capsys):
+        images = {l: LieSeries.gen(2, 4, l) for l in range(4)}
+        images[0] = images[0] + LieSeries(2, 4, {(2, 2, 3): 1})  # [a2,[a2,b2]]
+        path = tmp_path / "aut.json"
+        path.write_text(dump_json(automorphism_to_doc(
+            LieAutomorphism(2, 4, images))))
+        assert run(["morita", "mk", "--aut", str(path), "--k", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("automorphism does not fix the symplectic element modulo "
+                "degree 2k+1") in captured.err
+
 
 class TestSuite:
     def test_single_criterion_deterministic(self, capsys):

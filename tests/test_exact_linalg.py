@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lietrees.exact_linalg import (BlockSolver, _eliminate, echelon_reduce,
-                                   kernel_from_rref, rank_of_columns,
-                                   rank_of_rows)
+from lietrees.exact_linalg import (BlockSolver, _echelon, _rref,
+                                   echelon_reduce, kernel_from_rref,
+                                   rank_of_columns, rank_of_rows)
+from linalg_oracle import _eliminate
 
 F = Fraction
 
@@ -179,6 +180,63 @@ def test_fraction_free_rank_matches_fraction_oracle(matrix):
                         for row in rows) == expect
     columns = [{i: row[j] for i, row in enumerate(rows)} for j in range(ncols)]
     assert rank_of_columns(columns) == expect
+
+
+def oracle_solution(ncols, rows, b):
+    """The free-variables-zero solution of rows . x = b read off the
+    oracle's RREF of [rows | b], or None when b is not in the span."""
+    aug = row_dicts(rows)
+    for row, bi in zip(aug, b):
+        if bi:
+            row[ncols] = F(bi)
+    rank, pivots = _eliminate(aug, ncols)
+    if any(aug[rank:]):
+        return None
+    x = [F(0)] * ncols
+    for row, c in zip(aug, pivots):
+        x[c] = row.get(ncols, F(0))
+    return x
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(matrices(sparse_int), matrices(sparse_fraction)))
+def test_rref_and_kernel_match_fraction_oracle(matrix):
+    ncols, rows = matrix
+    expect = row_dicts(rows)
+    rank, pivots = _eliminate(expect, ncols)
+    got_pivots, got = _rref(_echelon(row_dicts(rows)), ncols)
+    assert got_pivots == pivots
+    assert [{j: F(v, row[c]) for j, v in row.items()}
+            for row, c in zip(got, got_pivots)] == expect[:rank]
+    assert not any(expect[rank:])
+    assert (kernel_from_rref(got, got_pivots, ncols)
+            == kernel_from_rref(expect, pivots, ncols))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(matrices(sparse_int), matrices(sparse_fraction)), st.data())
+def test_block_solver_matches_fraction_oracle(matrix, data):
+    ncols, rows = matrix
+    columns = [{i: F(row[j]) for i, row in enumerate(rows) if row[j]}
+               for j in range(ncols)]
+    solver = BlockSolver(range(len(rows)), columns)
+    rank, pivots = _eliminate(row_dicts(rows), ncols)
+    assert (solver.rank, solver.pivots) == (rank, pivots)
+    # the consistency rows are a basis of the left kernel
+    assert len(solver.cokernel) == len(rows) - rank
+    for y in solver.cokernel:
+        assert not any(sum(F(v) * rows[i][j] for i, v in y.items())
+                       for j in range(ncols))
+
+    x = data.draw(st.lists(sparse_fraction, min_size=ncols, max_size=ncols))
+    image = mat_vec(rows, x)
+    got = solver.solve(dict(enumerate(image)))
+    assert got is not None
+    assert got == oracle_solution(ncols, rows, image)
+
+    b = data.draw(st.lists(sparse_fraction, min_size=len(rows),
+                           max_size=len(rows)))
+    assert solver.solve(dict(enumerate(b))) == oracle_solution(ncols, rows, b)
 
 
 class TestFractionFreeRank:

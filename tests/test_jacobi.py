@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lietrees.exact_linalg import _eliminate, kernel_from_rref
+from lietrees.exact_linalg import kernel_from_rref
 from lietrees.free_lie import (LieSeries, _letter_weight, bracket_basis,
                                gen_count, lyndon_basis, witt_dim)
 from lietrees.jacobi import (HLieTensor, TreeCombo, TreeDiagram,
@@ -18,6 +18,7 @@ from lietrees.jacobi import (HLieTensor, TreeCombo, TreeDiagram,
                              tree_text)
 from lietrees.koszul import wedge_chain_from_terms
 from lietrees.sparse import add_term
+from linalg_oracle import _eliminate
 
 F = Fraction
 

@@ -281,6 +281,14 @@ def level_one_automorphism():
     return LieAutomorphism(2, 4, images)
 
 
+def level_two_unfixing_automorphism():
+    """a1 -> a1 + [a2,[a2,b2]], every other generator fixed: filtration
+    level 2, but it moves the symplectic element in degree 4."""
+    images = {l: LieSeries.gen(2, 4, l) for l in range(4)}
+    images[0] = images[0] + LieSeries(2, 4, {(2, 2, 3): 1})
+    return LieAutomorphism(2, 4, images)
+
+
 class TestFiltrationLevel:
     SHALLOW = [level_one_automorphism(), random_ic_element(2, 1, 0, 4),
                random_ic_element(2, 1, 5, 4)]
@@ -321,6 +329,13 @@ class TestObstruction:
     def test_rejects_shallow_elements(self):
         psi = random_ic_element(2, 1, 5, 4)
         with pytest.raises(ValueError):
+            morita_mk(psi, 2)
+
+    def test_rejects_an_automorphism_moving_the_symplectic_element(self):
+        psi = level_two_unfixing_automorphism()
+        assert not is_omega_fixing(psi)
+        with pytest.raises(ValueError, match="does not fix the symplectic "
+                                             "element modulo degree 2k"):
             morita_mk(psi, 2)
 
     def test_requires_enough_degrees(self):
