@@ -392,10 +392,8 @@ def tree_space_dim(genus: int, d: int) -> int:
                for keys in _hl_blocks(genus, d).values())
 
 
-def _caterpillars(genus: int,
-                  d: int) -> dict[tuple[int, ...], list[TreeDiagram]]:
-    """The distinct nonzero caterpillar diagrams of degree d by weight,
-    each bucket ordered by the first colouring that yields each diagram.
+def _caterpillar_colourings(genus: int, d: int):
+    """One colouring of degree-d caterpillars per orbit of their symmetries.
 
     The colouring (c0, c1, c2, ...) is the tree rooted at c0 with plant
     (((c1 c2) c3) ...).  Two colourings give one diagram, up to AS sign,
@@ -403,12 +401,10 @@ def _caterpillars(genus: int,
     c1, c2 force zero.  For d >= 2 the symmetries are c1 <-> c2,
     c0 <-> c_{d+1} and the spine reversal (c0, c1, c2, c3, ..., c_{d+1})
     -> (c1, c0, c_{d+1}, c_d, ..., c3, c2); only the first colouring of
-    each orbit is built: c1 < c2, c0 <= c_{d+1}, and no reversed image,
+    each orbit is yielded: c1 < c2, c0 <= c_{d+1}, and no reversed image,
     with or without either swap, before it.  For d <= 1 only c1 < c2 is
-    built and repeated diagrams are skipped as they come.
+    required, and `_caterpillar_buckets` skips the repeated diagrams.
     """
-    seen: set[TreeDiagram] = set()
-    out: dict[tuple[int, ...], list[TreeDiagram]] = {}
     for colors in product(range(gen_count(genus)), repeat=d + 2):
         if d > 0 and colors[1] >= colors[2]:
             continue
@@ -418,6 +414,15 @@ def _caterpillars(genus: int,
                                 for x, y in ((c1, c2), (c2, c1))
                                 for z, t in ((c0, last), (last, c0))):
                 continue
+        yield colors
+
+
+def _caterpillar_buckets(genus: int, colourings: Iterable[tuple[int, ...]]):
+    """The distinct nonzero diagrams of caterpillar colourings by weight,
+    each bucket ordered by the first colouring that yields each diagram."""
+    seen: set[TreeDiagram] = set()
+    out: dict[tuple[int, ...], list[TreeDiagram]] = {}
+    for colors in colourings:
         plant: Plant = colors[1]
         for x in colors[2:]:
             plant = (plant, x)
@@ -426,6 +431,12 @@ def _caterpillars(genus: int,
             seen.add(tree)
             out.setdefault(_letter_weight(colors, genus), []).append(tree)
     return out
+
+
+def _caterpillars(genus: int,
+                  d: int) -> dict[tuple[int, ...], list[TreeDiagram]]:
+    """The distinct nonzero caterpillar diagrams of degree d by weight."""
+    return _caterpillar_buckets(genus, _caterpillar_colourings(genus, d))
 
 
 @lru_cache(maxsize=None)

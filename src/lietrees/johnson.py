@@ -353,7 +353,7 @@ def morita_mk(psi: LieAutomorphism, k: int) -> "object":
     quotient is a cycle with a well-defined class independent of the
     chosen bounding chain.
     """
-    from .koszul import boundary, class_of, solve_boundary3, wedge_chain_from_terms
+    from .koszul import _solve_boundary3, boundary, class_of, wedge_chain_from_terms
     _check_level(psi, k)
     genus = psi.genus
     big = 2 * k
@@ -372,5 +372,5 @@ def morita_mk(psi: LieAutomorphism, k: int) -> "object":
     if not boundary(cycle).is_zero():
         raise ValueError("automorphism does not fix the symplectic element "
                          "modulo degree 2k+1")
-    t = solve_boundary3(cycle)
+    t = _solve_boundary3(cycle)
     return class_of(t.reduced_to(k))

@@ -1,33 +1,31 @@
 """Koszul complex of the free nilpotent Lie algebra L/L_{>k}.
 
-Chains are wedge powers of the truncated free Lie algebra over the
-Lyndon basis, with monomials kept sorted (basis order: length, then
-word) and signs normalized.  The boundary takes each pair of wedge
-factors to their bracket.  Everything is computed blockwise: monomials
-are enumerated once per (arity, degree) and bucketed by their letter
-count vector (weight), which brackets preserve, and each weight block
-is small even when the degree block is not.  The boundary coefficients
-are integer (`int` structure constants), computed per monomial as they
-are read.  Homology dimensions and the phi rank come from fraction-free
-integer ranks of those blocks.  Canonical H3 coordinates come from
-echelonized kernel/image bases over `Fraction`, fixed per block; the
-kernel is read off the reduced form of the integer echelon, and repeated
-boundary solves reuse a cached `BlockSolver` per block.  An H3 class
-stores those coordinates sparsely, keyed by (degree, index); its `parts`
-is a dense view of them, one tuple per degree.
+Chains are wedge powers of L/L_{>k} over the Lyndon basis, monomials
+sorted (length, then word) with signs normalized; the boundary brackets
+pairs of factors.  It preserves the letter count vector (weight), so
+everything runs one weight block at a time, each block enumerated alone
+by a walk of the graded basis pruned by the weight left to fill.
+Boundary coefficients are `int` structure constants, computed per
+monomial as read.  Homology dimensions and the phi rank are
+fraction-free integer ranks, taken once per orbit of the letter
+permutations.  Canonical H3 coordinates, from echelonized kernel/image
+bases over `Fraction`, are fixed per weight, never per orbit; boundary
+solves reuse a cached `BlockSolver` per block.  An H3 class keeps them
+sparsely, keyed by (degree, index); `parts` is a dense view per degree.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from functools import lru_cache
-from itertools import chain
+from functools import cache, lru_cache, partial
+from itertools import chain, combinations
+from math import factorial, prod
 from typing import Iterable, Mapping
 
-from .exact_linalg import (ZERO, BlockSolver, _echelon, _rref,
-                           echelon_reduce, kernel_from_rref, rank_of_columns,
-                           rank_of_rows, reduce_against)
+from .exact_linalg import (ZERO, BlockSolver, _echelon, _rows_of, _rref,
+                           echelon_reduce, kernel_from_rref, rank_of_rows,
+                           reduce_against)
 from .free_lie import (Word, _letter_weight, bracket_basis, gen_count,
                        is_lyndon, letter_label, lyndon_basis)
 from .sparse import SparseCombination, add_into, add_term
@@ -194,48 +192,59 @@ class BlockMismatchError(RuntimeError):
 # weight-blocked bases
 
 
-@lru_cache(maxsize=None)
-def _graded_basis(genus: int, k: int) -> list[Word]:
-    out: list[Word] = []
-    for d in range(1, k + 1):
-        out.extend(lyndon_basis(genus, d))
-    return out
+def _weights(n: int, d: int):
+    """Letter-count vectors of n letters and total d, in increasing order."""
+    for bars in combinations(range(d + n - 1), n - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, d + n - 1)))
+
+
+def _dominant_weights(n: int, d: int):
+    """(mu, |orbit(mu)|) for the weakly decreasing mu of `_weights(n, d)`."""
+    for mu in _weights(n, d):
+        if all(a >= b for a, b in zip(mu, mu[1:])):
+            yield mu, factorial(n) // prod(map(factorial, map(mu.count, set(mu))))
 
 
 @lru_cache(maxsize=None)
-def _blocks(genus: int, k: int, arity: int,
-            d: int) -> dict[tuple[int, ...], list[Monomial]]:
-    """Sorted wedge monomials of degree d bucketed by weight, each bucket
-    in lexicographic order of indices into the length-sorted basis."""
-    basis = _graded_basis(genus, k)
-    lengths = [len(w) for w in basis]
-    out: dict[tuple[int, ...], list[Monomial]] = {}
+def _graded_basis(genus: int, k: int):
+    """The Lyndon words of length at most k in basis order, their lengths,
+    their weights packed 16 bits per letter, and each weight's indices."""
+    basis = [w for d in range(1, k + 1) for w in lyndon_basis(genus, d)]
+    weights = [sum(1 << 16 * x for x in w) for w in basis]
+    by_weight: dict[int, list[int]] = {}
+    for i, mu in enumerate(weights):
+        by_weight.setdefault(mu, []).append(i)
+    return basis, [len(w) for w in basis], weights, by_weight
 
-    def rec(start: int, remaining: int, chosen: list[Word]):
+
+@lru_cache(maxsize=None)
+def _monomials(genus: int, k: int, arity: int,
+               mu: tuple[int, ...]) -> list[Monomial]:
+    """Sorted wedge monomials (arity >= 1) of the exact letter-count vector
+    mu, in lexicographic order of indices into the length-sorted basis."""
+    basis, lengths, weights, by_weight = _graded_basis(genus, k)
+    # each field's top bit stays set while its count (< 2^15) is >= 0
+    guard = sum(1 << 16 * j + 15 for j in range(len(mu)))
+    out: list[Monomial] = []
+
+    def rec(start: int, rest: int, remaining: int, chosen: Monomial):
         slots = arity - len(chosen)
-        if not slots:
-            if not remaining:
-                mon = tuple(chosen)
-                out.setdefault(_letter_weight(chain.from_iterable(mon), genus),
-                               []).append(mon)
+        if slots == 1:              # the last factor has weight rest
+            last = by_weight.get(rest ^ guard, [])
+            out.extend((*chosen, basis[i])
+                       for i in last[bisect_left(last, start):])
             return
         # later factors are no shorter than this one and no longer than k
         for i in range(bisect_left(lengths, remaining - k * (slots - 1), start),
                        len(basis)):
             if lengths[i] * slots > remaining:
                 break
-            chosen.append(basis[i])
-            rec(i + 1, remaining - lengths[i], chosen)
-            chosen.pop()
+            nxt = rest - weights[i]
+            if nxt & guard == guard:
+                rec(i + 1, nxt, remaining - lengths[i], (*chosen, basis[i]))
 
-    rec(0, d, [])
+    rec(0, sum(m << 16 * j for j, m in enumerate(mu)) | guard, sum(mu), ())
     return out
-
-
-def _monomials(genus: int, k: int, arity: int,
-               mu: tuple[int, ...]) -> list[Monomial]:
-    """Sorted wedge monomials of the exact letter-count vector mu."""
-    return _blocks(genus, k, arity, sum(mu)).get(mu, [])
 
 
 def _boundary_rows(genus: int, k: int, arity: int,
@@ -259,15 +268,18 @@ def _block_rank(genus: int, k: int, arity: int, mu: tuple[int, ...]) -> int:
 
 
 def homology_dims(genus: int, k: int, n: int) -> dict[int, int]:
-    """Nonzero dimensions of H_n(L/L_{>k}) per total degree."""
+    """Nonzero dimensions of H_n(L/L_{>k}) per total degree: the sum over
+    the weakly decreasing weights mu of |orbit(mu)| (c_n - rank d_n -
+    rank d_{n+1}) at mu.  A letter permutation preserves L_{>k}, so it is
+    a chain automorphism carrying each weight block onto its image's."""
     if genus < 1 or k < 1 or n < 1:
         raise ValueError("need genus >= 1, class k >= 1 and n >= 1")
     out: dict[int, int] = {}
     for d in range(n, n * k + 1):
-        h = 0
-        for mu, mons in sorted(_blocks(genus, k, n, d).items()):
-            h += (len(mons) - _block_rank(genus, k, n, mu)
-                  - _block_rank(genus, k, n + 1, mu))
+        h = sum(orbit * (len(_monomials(genus, k, n, mu))
+                         - _block_rank(genus, k, n, mu)
+                         - _block_rank(genus, k, n + 1, mu))
+                for mu, orbit in _dominant_weights(gen_count(genus), d))
         if h:
             out[d] = h
     return out
@@ -304,11 +316,11 @@ def _quotient_layout(genus: int, k: int,
                      d: int) -> tuple[dict[tuple[int, ...], int], int]:
     """Offset of each weight block inside the degree-d H3 coordinates, and
     the dimension of H3 in degree d."""
-    offsets = {}
-    total = 0
-    for mu in sorted(_blocks(genus, k, 3, d)):
-        offsets[mu] = total
-        total += len(_h3_structure(genus, k, mu)[2][0])
+    offsets, total = {}, 0
+    for mu in _weights(gen_count(genus), d):
+        if _monomials(genus, k, 3, mu):
+            offsets[mu] = total
+            total += len(_h3_structure(genus, k, mu)[2][0])
     return offsets, total
 
 
@@ -407,6 +419,11 @@ def solve_boundary3(z: WedgeChain) -> WedgeChain:
     if z.arity != 2:
         raise ValueError("solve_boundary3 takes arity-2 chains")
     _check_cycle(z)
+    return _solve_boundary3(z)
+
+
+def _solve_boundary3(z: WedgeChain) -> WedgeChain:
+    """`solve_boundary3` for an arity-2 chain known to be a cycle."""
     genus, k = z.genus, z.nilpotency_class
     blocks: dict[tuple[int, ...], dict[Monomial, Fraction]] = {}
     for mon, c in z.coords.items():
@@ -446,30 +463,42 @@ def capital_phi(c, k: int) -> HomologyClass:
 
 def phi_matrix_rank(genus: int, k: int) -> int:
     """Rank of capital_phi on the caterpillar spanning family of degrees
-    [k, 2k).
+    [k, 2k): over the caterpillar buckets of weakly decreasing weight mu,
+    the sum of |orbit(mu)| (rank([d4 block ; cycles]) - rank(d4 block)).
 
-    Fission preserves letter weight, so the matrix is block diagonal by
-    caterpillar bucket and its rank is the sum of theirs.  A bucket of
-    weight mu contributes the rank of its fission cycles modulo the
-    boundaries, rank([d4 block ; cycles]) - rank(d4 block), both by
-    the fraction-free integer kernel; no H3 coordinates are formed.
-    """
+    Fission preserves weight and commutes with letter permutations, as the
+    boundary does, so the matrix is block diagonal by bucket and a bucket's
+    rank depends only on its weight's orbit.  The difference is the number
+    of pivots in the cycle columns of one echelon whose columns are the d4
+    boundaries, then the cycles.  No H3 coordinates are formed."""
     from . import jacobi
     if genus < 1 or k < 1:
         raise ValueError("need genus >= 1 and class k >= 1")
     total = 0
     for d in range(k, 2 * k):
-        for mu, trees in jacobi._caterpillars(genus, d).items():
-            block = set(_monomials(genus, k, 3, mu))
+        orbit = dict(_dominant_weights(gen_count(genus), d + 2))
+        buckets = jacobi._caterpillar_buckets(genus, (
+            c for c in jacobi._caterpillar_colourings(genus, d)
+            if _letter_weight(c, genus) in orbit))
+        for mu, trees in buckets.items():
+            index = {m: i for i, m in enumerate(_monomials(genus, k, 3, mu))}
             columns = [_monomial_boundary(genus, k, m)
                        for m in _monomials(genus, k, 4, mu)]
+            n4 = len(columns)
+            # the bucket's cycles share monomials: one boundary for each
+            d3 = cache(partial(_monomial_boundary, genus, k))
             for tree in trees:
                 z = jacobi.fission(jacobi.TreeCombo.single(tree),
                                    nilpotency_class=k)
-                _check_cycle(z)
-                if not z.coords.keys() <= block:
+                acc: dict[Monomial, Fraction] = {}
+                for m, c in z.coords.items():
+                    add_into(acc, d3(m), c)
+                if acc:
+                    raise ValueError("input chain is not a cycle")
+                if not z.coords.keys() <= index.keys():
                     raise BlockMismatchError(
                         "cycle monomial outside the weight block")
                 columns.append(z.coords)
-            total += rank_of_columns(columns) - _block_rank(genus, k, 4, mu)
+            pivots = _echelon(_rows_of(columns, index))
+            total += orbit[mu] * sum(c >= n4 for c in pivots)
     return total

@@ -8,7 +8,7 @@ from lietrees.cli import run
 from lietrees.documents import (automorphism_to_doc, dump_json,
                                 expansion_from_doc, expansion_to_doc,
                                 tree_combo_from_text)
-from lietrees.free_lie import LieSeries
+from lietrees.free_lie import LieSeries, witt_dim
 from lietrees.jacobi import eta
 from lietrees.johnson import LieAutomorphism, random_ic_element, tau_to_trees
 from lietrees.tensor_hopf import magnus_expansion
@@ -79,6 +79,29 @@ class TestPhi:
     def test_rank_line(self, capsys):
         assert run(["phi", "rank", "--genus", "2", "--class", "1"]) == 0
         assert capsys.readouterr().out.strip() == "rank 4"
+
+
+class TestPastTheSuite:
+    # closed form of dim H3 in degree d: 2g W(2g, d-1) - W(2g, d), for d
+    # in k+2..2k+1, where all of H3(L/L_{>k}) sits
+    H3_GENUS_3_CLASS_3 = {d: 6 * witt_dim(6, d - 1) - witt_dim(6, d)
+                          for d in range(5, 8)}
+
+    def test_closed_form_values(self):
+        assert self.H3_GENUS_3_CLASS_3 == {5: 336, 6: 1589, 7: 6420}
+
+    def test_dims_genus_3_class_3(self, capsys):
+        assert run(["homology", "dims", "--genus", "3", "--class", "3",
+                    "--n", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = {int(a): int(b) for a, b in (ln.split() for ln in lines[1:])}
+        assert rows == self.H3_GENUS_3_CLASS_3
+
+    def test_phi_rank_genus_3_class_3(self, capsys):
+        assert run(["phi", "rank", "--genus", "3", "--class", "3"]) == 0
+        rank = sum(self.H3_GENUS_3_CLASS_3.values())
+        assert rank == 8345
+        assert capsys.readouterr().out == f"rank {rank}\n"
 
 
 class TestJohnson:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lietrees import koszul
 from lietrees.free_lie import LieSeries, gen_count, lyndon_basis
 from lietrees.jacobi import HLieTensor, eta, random_tree
 from lietrees.johnson import (Derivation, LieAutomorphism, apply_aut,
@@ -14,7 +15,7 @@ from lietrees.johnson import (Derivation, LieAutomorphism, apply_aut,
                               is_omega_fixing, johnson_k, kernel_check,
                               log_aut, morita_mk, random_ic_element,
                               tau_bracket_check, tau_to_trees, tau_truncated)
-from lietrees.koszul import capital_phi
+from lietrees.koszul import boundary, capital_phi
 from lietrees.symplectic import omega
 
 F = Fraction
@@ -337,6 +338,19 @@ class TestObstruction:
         with pytest.raises(ValueError, match="does not fix the symplectic "
                                              "element modulo degree 2k"):
             morita_mk(psi, 2)
+
+    def test_one_boundary_per_cycle(self, monkeypatch):
+        # its own symplectic-element check, then class_of's; the bounding
+        # 3-chain is solved for without a second check of the 2-cycle
+        calls = []
+
+        def counting(c):
+            calls.append(c.arity)
+            return boundary(c)
+
+        monkeypatch.setattr(koszul, "boundary", counting)
+        morita_mk(random_ic_element(2, 2, 3, 4), 2)
+        assert calls == [2, 3]
 
     def test_requires_enough_degrees(self):
         psi = random_ic_element(2, 2, 0, 4).truncated(3)

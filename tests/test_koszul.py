@@ -1,20 +1,21 @@
 """Koszul chains on the nilpotent quotients: boundary, homology, lifting."""
 
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from lietrees import jacobi
+from lietrees import jacobi, koszul
 from lietrees.exact_linalg import rank_of_columns
-from lietrees.free_lie import lyndon_basis, witt_dim
+from lietrees.free_lie import _letter_weight, lyndon_basis, witt_dim
 from lietrees.jacobi import (TreeCombo, TreeDiagram, _caterpillars, fission,
                              random_tree)
 from lietrees.koszul import (BlockMismatchError, HomologyClass, WedgeChain,
-                             _blocks, _monomial_boundary, boundary,
-                             capital_phi, class_of, homology_dims,
+                             _block_rank, _monomial_boundary, _monomials,
+                             boundary, capital_phi, class_of, homology_dims,
                              phi_matrix_rank, solve_boundary3,
                              wedge_chain_from_terms)
 
@@ -26,6 +27,12 @@ def words_up_to(genus, k):
     for d in range(1, k + 1):
         out.extend(lyndon_basis(genus, d))
     return out
+
+
+def all_weights(genus, d):
+    """Every letter-count vector of total d, empty blocks' included."""
+    return [mu for mu in product(range(d + 1), repeat=2 * genus)
+            if sum(mu) == d]
 
 
 def random_chain(genus, k, arity, rng, nterms=4):
@@ -232,9 +239,10 @@ class TestBlocks:
             for mon in combinations(basis, arity):
                 mu = tuple(sum(w.count(x) for w in mon)
                            for x in range(2 * genus))
-                expect.setdefault(sum(mu), {}).setdefault(mu, []).append(mon)
+                expect.setdefault(mu, []).append(mon)
             for d in range(arity * k + 2):
-                assert _blocks(genus, k, arity, d) == expect.get(d, {})
+                for mu in all_weights(genus, d):
+                    assert _monomials(genus, k, arity, mu) == expect.get(mu, [])
 
     def test_boundary_coefficients_are_ints(self):
         # every block homology_dims(2, 3, 3) eliminates: arities 3 and 4
@@ -242,12 +250,85 @@ class TestBlocks:
         seen = 0
         for arity in (3, 4):
             for d in range(arity, arity * k + 1):
-                for mons in _blocks(genus, k, arity, d).values():
-                    for mon in mons:
+                for mu in all_weights(genus, d):
+                    for mon in _monomials(genus, k, arity, mu):
                         for c in _monomial_boundary(genus, k, mon).values():
                             assert type(c) is int
                             seen += 1
         assert seen > 0
+
+
+def permuted(mu, sigma):
+    return tuple(mu[i] for i in sigma)
+
+
+def phi_bucket_rank(k, trees):
+    # oracle: the rank of the canonical H3 coordinates of the bucket
+    return rank_of_columns([capital_phi(TreeCombo.single(t), k).coords
+                            for t in trees])
+
+
+def full_homology_dims(genus, k, n):
+    """homology_dims summed over every weight, no orbits."""
+    out = {}
+    for d in range(n, n * k + 1):
+        h = sum(len(_monomials(genus, k, n, mu)) - _block_rank(genus, k, n, mu)
+                - _block_rank(genus, k, n + 1, mu)
+                for mu in all_weights(genus, d))
+        if h:
+            out[d] = h
+    return out
+
+
+class TestOrbitRule:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_block_size_and_rank_are_orbit_invariant(self, data):
+        genus, k = data.draw(st.sampled_from([(1, 4), (2, 2), (2, 3), (3, 2)]),
+                             label="(genus, class)")
+        arity = data.draw(st.integers(2, 4), label="arity")
+        d = data.draw(st.integers(arity, arity * k), label="degree")
+        nonempty = [mu for mu in all_weights(genus, d)
+                    if _monomials(genus, k, arity, mu)]
+        assume(nonempty)
+        mu = data.draw(st.sampled_from(nonempty), label="mu")
+        sigma = data.draw(st.permutations(range(2 * genus)), label="sigma")
+        nu = permuted(mu, sigma)
+        assert (len(_monomials(genus, k, arity, mu))
+                == len(_monomials(genus, k, arity, nu)))
+        assert _block_rank(genus, k, arity, mu) == _block_rank(genus, k, arity, nu)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.data())
+    def test_phi_bucket_rank_is_orbit_invariant(self, data):
+        genus, k = data.draw(st.sampled_from([(2, 2), (3, 1)]),
+                             label="(genus, class)")
+        d = data.draw(st.integers(k, 2 * k - 1), label="degree")
+        buckets = _caterpillars(genus, d)
+        mu = data.draw(st.sampled_from(sorted(buckets)), label="mu")
+        sigma = data.draw(st.permutations(range(2 * genus)), label="sigma")
+        nu = permuted(mu, sigma)
+        assert (phi_bucket_rank(k, buckets[mu])
+                == phi_bucket_rank(k, buckets.get(nu, [])))
+
+    @pytest.mark.parametrize("genus, k, n", [(1, 4, 2), (1, 4, 3), (2, 2, 2),
+                                             (2, 2, 3), (2, 2, 4), (2, 3, 3),
+                                             (3, 2, 3)])
+    def test_dominant_sum_matches_full_sum(self, genus, k, n):
+        assert homology_dims(genus, k, n) == full_homology_dims(genus, k, n)
+
+    @pytest.mark.parametrize("genus, k", [(1, 4), (2, 2), (2, 3), (3, 2)])
+    def test_hopf_formula_gives_each_arity_3_rank(self, genus, k):
+        # H1 = H and H2 = L_{k+1} (Hopf): rank d3 = c2 - (c1 - h1) - h2
+        top = Counter(_letter_weight(w, genus)
+                      for w in lyndon_basis(genus, k + 1))
+        for d in range(1, 3 * k + 1):
+            for mu in all_weights(genus, d):
+                c1 = len(_monomials(genus, k, 1, mu))
+                c2 = len(_monomials(genus, k, 2, mu))
+                h1 = int(d == 1)
+                h2 = top[mu] if d == k + 1 else 0
+                assert _block_rank(genus, k, 3, mu) == c2 - (c1 - h1) - h2
 
 
 class TestSolveBoundary3:
@@ -340,6 +421,19 @@ class TestCapitalPhi:
             phi_matrix_rank(2, 2)
         assert type(from_rank.value) is type(from_class_of.value)
         assert str(from_rank.value) == str(from_class_of.value)
+
+    def test_rank_builds_each_boundary_once(self, monkeypatch):
+        koszul._monomials.cache_clear()
+        koszul._block_rank.cache_clear()
+        calls = Counter()
+
+        def counting(genus, k, mon):
+            calls[mon] += 1
+            return _monomial_boundary(genus, k, mon)
+
+        monkeypatch.setattr(koszul, "_monomial_boundary", counting)
+        assert phi_matrix_rank(2, 3) == 522
+        assert calls and max(calls.values()) == 1
 
     def test_rank_rejects_a_cycle_of_another_weight(self, monkeypatch):
         # every bucket gets the fission of one fixed tree, a genuine cycle
