@@ -1,20 +1,14 @@
-"""Exact linear algebra on sparse row dicts.
+"""Exact linear algebra on sparse row dicts of nonzero exact rationals.
 
 Every rank, kernel, solve and quotient computation in the package runs
-through this module.  Entries are exact rationals, `int` or `Fraction`;
-there is no floating point.  There are two kernels:
-
-* the sparse fraction-free `_echelon` over the integers (denominators
-  cleared, row <- a*row - f*pivot, then division by the row's content).
-  Every rank is its length, and `_rref` back-substitutes it into the
-  reduced row echelon form, whose readers divide by each pivot once, at
-  the end.  The RREF is unique, so the particular solutions of
-  `BlockSolver` and the kernel bases of `kernel_from_rref` do not
-  depend on row order;
-* the dense canonical `echelon_reduce` over `Fraction`, whose basis the
-  canonical H3 coordinates are taken in.  It depends on the order of
-  its input, and downstream "canonical coordinates" depend on it being
-  deterministic.
+through this module, and one elimination kernel: the fraction-free
+`_echelon` over the integers (denominators cleared, row <- a*row -
+f*pivot, then division by the row's content).  Every rank is its length,
+and `_rref` back-substitutes it into the reduced row echelon form, whose
+readers divide by each pivot once, at the end.  The RREF is unique, so
+`BlockSolver` solutions and `kernel_from_rref` bases do not depend on row
+order.  Only the sparse `semi_echelon` over `Fraction`, used for the H3
+quotient basis the canonical coordinates are read in, depends on it.
 """
 
 from __future__ import annotations
@@ -29,11 +23,11 @@ ONE = Fraction(1)
 
 
 def kernel_from_rref(rows: list[dict[int, Rational]], pivots: list[int],
-                     ncols: int) -> list[list[Fraction]]:
+                     ncols: int) -> list[dict[int, Fraction]]:
     """Null-space basis read off reduced row echelon rows, each divided by
     its entry at its pivot, so that `_rref` rows may keep their scale.
 
-    One dense vector per free column, with a 1 there; the basis is the
+    One sparse vector per free column, with a 1 there; the basis is the
     unique one with that pattern, so it does not depend on row order.
     """
     pivot_set = set(pivots)
@@ -41,12 +35,10 @@ def kernel_from_rref(rows: list[dict[int, Rational]], pivots: list[int],
     for f in range(ncols):
         if f in pivot_set:
             continue
-        v = [ZERO] * ncols
-        v[f] = ONE
+        v = {f: ONE}
         for row, c in zip(rows, pivots):
-            coeff = row.get(f)
-            if coeff:
-                v[c] = -Fraction(coeff, row[c])
+            if f in row:
+                v[c] = -Fraction(row[f], row[c])
         basis.append(v)
     return basis
 
@@ -193,37 +185,42 @@ class BlockSolver:
         return x
 
 
-def reduce_against(v: list[Fraction], basis: Sequence[Sequence[Fraction]],
+def reduce_against(v: dict[int, Fraction],
+                   basis: Sequence[Mapping[int, Rational]],
                    pivots: Sequence[int]) -> list[Fraction]:
-    """Reduce v in place against a semi-echelon basis.
-
-    Returns the multiple of each basis vector subtracted, read at its
-    pivot in basis order.
-    """
+    """Reduce the sparse vector v in place, in basis order, against echelon
+    rows (each zero at the earlier rows' pivots), until it vanishes at every
+    pivot.  Returns the multiple of each row, scaled to 1 at its pivot,
+    subtracted: v's entry there when the row was reached."""
     coeffs = []
     for bvec, p in zip(basis, pivots):
-        f = v[p]
+        f = v.get(p, ZERO)
         coeffs.append(f)
         if f:
-            for j, bj in enumerate(bvec):
-                if bj:
-                    v[j] -= f * bj
+            f = Fraction(f, bvec[p])
+            for j, bj in bvec.items():
+                nv = v.get(j, 0) - f * bj
+                if nv:
+                    v[j] = nv
+                else:
+                    v.pop(j, None)
     return coeffs
 
 
-def echelon_reduce(vectors: Iterable[Sequence[Fraction]],
-                   length: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Echelonize dense vectors; returns (reduced independent vectors, pivot positions)."""
-    basis: list[list[Fraction]] = []
+def semi_echelon(vectors: Iterable[Mapping[int, Fraction]]
+                 ) -> tuple[list[dict[int, Fraction]], list[int]]:
+    """Semi-echelon basis of sparse vectors, in input order: each is
+    reduced against the basis so far, and a nonzero remainder joins it,
+    scaled to 1 at its least index, its pivot.  Returns (basis, pivots).
+    """
+    basis: list[dict[int, Fraction]] = []
     pivots: list[int] = []
     for vec in vectors:
-        v = list(vec)
+        v = {j: c for j, c in vec.items() if c}
         reduce_against(v, basis, pivots)
-        p = next((j for j in range(length) if v[j]), None)
-        if p is None:
-            continue
-        inv = ONE / v[p]
-        v = [c * inv for c in v]
-        basis.append(v)
-        pivots.append(p)
+        if v:
+            p = min(v)
+            inv = ONE / v[p]
+            basis.append({j: c * inv for j, c in v.items()})
+            pivots.append(p)
     return basis, pivots

@@ -8,10 +8,12 @@ by a walk of the graded basis pruned by the weight left to fill.
 Boundary coefficients are `int` structure constants, computed per
 monomial as read.  Homology dimensions and the phi rank are
 fraction-free integer ranks, taken once per orbit of the letter
-permutations.  Canonical H3 coordinates, from echelonized kernel/image
-bases over `Fraction`, are fixed per weight, never per orbit; boundary
-solves reuse a cached `BlockSolver` per block.  An H3 class keeps them
-sparsely, keyed by (degree, index); `parts` is a dense view per degree.
+permutations.  Canonical H3 coordinates are per weight, never per orbit:
+a cycle is reduced modulo the RREF of the d4 image and read in the
+`semi_echelon` basis of the reduced d3 kernel, built only for the blocks
+it lands in.  Boundary solves reuse a cached `BlockSolver` per block.  An
+H3 class keeps them sparsely, keyed by (degree, index); `parts` is a
+dense view per degree.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from math import factorial, prod
 from typing import Iterable, Mapping
 
 from .exact_linalg import (ZERO, BlockSolver, _echelon, _rows_of, _rref,
-                           echelon_reduce, kernel_from_rref, rank_of_rows,
-                           reduce_against)
+                           kernel_from_rref, rank_of_rows, reduce_against,
+                           semi_echelon)
 from .free_lie import (Word, _letter_weight, bracket_basis, gen_count,
                        is_lyndon, letter_label, lyndon_basis)
 from .sparse import SparseCombination, add_into, add_term
@@ -291,37 +293,44 @@ def homology_dims(genus: int, k: int, n: int) -> dict[int, int]:
 
 @lru_cache(maxsize=None)
 def _h3_structure(genus: int, k: int, mu: tuple[int, ...]):
-    """(monomial index, im-d4 echelon, quotient echelon) for one block."""
+    """(monomial index, im-d4 RREF, quotient semi-echelon) for one block,
+    each as (rows, pivots), the quotient's in `kernel_from_rref` order."""
     mon3 = _monomials(genus, k, 3, mu)
     if not mon3:
         return None
     index = {m: i for i, m in enumerate(mon3)}
-    length = len(mon3)
-    im_vecs = [[ZERO] * length for _ in _monomials(genus, k, 4, mu)]
-    for i, row in enumerate(_boundary_rows(genus, k, 4, mu)):
-        for j, c in row.items():
-            im_vecs[j][i] = c
-    im_basis, im_pivots = echelon_reduce(im_vecs, length)
-
-    pivots, rows = _rref(_echelon(_boundary_rows(genus, k, 3, mu)), length)
-    ker = kernel_from_rref(rows, pivots, length)
+    im_pivots, im_rows = _rref(_echelon(
+        {index[m]: c for m, c in _monomial_boundary(genus, k, m4).items()}
+        for m4 in _monomials(genus, k, 4, mu)), len(index))
+    pivots, rows = _rref(_echelon(_boundary_rows(genus, k, 3, mu)), len(index))
+    ker = kernel_from_rref(rows, pivots, len(index))
     for v in ker:
-        reduce_against(v, im_basis, im_pivots)
-    q_basis, q_pivots = echelon_reduce(ker, length)
-    return index, (im_basis, im_pivots), (q_basis, q_pivots)
+        reduce_against(v, im_rows, im_pivots)
+    return index, (im_rows, im_pivots), semi_echelon(ker)
 
 
 @lru_cache(maxsize=None)
 def _quotient_layout(genus: int, k: int,
                      d: int) -> tuple[dict[tuple[int, ...], int], int]:
     """Offset of each weight block inside the degree-d H3 coordinates, and
-    the dimension of H3 in degree d."""
+    the dimension of H3 in degree d: c3 - rank d3 - rank d4 per block."""
     offsets, total = {}, 0
     for mu in _weights(gen_count(genus), d):
-        if _monomials(genus, k, 3, mu):
+        c3 = len(_monomials(genus, k, 3, mu))
+        if c3:
             offsets[mu] = total
-            total += len(_h3_structure(genus, k, mu)[2][0])
+            total += (c3 - _block_rank(genus, k, 3, mu)
+                      - _block_rank(genus, k, 4, mu))
     return offsets, total
+
+
+def _by_weight(z: WedgeChain) -> dict[tuple[int, ...], dict[Monomial, Fraction]]:
+    """The coordinates of a chain split by the weight of their monomials."""
+    blocks: dict[tuple[int, ...], dict[Monomial, Fraction]] = {}
+    for mon, c in z.coords.items():
+        mu = _letter_weight(chain.from_iterable(mon), z.genus)
+        blocks.setdefault(mu, {})[mon] = c
+    return blocks
 
 
 class HomologyClass(SparseCombination):
@@ -338,10 +347,14 @@ class HomologyClass(SparseCombination):
 
     def __init__(self, genus: int, nilpotency_class: int,
                  parts: Mapping[int, tuple] | None = None):
+        if genus < 1 or nilpotency_class < 1:
+            raise ValueError("bad context")
         self.genus = genus
         self.nilpotency_class = nilpotency_class
         self.coords = {}
         for d, t in (parts or {}).items():
+            if not isinstance(d, int):
+                raise ValueError(f"degree key {d!r} is not an int")
             dim = _quotient_layout(genus, nilpotency_class, d)[1]
             if len(t) != dim:
                 raise ValueError(f"degree {d} has {len(t)} coordinates, "
@@ -374,29 +387,21 @@ def class_of(z: WedgeChain) -> HomologyClass:
         raise ValueError("class_of handles arity-3 chains")
     _check_cycle(z)
     genus, k = z.genus, z.nilpotency_class
-    blocks: dict[tuple[int, ...], dict[Monomial, Fraction]] = {}
-    for mon, c in z.coords.items():
-        mu = _letter_weight(chain.from_iterable(mon), genus)
-        blocks.setdefault(mu, {})[mon] = c
     coords: dict[tuple[int, int], Fraction] = {}
-    for mu, block in blocks.items():
+    for mu, block in _by_weight(z).items():
         st = _h3_structure(genus, k, mu)
         if st is None:
             raise BlockMismatchError(
                 "cycle monomial outside the enumerated basis")
-        index, (im_basis, im_pivots), (q_basis, q_pivots) = st
-        v = [ZERO] * len(index)
-        for mon, c in block.items():
-            v[index[mon]] = c
-        reduce_against(v, im_basis, im_pivots)
+        index, (im_rows, im_pivots), (q_basis, q_pivots) = st
+        v = {index[mon]: c for mon, c in block.items()}
+        reduce_against(v, im_rows, im_pivots)
         coeffs = reduce_against(v, q_basis, q_pivots)
-        if any(v):
+        if v:
             raise RuntimeError("cycle reduction left a nonzero remainder")
         d = sum(mu)
         offset = _quotient_layout(genus, k, d)[0][mu]
-        for i, c in enumerate(coeffs, offset):
-            if c:
-                coords[(d, i)] = c
+        coords.update(((d, i), c) for i, c in enumerate(coeffs, offset) if c)
     return HomologyClass(genus, k)._like(coords)
 
 
@@ -425,12 +430,8 @@ def solve_boundary3(z: WedgeChain) -> WedgeChain:
 def _solve_boundary3(z: WedgeChain) -> WedgeChain:
     """`solve_boundary3` for an arity-2 chain known to be a cycle."""
     genus, k = z.genus, z.nilpotency_class
-    blocks: dict[tuple[int, ...], dict[Monomial, Fraction]] = {}
-    for mon, c in z.coords.items():
-        mu = _letter_weight(chain.from_iterable(mon), genus)
-        blocks.setdefault(mu, {})[mon] = c
     acc: dict[Monomial, Fraction] = {}
-    for mu, rhs in sorted(blocks.items()):
+    for mu, rhs in sorted(_by_weight(z).items()):
         pack = _d3_solver(genus, k, mu)
         sol = pack[0].solve(rhs) if pack else None
         if sol is None:

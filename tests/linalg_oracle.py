@@ -1,12 +1,16 @@
-"""Independent oracle for the sparse elimination kernel.
+"""Independent oracles for the sparse elimination code.
 
-Gauss-Jordan over `Fraction` with a fixed pivot rule: leftmost column
-first, first nonzero row at or below the current one in that column.
-It shares no code with `lietrees.exact_linalg`, whose fraction-free
-integer echelon the tests compare against it.
+`_eliminate` is Gauss-Jordan over `Fraction` with a fixed pivot rule:
+leftmost column first, first nonzero row at or below the current one in
+that column.  `echelon_reduce` and `reduce_against` are the dense
+semi-echelon over `Fraction` lists whose bases, pivots and coefficients
+the sparse `semi_echelon` must reproduce.  None of them shares code with
+`lietrees.exact_linalg`, whose fraction-free integer echelon and sparse
+`semi_echelon` the tests compare against them.
 """
 
 from fractions import Fraction
+from typing import Iterable, Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -47,3 +51,39 @@ def _eliminate(rows: list[dict[int, Fraction]], ncols: int):
         if r == len(rows):
             break
     return r, pivots
+
+
+def reduce_against(v: list[Fraction], basis: Sequence[Sequence[Fraction]],
+                   pivots: Sequence[int]) -> list[Fraction]:
+    """Reduce v in place against a semi-echelon basis.
+
+    Returns the multiple of each basis vector subtracted, read at its
+    pivot in basis order.
+    """
+    coeffs = []
+    for bvec, p in zip(basis, pivots):
+        f = v[p]
+        coeffs.append(f)
+        if f:
+            for j, bj in enumerate(bvec):
+                if bj:
+                    v[j] -= f * bj
+    return coeffs
+
+
+def echelon_reduce(vectors: Iterable[Sequence[Fraction]],
+                   length: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Echelonize dense vectors; returns (reduced independent vectors, pivot positions)."""
+    basis: list[list[Fraction]] = []
+    pivots: list[int] = []
+    for vec in vectors:
+        v = list(vec)
+        reduce_against(v, basis, pivots)
+        p = next((j for j in range(length) if v[j]), None)
+        if p is None:
+            continue
+        inv = ONE / v[p]
+        v = [c * inv for c in v]
+        basis.append(v)
+        pivots.append(p)
+    return basis, pivots

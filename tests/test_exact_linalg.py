@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lietrees.exact_linalg import (BlockSolver, _echelon, _rref,
-                                   echelon_reduce, kernel_from_rref,
-                                   rank_of_columns, rank_of_rows)
+                                   kernel_from_rref, rank_of_columns,
+                                   rank_of_rows, reduce_against, semi_echelon)
+import linalg_oracle
 from linalg_oracle import _eliminate
 
 F = Fraction
@@ -36,6 +37,14 @@ def kernel(data):
 
 def mat_vec(data, x):
     return [sum((F(a) * xj for a, xj in zip(row, x)), F(0)) for row in data]
+
+
+def dense(v, n):
+    """The sparse vector v as a list of length n."""
+    out = [F(0)] * n
+    for j, c in v.items():
+        out[j] = c
+    return out
 
 
 class TestRref:
@@ -82,7 +91,10 @@ class TestKernel:
         basis = kernel(a)
         assert len(basis) == 2
         for v in basis:
-            assert mat_vec(a, v) == [F(0), F(0)]
+            assert mat_vec(a, dense(v, 3)) == [F(0), F(0)]
+
+    def test_basis_is_sparse_with_a_one_at_each_free_column(self):
+        assert kernel([[1, 2, 0], [0, 0, 1]]) == [{0: F(-2), 1: F(1)}]
 
 
 small_fraction = st.fractions(
@@ -96,7 +108,7 @@ def test_rank_nullity(rows):
     basis = kernel(rows)
     assert rank_of_columns(columns_of(rows)) + len(basis) == 3
     for v in basis:
-        assert not any(mat_vec(rows, v))
+        assert not any(mat_vec(rows, dense(v, 3)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -131,17 +143,29 @@ class TestBlockSolver:
         assert BlockSolver([0, 1], cols).rank == rank_of_columns(cols)
 
 
-class TestEchelonReduce:
+class TestSemiEchelon:
     def test_dependent_vectors_dropped(self):
-        basis, pivots = echelon_reduce(
-            [[F(1), F(2)], [F(2), F(4)], [F(0), F(1)]], 2)
+        basis, pivots = semi_echelon(
+            [{0: F(1), 1: F(2)}, {0: F(2), 1: F(4)}, {0: F(0), 1: F(1)}])
         assert len(basis) == 2
         assert pivots == [0, 1]
         for vec, p in zip(basis, pivots):
             assert vec[p] == 1
 
     def test_empty_input(self):
-        assert echelon_reduce([], 3) == ([], [])
+        assert semi_echelon([]) == ([], [])
+
+    def test_keeps_input_order(self):
+        # the pivot is the least index after reduction, not after sorting
+        basis, pivots = semi_echelon([{1: F(2), 2: F(1)}, {0: F(1), 1: F(1)}])
+        assert pivots == [1, 0]
+        assert basis == [{1: F(1), 2: F(1, 2)}, {0: F(1), 2: F(-1, 2)}]
+
+    def test_reduce_against_returns_coefficients(self):
+        basis, pivots = semi_echelon([{0: F(2), 1: F(2)}, {1: F(3)}])
+        v = {0: F(3), 1: F(5)}
+        assert reduce_against(v, basis, pivots) == [F(3), F(2)]
+        assert v == {}
 
 
 # The fraction-free rank kernel against the Fraction Gauss-Jordan oracle.
@@ -237,6 +261,53 @@ def test_block_solver_matches_fraction_oracle(matrix, data):
     b = data.draw(st.lists(sparse_fraction, min_size=len(rows),
                            max_size=len(rows)))
     assert solver.solve(dict(enumerate(b))) == oracle_solution(ncols, rows, b)
+
+
+def sparse_rows(rows):
+    """Each row as a dict over every column, zero entries kept."""
+    return [dict(enumerate(row)) for row in rows]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(matrices(sparse_int), matrices(sparse_fraction)), st.data())
+def test_semi_echelon_matches_dense_oracle(matrix, data):
+    ncols, rows = matrix
+    basis, pivots = semi_echelon(sparse_rows(rows))
+    expect, expect_pivots = linalg_oracle.echelon_reduce(rows, ncols)
+    assert pivots == expect_pivots
+    assert [dense(v, ncols) for v in basis] == expect
+    assert all(c for v in basis for c in v.values())
+    # the coordinates: the same coefficients and remainder, vector by vector
+    extra = data.draw(st.lists(sparse_fraction, min_size=ncols,
+                               max_size=ncols))
+    for row in rows + [extra]:
+        v = {j: F(c) for j, c in enumerate(row) if c}
+        dv = [F(c) for c in row]
+        assert (reduce_against(v, basis, pivots)
+                == linalg_oracle.reduce_against(dv, expect, expect_pivots))
+        assert dense(v, ncols) == dv
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(matrices(sparse_int), matrices(sparse_fraction)), st.data())
+def test_reduce_against_scaled_rref_rows(matrix, data):
+    # reduction at the pivots of any echelon basis of a row space leaves
+    # the one representative vanishing at them, whatever the row scale
+    ncols, rows = matrix
+    got_pivots, got = _rref(_echelon(row_dicts(rows)), ncols)
+    normalised = row_dicts(rows)
+    rank, pivots = _eliminate(normalised, ncols)
+    semi, semi_pivots = linalg_oracle.echelon_reduce(rows, ncols)
+    x = data.draw(st.lists(sparse_fraction, min_size=ncols, max_size=ncols))
+    v = {j: F(c) for j, c in enumerate(x) if c}
+    w = dict(v)
+    dv = [F(c) for c in x]
+    assert (reduce_against(v, got, got_pivots)
+            == reduce_against(w, normalised[:rank], pivots))
+    linalg_oracle.reduce_against(dv, semi, semi_pivots)
+    assert v == w
+    assert dense(v, ncols) == dv
+    assert not any(v.get(c) for c in got_pivots)
 
 
 class TestFractionFreeRank:

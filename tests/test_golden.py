@@ -42,6 +42,13 @@ def test_class_three_h3_coordinates():
         "bfa8053392c77d924d107c0855ab646d6c5e0cb628603de16b1f767afe54237e")
 
 
+def test_class_three_morita_coordinates():
+    m = morita_mk(random_ic_element(2, 3, 1, 6), 3)
+    coords = repr(sorted(m.parts.items()))
+    assert hashlib.sha256(coords.encode()).hexdigest() == (
+        "dd58abaea8584fb92dd1ddb725ca68158dc5a40db652caa5bf85ff2a8f2c1ce2")
+
+
 def test_eta_inverse_tree_text():
     h = hashlib.sha256()
     for genus, d, seed in ((2, 4, 5), (3, 2, 6)):

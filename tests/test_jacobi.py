@@ -146,8 +146,8 @@ class TestEtaInverse:
             min_size=1, max_size=4))
         acc = {}
         for i, c in picks.items():
-            for key, v in zip(keys, basis[i]):
-                add_term(acc, key, c * v)
+            for j, v in basis[i].items():
+                add_term(acc, keys[j], c * v)
         x = HLieTensor(genus, acc)
         assert eta(eta_inverse(x, d)) == x
 

@@ -3,7 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -13,6 +13,7 @@ from lietrees.exact_linalg import rank_of_columns
 from lietrees.free_lie import _letter_weight, lyndon_basis, witt_dim
 from lietrees.jacobi import (TreeCombo, TreeDiagram, _caterpillars, fission,
                              random_tree)
+from lietrees.johnson import morita_mk, random_ic_element
 from lietrees.koszul import (BlockMismatchError, HomologyClass, WedgeChain,
                              _block_rank, _monomial_boundary, _monomials,
                              boundary, capital_phi, class_of, homology_dims,
@@ -194,11 +195,48 @@ class TestClasses:
         with pytest.raises(ValueError, match="dimension 0"):
             HomologyClass(2, 3, {2: (1,)})
 
+    @pytest.mark.parametrize("genus, k, parts", [(2, 0, {5: ()}),
+                                                 (2, -1, {1: ()}),
+                                                 (0, 3, {5: (1,)})])
+    def test_constructor_rejects_bad_context(self, genus, k, parts):
+        with pytest.raises(ValueError, match="bad context"):
+            HomologyClass(genus, k, parts)
+
+    def test_constructor_rejects_a_non_int_degree(self):
+        with pytest.raises(ValueError, match="degree key '5' is not an int"):
+            HomologyClass(2, 3, {"5": (1,)})
+
     def test_parts_is_a_dense_view(self):
         c = HomologyClass(2, 2, {4: (0,) * 19 + (F(1, 2),), 5: (0,) * 36})
         assert c.coords == {(4, 19): F(1, 2)}
         assert c.parts == {4: (F(0),) * 19 + (F(1, 2),)}
         assert c.degrees() == [4]
+
+
+class TestQuotientLayout:
+    def test_builds_only_the_blocks_the_cycle_touches(self, monkeypatch):
+        koszul._h3_structure.cache_clear()
+        koszul._quotient_layout.cache_clear()
+        touched = set()
+
+        def recording(z):
+            touched.update(_letter_weight(chain.from_iterable(mon), z.genus)
+                           for mon in z.coords)
+            return class_of(z)
+
+        monkeypatch.setattr(koszul, "class_of", recording)
+        assert not morita_mk(random_ic_element(2, 2, 1, 4), 2).is_zero()
+        assert touched
+        assert koszul._h3_structure.cache_info().currsize == len(touched)
+
+    @pytest.mark.parametrize("genus, k", [(1, 3), (2, 2), (2, 3), (3, 2)])
+    def test_rank_dimension_is_the_quotient_basis_size(self, genus, k):
+        for d in range(3, 3 * k + 1):
+            offsets, total = koszul._quotient_layout(genus, k, d)
+            ends = [*list(offsets.values())[1:], total]
+            for (mu, start), end in zip(offsets.items(), ends):
+                q_basis = koszul._h3_structure(genus, k, mu)[2][0]
+                assert end - start == len(q_basis)
 
 
 def draw_fission(data, genus, k):
