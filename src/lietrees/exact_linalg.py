@@ -7,8 +7,11 @@ f*pivot, then division by the row's content).  Every rank is its length,
 and `_rref` back-substitutes it into the reduced row echelon form, whose
 readers divide by each pivot once, at the end.  The RREF is unique, so
 `BlockSolver` solutions and `kernel_from_rref` bases do not depend on row
-order.  Only the sparse `semi_echelon` over `Fraction`, used for the H3
-quotient basis the canonical coordinates are read in, depends on it.
+order.  A `BlockSolver` takes {label: sparse column} and its solutions
+are sparse, keyed by those labels; `free_lie._solve_by_weight` is the one
+blockwise solve, a solver per weight block.  Only the sparse
+`semi_echelon` over `Fraction`, used for the H3 quotient basis the
+canonical coordinates are read in, depends on row order.
 """
 
 from __future__ import annotations
@@ -43,9 +46,9 @@ def kernel_from_rref(rows: list[dict[int, Rational]], pivots: list[int],
     return basis
 
 
-def _rows_of(columns: Sequence[Mapping[object, Rational]],
+def _rows_of(columns: Iterable[Mapping[object, Rational]],
              index: Mapping[object, int]) -> list[dict[int, Rational]]:
-    """Row dicts of the matrix whose j-th column is columns[j]."""
+    """Row dicts of the matrix whose j-th column is the j-th of columns."""
     rows: list[dict[int, Rational]] = [dict() for _ in range(len(index))]
     for j, col in enumerate(columns):
         for k, v in col.items():
@@ -141,34 +144,38 @@ def rank_of_columns(columns: Sequence[Mapping[object, Rational]]) -> int:
 
 
 class BlockSolver:
-    """Reusable exact solver for a fixed sparse column family.
+    """Reusable exact solver for a fixed family of labelled sparse columns.
 
-    Built once by `_echelon` of [a | I] over a fixed row universe.  The
-    rows led in a reduce to the RREF of a, their I part recording how;
-    the rows led in I are a basis of the left kernel of a, so b is
-    consistent exactly when each annihilates it.  Solves run in integers
-    up to one division per pivot and set free variables to zero, so each
-    is the unique solution supported on the pivot columns.
+    Built once by `_echelon` of [a | I] over a fixed row universe, the
+    columns of a in the order of their mapping.  The rows led in a reduce
+    to the RREF of a, their I part recording how; the rows led in I are a
+    basis of the left kernel of a, so b is consistent exactly when each
+    annihilates it.  Solves run in integers up to one division per pivot
+    and set free variables to zero: each is the unique solution supported
+    on the pivot columns, {label: value} over its nonzero entries.
     """
 
     def __init__(self, row_keys: Sequence[object],
-                 columns: Sequence[Mapping[object, Rational]]):
+                 columns: Mapping[object, Mapping[object, Rational]]):
         self.row_keys = list(row_keys)
         self.index = {k: i for i, k in enumerate(self.row_keys)}
-        n = self.ncols = len(columns)
-        rows = _rows_of(columns, self.index)
+        labels = list(columns)
+        n = len(labels)
+        rows = _rows_of(columns.values(), self.index)
         for i, row in enumerate(rows):
             row[n + i] = 1
         echelon = _echelon(rows)
         self.cokernel = [{j - n: v for j, v in row.items()}
                          for c, row in echelon.items() if c >= n]
-        self.pivots, reduced = _rref(echelon, n)
-        self.rank = len(self.pivots)
-        # x[c] = sum_j t[j] * b[j] / p for each (c, t, p) in transform
-        self.transform = [(c, {j - n: v for j, v in row.items() if j >= n},
-                           row[c]) for c, row in zip(self.pivots, reduced)]
+        pivots, reduced = _rref(echelon, n)
+        self.pivots = [labels[c] for c in pivots]
+        self.rank = len(pivots)
+        # x[label] = sum_j t[j] * b[j] / p for each (label, t, p) in transform
+        self.transform = [(labels[c], {j - n: v for j, v in row.items()
+                                       if j >= n}, row[c])
+                          for c, row in zip(pivots, reduced)]
 
-    def solve(self, b: Mapping[object, Rational]) -> Optional[list[Fraction]]:
+    def solve(self, b: Mapping[object, Rational]) -> Optional[dict]:
         bvec = [(self.index.get(k), v) for k, v in b.items() if v]
         if any(i is None for i, _ in bvec):
             return None          # target hits a row no column reaches
@@ -177,11 +184,11 @@ class BlockSolver:
         for y in self.cokernel:
             if sum(y.get(i, 0) * v for i, v in bint):
                 return None
-        x = [ZERO] * self.ncols
-        for c, trow, p in self.transform:
+        x = {}
+        for label, trow, p in self.transform:
             s = sum(trow.get(i, 0) * v for i, v in bint)
             if s:
-                x[c] = Fraction(s, p * den)
+                x[label] = Fraction(s, p * den)
         return x
 
 

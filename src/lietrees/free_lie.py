@@ -141,6 +141,28 @@ def _letter_weight(letters: Iterable[int], genus: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
+def _split_by_weight(coords: Mapping, genus: int,
+                     letters=lambda key: key) -> dict[tuple[int, ...], dict]:
+    """The entries of coords in blocks by the letter weight of letters(key)."""
+    blocks: dict[tuple[int, ...], dict] = {}
+    for key, c in coords.items():
+        blocks.setdefault(_letter_weight(letters(key), genus), {})[key] = c
+    return blocks
+
+
+def _solve_by_weight(solvers: Mapping, blocks: Mapping) -> dict | None:
+    """Each block's right-hand side solved, in weight order, by the
+    `BlockSolver` filed under its weight, and the sparse solutions joined;
+    None when some block has no solver or no solution."""
+    out: dict = {}
+    for mu in sorted(blocks):
+        sol = solvers[mu].solve(blocks[mu]) if mu in solvers else None
+        if sol is None:
+            return None
+        out.update(sol)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # bracket rewriting on the Lyndon basis
 

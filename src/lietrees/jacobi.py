@@ -31,9 +31,9 @@ from itertools import product
 from typing import Iterable, Mapping
 
 from .exact_linalg import BlockSolver, rank_of_columns
-from .free_lie import (LieSeries, Word, _letter_weight, bracket_basis,
-                       gen_count, is_lyndon, letter_label, lyndon_basis,
-                       parse_letter)
+from .free_lie import (LieSeries, Word, _letter_weight, _solve_by_weight,
+                       _split_by_weight, bracket_basis, gen_count, is_lyndon,
+                       letter_label, lyndon_basis, parse_letter)
 from .sparse import SparseCombination, add_into, add_term
 
 Plant = int | tuple
@@ -373,13 +373,11 @@ def tree_equal(x: TreeCombo, y: TreeCombo) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _hl_blocks(genus: int,
-               d: int) -> dict[tuple[int, ...], list[tuple[int, Word]]]:
-    """Basis keys (h, w) of H (x) L_{d+1} by weight, each list sorted."""
-    out: dict[tuple[int, ...], list[tuple[int, Word]]] = {}
-    for h, w in product(range(gen_count(genus)), lyndon_basis(genus, d + 1)):
-        out.setdefault(_letter_weight((h,) + w, genus), []).append((h, w))
-    return out
+def _hl_blocks(genus: int, d: int) -> dict[tuple[int, ...], dict]:
+    """Basis keys (h, w) of H (x) L_{d+1} by weight, each block's sorted."""
+    return _split_by_weight(dict.fromkeys(product(range(gen_count(genus)),
+                                                  lyndon_basis(genus, d + 1))),
+                            genus, lambda hw: (hw[0], *hw[1]))
 
 
 @lru_cache(maxsize=None)
@@ -447,16 +445,12 @@ def _eta_solvers(genus: int, d: int):
     total achieved rank with tree_space_dim.
     """
     solvers = {}
-    total_rank = 0
-    for mu, trees in sorted(_caterpillars(genus, d).items()):
+    for mu, trees in _caterpillars(genus, d).items():
         row_keys = _hl_blocks(genus, d).get(mu)
-        if not row_keys:
-            continue
-        solver = BlockSolver(row_keys,
-                             [eta(TreeCombo.single(t)).coords for t in trees])
-        total_rank += solver.rank
-        solvers[mu] = (solver, trees)
-    if total_rank != tree_space_dim(genus, d):
+        if row_keys:
+            solvers[mu] = BlockSolver(row_keys, {
+                t: eta(TreeCombo.single(t)).coords for t in trees})
+    if sum(s.rank for s in solvers.values()) != tree_space_dim(genus, d):
         raise RuntimeError(
             f"caterpillar family does not span tree space at degree {d}")
     return solvers
@@ -473,17 +467,10 @@ def eta_inverse(x: HLieTensor, d: int) -> TreeCombo:
         raise ValueError("input not in the bracket kernel")
     if x.is_zero():
         return TreeCombo.zero(x.genus)
-    solvers = _eta_solvers(x.genus, d)
-    blocks: dict[tuple[int, ...], dict] = {}
-    for (h, w), c in x.coords.items():
-        mu = _letter_weight((h,) + w, x.genus)
-        blocks.setdefault(mu, {})[(h, w)] = c
-    coords: dict[TreeDiagram, Fraction] = {}
-    for mu, rhs in sorted(blocks.items()):
-        sol = solvers[mu][0].solve(rhs) if mu in solvers else None
-        if sol is None:
-            raise RuntimeError("kernel element outside the certified span")
-        coords.update((t, c) for t, c in zip(solvers[mu][1], sol) if c)
+    coords = _solve_by_weight(_eta_solvers(x.genus, d), _split_by_weight(
+        x.coords, x.genus, lambda hw: (hw[0], *hw[1])))
+    if coords is None:
+        raise RuntimeError("kernel element outside the certified span")
     return TreeCombo.zero(x.genus)._like(coords)
 
 

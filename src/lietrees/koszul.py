@@ -28,8 +28,9 @@ from typing import Iterable, Mapping
 from .exact_linalg import (ZERO, BlockSolver, _echelon, _rows_of, _rref,
                            kernel_from_rref, rank_of_rows, reduce_against,
                            semi_echelon)
-from .free_lie import (Word, _letter_weight, bracket_basis, gen_count,
-                       is_lyndon, letter_label, lyndon_basis)
+from .free_lie import (Word, _letter_weight, _solve_by_weight,
+                       _split_by_weight, bracket_basis, gen_count, is_lyndon,
+                       letter_label, lyndon_basis)
 from .sparse import SparseCombination, add_into, add_term
 
 Monomial = tuple[Word, ...]
@@ -313,24 +314,19 @@ def _h3_structure(genus: int, k: int, mu: tuple[int, ...]):
 def _quotient_layout(genus: int, k: int,
                      d: int) -> tuple[dict[tuple[int, ...], int], int]:
     """Offset of each weight block inside the degree-d H3 coordinates, and
-    the dimension of H3 in degree d: c3 - rank d3 - rank d4 per block."""
+    the dimension of H3 in degree d: c3 - rank d3 - rank d4 per block, at
+    its orbit's weakly decreasing weight; empty outside degrees 3..3k."""
     offsets, total = {}, 0
+    if not 3 <= d <= 3 * k:
+        return offsets, total
     for mu in _weights(gen_count(genus), d):
-        c3 = len(_monomials(genus, k, 3, mu))
+        rep = tuple(sorted(mu, reverse=True))
+        c3 = len(_monomials(genus, k, 3, rep))
         if c3:
             offsets[mu] = total
-            total += (c3 - _block_rank(genus, k, 3, mu)
-                      - _block_rank(genus, k, 4, mu))
+            total += (c3 - _block_rank(genus, k, 3, rep)
+                      - _block_rank(genus, k, 4, rep))
     return offsets, total
-
-
-def _by_weight(z: WedgeChain) -> dict[tuple[int, ...], dict[Monomial, Fraction]]:
-    """The coordinates of a chain split by the weight of their monomials."""
-    blocks: dict[tuple[int, ...], dict[Monomial, Fraction]] = {}
-    for mon, c in z.coords.items():
-        mu = _letter_weight(chain.from_iterable(mon), z.genus)
-        blocks.setdefault(mu, {})[mon] = c
-    return blocks
 
 
 class HomologyClass(SparseCombination):
@@ -388,7 +384,8 @@ def class_of(z: WedgeChain) -> HomologyClass:
     _check_cycle(z)
     genus, k = z.genus, z.nilpotency_class
     coords: dict[tuple[int, int], Fraction] = {}
-    for mu, block in _by_weight(z).items():
+    for mu, block in _split_by_weight(z.coords, genus,
+                                      chain.from_iterable).items():
         st = _h3_structure(genus, k, mu)
         if st is None:
             raise BlockMismatchError(
@@ -406,13 +403,11 @@ def class_of(z: WedgeChain) -> HomologyClass:
 
 
 @lru_cache(maxsize=None)
-def _d3_solver(genus: int, k: int, mu: tuple[int, ...]):
-    mon3 = _monomials(genus, k, 3, mu)
-    if not mon3:
-        return None
-    mon2 = _monomials(genus, k, 2, mu)
-    cols = [_monomial_boundary(genus, k, m) for m in mon3]
-    return BlockSolver(mon2, cols), mon3
+def _d3_solver(genus: int, k: int, mu: tuple[int, ...]) -> BlockSolver:
+    """d3 on the (3, mu) block, its columns labelled by their monomials."""
+    return BlockSolver(_monomials(genus, k, 2, mu),
+                       {m: _monomial_boundary(genus, k, m)
+                        for m in _monomials(genus, k, 3, mu)})
 
 
 class NotABoundaryError(ValueError, RuntimeError):
@@ -430,16 +425,12 @@ def solve_boundary3(z: WedgeChain) -> WedgeChain:
 def _solve_boundary3(z: WedgeChain) -> WedgeChain:
     """`solve_boundary3` for an arity-2 chain known to be a cycle."""
     genus, k = z.genus, z.nilpotency_class
-    acc: dict[Monomial, Fraction] = {}
-    for mu, rhs in sorted(_by_weight(z).items()):
-        pack = _d3_solver(genus, k, mu)
-        sol = pack[0].solve(rhs) if pack else None
-        if sol is None:
-            raise NotABoundaryError("2-cycle is not a 3-boundary")
-        for m, c in zip(pack[1], sol):
-            if c:
-                acc[m] = c
-    return WedgeChain._of(genus, k, 3, acc)
+    blocks = _split_by_weight(z.coords, genus, chain.from_iterable)
+    sol = _solve_by_weight({mu: _d3_solver(genus, k, mu) for mu in blocks},
+                           blocks)
+    if sol is None:
+        raise NotABoundaryError("2-cycle is not a 3-boundary")
+    return WedgeChain._of(genus, k, 3, sol)
 
 
 def capital_phi(c, k: int) -> HomologyClass:

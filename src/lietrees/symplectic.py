@@ -15,8 +15,9 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .exact_linalg import BlockSolver
-from .free_lie import (LieSeries, Word, _letter_weight, a_letter, b_letter,
-                       gen_count, lyndon_basis, bracket_basis)
+from .free_lie import (LieSeries, Word, _solve_by_weight, _split_by_weight,
+                       a_letter, b_letter, gen_count, lyndon_basis,
+                       bracket_basis)
 from .johnson import (LieAutomorphism, apply_aut, compose_aut, identity_aut,
                       invert_aut)
 from .tensor_hopf import (ExpansionMap, FreeGroupWord, TensorSeries,
@@ -79,39 +80,32 @@ def omega_tilde(genus: int, max_degree: int) -> LieSeries:
     return project_lie(tensor_log(acc))
 
 
-def _solve_splitting(genus: int, max_degree: int, j: int,
-                     defect: LieSeries) -> tuple[dict, dict]:
+def _solve_splitting(genus: int, j: int,
+                     defect: LieSeries) -> dict[int, dict[Word, Fraction]]:
     """Write a degree-(j+1) element as sum_i [a_i, v_i] + [u_i, b_i] with
-    u, v of degree j; blocked per letter weight, free variables zeroed."""
-    basis_j = lyndon_basis(genus, j)
-    tagged: dict[tuple[int, ...], list] = {}
+    u, v of degree j; blocked per letter weight, free variables zeroed.
+    Returns {a_i: u_i, b_i: v_i}, the terms each generator's image gains."""
+    columns: dict[tuple[int, Word], dict[Word, int]] = {}
     for i in range(1, genus + 1):
-        for w in basis_j:
-            wt = _letter_weight(w, genus)
-            for tag, col, bump in (
-                    ("u", bracket_basis(w, (b_letter(i),)), b_letter(i)),
-                    ("v", bracket_basis((a_letter(i),), w), a_letter(i))):
-                target = list(wt)
-                target[bump] += 1
-                tagged.setdefault(tuple(target), []).append(((tag, i, w), col))
-    rhs_by_weight: dict[tuple[int, ...], dict[Word, Fraction]] = {}
-    for wd, c in defect.coords.items():
-        rhs_by_weight.setdefault(_letter_weight(wd, genus), {})[wd] = c
-    u: dict[int, dict[Word, Fraction]] = {i: {} for i in range(1, genus + 1)}
-    v: dict[int, dict[Word, Fraction]] = {i: {} for i in range(1, genus + 1)}
-    for weight in sorted(rhs_by_weight):
-        rhs = rhs_by_weight[weight]
-        block = tagged.get(weight)
-        if not block:
-            raise RuntimeError("defect weight outside the bracket image")
-        row_words = sorted({wd for _, col in block for wd in col})
-        sol = BlockSolver(row_words, [col for _, col in block]).solve(rhs)
-        if sol is None:
-            raise RuntimeError("bracket splitting system is inconsistent")
-        for ((tag, i, w), _), c in zip(block, sol):
-            if c:
-                (u if tag == "u" else v)[i][w] = c
-    return u, v
+        a, b = a_letter(i), b_letter(i)
+        for w in lyndon_basis(genus, j):
+            columns[(a, w)] = bracket_basis(w, (b,))
+            columns[(b, w)] = bracket_basis((a,), w)
+    # column (x, w) brackets w with the partner x ^ 1 of x (a_i = 2i - 2)
+    col_blocks = _split_by_weight(columns, genus,
+                                  lambda xw: (xw[0] ^ 1, *xw[1]))
+    blocks = _split_by_weight(defect.coords, genus)
+    if not blocks.keys() <= col_blocks.keys():
+        raise RuntimeError("defect weight outside the bracket image")
+    solvers = {mu: BlockSolver(sorted(set().union(*cols.values())), cols)
+               for mu, cols in col_blocks.items() if mu in blocks}
+    sol = _solve_by_weight(solvers, blocks)
+    if sol is None:
+        raise RuntimeError("bracket splitting system is inconsistent")
+    gains: dict[int, dict[Word, Fraction]] = {}
+    for (x, w), c in sol.items():
+        gains.setdefault(x, {})[w] = c
+    return gains
 
 
 def build_corrector(genus: int, max_degree: int) -> LieAutomorphism:
@@ -132,13 +126,10 @@ def build_corrector(genus: int, max_degree: int) -> LieAutomorphism:
         defect = (target - apply_aut(psi, w)).graded_part(j + 1)
         if not defect:
             continue
-        u, v = _solve_splitting(genus, max_degree, j, defect)
-        images = {}
-        for i in range(1, genus + 1):
-            images[a_letter(i)] = (LieSeries.gen(genus, max_degree, a_letter(i))
-                                   + LieSeries(genus, max_degree, u[i]))
-            images[b_letter(i)] = (LieSeries.gen(genus, max_degree, b_letter(i))
-                                   + LieSeries(genus, max_degree, v[i]))
+        gains = _solve_splitting(genus, j, defect)
+        images = {x: (LieSeries.gen(genus, max_degree, x)
+                      + LieSeries(genus, max_degree, gains.get(x, {})))
+                  for x in range(gen_count(genus))}
         psi = compose_aut(psi, LieAutomorphism(genus, max_degree, images))
     if apply_aut(psi, w) != target:
         raise RuntimeError("correction loop left a nonzero defect")

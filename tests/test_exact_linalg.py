@@ -19,14 +19,16 @@ def row_dicts(data):
 
 
 def columns_of(data):
-    """Columns keyed by row index, the form BlockSolver and rank_of_columns take."""
+    """Columns keyed by row index, the form rank_of_columns takes."""
     return [{i: F(row[j]) for i, row in enumerate(data) if row[j]}
             for j in range(len(data[0]))]
 
 
 def solve(data, b):
-    return BlockSolver(range(len(data)), columns_of(data)).solve(
+    """The BlockSolver solution of data . x = b, dense, or None."""
+    x = BlockSolver(range(len(data)), dict(enumerate(columns_of(data)))).solve(
         {i: F(v) for i, v in enumerate(b)})
+    return None if x is None else dense(x, len(data[0]))
 
 
 def kernel(data):
@@ -125,22 +127,37 @@ def test_solve_satisfies_system(rows, x):
 class TestBlockSolver:
     def test_solves_keyed_system(self):
         cols = [{"p": F(1), "q": F(1)}, {"q": F(1)}]
-        s = BlockSolver(["p", "q"], cols)
+        s = BlockSolver(["p", "q"], dict(enumerate(cols)))
         assert s.rank == 2
         x = s.solve({"p": F(2), "q": F(5)})
-        assert x == [F(2), F(3)]
+        assert dense(x, 2) == [F(2), F(3)]
 
     def test_unknown_row_key_is_unreachable(self):
-        s = BlockSolver(["p"], [{"p": F(1)}])
+        s = BlockSolver(["p"], dict(enumerate([{"p": F(1)}])))
         assert s.solve({"r": F(1)}) is None
 
     def test_inconsistent_rhs(self):
-        s = BlockSolver(["p", "q"], [{"p": F(1), "q": F(1)}])
+        s = BlockSolver(["p", "q"], dict(enumerate([{"p": F(1), "q": F(1)}])))
         assert s.solve({"p": F(1), "q": F(2)}) is None
 
     def test_rank_matches_rank_of_columns(self):
         cols = [{0: F(1), 1: F(2)}, {0: F(2), 1: F(4)}, {1: F(1)}]
-        assert BlockSolver([0, 1], cols).rank == rank_of_columns(cols)
+        assert (BlockSolver([0, 1], dict(enumerate(cols))).rank
+                == rank_of_columns(cols))
+
+    def test_zero_rhs_gives_the_empty_solution(self):
+        s = BlockSolver(["p", "q"], dict(enumerate([{"p": F(1)}])))
+        assert s.solve({}) == {}
+        assert s.solve({"p": F(0), "q": F(0)}) == {}
+
+    def test_labels_come_back_as_keys(self):
+        cols = {("u", 1): {"p": F(1), "q": F(1)}, "v": {"q": F(2)},
+                ("w",): {"p": F(1), "q": F(3)}}
+        s = BlockSolver(["p", "q"], cols)
+        assert s.pivots == [("u", 1), "v"]
+        assert s.solve({"p": F(2), "q": F(5)}) == {("u", 1): F(2),
+                                                   "v": F(3, 2)}
+        assert s.solve({"q": F(1)}) == {"v": F(1, 2)}
 
 
 class TestSemiEchelon:
@@ -243,7 +260,7 @@ def test_block_solver_matches_fraction_oracle(matrix, data):
     ncols, rows = matrix
     columns = [{i: F(row[j]) for i, row in enumerate(rows) if row[j]}
                for j in range(ncols)]
-    solver = BlockSolver(range(len(rows)), columns)
+    solver = BlockSolver(range(len(rows)), dict(enumerate(columns)))
     rank, pivots = _eliminate(row_dicts(rows), ncols)
     assert (solver.rank, solver.pivots) == (rank, pivots)
     # the consistency rows are a basis of the left kernel
@@ -256,11 +273,14 @@ def test_block_solver_matches_fraction_oracle(matrix, data):
     image = mat_vec(rows, x)
     got = solver.solve(dict(enumerate(image)))
     assert got is not None
-    assert got == oracle_solution(ncols, rows, image)
+    assert all(got.values())        # the nonzero entries only
+    assert dense(got, ncols) == oracle_solution(ncols, rows, image)
 
     b = data.draw(st.lists(sparse_fraction, min_size=len(rows),
                            max_size=len(rows)))
-    assert solver.solve(dict(enumerate(b))) == oracle_solution(ncols, rows, b)
+    got = solver.solve(dict(enumerate(b)))
+    assert (None if got is None else dense(got, ncols)) == oracle_solution(
+        ncols, rows, b)
 
 
 def sparse_rows(rows):

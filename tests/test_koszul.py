@@ -14,9 +14,10 @@ from lietrees.free_lie import _letter_weight, lyndon_basis, witt_dim
 from lietrees.jacobi import (TreeCombo, TreeDiagram, _caterpillars, fission,
                              random_tree)
 from lietrees.johnson import morita_mk, random_ic_element
-from lietrees.koszul import (BlockMismatchError, HomologyClass, WedgeChain,
-                             _block_rank, _monomial_boundary, _monomials,
-                             boundary, capital_phi, class_of, homology_dims,
+from lietrees.koszul import (BlockMismatchError, HomologyClass,
+                             NotABoundaryError, WedgeChain, _block_rank,
+                             _monomial_boundary, _monomials, boundary,
+                             capital_phi, class_of, homology_dims,
                              phi_matrix_rank, solve_boundary3,
                              wedge_chain_from_terms)
 
@@ -229,6 +230,41 @@ class TestQuotientLayout:
         assert touched
         assert koszul._h3_structure.cache_info().currsize == len(touched)
 
+    def test_ranks_are_taken_once_per_weight_orbit(self, monkeypatch):
+        koszul._quotient_layout.cache_clear()
+        koszul._block_rank.cache_clear()
+        seen = []
+
+        def recording(genus, k, arity, mu):
+            seen.append(mu)
+            return rows_of(genus, k, arity, mu)
+
+        rows_of = koszul._boundary_rows
+        monkeypatch.setattr(koszul, "_boundary_rows", recording)
+        for d in range(3, 7):
+            koszul._quotient_layout(2, 2, d)
+        assert seen
+        assert all(list(mu) == sorted(mu, reverse=True) for mu in seen)
+
+    def test_degrees_without_arity_3_monomials_enumerate_nothing(
+            self, monkeypatch):
+        koszul._quotient_layout.cache_clear()
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return monomials(*args)
+
+        monomials = koszul._monomials
+        monkeypatch.setattr(koszul, "_monomials", counting)
+        assert HomologyClass(2, 2, {50: ()}).is_zero()
+        for d in (0, 1, 2, 7):
+            assert koszul._quotient_layout(2, 2, d) == ({}, 0)
+        assert calls == []
+        with pytest.raises(ValueError, match="degree 7 has 1 coordinates, "
+                           "but H3 has dimension 0 there"):
+            HomologyClass(2, 2, {7: (1,)})
+
     @pytest.mark.parametrize("genus, k", [(1, 3), (2, 2), (2, 3), (3, 2)])
     def test_rank_dimension_is_the_quotient_basis_size(self, genus, k):
         for d in range(3, 3 * k + 1):
@@ -396,6 +432,15 @@ class TestSolveBoundary3:
         assert boundary(z).is_zero()
         with pytest.raises(ValueError):
             solve_boundary3(z)
+
+    def test_not_a_boundary_error_is_both_error_types(self):
+        # a1 ^ b1 at genus 1, class 1: a cycle, and no 3-chains exist
+        z = WedgeChain(1, 1, 2, {((0,), (1,)): 1})
+        with pytest.raises(NotABoundaryError,
+                           match="2-cycle is not a 3-boundary") as info:
+            solve_boundary3(z)
+        assert isinstance(info.value, ValueError)
+        assert isinstance(info.value, RuntimeError)
 
 
 class TestCapitalPhi:
