@@ -194,7 +194,7 @@ def load_json(text: str) -> Any:
 
 def tree_combo_to_text(c: TreeCombo) -> str:
     lines = []
-    for _, (tree, coeff) in sorted(c.terms.items()):
+    for tree, coeff in sorted(c.coords.items(), key=lambda t: t[0].key):
         lines.append(f"{coeff} {tree_text(tree)}")
     return "\n".join(lines) + ("\n" if lines else "")
 

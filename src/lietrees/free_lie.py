@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .sparse import SparseCombination, add_into
 
@@ -218,28 +218,24 @@ class LieSeries(SparseCombination):
 
     def __init__(self, genus: int, max_degree: int,
                  coords: Mapping[Word, Fraction] | None = None):
-        if genus < 0 or max_degree < 1:
+        self._fill((genus, max_degree), coords)
+
+    def _check_context(self) -> None:
+        if self.genus < 0 or self.max_degree < 1:
             raise ValueError("bad context")
-        self.genus = genus
-        self.max_degree = max_degree
-        clean: dict[Word, Fraction] = {}
-        n = gen_count(genus)
-        for w, c in (coords or {}).items():
-            c = Fraction(c)
-            if not c:
-                continue
-            if len(w) > max_degree:
-                continue
-            if any(not 0 <= x < n for x in w) or not is_lyndon(w):
-                raise ValueError(f"{w} is not a Lyndon word over {n} letters")
-            clean[w] = c
-        self.coords = clean
+
+    def _admit(self, w: Word) -> bool:
+        """Words above max_degree are dropped; non-Lyndon words rejected."""
+        if len(w) > self.max_degree:
+            return False
+        n = gen_count(self.genus)
+        if any(not 0 <= x < n for x in w) or not is_lyndon(w):
+            raise ValueError(f"{w} is not a Lyndon word over {n} letters")
+        return True
+
+    _key_text = staticmethod(bracket_string)
 
     # -- constructors
-
-    @classmethod
-    def zero(cls, genus: int, max_degree: int) -> "LieSeries":
-        return cls(genus, max_degree)
 
     @classmethod
     def gen(cls, genus: int, max_degree: int, letter: int) -> "LieSeries":
@@ -276,15 +272,6 @@ class LieSeries(SparseCombination):
         out = self._like({w: c for w, c in self.coords.items() if len(w) <= n})
         out.max_degree = n
         return out
-
-    def terms(self) -> Iterator[tuple[Word, Fraction]]:
-        return iter(sorted(self.coords.items(), key=lambda t: (len(t[0]), t[0])))
-
-    def __repr__(self) -> str:
-        if not self.coords:
-            return "0"
-        bits = [f"({c})*{bracket_string(w)}" for w, c in self.terms()]
-        return " + ".join(bits)
 
 
 def bracket(x: LieSeries, y: LieSeries) -> LieSeries:

@@ -224,28 +224,24 @@ def comm(t: TreeDiagram, root: int) -> LieSeries:
 
 
 class TreeCombo(SparseCombination):
-    """Rational combination of canonical diagrams.
-
-    coords maps each TreeDiagram to its nonzero coefficient; `terms`
-    gives the same data keyed by the canonical strings.
-    """
+    """Rational combination of canonical diagrams; coords maps each
+    TreeDiagram to its nonzero coefficient."""
 
     __slots__ = ("genus",)
     _context = ("genus",)
     _degree = staticmethod(lambda tree: tree.degree)
+    _order = staticmethod(lambda tree: tree.key)
+    _key_text = staticmethod(lambda tree: tree_text(tree))
 
     def __init__(self, genus: int,
-                 terms: Mapping[str, tuple[TreeDiagram, Fraction]] | None = None):
-        self.genus = genus
-        self.coords = {t: c for t, c in (terms or {}).values() if c}
+                 coords: Mapping[TreeDiagram, Fraction] | None = None):
+        self._fill((genus,), coords)
 
-    @property
-    def terms(self) -> dict[str, tuple[TreeDiagram, Fraction]]:
-        return {t.key: (t, c) for t, c in self.coords.items()}
-
-    @classmethod
-    def zero(cls, genus: int) -> "TreeCombo":
-        return cls(genus)
+    def _admit(self, tree: TreeDiagram) -> bool:
+        if not isinstance(tree, TreeDiagram) or tree.genus != self.genus:
+            raise ValueError(
+                f"{tree!r} is not a tree diagram of genus {self.genus}")
+        return True
 
     @classmethod
     def from_terms(cls, genus: int,
@@ -259,19 +255,12 @@ class TreeCombo(SparseCombination):
 
     @classmethod
     def single(cls, tree: TreeDiagram, coeff=ONE) -> "TreeCombo":
-        return cls(tree.genus, {tree.key: (tree, Fraction(coeff))})
+        return cls(tree.genus, {tree: coeff})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TreeCombo):
             return NotImplemented
         return tree_equal(self, other)
-
-    def __repr__(self) -> str:
-        if not self.coords:
-            return "0"
-        bits = [f"({c})*{tree_text(t)}"
-                for _, (t, c) in sorted(self.terms.items())]
-        return " + ".join(bits)
 
 
 class HLieTensor(SparseCombination):
@@ -281,26 +270,21 @@ class HLieTensor(SparseCombination):
     __slots__ = ("genus",)
     _context = ("genus",)
     _degree = staticmethod(lambda key: len(key[1]) - 1)
+    _key_text = staticmethod(lambda key: f"{letter_label(key[0])}(x)"
+                             + ".".join(map(letter_label, key[1])))
 
     def __init__(self, genus: int,
                  coords: Mapping[tuple[int, Word], Fraction] | None = None):
-        n = gen_count(genus)
-        clean: dict[tuple[int, Word], Fraction] = {}
-        for (h, w), c in (coords or {}).items():
-            c = Fraction(c)
-            if not c:
-                continue
-            if not 0 <= h < n or any(not 0 <= x < n for x in w):
-                raise ValueError("letter out of range")
-            if not is_lyndon(w):
-                raise ValueError(f"{w} is not a Lyndon word")
-            clean[(h, w)] = c
-        self.genus = genus
-        self.coords = clean
+        self._fill((genus,), coords)
 
-    @classmethod
-    def zero(cls, genus: int) -> "HLieTensor":
-        return cls(genus)
+    def _admit(self, key: tuple[int, Word]) -> bool:
+        h, w = key
+        n = gen_count(self.genus)
+        if not 0 <= h < n or any(not 0 <= x < n for x in w):
+            raise ValueError("letter out of range")
+        if not is_lyndon(w):
+            raise ValueError(f"{w} is not a Lyndon word")
+        return True
 
     def bracket_contraction(self) -> LieSeries:
         """Image under (h, u) -> [h, u]; zero exactly on the D subspaces."""
@@ -309,16 +293,6 @@ class HLieTensor(SparseCombination):
         for (h, w), c in self.coords.items():
             add_into(acc, bracket_basis((h,), w), c)
         return LieSeries(self.genus, cap, acc)
-
-    def __repr__(self) -> str:
-        if not self.coords:
-            return "0"
-        bits = []
-        for (h, w), c in sorted(self.coords.items(),
-                                key=lambda t: (len(t[0][1]), t[0])):
-            word = ".".join(letter_label(x) for x in w)
-            bits.append(f"({c})*{letter_label(h)}(x){word}")
-        return " + ".join(bits)
 
 
 def fission(c: TreeCombo, nilpotency_class: int | None = None):
@@ -337,7 +311,7 @@ def fission(c: TreeCombo, nilpotency_class: int | None = None):
     if nilpotency_class is None:
         nilpotency_class = degs[-1] + 1
     terms = []
-    for _, (tree, coeff) in sorted(c.terms.items()):
+    for tree, coeff in sorted(c.coords.items(), key=lambda t: t[0].key):
         kinds, _, nbrs = tree.graph()
         val = _edge_values(tree, nilpotency_class)
         for v in range(len(kinds)):
@@ -362,7 +336,7 @@ def eta(c: TreeCombo) -> HLieTensor:
                 continue
             for w, cw in val(nbrs[v][0], v).coords.items():
                 add_term(acc, (colors[v], w), coeff * cw)
-    return HLieTensor.zero(c.genus)._like(acc)
+    return HLieTensor._of(c.genus, acc)
 
 
 def tree_equal(x: TreeCombo, y: TreeCombo) -> bool:
@@ -471,7 +445,7 @@ def eta_inverse(x: HLieTensor, d: int) -> TreeCombo:
         x.coords, x.genus, lambda hw: (hw[0], *hw[1])))
     if coords is None:
         raise RuntimeError("kernel element outside the certified span")
-    return TreeCombo.zero(x.genus)._like(coords)
+    return TreeCombo._of(x.genus, coords)
 
 
 def ihx_combination(genus: int, g: int, h: int, k: int, l: int) -> TreeCombo:

@@ -273,7 +273,7 @@ def tau_truncated(psi: LieAutomorphism, k: int) -> HLieTensor:
             for w, c in psi.deviation(letter).coords.items():
                 if k + 1 <= len(w) <= 2 * k:
                     add_term(coords, (mate, w), sign * c)
-    return HLieTensor.zero(genus)._like(coords)
+    return HLieTensor._of(genus, coords)
 
 
 def _check_level(psi: LieAutomorphism, k: int) -> None:

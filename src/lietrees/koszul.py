@@ -72,55 +72,31 @@ class WedgeChain(SparseCombination):
 
     def __init__(self, genus: int, nilpotency_class: int, arity: int,
                  coords: Mapping[Monomial, Fraction] | None = None):
-        if nilpotency_class < 1 or arity < 0:
+        self._fill((genus, nilpotency_class, arity), coords)
+
+    def _check_context(self) -> None:
+        if self.nilpotency_class < 1 or self.arity < 0:
             raise ValueError("bad context")
-        self.genus = genus
-        self.nilpotency_class = nilpotency_class
-        self.arity = arity
-        n = gen_count(genus)
-        clean: dict[Monomial, Fraction] = {}
-        for mon, c in (coords or {}).items():
-            c = Fraction(c)
-            if not c:
-                continue
-            if len(mon) != arity:
-                raise ValueError("monomial arity mismatch")
-            if any(len(w) > nilpotency_class for w in mon):
-                raise ValueError("wedge factor above the nilpotency class")
-            _check_factors(mon, n)
-            if any(_wkey(a) >= _wkey(b) for a, b in zip(mon, mon[1:])):
-                raise ValueError("wedge factors not strictly increasing")
-            clean[mon] = c
-        self.coords = clean
 
-    @classmethod
-    def _of(cls, genus: int, nilpotency_class: int, arity: int,
-            coords: dict[Monomial, Fraction]) -> "WedgeChain":
-        """A chain on sorted monomials with nonzero coords, unchecked."""
-        out = object.__new__(cls)
-        out.genus, out.nilpotency_class, out.arity = genus, nilpotency_class, arity
-        out.coords = coords
-        return out
+    def _admit(self, mon: Monomial) -> bool:
+        if len(mon) != self.arity:
+            raise ValueError("monomial arity mismatch")
+        if any(len(w) > self.nilpotency_class for w in mon):
+            raise ValueError("wedge factor above the nilpotency class")
+        _check_factors(mon, gen_count(self.genus))
+        if any(_wkey(a) >= _wkey(b) for a, b in zip(mon, mon[1:])):
+            raise ValueError("wedge factors not strictly increasing")
+        return True
 
-    @classmethod
-    def zero(cls, genus: int, nilpotency_class: int, arity: int) -> "WedgeChain":
-        return cls(genus, nilpotency_class, arity)
+    _order = staticmethod(lambda mon: tuple(map(_wkey, mon)))
+    _key_text = staticmethod(lambda mon: " ^ ".join(
+        ".".join(map(letter_label, w)) for w in mon))
 
     def reduced_to(self, k: int) -> "WedgeChain":
         """Reduction modulo L_{>k}: drop monomials with a long factor."""
         return WedgeChain._of(self.genus, k, self.arity,
                               {m: c for m, c in self.coords.items()
                                if all(len(w) <= k for w in m)})
-
-    def __repr__(self) -> str:
-        if not self.coords:
-            return "0"
-        bits = []
-        for mon, c in sorted(self.coords.items(),
-                             key=lambda t: tuple(_wkey(w) for w in t[0])):
-            mtxt = " ^ ".join(".".join(letter_label(x) for x in w) for w in mon)
-            bits.append(f"({c})*{mtxt}")
-        return " + ".join(bits)
 
 
 def wedge_chain_from_terms(genus: int, nilpotency_class: int, arity: int,
@@ -399,7 +375,7 @@ def class_of(z: WedgeChain) -> HomologyClass:
         d = sum(mu)
         offset = _quotient_layout(genus, k, d)[0][mu]
         coords.update(((d, i), c) for i, c in enumerate(coeffs, offset) if c)
-    return HomologyClass(genus, k)._like(coords)
+    return HomologyClass._of(genus, k, coords)
 
 
 @lru_cache(maxsize=None)

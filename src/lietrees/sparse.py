@@ -5,9 +5,12 @@ from basis keys to nonzero exact rationals (`Fraction`, or `int` where a
 value comes straight from the integer bracket tables; the two print
 alike), plus a few context fields (genus, truncation degree, arity) that
 two operands must share.  This module holds the accumulate helpers and
-the vector-space protocol on top of that one representation; subclasses
-only name their context fields, say how a key is graded, and validate
-keys in their public constructors.
+`SparseCombination`, which owns everything the types have in common:
+the checked construction `_fill`, the unchecked `_of` and `_like`,
+`zero`, the vector-space protocol and `__repr__`.  A subclass names its
+context fields and fills in hooks: `_check_context` validates them,
+`_admit(key)` keeps, drops or rejects a key, `_degree(key)` grades it,
+and `_order(key)` and `_key_text(key)` lay out the repr.
 """
 
 from __future__ import annotations
@@ -39,18 +42,49 @@ def add_into(acc: dict, terms: Mapping, factor=1) -> None:
 
 
 class SparseCombination:
-    """Vector-space protocol shared by the combination types.
+    """Construction and vector-space protocol shared by the combination types.
 
-    `_context` names the fields that must agree between operands.
-    Arithmetic builds results through `_like`, which skips the key
-    validation of the public constructor: sums, differences and
-    multiples only carry keys the validated operands already had.
+    `_context` names the fields that must agree between operands.  The
+    public constructors go through `_fill`; arithmetic builds results
+    through `_like` and `_of`, which skip key validation: sums,
+    differences and multiples only carry keys the validated operands
+    already had.
     """
 
     __slots__ = ("coords",)
     _context: tuple[str, ...] = ()
     # the grading of a basis key; keys are words unless a subclass says otherwise
     _degree = staticmethod(len)
+
+    def _fill(self, context: tuple, coords: Mapping | None) -> None:
+        """Set the context fields, check them, and keep each nonzero
+        coefficient, as a `Fraction`, whose key `_admit` accepts."""
+        for field, value in zip(self._context, context):
+            setattr(self, field, value)
+        self._check_context()
+        clean = {}
+        for key, c in (coords or {}).items():
+            c = Fraction(c)
+            if c and self._admit(key):
+                clean[key] = c
+        self.coords = clean
+
+    def _check_context(self) -> None:
+        """Raise ValueError for context fields no combination can have."""
+
+    @classmethod
+    def zero(cls, *context):
+        return cls(*context)
+
+    @classmethod
+    def _of(cls, *context_and_coords):
+        """The combination with these context fields and coords, unchecked."""
+        *context, coords = context_and_coords
+        out = object.__new__(cls)
+        for field, value in zip(cls._context, context):
+            setattr(out, field, value)
+        out.coords = coords
+        return out
 
     def _like(self, coords: dict):
         """A combination in this one's context with the given coords, unchecked."""
@@ -107,3 +141,13 @@ class SparseCombination:
         return self._like({k: c * s for k, c in self.coords.items()} if s else {})
 
     __mul__ = __rmul__
+
+    def _order(self, key):
+        """Sort key of a basis key in the repr: by degree, then by key."""
+        return (self._degree(key), key)
+
+    def __repr__(self) -> str:
+        if not self.coords:
+            return "0"
+        terms = sorted(self.coords.items(), key=lambda t: self._order(t[0]))
+        return " + ".join(f"({c})*{self._key_text(k)}" for k, c in terms)

@@ -15,9 +15,9 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .exact_linalg import BlockSolver
-from .free_lie import (LieSeries, Word, _solve_by_weight, _split_by_weight,
-                       a_letter, b_letter, gen_count, lyndon_basis,
-                       bracket_basis)
+from .free_lie import (LieSeries, Word, _letter_weight, _solve_by_weight,
+                       _split_by_weight, a_letter, b_letter, gen_count,
+                       lyndon_basis, bracket_basis)
 from .johnson import (LieAutomorphism, apply_aut, compose_aut, identity_aut,
                       invert_aut)
 from .tensor_hopf import (ExpansionMap, FreeGroupWord, TensorSeries,
@@ -85,20 +85,23 @@ def _solve_splitting(genus: int, j: int,
     """Write a degree-(j+1) element as sum_i [a_i, v_i] + [u_i, b_i] with
     u, v of degree j; blocked per letter weight, free variables zeroed.
     Returns {a_i: u_i, b_i: v_i}, the terms each generator's image gains."""
-    columns: dict[tuple[int, Word], dict[Word, int]] = {}
+    blocks = _split_by_weight(defect.coords, genus)
+    # column (x, w) brackets w with the partner x ^ 1 of x (a_i = 2i - 2);
+    # only the columns in a weight of the defect are built
+    col_blocks: dict[tuple[int, ...], dict] = {mu: {} for mu in blocks}
     for i in range(1, genus + 1):
         a, b = a_letter(i), b_letter(i)
         for w in lyndon_basis(genus, j):
-            columns[(a, w)] = bracket_basis(w, (b,))
-            columns[(b, w)] = bracket_basis((a,), w)
-    # column (x, w) brackets w with the partner x ^ 1 of x (a_i = 2i - 2)
-    col_blocks = _split_by_weight(columns, genus,
-                                  lambda xw: (xw[0] ^ 1, *xw[1]))
-    blocks = _split_by_weight(defect.coords, genus)
-    if not blocks.keys() <= col_blocks.keys():
+            cols = col_blocks.get(_letter_weight((b, *w), genus))
+            if cols is not None:
+                cols[(a, w)] = bracket_basis(w, (b,))
+            cols = col_blocks.get(_letter_weight((a, *w), genus))
+            if cols is not None:
+                cols[(b, w)] = bracket_basis((a,), w)
+    if not all(col_blocks.values()):
         raise RuntimeError("defect weight outside the bracket image")
     solvers = {mu: BlockSolver(sorted(set().union(*cols.values())), cols)
-               for mu, cols in col_blocks.items() if mu in blocks}
+               for mu, cols in col_blocks.items()}
     sol = _solve_by_weight(solvers, blocks)
     if sol is None:
         raise RuntimeError("bracket splitting system is inconsistent")

@@ -31,6 +31,7 @@ import heapq
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import factorial
 from typing import Mapping, NamedTuple
 
 from .free_lie import (LieSeries, Word, gen_count, letter_label,
@@ -48,24 +49,23 @@ class TensorSeries(SparseCombination):
 
     def __init__(self, genus: int, max_degree: int,
                  coords: Mapping[Word, Fraction] | None = None):
-        if genus < 0 or max_degree < 1:
-            raise ValueError("bad context")
-        self.genus = genus
-        self.max_degree = max_degree
-        n = gen_count(genus)
-        clean: dict[Word, Fraction] = {}
-        for w, c in (coords or {}).items():
-            c = Fraction(c)
-            if not c or len(w) > max_degree:
-                continue
-            if any(not 0 <= x < n for x in w):
-                raise ValueError(f"letter out of range in word {w}")
-            clean[w] = c
-        self.coords = clean
+        self._fill((genus, max_degree), coords)
 
-    @classmethod
-    def zero(cls, genus: int, max_degree: int) -> "TensorSeries":
-        return cls(genus, max_degree)
+    def _check_context(self) -> None:
+        if self.genus < 0 or self.max_degree < 1:
+            raise ValueError("bad context")
+
+    def _admit(self, w: Word) -> bool:
+        if len(w) > self.max_degree:
+            return False
+        n = gen_count(self.genus)
+        if any(not 0 <= x < n for x in w):
+            raise ValueError(f"letter out of range in word {w}")
+        return True
+
+    @staticmethod
+    def _key_text(w: Word) -> str:
+        return ".".join(map(letter_label, w)) if w else "1"
 
     @classmethod
     def one(cls, genus: int, max_degree: int) -> "TensorSeries":
@@ -85,15 +85,6 @@ class TensorSeries(SparseCombination):
         out = self._like({w: c for w, c in self.coords.items() if len(w) <= n})
         out.max_degree = n
         return out
-
-    def __repr__(self) -> str:
-        if not self.coords:
-            return "0"
-        bits = []
-        for w, c in sorted(self.coords.items(), key=lambda t: (len(t[0]), t[0])):
-            label = ".".join(letter_label(x) for x in w) if w else "1"
-            bits.append(f"({c})*{label}")
-        return " + ".join(bits)
 
 
 def mul(x: TensorSeries, y: TensorSeries) -> TensorSeries:
@@ -116,48 +107,37 @@ def mul(x: TensorSeries, y: TensorSeries) -> TensorSeries:
     return x._like(out)
 
 
+def _power_series(u: TensorSeries, coeff) -> TensorSeries:
+    """The sum of coeff(k) * u^k over k >= 0, up to the first vanishing power."""
+    power = TensorSeries.one(u.genus, u.max_degree)
+    acc = coeff(0) * power
+    for k in range(1, u.max_degree + 1):
+        power = mul(power, u)
+        if power.is_zero():
+            break
+        acc = acc + coeff(k) * power
+    return acc
+
+
 def exp(x: TensorSeries) -> TensorSeries:
     if x.constant_term():
         raise ValueError("exp needs a zero constant term")
-    acc = TensorSeries.one(x.genus, x.max_degree)
-    term = TensorSeries.one(x.genus, x.max_degree)
-    for k in range(1, x.max_degree + 1):
-        term = Fraction(1, k) * mul(term, x)
-        if term.is_zero():
-            break
-        acc = acc + term
-    return acc
+    return _power_series(x, lambda k: Fraction(1, factorial(k)))
 
 
 def log(x: TensorSeries) -> TensorSeries:
     if x.constant_term() != 1:
         raise ValueError("log needs constant term 1")
-    u = x - TensorSeries.one(x.genus, x.max_degree)
-    acc = TensorSeries.zero(x.genus, x.max_degree)
-    power = TensorSeries.one(x.genus, x.max_degree)
-    for k in range(1, x.max_degree + 1):
-        power = mul(power, u)
-        if power.is_zero():
-            break
-        acc = acc + Fraction((-1) ** (k + 1), k) * power
-    return acc
+    return _power_series(x - TensorSeries.one(x.genus, x.max_degree),
+                         lambda k: Fraction((-1) ** (k + 1), k) if k else 0)
 
 
 def inv_unit(x: TensorSeries) -> TensorSeries:
     """Inverse of 1 + u as the truncated geometric series in u."""
     if x.constant_term() != 1:
         raise ValueError("inverse needs constant term 1")
-    u = x - TensorSeries.one(x.genus, x.max_degree)
-    acc = TensorSeries.one(x.genus, x.max_degree)
-    power = TensorSeries.one(x.genus, x.max_degree)
-    sign = 1
-    for _ in range(x.max_degree):
-        power = mul(power, u)
-        sign = -sign
-        if power.is_zero():
-            break
-        acc = acc + Fraction(sign) * power
-    return acc
+    return _power_series(x - TensorSeries.one(x.genus, x.max_degree),
+                         lambda k: (-1) ** k)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +229,7 @@ def embed_lie(x: LieSeries) -> TensorSeries:
     out: dict[Word, Fraction] = {}
     for w, c in x.coords.items():
         add_into(out, _embed_word(w), c)
-    return TensorSeries.zero(x.genus, x.max_degree)._like(out)
+    return TensorSeries._of(x.genus, x.max_degree, out)
 
 
 def project_lie(x: TensorSeries) -> LieSeries:
@@ -278,7 +258,7 @@ def project_lie(x: TensorSeries) -> LieSeries:
                 if u not in residual:
                     heapq.heappush(heap, u)
                 add_term(residual, u, -c * e)
-    return LieSeries.zero(x.genus, x.max_degree)._like(out)
+    return LieSeries._of(x.genus, x.max_degree, out)
 
 
 # ---------------------------------------------------------------------------

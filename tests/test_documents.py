@@ -144,7 +144,7 @@ class TestTreeText:
     def test_blank_lines_and_comments_skipped(self):
         text = "# a comment\n\n1 (a1 (b1 a2))\n"
         c = tree_combo_from_text(text, 2)
-        assert len(c.terms) == 1
+        assert len(c.coords) == 1
 
     def test_zero_combo_renders_empty(self):
         from lietrees.jacobi import TreeCombo

@@ -85,7 +85,7 @@ class TestCombos:
 
     def test_from_terms_merges_signs(self):
         c = TreeCombo.from_terms(2, [(F(1), 0, (1, 2)), (F(2), 0, (1, 2))])
-        (tree, coeff), = c.terms.values()
+        (tree, coeff), = c.coords.items()
         assert coeff == F(3)
 
     def test_vector_laws(self):
@@ -311,7 +311,7 @@ def fission_per_vertex(c, nilpotency_class=None):
     if nilpotency_class is None:
         nilpotency_class = degs[-1] + 1 if degs else 1
     terms = []
-    for _, (tree, coeff) in sorted(c.terms.items()):
+    for tree, coeff in sorted(c.coords.items(), key=lambda t: t[0].key):
         kinds, _, nbrs = tree.graph()
         nleaves = len(tree.leaf_ids())
         for v in range(len(kinds)):

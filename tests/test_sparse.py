@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from lietrees.free_lie import LieSeries
 from lietrees.jacobi import HLieTensor, TreeCombo, TreeDiagram
-from lietrees.koszul import WedgeChain
+from lietrees.koszul import HomologyClass, WedgeChain
 from lietrees.sparse import add_into, add_term
 from lietrees.tensor_hopf import TensorSeries
 
@@ -30,7 +30,7 @@ FAMILIES = {
                    lambda c: WedgeChain(1, 2, 2, c),
                    lambda c: WedgeChain(1, 3, 2, c)),
     "TreeCombo": (TREES,
-                  lambda c: TreeCombo(2, {t.key: (t, v) for t, v in c.items()}),
+                  lambda c: TreeCombo(2, c),
                   lambda c: TreeCombo(3, {})),
 }
 
@@ -65,6 +65,44 @@ def test_context_mismatch_raises(name):
         x + other
     with pytest.raises(ValueError):
         x - other
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_constructor_stores_fractions_and_drops_zeros(name):
+    keys, make, _ = FAMILIES[name]
+    x = make({keys[0]: 2, keys[1]: 0})
+    assert x.coords == {keys[0]: F(2)}
+    assert type(x.coords[keys[0]]) is Fraction
+
+
+@pytest.mark.parametrize("make, text", [
+    (lambda: LieSeries(1, 3, {(0, 1): F(1, 2), (0,): 1}),
+     "(1)*a1 + (1/2)*[a1,b1]"),
+    (lambda: TensorSeries(1, 2, {(0, 1): -1, (): 1}), "(1)*1 + (-1)*a1.b1"),
+    (lambda: WedgeChain(1, 2, 2, {((1,), (0, 1)): 2, ((0,), (1,)): 1}),
+     "(1)*a1 ^ b1 + (2)*b1 ^ a1.b1"),
+    (lambda: HLieTensor(1, {(0, (0, 1)): 3, (1, (0,)): -1}),
+     "(-1)*b1(x)a1 + (3)*a1(x)a1.b1"),
+    (lambda: TreeCombo(2, {TREES[0]: F(-1, 2)}), "(-1/2)*(a1 (b1 a2))"),
+    (lambda: TreeCombo(2, {TREES[2]: 1, TREES[0]: F(-1, 2)}),
+     "(-1/2)*(a1 (b1 a2)) + (1)*(b1 (a2 b2))"),
+])
+def test_repr(make, text):
+    assert repr(make()) == text
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_zero_repr(name):
+    assert repr(FAMILIES[name][1]({})) == "0"
+    assert repr(HomologyClass(2, 2)) == "0"
+
+
+def test_tree_combo_rejects_keys_that_are_not_its_diagrams():
+    genus_3 = TreeDiagram.build(3, 0, (1, 2))[0]
+    with pytest.raises(ValueError, match="not a tree diagram of genus 2"):
+        TreeCombo(2, {genus_3: 1})
+    with pytest.raises(ValueError, match="not a tree diagram of genus 2"):
+        TreeCombo(2, {TREES[0].key: 1})
 
 
 def test_helpers_drop_zeros():

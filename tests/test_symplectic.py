@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from lietrees.free_lie import LieSeries, gen_count, lyndon_basis
+from lietrees import symplectic
+from lietrees.free_lie import LieSeries, bracket_basis, gen_count, lyndon_basis
 from lietrees.johnson import apply_aut, invert_aut
 from lietrees.symplectic import (build_corrector, construct_symplectic, omega,
                                  omega_tilde, paper_example_expansion,
@@ -78,6 +79,20 @@ class TestCorrector:
         for letter in range(2):
             dev = psi.deviation(letter)
             assert not dev or dev.min_degree() >= 2
+
+    def test_splitting_builds_only_the_defect_weight_columns(self, monkeypatch):
+        # [a1, [a1, b1]] at genus 2 has weight (2, 1, 0, 0): of the 24
+        # columns (x, w) with w of degree 2, only (b1, [a1, b1]) has it
+        built = []
+
+        def counted(u, v):
+            built.append((u, v))
+            return bracket_basis(u, v)
+
+        monkeypatch.setattr(symplectic, "bracket_basis", counted)
+        defect = LieSeries(2, 3, {(0, 0, 1): 1})
+        assert symplectic._solve_splitting(2, 2, defect) == {1: {(0, 1): F(1)}}
+        assert built == [((0,), (0, 1))]
 
 
 class TestConstruction:
