@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping
 
-from .sparse import SparseCombination, add_into
+from .sparse import TruncatedSeries, add_into
 
 Word = tuple[int, ...]
 
@@ -206,23 +206,11 @@ def bracket_basis(u: Word, v: Word) -> dict[Word, int]:
 # series
 
 
-class LieSeries(SparseCombination):
-    """Element of the free Lie algebra truncated above max_degree.
+class LieSeries(TruncatedSeries):
+    """Element of the free Lie algebra truncated above max_degree, on the
+    Lyndon basis; immutable by convention."""
 
-    coords maps Lyndon words to nonzero rational coefficients.  Values
-    are immutable by convention; all operations return fresh series.
-    """
-
-    __slots__ = ("genus", "max_degree")
-    _context = ("genus", "max_degree")
-
-    def __init__(self, genus: int, max_degree: int,
-                 coords: Mapping[Word, Fraction] | None = None):
-        self._fill((genus, max_degree), coords)
-
-    def _check_context(self) -> None:
-        if self.genus < 0 or self.max_degree < 1:
-            raise ValueError("bad context")
+    __slots__ = ()
 
     def _admit(self, w: Word) -> bool:
         """Words above max_degree are dropped; non-Lyndon words rejected."""
@@ -234,12 +222,6 @@ class LieSeries(SparseCombination):
         return True
 
     _key_text = staticmethod(bracket_string)
-
-    # -- constructors
-
-    @classmethod
-    def gen(cls, genus: int, max_degree: int, letter: int) -> "LieSeries":
-        return cls(genus, max_degree, {(letter,): Fraction(1)})
 
     def bracket(self, other: "LieSeries") -> "LieSeries":
         """[self, other]; term pairs above max_degree are never formed.
@@ -262,16 +244,6 @@ class LieSeries(SparseCombination):
                 for wv, cv in terms:
                     add_into(out, bracket_basis(wu, wv), cu * cv)
         return self._like(out)
-
-    # -- structure helpers
-
-    def truncated(self, n: int) -> "LieSeries":
-        """Same element in the quotient by degrees above n (n may differ from N)."""
-        if n < 1:
-            raise ValueError("bad context")
-        out = self._like({w: c for w, c in self.coords.items() if len(w) <= n})
-        out.max_degree = n
-        return out
 
 
 def bracket(x: LieSeries, y: LieSeries) -> LieSeries:

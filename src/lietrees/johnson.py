@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import factorial
 from typing import Mapping
 
 from .free_lie import (LieSeries, Word, a_letter, b_letter, gen_count,
                        letter_label, std_factorization)
 from .jacobi import HLieTensor, TreeCombo, eta, eta_inverse, random_tree
-from .sparse import add_term
+from .sparse import add_term, power_series
 
 ONE = Fraction(1)
 
@@ -36,6 +37,8 @@ class _GeneratorMap:
 
     def __init__(self, genus: int, max_degree: int,
                  images: Mapping[int, LieSeries]):
+        if genus < 0:
+            raise ValueError("bad context")
         if max_degree < 1:
             raise ValueError("max_degree must be at least 1")
         self.genus = genus
@@ -138,24 +141,16 @@ def compose_aut(psi: LieAutomorphism, phi: LieAutomorphism) -> LieAutomorphism:
 
 
 def invert_aut(psi: LieAutomorphism) -> LieAutomorphism:
-    """Group inverse, by successive defect correction.
+    """Group inverse psi^-1 = sum over k >= 0 of (id - psi)^k.
 
-    Each pass removes the lowest-degree defect, so at most N passes are
-    needed; the result is checked to compose to the identity.  The next
-    defect is computed from the current one alone, which is small and of
-    high degree, instead of from the whole image of phi.
+    id - psi is linear and raises degree, so on each generator the sum
+    stops by degree N; the result is checked to compose to the identity.
     """
     genus, n = psi.genus, psi.max_degree
-    letters = range(gen_count(genus))
-    phi = identity_aut(genus, n)
-    defects = {l: psi.deviation(l) for l in letters}
-    for _ in range(n):
-        if not any(defects.values()):
-            break
-        phi = LieAutomorphism(genus, n,
-                              {l: phi.image_of(l) - defects[l] for l in letters})
-        # psi is linear, so psi(phi - d) - id = d - psi(d).
-        defects = {l: d - apply_aut(psi, d) for l, d in defects.items()}
+    phi = LieAutomorphism(genus, n, {
+        l: power_series(lambda t: t - apply_aut(psi, t),
+                        LieSeries.gen(genus, n, l), lambda k: 1, n)
+        for l in range(gen_count(genus))})
     if compose_aut(psi, phi) != identity_aut(genus, n):
         raise RuntimeError("inverse iteration failed to converge")
     return phi
@@ -184,44 +179,27 @@ def apply_der(delta: Derivation, x: LieSeries) -> LieSeries:
 
 
 def exp_der(delta: Derivation) -> LieAutomorphism:
-    """Automorphism sum(delta^n / n!); finite because delta raises degree."""
+    """Automorphism sum of delta^k / k!; finite because delta raises degree."""
     genus, n = delta.genus, delta.max_degree
-    images: dict[int, LieSeries] = {}
-    for letter in range(gen_count(genus)):
-        term = LieSeries.gen(genus, n, letter)
-        acc = term
-        fact = 1
-        for m in range(1, n + 1):
-            term = apply_der(delta, term)
-            if not term:
-                break
-            fact *= m
-            acc = acc + Fraction(1, fact) * term
-        images[letter] = acc
-    return LieAutomorphism(genus, n, images)
+    return LieAutomorphism(genus, n, {
+        l: power_series(lambda t: apply_der(delta, t),
+                        LieSeries.gen(genus, n, l),
+                        lambda k: Fraction(1, factorial(k)), n)
+        for l in range(gen_count(genus))})
 
 
 def log_aut(psi: LieAutomorphism) -> Derivation:
     """Derivation whose exponential is psi.
 
-    Uses the series sum (-1)^(k+1)/k (psi - id)^k on each generator,
-    where each application of (psi - id) raises degree.
+    On each generator x it is the sum over k >= 0 of
+    (-1)^k/(k+1) (psi - id)^k applied to the deviation psi(x) - x; each
+    application of psi - id raises degree.
     """
     genus, n = psi.genus, psi.max_degree
-    values: dict[int, LieSeries] = {}
-    for letter in range(gen_count(genus)):
-        t = apply_aut(psi, LieSeries.gen(genus, n, letter)) \
-            - LieSeries.gen(genus, n, letter)
-        acc = LieSeries.zero(genus, n)
-        k = 1
-        sign = 1
-        while t and k <= n:
-            acc = acc + Fraction(sign, k) * t
-            t = apply_aut(psi, t) - t
-            k += 1
-            sign = -sign
-        values[letter] = acc
-    return Derivation(genus, n, values)
+    return Derivation(genus, n, {
+        l: power_series(lambda t: apply_aut(psi, t) - t, psi.deviation(l),
+                        lambda k: Fraction((-1) ** k, k + 1), n)
+        for l in range(gen_count(genus))})
 
 
 def is_omega_fixing(psi: LieAutomorphism) -> bool:

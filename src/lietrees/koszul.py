@@ -75,7 +75,7 @@ class WedgeChain(SparseCombination):
         self._fill((genus, nilpotency_class, arity), coords)
 
     def _check_context(self) -> None:
-        if self.nilpotency_class < 1 or self.arity < 0:
+        if self.genus < 0 or self.nilpotency_class < 1 or self.arity < 0:
             raise ValueError("bad context")
 
     def _admit(self, mon: Monomial) -> bool:

@@ -11,6 +11,11 @@ the checked construction `_fill`, the unchecked `_of` and `_like`,
 context fields and fills in hooks: `_check_context` validates them,
 `_admit(key)` keeps, drops or rejects a key, `_degree(key)` grades it,
 and `_order(key)` and `_key_text(key)` lay out the repr.
+
+`TruncatedSeries` adds what `LieSeries` and `TensorSeries` share: words
+cut above `max_degree`, `gen` and `truncated`.  `power_series` is the one
+loop behind tensor exp, log and inverse and the Lie-side exp_der,
+log_aut and invert_aut.
 """
 
 from __future__ import annotations
@@ -71,6 +76,8 @@ class SparseCombination:
 
     def _check_context(self) -> None:
         """Raise ValueError for context fields no combination can have."""
+        if self.genus < 0:
+            raise ValueError("bad context")
 
     @classmethod
     def zero(cls, *context):
@@ -151,3 +158,43 @@ class SparseCombination:
             return "0"
         terms = sorted(self.coords.items(), key=lambda t: self._order(t[0]))
         return " + ".join(f"({c})*{self._key_text(k)}" for k, c in terms)
+
+
+class TruncatedSeries(SparseCombination):
+    """A series on words truncated above max_degree; a subclass adds its
+    `_admit`, `_key_text` and own methods."""
+
+    __slots__ = ("genus", "max_degree")
+    _context = ("genus", "max_degree")
+
+    def __init__(self, genus: int, max_degree: int,
+                 coords: Mapping | None = None):
+        self._fill((genus, max_degree), coords)
+
+    def _check_context(self) -> None:
+        if self.genus < 0 or self.max_degree < 1:
+            raise ValueError("bad context")
+
+    @classmethod
+    def gen(cls, genus: int, max_degree: int, letter: int):
+        return cls(genus, max_degree, {(letter,): 1})
+
+    def truncated(self, n: int):
+        """The image in the quotient by degrees above n, 1 <= n <= max_degree."""
+        if not 1 <= n <= self.max_degree:
+            raise ValueError(f"truncation degree {n} outside 1..{self.max_degree}")
+        return self._of(self.genus, n,
+                        {w: c for w, c in self.coords.items() if len(w) <= n})
+
+
+def power_series(step, x: SparseCombination, coeff, n: int):
+    """The sum of coeff(k) * step^k(x) over 0 <= k <= n, stopped at the
+    first term that vanishes: step runs at most n times."""
+    out: dict = {}
+    for k in range(n + 1):
+        if k:
+            x = step(x)
+        if not x:
+            break
+        add_into(out, x.coords, coeff(k))
+    return x._like(out)

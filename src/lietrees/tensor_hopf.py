@@ -36,24 +36,15 @@ from typing import Mapping, NamedTuple
 
 from .free_lie import (LieSeries, Word, gen_count, letter_label,
                        std_factorization)
-from .sparse import SparseCombination, add_into, add_term
+from .sparse import TruncatedSeries, add_into, add_term, power_series
 
 ONE = Fraction(1)
 
 
-class TensorSeries(SparseCombination):
+class TensorSeries(TruncatedSeries):
     """Element of T(H) truncated above max_degree; coords word -> Fraction."""
 
-    __slots__ = ("genus", "max_degree")
-    _context = ("genus", "max_degree")
-
-    def __init__(self, genus: int, max_degree: int,
-                 coords: Mapping[Word, Fraction] | None = None):
-        self._fill((genus, max_degree), coords)
-
-    def _check_context(self) -> None:
-        if self.genus < 0 or self.max_degree < 1:
-            raise ValueError("bad context")
+    __slots__ = ()
 
     def _admit(self, w: Word) -> bool:
         if len(w) > self.max_degree:
@@ -71,20 +62,8 @@ class TensorSeries(SparseCombination):
     def one(cls, genus: int, max_degree: int) -> "TensorSeries":
         return cls(genus, max_degree, {(): ONE})
 
-    @classmethod
-    def gen(cls, genus: int, max_degree: int, letter: int) -> "TensorSeries":
-        return cls(genus, max_degree, {(letter,): ONE})
-
     def constant_term(self) -> Fraction:
         return self.coords.get((), Fraction(0))
-
-    def truncated(self, n: int) -> "TensorSeries":
-        """The image in the quotient by degrees above n, 1 <= n <= max_degree."""
-        if not 1 <= n <= self.max_degree:
-            raise ValueError(f"truncation degree {n} outside 1..{self.max_degree}")
-        out = self._like({w: c for w, c in self.coords.items() if len(w) <= n})
-        out.max_degree = n
-        return out
 
 
 def mul(x: TensorSeries, y: TensorSeries) -> TensorSeries:
@@ -107,37 +86,32 @@ def mul(x: TensorSeries, y: TensorSeries) -> TensorSeries:
     return x._like(out)
 
 
-def _power_series(u: TensorSeries, coeff) -> TensorSeries:
+def _series_in(u: TensorSeries, coeff) -> TensorSeries:
     """The sum of coeff(k) * u^k over k >= 0, up to the first vanishing power."""
-    power = TensorSeries.one(u.genus, u.max_degree)
-    acc = coeff(0) * power
-    for k in range(1, u.max_degree + 1):
-        power = mul(power, u)
-        if power.is_zero():
-            break
-        acc = acc + coeff(k) * power
-    return acc
+    return power_series(lambda p: mul(p, u),
+                        TensorSeries.one(u.genus, u.max_degree), coeff,
+                        u.max_degree)
 
 
 def exp(x: TensorSeries) -> TensorSeries:
     if x.constant_term():
         raise ValueError("exp needs a zero constant term")
-    return _power_series(x, lambda k: Fraction(1, factorial(k)))
+    return _series_in(x, lambda k: Fraction(1, factorial(k)))
 
 
 def log(x: TensorSeries) -> TensorSeries:
     if x.constant_term() != 1:
         raise ValueError("log needs constant term 1")
-    return _power_series(x - TensorSeries.one(x.genus, x.max_degree),
-                         lambda k: Fraction((-1) ** (k + 1), k) if k else 0)
+    return _series_in(x - TensorSeries.one(x.genus, x.max_degree),
+                      lambda k: Fraction((-1) ** (k + 1), k) if k else 0)
 
 
 def inv_unit(x: TensorSeries) -> TensorSeries:
     """Inverse of 1 + u as the truncated geometric series in u."""
     if x.constant_term() != 1:
         raise ValueError("inverse needs constant term 1")
-    return _power_series(x - TensorSeries.one(x.genus, x.max_degree),
-                         lambda k: (-1) ** k)
+    return _series_in(x - TensorSeries.one(x.genus, x.max_degree),
+                      lambda k: (-1) ** k)
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +304,8 @@ class ExpansionMap:
 
     def __init__(self, genus: int, max_degree: int,
                  images: Mapping[int, TensorSeries]):
+        if genus < 0:
+            raise ValueError("bad context")
         n = gen_count(genus)
         if sorted(images) != list(range(n)):
             raise ValueError("need exactly one image per generator")
@@ -379,18 +355,9 @@ class ExpansionReport(NamedTuple):
 
 def check_expansion(theta: ExpansionMap) -> ExpansionReport:
     """Normalization (1 + generator + higher) and group-likeness of all images."""
-    ok_exp = True
-    for letter, s in theta.images.items():
-        if s.constant_term() != 1:
-            ok_exp = False
-            break
-        for m in range(gen_count(theta.genus)):
-            want = ONE if m == letter else Fraction(0)
-            if s.coords.get((m,), Fraction(0)) != want:
-                ok_exp = False
-                break
-        if not ok_exp:
-            break
+    ok_exp = all(s.constant_term() == 1
+                 and s.graded_part(1).coords == {(letter,): ONE}
+                 for letter, s in theta.images.items())
     ok_gl = all(is_grouplike(s) for s in theta.images.values())
     return ExpansionReport(ok_exp, ok_gl)
 

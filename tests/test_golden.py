@@ -10,7 +10,8 @@ import random
 from lietrees.cli import run
 from lietrees.documents import tree_combo_to_text
 from lietrees.jacobi import TreeCombo, eta, eta_inverse, random_tree
-from lietrees.johnson import morita_mk, random_ic_element, tau_to_trees
+from lietrees.johnson import (invert_aut, log_aut, morita_mk,
+                              random_ic_element, tau_to_trees)
 from lietrees.koszul import capital_phi
 
 
@@ -19,6 +20,24 @@ def test_constructed_expansion_document(capsys):
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == ("f885ec60d8ae9e45741d92147f5a4742"
                       "4d7b0f85efb8fc925daaba90217d3db6")
+
+
+def test_constructed_expansion_document_at_degree_7(capsys):
+    assert run(["expand", "construct", "--genus", "2", "--degree", "7"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == ("54c0d290e33721700d81873f5335ea46"
+                      "848c03c3d7a9576408cf5989b88f98c5")
+
+
+def test_automorphism_series():
+    """exp_der (inside random_ic_element), log_aut and invert_aut."""
+    h = hashlib.sha256()
+    for genus, k, seed, n in ((2, 1, 0, 6), (2, 2, 4, 6), (3, 1, 2, 4)):
+        psi = random_ic_element(genus, k, seed, n)
+        for x in (psi, log_aut(psi), invert_aut(psi)):
+            h.update(repr(x).encode())
+    assert h.hexdigest() == ("1c4e349cbbafdab353974a621ee76346"
+                             "93b46184f93d47de06118d12516cc21e")
 
 
 def test_homology_and_tree_routes():

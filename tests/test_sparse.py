@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from lietrees.free_lie import LieSeries
 from lietrees.jacobi import HLieTensor, TreeCombo, TreeDiagram
 from lietrees.koszul import HomologyClass, WedgeChain
-from lietrees.sparse import add_into, add_term
-from lietrees.tensor_hopf import TensorSeries
+from lietrees.sparse import add_into, add_term, power_series
+from lietrees.tensor_hopf import TensorSeries, mul
 
 F = Fraction
 
@@ -113,3 +113,47 @@ def test_helpers_drop_zeros():
     add_into(acc, {"a": F(1), "b": F(2)}, F(-1, 2))
     add_into(acc, {"a": F(-1, 2)}, -1)
     assert acc == {"b": F(-1)}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: LieSeries(-1, 2), lambda: TensorSeries(-1, 2),
+    lambda: HLieTensor(-1), lambda: TreeCombo(-3),
+    lambda: WedgeChain(-2, 1, 2), lambda: LieSeries(1, 0),
+    lambda: TensorSeries(1, 0), lambda: WedgeChain(1, 0, 2),
+], ids=["LieSeries", "TensorSeries", "HLieTensor", "TreeCombo", "WedgeChain",
+        "LieSeries degree 0", "TensorSeries degree 0", "WedgeChain class 0"])
+def test_bad_context_is_rejected(make):
+    with pytest.raises(ValueError, match="bad context"):
+        make()
+
+
+def counting(step):
+    """step, with the number of calls kept in .calls."""
+    def run(x):
+        run.calls += 1
+        return step(x)
+    run.calls = 0
+    return run
+
+
+def test_power_series_steps_at_most_n_times():
+    x = LieSeries.gen(1, 3, 0)
+    for n in range(4):
+        step = counting(lambda t: t)
+        assert power_series(step, x, lambda k: k + 1, n) == \
+            F((n + 1) * (n + 2), 2) * x
+        assert step.calls == n
+
+
+def test_power_series_stops_at_the_first_vanishing_term():
+    # right multiplication by b1 takes 1 to zero in m + 1 steps at max degree m
+    for m in range(1, 5):
+        b1 = TensorSeries.gen(1, m, 1)
+        step = counting(lambda t: mul(t, b1))
+        got = power_series(step, TensorSeries.one(1, m), lambda k: F(1, k + 1), 9)
+        assert step.calls == m + 1
+        assert got == TensorSeries(1, m, {(1,) * k: F(1, k + 1)
+                                          for k in range(m + 1)})
+    step = counting(lambda t: t)
+    assert power_series(step, LieSeries.zero(1, 3), lambda k: 1, 5).is_zero()
+    assert step.calls == 0

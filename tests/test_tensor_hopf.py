@@ -274,12 +274,16 @@ class TestLyndonPeel:
 
 class TestTruncation:
     def test_series_rejects_degrees_outside_range(self):
-        x = exp(TensorSeries.gen(1, 4, 0))
-        for n in (0, -1, 5):
-            with pytest.raises(ValueError):
-                x.truncated(n)
-        assert x.truncated(4) == x
-        assert x.truncated(2).coords == {(): F(1), (0,): F(1), (0, 0): F(1, 2)}
+        lie = LieSeries(1, 4, {(0,): 1, (0, 1): 1, (0, 0, 1): F(1, 2)})
+        for x, low in ((exp(TensorSeries.gen(1, 4, 0)),
+                        {(): F(1), (0,): F(1), (0, 0): F(1, 2)}),
+                       (lie, {(0,): F(1), (0, 1): F(1)})):
+            for n in (0, -1, 5):
+                with pytest.raises(ValueError, match="outside 1..4"):
+                    x.truncated(n)
+            assert x.truncated(4) == x
+            assert x.truncated(2).coords == low
+            assert x.truncated(2).max_degree == 2
 
     def test_expansion_rejects_degrees_outside_range(self):
         theta = paper_example_expansion(1)
@@ -339,6 +343,21 @@ class TestExpansions:
         rep = check_expansion(basis_expansion(2, 4))
         assert rep.is_expansion
         assert rep.is_grouplike
+
+    def test_rejects_images_that_are_not_normalized(self):
+        one, gen = TensorSeries.one, TensorSeries.gen
+        good = {l: one(2, 3) + gen(2, 3, l) for l in range(4)}
+        for bad in (2 * one(2, 3) + gen(2, 3, 1),  # constant term 2
+                    one(2, 3) + TensorSeries(2, 3, {(0, 1): 1}),  # no b1
+                    one(2, 3) + gen(2, 3, 1) + gen(2, 3, 2),  # stray a2
+                    one(2, 3) + 3 * gen(2, 3, 1)):  # 3 b1
+            rep = check_expansion(ExpansionMap(2, 3, {**good, 1: bad}))
+            assert not rep.is_expansion
+        assert check_expansion(ExpansionMap(2, 3, good)).is_expansion
+
+    def test_rejects_a_negative_genus(self):
+        with pytest.raises(ValueError, match="bad context"):
+            ExpansionMap(-1, 2, {})
 
     def test_truncation(self):
         theta = basis_expansion(1, 5)
