@@ -20,7 +20,7 @@ from typing import Mapping
 from .free_lie import (LieSeries, Word, a_letter, b_letter, gen_count,
                        letter_label, std_factorization)
 from .jacobi import HLieTensor, TreeCombo, eta, eta_inverse, random_tree
-from .sparse import add_term, power_series
+from .sparse import add_term, check_truncation, power_series
 
 ONE = Fraction(1)
 
@@ -114,8 +114,7 @@ class LieAutomorphism(_GeneratorMap):
 
     def truncated(self, n: int) -> "LieAutomorphism":
         """The induced automorphism of L/L_{>n}, 1 <= n <= max_degree."""
-        if not 1 <= n <= self.max_degree:
-            raise ValueError(f"truncation degree {n} outside 1..{self.max_degree}")
+        check_truncation(n, self.max_degree)
         return LieAutomorphism(self.genus, n, self.images)
 
 

@@ -13,14 +13,19 @@ context fields and fills in hooks: `_check_context` validates them,
 and `_order(key)` and `_key_text(key)` lay out the repr.
 
 `TruncatedSeries` adds what `LieSeries` and `TensorSeries` share: words
-cut above `max_degree`, `gen` and `truncated`.  `power_series` is the one
-loop behind tensor exp, log and inverse and the Lie-side exp_der,
-log_aut and invert_aut.
+cut above `max_degree`, `gen` and `truncated`, whose range check
+`check_truncation` the automorphism and expansion maps share too.
+`power_series` is the one loop behind tensor exp, log and inverse and
+the Lie-side exp_der, log_aut and invert_aut.  `scaled` writes coords as
+integer numerators over one common denominator and `unscaled` turns an
+integer accumulator back into lowest-terms `Fraction`s, so a kernel pays
+one gcd per output entry instead of one per product.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Mapping
 
 
@@ -44,6 +49,25 @@ def add_into(acc: dict, terms: Mapping, factor=1) -> None:
             acc[key] = nv
         else:
             acc.pop(key, None)
+
+
+def scaled(coords: Mapping) -> tuple[dict, int]:
+    """(numerators, den) with den the lcm of the denominators of the
+    coefficients (`Fraction` or `int`) and coords[k] == numerators[k] / den."""
+    den = lcm(*(c.denominator for c in coords.values()))
+    return {k: c.numerator * (den // c.denominator)
+            for k, c in coords.items()}, den
+
+
+def unscaled(acc: Mapping, den: int) -> dict:
+    """{k: Fraction(v, den)} over the nonzero integers v of acc."""
+    return {k: Fraction(v, den) for k, v in acc.items() if v}
+
+
+def check_truncation(n: int, max_degree: int) -> None:
+    """Raise ValueError unless 1 <= n <= max_degree."""
+    if not 1 <= n <= max_degree:
+        raise ValueError(f"truncation degree {n} outside 1..{max_degree}")
 
 
 class SparseCombination:
@@ -181,8 +205,7 @@ class TruncatedSeries(SparseCombination):
 
     def truncated(self, n: int):
         """The image in the quotient by degrees above n, 1 <= n <= max_degree."""
-        if not 1 <= n <= self.max_degree:
-            raise ValueError(f"truncation degree {n} outside 1..{self.max_degree}")
+        check_truncation(n, self.max_degree)
         return self._of(self.genus, n,
                         {w: c for w, c in self.coords.items() if len(w) <= n})
 

@@ -11,7 +11,9 @@ expands canonical bracketings by pure tensor arithmetic, and project_lie
 comes back by peeling off the Lyndon basis, least word first, since the
 canonical bracketing of a Lyndon word w is w plus greater words of the
 same length (Reutenauer, Free Lie Algebras, Thm 5.1).  The module uses
-no `free_lie` bracket table.
+no `free_lie` bracket table.  `mul` and the primitivity test run on
+integer numerators over one common denominator (`sparse.scaled`); every
+coefficient a series holds is still a nonzero lowest-terms `Fraction`.
 
 The predicates do not expand the coproduct, which has 2^m components
 per word of length m.  By Dynkin-Specht-Wever, a homogeneous element p
@@ -36,7 +38,8 @@ from typing import Mapping, NamedTuple
 
 from .free_lie import (LieSeries, Word, gen_count, letter_label,
                        std_factorization)
-from .sparse import TruncatedSeries, add_into, add_term, power_series
+from .sparse import (TruncatedSeries, add_into, add_term, check_truncation,
+                     power_series, scaled, unscaled)
 
 ONE = Fraction(1)
 
@@ -67,23 +70,22 @@ class TensorSeries(TruncatedSeries):
 
 
 def mul(x: TensorSeries, y: TensorSeries) -> TensorSeries:
-    """Concatenation product, truncated."""
+    """Concatenation product, truncated, on integer numerators."""
     x._check(y)
     n = x.max_degree
-    out: dict[Word, Fraction] = {}
-    by_len: dict[int, list[tuple[Word, Fraction]]] = {}
-    for w, c in y.coords.items():
+    (nx, dx), (ny, dy) = scaled(x.coords), scaled(y.coords)
+    acc: dict[Word, int] = {}
+    by_len: dict[int, list[tuple[Word, int]]] = {}
+    for w, c in ny.items():
         by_len.setdefault(len(w), []).append((w, c))
-    for wu, cu in x.coords.items():
+    for wu, cu in nx.items():
         room = n - len(wu)
-        if room < 0:
-            continue
         for ly, terms in by_len.items():
-            if ly > room:
-                continue
-            for wv, cv in terms:
-                add_term(out, wu + wv, cu * cv)
-    return x._like(out)
+            if ly <= room:
+                for wv, cv in terms:
+                    w = wu + wv
+                    acc[w] = acc.get(w, 0) + cu * cv
+    return x._like(unscaled(acc, dx * dy))
 
 
 def _series_in(u: TensorSeries, coeff) -> TensorSeries:
@@ -160,8 +162,9 @@ def _is_lie(x: TensorSeries) -> bool:
     """x is primitive: no constant term, and D(p_n) = n·p_n in every degree n."""
     if x.constant_term():
         return False
-    pieces: dict[int, dict[Word, Fraction]] = {}
-    for w, c in x.coords.items():
+    pieces: dict[int, dict[Word, int]] = {}
+    # D is linear, so the test runs on the integer numerators of x
+    for w, c in scaled(x.coords)[0].items():
         pieces.setdefault(len(w), {})[w] = c
     for n in sorted(pieces):
         piece = pieces[n]
@@ -328,8 +331,7 @@ class ExpansionMap:
 
     def truncated(self, n: int) -> "ExpansionMap":
         """Every image truncated above degree n, 1 <= n <= max_degree."""
-        if not 1 <= n <= self.max_degree:
-            raise ValueError(f"truncation degree {n} outside 1..{self.max_degree}")
+        check_truncation(n, self.max_degree)
         return ExpansionMap(self.genus, n,
                             {l: s.truncated(n) for l, s in self.images.items()})
 

@@ -13,6 +13,9 @@ from lietrees.jacobi import TreeCombo, eta, eta_inverse, random_tree
 from lietrees.johnson import (invert_aut, log_aut, morita_mk,
                               random_ic_element, tau_to_trees)
 from lietrees.koszul import capital_phi
+from lietrees.symplectic import (construct_symplectic,
+                                 paper_example_expansion, zeta_word)
+from lietrees.tensor_hopf import evaluate_expansion, inv_unit, log
 
 
 def test_constructed_expansion_document(capsys):
@@ -38,6 +41,19 @@ def test_automorphism_series():
             h.update(repr(x).encode())
     assert h.hexdigest() == ("1c4e349cbbafdab353974a621ee76346"
                              "93b46184f93d47de06118d12516cc21e")
+
+
+def test_tensor_series():
+    """log and inv_unit of every image, and the image of the boundary word."""
+    h = hashlib.sha256()
+    for theta in (construct_symplectic(2, 5), paper_example_expansion(2)):
+        for letter in sorted(theta.images):
+            image = theta.images[letter]
+            h.update(repr(log(image)).encode())
+            h.update(repr(inv_unit(image)).encode())
+        h.update(repr(evaluate_expansion(theta, zeta_word(2))).encode())
+    assert h.hexdigest() == ("4926e197ba103ca1798fa71cf2b7e8c2"
+                             "08e075c9eaff580611ea9b822604ddd8")
 
 
 def test_homology_and_tree_routes():

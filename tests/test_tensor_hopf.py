@@ -7,7 +7,9 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import series_oracle
 from lietrees.free_lie import LieSeries, bracket_basis, lyndon_basis
+from lietrees.johnson import identity_aut
 from lietrees.sparse import add_into, add_term
 from lietrees.symplectic import paper_example_expansion
 from lietrees.tensor_hopf import (ExpansionMap, FreeGroupWord, TensorSeries,
@@ -229,11 +231,14 @@ class TestDynkinPredicates:
         assert is_grouplike(g) and coproduct_grouplike(g)
         for d in range(2, x.max_degree + 1):
             w, c = self.draw_term(data, x.genus, d)
-            coords = dict(g.coords)
-            add_term(coords, w, c)
-            edited = TensorSeries(x.genus, x.max_degree, coords)
-            assert not is_grouplike(edited), (w, c)
-            assert not coproduct_grouplike(edited), (w, c)
+            # the prime 10007 divides no other denominator of g, so the
+            # second edit moves the common denominator of the series
+            for c in (c, c / 10007):
+                coords = dict(g.coords)
+                add_term(coords, w, c)
+                edited = TensorSeries(x.genus, x.max_degree, coords)
+                assert not is_grouplike(edited), (w, c)
+                assert not coproduct_grouplike(edited), (w, c)
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())
@@ -290,6 +295,90 @@ class TestTruncation:
         for n in (0, 5, 6):
             with pytest.raises(ValueError):
                 theta.truncated(n)
+
+    def test_automorphism_rejects_degrees_outside_range(self):
+        psi = identity_aut(2, 3)
+        for n in (0, -1, 4):
+            with pytest.raises(ValueError,
+                               match=f"truncation degree {n} outside 1..3"):
+                psi.truncated(n)
+        assert psi.truncated(2).max_degree == 2
+
+
+# coprime and large denominators, so that common denominators grow
+DENOMINATORS = (1, 2, 3, 10007, 2 ** 40, 3 ** 25)
+
+
+@st.composite
+def series(draw, genus, n, constant=0):
+    """A TensorSeries with the given constant term; its coefficients are
+    Fractions over DENOMINATORS, or ints stored as they are through _of."""
+    ints = draw(st.booleans())
+    coords = {(): constant} if constant else {}
+    for _ in range(draw(st.integers(0, 6))):
+        d = draw(st.integers(1, n))
+        w = tuple(draw(st.lists(st.integers(0, 2 * genus - 1),
+                                min_size=d, max_size=d)))
+        num = draw(st.integers(-4, 4).filter(bool))
+        coords[w] = num if ints else F(num, draw(st.sampled_from(DENOMINATORS)))
+    if ints:
+        return TensorSeries._of(genus, n, coords)
+    return TensorSeries(genus, n, coords)
+
+
+CONTEXTS = st.tuples(st.integers(1, 2), st.integers(1, 5))
+PAIRS = CONTEXTS.flatmap(lambda gn: st.tuples(series(*gn), series(*gn)))
+# a series with no constant term and one with constant term 1
+NILPOTENT_AND_UNIT = CONTEXTS.flatmap(
+    lambda gn: st.tuples(series(*gn), series(*gn, constant=1)))
+
+
+def assert_fractions(x):
+    assert all(type(c) is F and c for c in x.coords.values()), x.coords
+
+
+class TestIntegerKernel:
+    """mul and the series on it agree with the Fraction oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(PAIRS)
+    def test_mul_matches_the_oracle(self, xy):
+        x, y = xy
+        z = mul(x, y)
+        assert z.coords == series_oracle.mul(x.coords, y.coords, x.max_degree)
+        assert_fractions(z)
+
+    @settings(max_examples=40, deadline=None)
+    @given(NILPOTENT_AND_UNIT)
+    def test_exp_log_and_inverse_match_the_oracle(self, ux):
+        u, x = ux
+        n = u.max_degree
+        for ours, oracle, arg in ((exp, series_oracle.exp, u),
+                                  (log, series_oracle.log, x),
+                                  (inv_unit, series_oracle.inv_unit, x)):
+            got = ours(arg)
+            assert got.coords == oracle(arg.coords, n), ours.__name__
+            assert_fractions(got)
+
+    @settings(max_examples=40, deadline=None)
+    @given(NILPOTENT_AND_UNIT)
+    def test_products_that_cancel_to_zero(self, ux):
+        u, x = ux
+        one = TensorSeries.one(u.genus, u.max_degree)
+        inv = inv_unit(x)
+        for left, right in ((x, inv), (inv, x), (exp(u), exp(-u))):
+            z = mul(left, right)
+            assert z == one
+            assert z.coords == series_oracle.mul(left.coords, right.coords,
+                                                 u.max_degree)
+            assert_fractions(z)
+
+    def test_cancelled_words_are_dropped(self):
+        a = TensorSeries.gen(1, 3, 0)
+        one = TensorSeries.one(1, 3)
+        z = mul(one + F(1, 10007) * a, one - F(1, 10007) * a)
+        assert z.coords == {(): F(1), (0, 0): F(-1, 10007 ** 2)}
+        assert_fractions(z)
 
 
 class TestFreeGroupWords:
