@@ -16,10 +16,14 @@ and `_order(key)` and `_key_text(key)` lay out the repr.
 cut above `max_degree`, `gen` and `truncated`, whose range check
 `check_truncation` the automorphism and expansion maps share too.
 `power_series` is the one loop behind tensor exp, log and inverse and
-the Lie-side exp_der, log_aut and invert_aut.  `scaled` writes coords as
-integer numerators over one common denominator and `unscaled` turns an
-integer accumulator back into lowest-terms `Fraction`s, so a kernel pays
-one gcd per output entry instead of one per product.
+the Lie-side exp_der, log_aut and invert_aut; it adds whatever its
+coefficients and steps give, so the tensor series feed it integer
+numerators and integer coefficients.  `scaled` writes coords as integer
+numerators over one common denominator and `unscaled` turns an integer
+accumulator back into lowest-terms `Fraction`s.  The tensor product,
+the tensor power series, the free group word product and the
+primitivity test all work between the two, so each pays one gcd per
+output entry instead of one per product or sum.
 """
 
 from __future__ import annotations

@@ -11,9 +11,13 @@ expands canonical bracketings by pure tensor arithmetic, and project_lie
 comes back by peeling off the Lyndon basis, least word first, since the
 canonical bracketing of a Lyndon word w is w plus greater words of the
 same length (Reutenauer, Free Lie Algebras, Thm 5.1).  The module uses
-no `free_lie` bracket table.  `mul` and the primitivity test run on
-integer numerators over one common denominator (`sparse.scaled`); every
-coefficient a series holds is still a nonzero lowest-terms `Fraction`.
+no `free_lie` bracket table.  Products run on integer numerators over
+one common denominator (`sparse.scaled`) in one loop, `_product`: `mul`,
+the power series behind exp, log and inv_unit (which scale their
+argument once and sum integer terms), the free group word product
+`evaluate_expansion`, and the primitivity test on its own scaled input.
+Every coefficient a series holds is still a nonzero lowest-terms
+`Fraction`, made once per output word by `sparse.unscaled`.
 
 The predicates do not expand the coproduct, which has 2^m components
 per word of length m.  By Dynkin-Specht-Wever, a homogeneous element p
@@ -33,7 +37,7 @@ import heapq
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import factorial
+from math import factorial, lcm
 from typing import Mapping, NamedTuple
 
 from .free_lie import (LieSeries, Word, gen_count, letter_label,
@@ -69,11 +73,10 @@ class TensorSeries(TruncatedSeries):
         return self.coords.get((), Fraction(0))
 
 
-def mul(x: TensorSeries, y: TensorSeries) -> TensorSeries:
-    """Concatenation product, truncated, on integer numerators."""
-    x._check(y)
-    n = x.max_degree
-    (nx, dx), (ny, dy) = scaled(x.coords), scaled(y.coords)
+def _product(nx: Mapping[Word, int], ny: Mapping[Word, int],
+             n: int) -> dict[Word, int]:
+    """Concatenation product of two integer word dicts, words above n
+    and zero entries dropped, so that a vanishing power is seen."""
     acc: dict[Word, int] = {}
     by_len: dict[int, list[tuple[Word, int]]] = {}
     for w, c in ny.items():
@@ -85,14 +88,34 @@ def mul(x: TensorSeries, y: TensorSeries) -> TensorSeries:
                 for wv, cv in terms:
                     w = wu + wv
                     acc[w] = acc.get(w, 0) + cu * cv
-    return x._like(unscaled(acc, dx * dy))
+    return {w: c for w, c in acc.items() if c}
+
+
+def mul(x: TensorSeries, y: TensorSeries) -> TensorSeries:
+    """Concatenation product, truncated, on integer numerators."""
+    x._check(y)
+    (nx, dx), (ny, dy) = scaled(x.coords), scaled(y.coords)
+    return x._like(unscaled(_product(nx, ny, x.max_degree), dx * dy))
 
 
 def _series_in(u: TensorSeries, coeff) -> TensorSeries:
-    """The sum of coeff(k) * u^k over k >= 0, up to the first vanishing power."""
-    return power_series(lambda p: mul(p, u),
-                        TensorSeries.one(u.genus, u.max_degree), coeff,
-                        u.max_degree)
+    """The sum of coeff(k) * u^k over k >= 0, u with no constant term.
+
+    With u = nu / du, the power u^k is an integer dict over du^k.  Over
+    the common denominator D = lcm(denominators of coeff(0..K)) * du^K,
+    K the last k with u^k possibly nonzero, every term is an integer
+    dict, so `power_series` sums integers and the result is unscaled once.
+    """
+    n = u.max_degree
+    nu, du = scaled(u.coords)
+    last = n // u.min_degree() if u else 0
+    cs = [coeff(k) for k in range(last + 1)]
+    den = lcm(*(c.denominator for c in cs)) * du ** last
+    ints = [c.numerator * (den // (c.denominator * du ** k))
+            for k, c in enumerate(cs)]
+    acc = power_series(lambda p: p._like(_product(p.coords, nu, n)),
+                       u._like({(): 1}), ints.__getitem__, last)
+    return u._like(unscaled(acc.coords, den))
 
 
 def exp(x: TensorSeries) -> TensorSeries:
@@ -344,10 +367,12 @@ class ExpansionMap:
 def evaluate_expansion(theta: ExpansionMap, w: FreeGroupWord) -> TensorSeries:
     if theta.genus != w.genus:
         raise ValueError("mismatched genus")
-    acc = TensorSeries.one(theta.genus, theta.max_degree)
+    acc: dict[Word, int] = {(): 1}
+    den = 1
     for letter, e in w.letters:
-        acc = mul(acc, theta.image(letter, e))
-    return acc
+        nx, dx = scaled(theta.image(letter, e).coords)
+        acc, den = _product(acc, nx, theta.max_degree), den * dx
+    return TensorSeries._of(theta.genus, theta.max_degree, unscaled(acc, den))
 
 
 class ExpansionReport(NamedTuple):

@@ -3,9 +3,14 @@
 `mul` is the concatenation product computed with one `Fraction` product
 per pair of terms, the way `tensor_hopf.mul` worked before it moved to
 integer numerators over one common denominator.  `exp`, `log` and
-`inv_unit` sum their truncated power series term by term on top of it.
-They work on plain word -> coefficient dicts and share no code with
-`lietrees`, whose integer kernel the tests compare against them.
+`inv_unit` sum their truncated power series term by term on top of it,
+with `Fraction` coefficients, through every power up to the truncation
+degree.  A chain of `mul` over the images of a free group word's letters
+(with `inv_unit` for an inverse letter) is the oracle for
+`tensor_hopf.evaluate_expansion`.  They work on plain word -> coefficient
+dicts and share no code with `lietrees`, whose integer kernels for
+`mul`, `exp`, `log`, `inv_unit` and `evaluate_expansion` the tests
+compare against them.
 """
 
 from fractions import Fraction

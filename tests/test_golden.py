@@ -6,6 +6,7 @@ implementation changes underneath them.
 
 import hashlib
 import random
+from fractions import Fraction
 
 from lietrees.cli import run
 from lietrees.documents import tree_combo_to_text
@@ -14,8 +15,10 @@ from lietrees.johnson import (invert_aut, log_aut, morita_mk,
                               random_ic_element, tau_to_trees)
 from lietrees.koszul import capital_phi
 from lietrees.symplectic import (construct_symplectic,
-                                 paper_example_expansion, zeta_word)
-from lietrees.tensor_hopf import evaluate_expansion, inv_unit, log
+                                 paper_example_expansion, verify_symplectic,
+                                 zeta_word)
+from lietrees.tensor_hopf import (ExpansionMap, TensorSeries,
+                                  evaluate_expansion, inv_unit, log)
 
 
 def test_constructed_expansion_document(capsys):
@@ -54,6 +57,30 @@ def test_tensor_series():
         h.update(repr(evaluate_expansion(theta, zeta_word(2))).encode())
     assert h.hexdigest() == ("4926e197ba103ca1798fa71cf2b7e8c2"
                              "08e075c9eaff580611ea9b822604ddd8")
+
+
+def test_genus_3_boundary_word():
+    z = evaluate_expansion(construct_symplectic(3, 5), zeta_word(3))
+    assert hashlib.sha256(repr(z).encode()).hexdigest() == (
+        "ee2619ab9c7c913337ede1ef0ae442e0b8f18b0028010a4cd0345dc6e6f222d2")
+
+
+def test_verify_reports():
+    """Accepted expansions at (3, 5) and (2, 7), and the (2, 7) one with
+    the coefficient of the least degree-3 word of its last image raised
+    by 1/3."""
+    theta = construct_symplectic(2, 7)
+    last = max(theta.images)
+    image = theta.images[last]
+    w = min(w for w in image.coords if len(w) == 3)
+    edited = ExpansionMap(2, 7, {
+        **theta.images,
+        last: image + TensorSeries(2, 7, {w: Fraction(1, 3)})})
+    h = hashlib.sha256()
+    for t, n in ((construct_symplectic(3, 5), 5), (theta, 7), (edited, 7)):
+        h.update(repr(verify_symplectic(t, n)).encode())
+    assert h.hexdigest() == ("83ab55adff71bf6272875a796bb21045"
+                             "808b7dff7b6dc56249793c5c320ac644")
 
 
 def test_homology_and_tree_routes():

@@ -3,11 +3,13 @@
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import series_oracle
+from lietrees import tensor_hopf
 from lietrees.free_lie import LieSeries, bracket_basis, lyndon_basis
 from lietrees.johnson import identity_aut
 from lietrees.sparse import add_into, add_term
@@ -310,13 +312,14 @@ DENOMINATORS = (1, 2, 3, 10007, 2 ** 40, 3 ** 25)
 
 
 @st.composite
-def series(draw, genus, n, constant=0):
-    """A TensorSeries with the given constant term; its coefficients are
-    Fractions over DENOMINATORS, or ints stored as they are through _of."""
+def series(draw, genus, n, constant=0, low=1):
+    """A TensorSeries with the given constant term and words of length
+    low..n; its coefficients are Fractions over DENOMINATORS, or ints
+    stored as they are through _of."""
     ints = draw(st.booleans())
     coords = {(): constant} if constant else {}
     for _ in range(draw(st.integers(0, 6))):
-        d = draw(st.integers(1, n))
+        d = draw(st.integers(low, n))
         w = tuple(draw(st.lists(st.integers(0, 2 * genus - 1),
                                 min_size=d, max_size=d)))
         num = draw(st.integers(-4, 4).filter(bool))
@@ -333,12 +336,40 @@ NILPOTENT_AND_UNIT = CONTEXTS.flatmap(
     lambda gn: st.tuples(series(*gn), series(*gn, constant=1)))
 
 
+@st.composite
+def expansion_and_word(draw):
+    """An ExpansionMap whose images are drawn unit series, and a reduced
+    free group word of up to 8 letters with both signs."""
+    genus, n = draw(CONTEXTS)
+    images = {l: draw(series(genus, n, constant=1))
+              for l in range(2 * genus)}
+    letters = draw(st.lists(st.tuples(st.integers(0, 2 * genus - 1),
+                                      st.sampled_from((1, -1))), max_size=8))
+    return ExpansionMap(genus, n, images), FreeGroupWord(genus, tuple(letters))
+
+
 def assert_fractions(x):
-    assert all(type(c) is F and c for c in x.coords.values()), x.coords
+    """Every coefficient is a nonzero Fraction in lowest terms."""
+    assert all(type(c) is F and c and c.denominator > 0
+               and gcd(c.numerator, c.denominator) == 1
+               for c in x.coords.values()), x.coords
+
+
+def counted(mp, name):
+    """Replace tensor_hopf.<name> by a wrapper that counts its calls."""
+    calls = []
+    inner = getattr(tensor_hopf, name)
+
+    def wrapper(*args):
+        calls.append(1)
+        return inner(*args)
+
+    mp.setattr(tensor_hopf, name, wrapper)
+    return calls
 
 
 class TestIntegerKernel:
-    """mul and the series on it agree with the Fraction oracle."""
+    """mul, the series and evaluate_expansion agree with the Fraction oracle."""
 
     @settings(max_examples=60, deadline=None)
     @given(PAIRS)
@@ -373,12 +404,59 @@ class TestIntegerKernel:
                                                  u.max_degree)
             assert_fractions(z)
 
+    @settings(max_examples=30, deadline=None)
+    @given(NILPOTENT_AND_UNIT)
+    def test_each_series_scales_its_argument_once(self, ux):
+        u, x = ux
+        for f, arg in ((exp, u), (log, x), (inv_unit, x)):
+            with pytest.MonkeyPatch.context() as mp:
+                calls = counted(mp, "scaled")
+                f(arg)
+            assert len(calls) == 1, f.__name__
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 2).flatmap(lambda g: series(g, 7, low=3)))
+    def test_series_stop_after_the_last_nonzero_power(self, u):
+        """u of minimum degree 3 at max degree 7: u^2 is the last power."""
+        assume(u.min_degree() == 3)
+        x = TensorSeries.one(u.genus, 7) + u
+        for ours, oracle, arg in ((exp, series_oracle.exp, u),
+                                  (log, series_oracle.log, x),
+                                  (inv_unit, series_oracle.inv_unit, x)):
+            with pytest.MonkeyPatch.context() as mp:
+                calls = counted(mp, "_product")
+                got = ours(arg)
+            assert len(calls) == 2, ours.__name__
+            assert got.coords == oracle(arg.coords, 7), ours.__name__
+            assert_fractions(got)
+
+    @settings(max_examples=40, deadline=None)
+    @given(expansion_and_word())
+    def test_evaluate_expansion_matches_the_oracle(self, theta_w):
+        theta, w = theta_w
+        n = theta.max_degree
+        expected = {(): F(1)}
+        for letter, e in w.letters:
+            image = theta.images[letter].coords
+            if e == -1:
+                image = series_oracle.inv_unit(image, n)
+            expected = series_oracle.mul(expected, image, n)
+        got = evaluate_expansion(theta, w)
+        assert got.coords == expected
+        assert_fractions(got)
+        back = evaluate_expansion(theta, w.inverse())
+        assert_fractions(back)
+        assert mul(got, back) == TensorSeries.one(theta.genus, n)
+
     def test_cancelled_words_are_dropped(self):
         a = TensorSeries.gen(1, 3, 0)
         one = TensorSeries.one(1, 3)
         z = mul(one + F(1, 10007) * a, one - F(1, 10007) * a)
         assert z.coords == {(): F(1), (0, 0): F(-1, 10007 ** 2)}
         assert_fractions(z)
+        # the integer kernel drops the cancelled word itself
+        assert tensor_hopf._product({(): 1, (0,): 1}, {(): 1, (0,): -1}, 3) \
+            == {(): 1, (0, 0): -1}
 
 
 class TestFreeGroupWords:
