@@ -166,10 +166,7 @@ def run(argv: Sequence[str]) -> int:
     except documents.DocumentError as e:
         print(f"error: malformed document: {e}", file=sys.stderr)
         return 2
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

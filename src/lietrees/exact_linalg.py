@@ -17,9 +17,11 @@ canonical coordinates are read in, depends on row order.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from numbers import Rational
 from typing import Iterable, Mapping, Optional, Sequence
+
+from .sparse import scaled
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -60,14 +62,10 @@ def _rows_of(columns: Iterable[Mapping[object, Rational]],
 def _primitive(vec: Mapping[int, Rational]) -> dict[int, int]:
     """The nonzero entries of vec times the lcm of their denominators,
     divided by their gcd: a primitive integer vector on the same line."""
-    items = [(j, v) for j, v in vec.items() if v]
-    if not items:
-        return {}
     try:
-        den = lcm(*(v.denominator for _, v in items))
+        row = scaled({j: v for j, v in vec.items() if v})[0]
     except AttributeError:
         raise TypeError("rank entries must be exact rationals") from None
-    row = {j: v.numerator * (den // v.denominator) for j, v in items}
     g = gcd(*row.values())
     return {j: v // g for j, v in row.items()} if g != 1 else row
 
@@ -176,17 +174,16 @@ class BlockSolver:
                           for c, row in zip(pivots, reduced)]
 
     def solve(self, b: Mapping[object, Rational]) -> Optional[dict]:
-        bvec = [(self.index.get(k), v) for k, v in b.items() if v]
-        if any(i is None for i, _ in bvec):
+        bvec = {self.index.get(k): v for k, v in b.items() if v}
+        if None in bvec:
             return None          # target hits a row no column reaches
-        den = lcm(*(v.denominator for _, v in bvec))
-        bint = [(i, v.numerator * (den // v.denominator)) for i, v in bvec]
+        bint, den = scaled(bvec)
         for y in self.cokernel:
-            if sum(y.get(i, 0) * v for i, v in bint):
+            if sum(y.get(i, 0) * v for i, v in bint.items()):
                 return None
         x = {}
         for label, trow, p in self.transform:
-            s = sum(trow.get(i, 0) * v for i, v in bint)
+            s = sum(trow.get(i, 0) * v for i, v in bint.items())
             if s:
                 x[label] = Fraction(s, p * den)
         return x

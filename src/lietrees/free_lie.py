@@ -39,6 +39,11 @@ def b_letter(i: int) -> int:
     return 2 * (i - 1) + 1
 
 
+def partner(letter: int) -> tuple[int, int]:
+    """The symplectic pairing: (b_i, -1) for a_i and (a_i, +1) for b_i."""
+    return letter ^ 1, 1 if letter % 2 else -1
+
+
 def letter_label(letter: int) -> str:
     kind = "a" if letter % 2 == 0 else "b"
     return f"{kind}{letter // 2 + 1}"

@@ -18,7 +18,7 @@ from math import factorial
 from typing import Mapping
 
 from .free_lie import (LieSeries, Word, a_letter, b_letter, gen_count,
-                       letter_label, std_factorization)
+                       letter_label, partner, std_factorization)
 from .jacobi import HLieTensor, TreeCombo, eta, eta_inverse, random_tree
 from .sparse import add_term, check_truncation, power_series
 
@@ -43,12 +43,18 @@ class _GeneratorMap:
             raise ValueError("max_degree must be at least 1")
         self.genus = genus
         self.max_degree = max_degree
+        for key in images:
+            if key not in range(gen_count(genus)):
+                raise ValueError(f"image for {key!r}, which is not a "
+                                 f"generator letter of genus {genus}")
         clean: dict[int, LieSeries] = {}
         for letter in range(gen_count(genus)):
             label = letter_label(letter)
             if letter not in images:
                 raise ValueError(f"missing image for {label}")
             img = images[letter]
+            if not isinstance(img, LieSeries):
+                raise ValueError(f"image of {label} is not a LieSeries")
             if img.genus != genus:
                 raise ValueError(f"image of {label} has genus {img.genus}, "
                                  f"not {genus}")
@@ -210,22 +216,18 @@ def is_omega_fixing(psi: LieAutomorphism) -> bool:
 def derivation_from_tensor(t: HLieTensor, max_degree: int) -> Derivation:
     """Derivation paired off a coefficient tensor via the symplectic form.
 
-    A term b_i tensor u feeds -u into the value on a_i, and a term
-    a_i tensor u feeds +u into the value on b_i; with this convention a
-    tensor in the bracket kernel yields a derivation killing the
-    symplectic element.
+    A term h tensor u feeds -sign * u into the value on the partner of h,
+    inverting the pairing of tau_truncated: b_i tensor u feeds -u into a_i
+    and a_i tensor u feeds +u into b_i.  With this convention a tensor in
+    the bracket kernel yields a derivation killing the symplectic element.
     """
     genus = t.genus
     acc: dict[int, dict[Word, Fraction]] = {
         l: {} for l in range(gen_count(genus))}
     for (h, w), c in t.coords.items():
-        if len(w) > max_degree:
-            continue
-        if h % 2:
-            target, coeff = h - 1, -c
-        else:
-            target, coeff = h + 1, c
-        add_term(acc[target], w, coeff)
+        if len(w) <= max_degree:
+            target, sign = partner(h)
+            add_term(acc[target], w, -sign * c)
     return Derivation(genus, max_degree,
                       {l: LieSeries(genus, max_degree, d)
                        for l, d in acc.items()})
@@ -238,18 +240,17 @@ def derivation_from_tensor(t: HLieTensor, max_degree: int) -> Derivation:
 def tau_truncated(psi: LieAutomorphism, k: int) -> HLieTensor:
     """Deviations of a level-k psi in degrees k+1..2k, packaged as a tensor.
 
-    Deviations of a_i ride with -b_i, deviations of b_i with +a_i, so
+    Each deviation rides with the `partner` of its generator, signed, so
     the window data of psi is recovered exactly from the result.
     """
     _check_level(psi, k)
     genus = psi.genus
     coords: dict[tuple[int, Word], Fraction] = {}
-    for i in range(1, genus + 1):
-        for letter, mate, sign in ((a_letter(i), b_letter(i), -1),
-                                   (b_letter(i), a_letter(i), 1)):
-            for w, c in psi.deviation(letter).coords.items():
-                if k + 1 <= len(w) <= 2 * k:
-                    add_term(coords, (mate, w), sign * c)
+    for letter in range(gen_count(genus)):
+        mate, sign = partner(letter)
+        for w, c in psi.deviation(letter).coords.items():
+            if k + 1 <= len(w) <= 2 * k:
+                add_term(coords, (mate, w), sign * c)
     return HLieTensor._of(genus, coords)
 
 
@@ -334,18 +335,16 @@ def morita_mk(psi: LieAutomorphism, k: int) -> "object":
     _check_level(psi, k)
     genus = psi.genus
     big = 2 * k
-    base = []
-    moved = []
+    terms = []
     for i in range(1, genus + 1):
         a, b = a_letter(i), b_letter(i)
-        base.append((((a,), (b,)), ONE))
+        terms.append((((a,), (b,)), ONE))
         xa = psi.image_of(a).truncated(big)
         xb = psi.image_of(b).truncated(big)
         for wu, cu in xa.coords.items():
             for wv, cv in xb.coords.items():
-                moved.append(((wu, wv), cu * cv))
-    cycle = (wedge_chain_from_terms(genus, big, 2, base)
-             - wedge_chain_from_terms(genus, big, 2, moved))
+                terms.append(((wu, wv), -cu * cv))
+    cycle = wedge_chain_from_terms(genus, big, 2, terms)
     if not boundary(cycle).is_zero():
         raise ValueError("automorphism does not fix the symplectic element "
                          "modulo degree 2k+1")

@@ -2,10 +2,12 @@
 
 The boundary word of the genus-g surface is a product of commutators;
 an expansion is symplectic when it is group-like and sends that word to
-the exponential of minus the canonical degree-2 Lie element.  This
+the exponential of minus the canonical degree-2 Lie element omega.  This
 module builds such expansions to any truncation degree by correcting
 the naive exponential expansion with a filtered automorphism, solved
-degree by degree, and independently verifies candidates.
+degree by degree, and independently verifies candidates.  The target
+omega_tilde is the boundary inverse under the naive expansion, taken by
+`evaluate_expansion`; the splitting columns pair letters by `partner`.
 """
 
 from __future__ import annotations
@@ -16,13 +18,13 @@ from typing import NamedTuple
 
 from .exact_linalg import BlockSolver
 from .free_lie import (LieSeries, Word, _letter_weight, _solve_by_weight,
-                       _split_by_weight, a_letter, b_letter, gen_count,
-                       lyndon_basis, bracket_basis)
+                       _split_by_weight, a_letter, b_letter, bracket_basis,
+                       gen_count, lyndon_basis, partner)
 from .johnson import (LieAutomorphism, apply_aut, compose_aut, identity_aut,
                       invert_aut)
 from .tensor_hopf import (ExpansionMap, FreeGroupWord, TensorSeries,
-                          check_expansion, embed_lie, evaluate_expansion, mul,
-                          project_lie)
+                          basis_expansion, check_expansion, embed_lie,
+                          evaluate_expansion, mul, project_lie)
 from .tensor_hopf import exp as tensor_exp
 from .tensor_hopf import log as tensor_log
 
@@ -67,17 +69,13 @@ def symplectic_context(genus: int, max_degree: int) -> SymplecticContext:
 
 @lru_cache(maxsize=None)
 def omega_tilde(genus: int, max_degree: int) -> LieSeries:
-    """Logarithm of the naive exponential expansion of the boundary
-    inverse, projected to the Lie side."""
+    """log of the boundary inverse under the exponential basis expansion,
+    projected to the Lie side; as inv_unit(exp(x)) = exp(-x), that is the
+    product over handles of exp(-b_i) exp(a_i) exp(b_i) exp(-a_i)."""
     if max_degree < 2:
         raise ValueError("max_degree must be at least 2")
-    acc = TensorSeries.one(genus, max_degree)
-    for i in range(1, genus + 1):
-        a = TensorSeries.gen(genus, max_degree, a_letter(i))
-        b = TensorSeries.gen(genus, max_degree, b_letter(i))
-        for f in (tensor_exp(-b), tensor_exp(a), tensor_exp(b), tensor_exp(-a)):
-            acc = mul(acc, f)
-    return project_lie(tensor_log(acc))
+    return project_lie(tensor_log(evaluate_expansion(
+        basis_expansion(genus, max_degree), zeta_inverse_word(genus))))
 
 
 def _solve_splitting(genus: int, j: int,
@@ -86,18 +84,17 @@ def _solve_splitting(genus: int, j: int,
     u, v of degree j; blocked per letter weight, free variables zeroed.
     Returns {a_i: u_i, b_i: v_i}, the terms each generator's image gains."""
     blocks = _split_by_weight(defect.coords, genus)
-    # column (x, w) brackets w with the partner x ^ 1 of x (a_i = 2i - 2);
-    # only the columns in a weight of the defect are built
+    # column (x, w) is sign * [mate, w], (mate, sign) = partner(x), in the
+    # order handle, word, a before b; only the defect's weights are built
     col_blocks: dict[tuple[int, ...], dict] = {mu: {} for mu in blocks}
     for i in range(1, genus + 1):
-        a, b = a_letter(i), b_letter(i)
         for w in lyndon_basis(genus, j):
-            cols = col_blocks.get(_letter_weight((b, *w), genus))
-            if cols is not None:
-                cols[(a, w)] = bracket_basis(w, (b,))
-            cols = col_blocks.get(_letter_weight((a, *w), genus))
-            if cols is not None:
-                cols[(b, w)] = bracket_basis((a,), w)
+            for x in (a_letter(i), b_letter(i)):
+                mate, sign = partner(x)
+                cols = col_blocks.get(_letter_weight((mate, *w), genus))
+                if cols is not None:
+                    cols[(x, w)] = {u: sign * c for u, c
+                                    in bracket_basis((mate,), w).items()}
     if not all(col_blocks.values()):
         raise RuntimeError("defect weight outside the bracket image")
     solvers = {mu: BlockSolver(sorted(set().union(*cols.values())), cols)

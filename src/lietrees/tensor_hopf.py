@@ -7,17 +7,17 @@ multiplicatively, so a word splits as the sum over all ways of dividing
 its letter positions into two subsequences.  Under this structure the
 primitive part is exactly the image of the free Lie algebra, which is
 what makes this module an independent oracle for `free_lie`: embed_lie
-expands canonical bracketings by pure tensor arithmetic, and project_lie
+expands canonical bracketings as commutators of tensors, and project_lie
 comes back by peeling off the Lyndon basis, least word first, since the
 canonical bracketing of a Lyndon word w is w plus greater words of the
-same length (Reutenauer, Free Lie Algebras, Thm 5.1).  The module uses
-no `free_lie` bracket table.  Products run on integer numerators over
-one common denominator (`sparse.scaled`) in one loop, `_product`: `mul`,
-the power series behind exp, log and inv_unit (which scale their
-argument once and sum integer terms), the free group word product
-`evaluate_expansion`, and the primitivity test on its own scaled input.
-Every coefficient a series holds is still a nonzero lowest-terms
-`Fraction`, made once per output word by `sparse.unscaled`.
+same length (Reutenauer, Free Lie Algebras, Thm 5.1); the peel rejects
+a non-primitive element itself, at the first non-Lyndon least word.  No
+`free_lie` bracket table is used.  Products run on integer numerators
+over one common denominator (`sparse.scaled`) in one loop, `_product`:
+`mul`, the bracketings `_embed_word`, the power series behind exp, log
+and inv_unit, the free group word product `evaluate_expansion`, and the
+primitivity test.  Every coefficient a series holds is a nonzero
+lowest-terms `Fraction`, made once per output word by `sparse.unscaled`.
 
 The predicates do not expand the coproduct, which has 2^m components
 per word of length m.  By Dynkin-Specht-Wever, a homogeneous element p
@@ -40,7 +40,7 @@ from itertools import combinations
 from math import factorial, lcm
 from typing import Mapping, NamedTuple
 
-from .free_lie import (LieSeries, Word, gen_count, letter_label,
+from .free_lie import (LieSeries, Word, gen_count, is_lyndon, letter_label,
                        std_factorization)
 from .sparse import (TruncatedSeries, add_into, add_term, check_truncation,
                      power_series, scaled, unscaled)
@@ -181,29 +181,20 @@ def _dynkin(piece: Mapping[Word, Fraction], n: int) -> dict[Word, Fraction]:
     return state.get((), {})
 
 
-def _is_lie(x: TensorSeries) -> bool:
-    """x is primitive: no constant term, and D(p_n) = n·p_n in every degree n."""
-    if x.constant_term():
-        return False
+def is_primitive(x: TensorSeries) -> bool:
+    """Primitive: no constant term, and D(p_n) = n·p_n in every degree n."""
     pieces: dict[int, dict[Word, int]] = {}
     # D is linear, so the test runs on the integer numerators of x
     for w, c in scaled(x.coords)[0].items():
         pieces.setdefault(len(w), {})[w] = c
-    for n in sorted(pieces):
-        piece = pieces[n]
-        if _dynkin(piece, n) != {w: n * c for w, c in piece.items()}:
-            return False
-    return True
+    return not x.constant_term() and all(
+        _dynkin(p, n) == {w: n * c for w, c in p.items()}
+        for n, p in sorted(pieces.items()))
 
 
 def is_grouplike(x: TensorSeries) -> bool:
     """Coproduct of x equals x (x) x below the truncation degree (Friedrichs)."""
-    return x.constant_term() == 1 and _is_lie(log(x))
-
-
-def is_primitive(x: TensorSeries) -> bool:
-    """Coproduct of x equals x (x) 1 + 1 (x) x (Dynkin-Specht-Wever)."""
-    return _is_lie(x)
+    return x.constant_term() == 1 and is_primitive(log(x))
 
 
 # ---------------------------------------------------------------------------
@@ -211,25 +202,22 @@ def is_primitive(x: TensorSeries) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _embed_word(w: Word) -> Mapping[Word, Fraction]:
-    """Tensor expansion of the canonical bracketing of a Lyndon word."""
+def _embed_word(w: Word) -> Mapping[Word, int]:
+    """Integer tensor expansion of the canonical bracketing of a Lyndon word."""
     if len(w) == 1:
-        return {w: ONE}
-    u, v = std_factorization(w)
-    eu, ev = _embed_word(u), _embed_word(v)
-    out: dict[Word, Fraction] = {}
-    for wu, cu in eu.items():
-        for wv, cv in ev.items():
-            add_term(out, wu + wv, cu * cv)
-            add_term(out, wv + wu, -cu * cv)
+        return {w: 1}
+    eu, ev = map(_embed_word, std_factorization(w))
+    out = _product(eu, ev, len(w))
+    add_into(out, _product(ev, eu, len(w)), -1)
     return out
 
 
 def embed_lie(x: LieSeries) -> TensorSeries:
-    out: dict[Word, Fraction] = {}
-    for w, c in x.coords.items():
+    nx, den = scaled(x.coords)
+    out: dict[Word, int] = {}
+    for w, c in nx.items():
         add_into(out, _embed_word(w), c)
-    return TensorSeries._of(x.genus, x.max_degree, out)
+    return TensorSeries._of(x.genus, x.max_degree, unscaled(out, den))
 
 
 def project_lie(x: TensorSeries) -> LieSeries:
@@ -239,19 +227,20 @@ def project_lie(x: TensorSeries) -> LieSeries:
     The canonical bracketing of a Lyndon word w expands to w plus words
     of the same length greater than w (Reutenauer, Free Lie Algebras,
     Thm 5.1), so the least word left in a primitive residual is Lyndon
-    and its coefficient is the coordinate on that word.
+    and its coefficient is the coordinate on that word.  The peel is its
+    own primitivity test: it stops at a non-Lyndon least word, and if it
+    meets none, x is the Lie combination it wrote.
     """
-    if not is_primitive(x):
-        raise ValueError("project_lie needs a primitive element")
     residual = dict(x.coords)
-    heap = list(residual)
-    heapq.heapify(heap)
+    heap = sorted(residual)         # a sorted list is a heap
     out: dict[Word, Fraction] = {}
     while heap:
         w = heapq.heappop(heap)
         c = residual.pop(w, None)
         if c is None:
             continue
+        if not is_lyndon(w):
+            raise ValueError("project_lie needs a primitive element")
         out[w] = c
         for u, e in _embed_word(w).items():
             if u != w:

@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lietrees.free_lie import (LieSeries, bch, bracket, bracket_basis,
-                               is_lyndon, letter_label, lyndon_basis,
-                               parse_letter, std_factorization, witt_dim)
+from lietrees.free_lie import (LieSeries, a_letter, b_letter, bch, bracket,
+                               bracket_basis, is_lyndon, letter_label,
+                               lyndon_basis, parse_letter, partner,
+                               std_factorization, witt_dim)
 from lietrees.sparse import add_into
 from lietrees.tensor_hopf import embed_lie, mul
 
@@ -39,6 +40,11 @@ class TestLetters:
             parse_letter("a3", 2)
         with pytest.raises(ValueError):
             parse_letter("c1", 2)
+
+    def test_symplectic_partner(self):
+        for i in (1, 2, 3):
+            assert partner(a_letter(i)) == (b_letter(i), -1)
+            assert partner(b_letter(i)) == (a_letter(i), 1)
 
 
 class TestLyndonWords:

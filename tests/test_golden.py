@@ -35,6 +35,13 @@ def test_constructed_expansion_document_at_degree_7(capsys):
                       "848c03c3d7a9576408cf5989b88f98c5")
 
 
+def test_constructed_expansion_document_at_genus_3(capsys):
+    assert run(["expand", "construct", "--genus", "3", "--degree", "5"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == ("915f1abc5cba14babd27b50ac0860145"
+                      "83d35c112ea91072f3afd08c09e2520a")
+
+
 def test_automorphism_series():
     """exp_der (inside random_ic_element), log_aut and invert_aut."""
     h = hashlib.sha256()

@@ -17,6 +17,7 @@ from lietrees.johnson import (Derivation, LieAutomorphism, apply_aut,
                               tau_bracket_check, tau_to_trees, tau_truncated)
 from lietrees.koszul import boundary, capital_phi
 from lietrees.symplectic import omega
+from lietrees.tensor_hopf import TensorSeries, exp
 
 F = Fraction
 
@@ -107,11 +108,32 @@ class TestAutomorphisms:
         images = {l: LieSeries.gen(2, 7, l) for l in range(4)}
         assert LieAutomorphism(2, 3, images) == identity_aut(2, 3)
 
+    def test_rejects_an_image_for_a_non_generator(self):
+        images = {l: LieSeries.gen(1, 3, l) for l in range(2)}
+        for key in (5, 2, -1, "a1"):
+            with pytest.raises(ValueError, match=f"image for {key!r}, which "
+                               "is not a generator letter of genus 1"):
+                LieAutomorphism(1, 3, {**images, key: LieSeries.gen(1, 3, 0)})
+
+    def test_rejects_an_image_that_is_not_a_lie_series(self):
+        images = {l: LieSeries.gen(1, 3, l) for l in range(2)}
+        images[1] = exp(TensorSeries.gen(1, 3, 1))
+        with pytest.raises(ValueError, match="image of b1 is not a LieSeries"):
+            LieAutomorphism(1, 3, images)
+
 
 class TestDerivations:
     def test_degree_raising_enforced(self):
         with pytest.raises(ValueError):
             Derivation(1, 3, {0: LieSeries.gen(1, 3, 1)})
+
+    def test_rejects_malformed_images(self):
+        zero = LieSeries.zero(1, 3)
+        with pytest.raises(ValueError, match="image for 9, which is not a "
+                           "generator letter of genus 1"):
+            Derivation(1, 3, {0: zero, 1: zero, 9: "junk"})
+        with pytest.raises(ValueError, match="image of a1 is not a LieSeries"):
+            Derivation(1, 3, {0: "junk", 1: zero})
 
     def test_leibniz(self):
         rng = random.Random(6)

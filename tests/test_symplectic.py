@@ -5,15 +5,16 @@ from fractions import Fraction
 import pytest
 
 from lietrees import symplectic
-from lietrees.free_lie import LieSeries, bracket_basis, gen_count, lyndon_basis
+from lietrees.free_lie import (LieSeries, a_letter, b_letter, bracket_basis,
+                               gen_count, lyndon_basis)
 from lietrees.johnson import apply_aut, invert_aut
 from lietrees.symplectic import (build_corrector, construct_symplectic, omega,
                                  omega_tilde, paper_example_expansion,
                                  symplectic_context, verify_symplectic,
                                  zeta_inverse_word, zeta_word)
 from lietrees.tensor_hopf import (ExpansionMap, FreeGroupWord, TensorSeries,
-                                  basis_expansion, log, magnus_expansion,
-                                  evaluate_expansion, project_lie)
+                                  basis_expansion, exp, log, magnus_expansion,
+                                  mul, project_lie)
 
 F = Fraction
 
@@ -53,10 +54,17 @@ class TestOmegaTilde:
         assert part.coords == {(0, 0, 1): F(1, 2), (0, 1, 1): F(1, 2)}
 
     def test_matches_boundary_image_of_exponential_expansion(self):
-        genus, n = 2, 4
-        val = evaluate_expansion(basis_expansion(genus, n),
-                                 zeta_inverse_word(genus))
-        assert project_lie(log(val)) == omega_tilde(genus, n)
+        # oracle: the product exp(-b_i) exp(a_i) exp(b_i) exp(-a_i) over the
+        # handles, multiplied out by hand instead of by evaluate_expansion
+        for genus in (1, 2, 3):
+            for n in range(2, 7):
+                acc = TensorSeries.one(genus, n)
+                for i in range(1, genus + 1):
+                    a = TensorSeries.gen(genus, n, a_letter(i))
+                    b = TensorSeries.gen(genus, n, b_letter(i))
+                    for f in (exp(-b), exp(a), exp(b), exp(-a)):
+                        acc = mul(acc, f)
+                assert project_lie(log(acc)) == omega_tilde(genus, n), (genus, n)
 
 
 class TestCorrector:

@@ -10,7 +10,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import series_oracle
 from lietrees import tensor_hopf
-from lietrees.free_lie import LieSeries, bracket_basis, lyndon_basis
+from lietrees.free_lie import (LieSeries, bracket_basis, is_lyndon,
+                               lyndon_basis)
 from lietrees.johnson import identity_aut
 from lietrees.sparse import add_into, add_term
 from lietrees.symplectic import paper_example_expansion
@@ -204,9 +205,10 @@ class TestDynkinPredicates:
         assert _dynkin({(0, 0): F(1)}, 2) == {}
 
     @staticmethod
-    def draw_lie(data):
-        genus = data.draw(st.integers(1, 2))
-        n = data.draw(st.integers(2, 5))
+    def draw_lie(data, genus=None, n=None, top=5):
+        """A Lie element, at a drawn genus and truncation unless given."""
+        genus = genus or data.draw(st.integers(1, 2))
+        n = n or data.draw(st.integers(2, top))
         coords = {}
         for d in range(1, n + 1):
             basis = lyndon_basis(genus, d)
@@ -277,6 +279,54 @@ class TestLyndonPeel:
         p = embed_lie(x)
         assert project_lie(p) == x
         assert dynkin_project(p) == x
+
+
+class TestPeelRejection:
+    """project_lie rejects exactly the non-primitive elements, from its
+    own peel, and is_primitive agrees with the coproduct on each draw."""
+
+    KINDS = {"lie": True, "lie plus a non-Lyndon word": False,
+             "constant term": False, "exponential": False, "product": None,
+             "Lyndon least word, non-Lie remainder": False}
+
+    @staticmethod
+    def draw(data, kind):
+        x = TestDynkinPredicates.draw_lie(data, top=6)
+        genus, n = x.genus, x.max_degree
+        p = embed_lie(x)
+        if kind == "lie":
+            return p
+        if kind == "constant term":
+            return p + data.draw(st.integers(-2, 2).filter(bool)) * \
+                TensorSeries.one(genus, n)
+        if kind == "exponential":
+            return exp(p)
+        if kind == "product":
+            y = TestDynkinPredicates.draw_lie(data, genus, n)
+            return mul(p, embed_lie(y))
+        w, c = TestDynkinPredicates.draw_term(
+            data, genus, data.draw(st.integers(2, n)))
+        if kind == "lie plus a non-Lyndon word":
+            # a rotation of a Lyndon word of length >= 2 is not Lyndon
+            w = w[1:] + w[:1] if is_lyndon(w) else w
+        else:
+            assume(p and w > min(p.coords))
+        return p + TensorSeries(genus, n, {w: c})
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_rejects_exactly_the_non_primitive(self, kind, data):
+        t = self.draw(data, kind)
+        primitive = is_primitive(t)
+        assert primitive == coproduct_primitive(t)
+        if self.KINDS[kind] is not None:
+            assert primitive == self.KINDS[kind]
+        if primitive:
+            assert embed_lie(project_lie(t)) == t
+        else:
+            with pytest.raises(ValueError, match="needs a primitive element"):
+                project_lie(t)
 
 
 class TestTruncation:
