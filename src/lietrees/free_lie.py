@@ -10,6 +10,10 @@ factorization and is never stored.
 Bracket rewriting is the classical recursive collection on the Lyndon
 (Hall) family.  The tensor-algebra round trip in `tensor_hopf` is kept
 deliberately independent of it and serves as the oracle in the tests.
+
+`GeneratorMap`, the one base of the maps given by an image per
+generator letter (`LieAutomorphism`, `Derivation`, `ExpansionMap`),
+lives here, the lowest module that knows the letters.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping
 
-from .sparse import TruncatedSeries, add_into
+from .sparse import TruncatedSeries, add_into, check_truncation
 
 Word = tuple[int, ...]
 
@@ -266,3 +270,66 @@ def bch(x: LieSeries, y: LieSeries) -> LieSeries:
 
     p = th.mul(th.exp(th.embed_lie(x)), th.exp(th.embed_lie(y)))
     return th.project_lie(th.log(p))
+
+
+class GeneratorMap:
+    """A map fixed by one image per generator letter: a `_series` of the
+    map's genus, cut down to `max_degree` (kept as given when already
+    there; a coarser image is rejected).  A subclass names `_series`,
+    vets images in `_check_image` and caches in `_memo`, which starts as
+    the images keyed by their one-letter words."""
+
+    __slots__ = ("genus", "max_degree", "images", "_memo")
+    _series: type[TruncatedSeries]
+
+    def __init__(self, genus: int, max_degree: int,
+                 images: Mapping[int, TruncatedSeries]):
+        if genus < 0:
+            raise ValueError("bad context")
+        if max_degree < 1:
+            raise ValueError("max_degree must be at least 1")
+        self.genus = genus
+        self.max_degree = max_degree
+        for key in images:
+            if key not in range(gen_count(genus)):
+                raise ValueError(f"image for {key!r}, which is not a "
+                                 f"generator letter of genus {genus}")
+        kind = self._series.__name__
+        clean = {}
+        for letter in range(gen_count(genus)):
+            label = letter_label(letter)
+            if letter not in images:
+                raise ValueError(f"missing image for {label}")
+            img = images[letter]
+            if not isinstance(img, self._series):
+                raise ValueError(f"image of {label} is not a {kind}")
+            if img.genus != genus:
+                raise ValueError(f"image of {label} has genus {img.genus}, "
+                                 f"not {genus}")
+            if img.max_degree < max_degree:
+                raise ValueError(
+                    f"image of {label} is truncated at degree "
+                    f"{img.max_degree}, below {max_degree}")
+            if img.max_degree > max_degree:
+                img = img.truncated(max_degree)
+            self._check_image(letter, img)
+            clean[letter] = img
+        self.images = clean
+        self._memo = {(letter,): img for letter, img in clean.items()}
+
+    def _check_image(self, letter: int, img: TruncatedSeries) -> None:
+        """Raise ValueError for an image this kind of map cannot have."""
+
+    def truncated(self, n: int):
+        """The induced map modulo degrees above n, 1 <= n <= max_degree."""
+        check_truncation(n, self.max_degree)
+        return type(self)(self.genus, n, self.images)
+
+    def __eq__(self, other: object) -> bool:
+        return (type(other) is type(self) and self.genus == other.genus
+                and self.max_degree == other.max_degree
+                and self.images == other.images)
+
+    def __repr__(self) -> str:
+        bits = [f"{letter_label(l)} -> {s!r}" for l, s in sorted(self.images.items())]
+        return "; ".join(bits)

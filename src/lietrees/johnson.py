@@ -7,7 +7,9 @@ operations (apply, compose, invert), the exp/log dictionary with
 degree-raising derivations, the degree-window invariant read off the
 generator deviations, its tree-diagram lift, and the homology-valued
 invariant obtained by solving a boundary problem in the Koszul complex
-of the nilpotent quotient.
+of the nilpotent quotient.  Automorphisms and derivations take their
+construction, truncation and equality from `free_lie.GeneratorMap`;
+`_LieMap` adds the apply loop over memoised word images.
 """
 
 from __future__ import annotations
@@ -15,63 +17,27 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import factorial
-from typing import Mapping
 
-from .free_lie import (LieSeries, Word, a_letter, b_letter, gen_count,
-                       letter_label, partner, std_factorization)
+from .free_lie import (GeneratorMap, LieSeries, Word, a_letter, b_letter,
+                       gen_count, letter_label, partner, std_factorization)
 from .jacobi import HLieTensor, TreeCombo, eta, eta_inverse, random_tree
-from .sparse import add_term, check_truncation, power_series
+from .sparse import add_term, power_series
 
 ONE = Fraction(1)
 
 
-class _GeneratorMap:
-    """A map of L/L_{>N} fixed by its images of the generators.
+class _LieMap(GeneratorMap):
+    """A generator map of L/L_{>N} into itself: a subclass gives `_kind`
+    and `_extend`, the image of a basis word from those of its standard
+    factors; word images are cached in the memo."""
 
-    Subclasses give their `_kind`, which images they admit
-    (`_check_image`) and how the image of a basis word follows from those
-    of its standard factors (`_extend`); word images are cached.
-    """
-
-    __slots__ = ("genus", "max_degree", "images", "_cache")
-
-    def __init__(self, genus: int, max_degree: int,
-                 images: Mapping[int, LieSeries]):
-        if genus < 0:
-            raise ValueError("bad context")
-        if max_degree < 1:
-            raise ValueError("max_degree must be at least 1")
-        self.genus = genus
-        self.max_degree = max_degree
-        for key in images:
-            if key not in range(gen_count(genus)):
-                raise ValueError(f"image for {key!r}, which is not a "
-                                 f"generator letter of genus {genus}")
-        clean: dict[int, LieSeries] = {}
-        for letter in range(gen_count(genus)):
-            label = letter_label(letter)
-            if letter not in images:
-                raise ValueError(f"missing image for {label}")
-            img = images[letter]
-            if not isinstance(img, LieSeries):
-                raise ValueError(f"image of {label} is not a LieSeries")
-            if img.genus != genus:
-                raise ValueError(f"image of {label} has genus {img.genus}, "
-                                 f"not {genus}")
-            if img.max_degree < max_degree:
-                raise ValueError(
-                    f"image of {label} is truncated at degree "
-                    f"{img.max_degree}, below {max_degree}")
-            clean[letter] = img = img.truncated(max_degree)
-            self._check_image(letter, img)
-        self.images = clean
-        self._cache: dict[Word, LieSeries] = {
-            (letter,): img for letter, img in clean.items()}
+    __slots__ = ()
+    _series = LieSeries
 
     def _word(self, w: Word) -> LieSeries:
-        got = self._cache.get(w)
+        got = self._memo.get(w)
         if got is None:
-            got = self._cache[w] = self._extend(*std_factorization(w))
+            got = self._memo[w] = self._extend(*std_factorization(w))
         return got
 
     def _apply(self, x: LieSeries) -> LieSeries:
@@ -86,17 +52,8 @@ class _GeneratorMap:
                     add_term(acc, wu, c * cu)
         return x._like(acc)
 
-    def __eq__(self, other: object) -> bool:
-        return (type(other) is type(self) and self.genus == other.genus
-                and self.max_degree == other.max_degree
-                and self.images == other.images)
 
-    def __repr__(self) -> str:
-        bits = [f"{letter_label(l)} -> {s!r}" for l, s in sorted(self.images.items())]
-        return "; ".join(bits)
-
-
-class LieAutomorphism(_GeneratorMap):
+class LieAutomorphism(_LieMap):
     """Automorphism of L/L_{>N} fixing every generator modulo L_{>=2}."""
 
     __slots__ = ()
@@ -117,11 +74,6 @@ class LieAutomorphism(_GeneratorMap):
     def deviation(self, letter: int) -> LieSeries:
         return self.images[letter] - LieSeries.gen(self.genus, self.max_degree,
                                                    letter)
-
-    def truncated(self, n: int) -> "LieAutomorphism":
-        """The induced automorphism of L/L_{>n}, 1 <= n <= max_degree."""
-        check_truncation(n, self.max_degree)
-        return LieAutomorphism(self.genus, n, self.images)
 
 
 def identity_aut(genus: int, max_degree: int) -> LieAutomorphism:
@@ -161,7 +113,7 @@ def invert_aut(psi: LieAutomorphism) -> LieAutomorphism:
     return phi
 
 
-class Derivation(_GeneratorMap):
+class Derivation(_LieMap):
     """Degree-raising derivation of L/L_{>N}; values have degree >= 2."""
 
     __slots__ = ()
@@ -310,6 +262,8 @@ def random_ic_element(genus: int, k: int, seed: int,
     """
     if k < 1 or max_degree < 2 * k:
         raise ValueError("need k >= 1 and max_degree >= 2k")
+    if genus < 1:
+        raise ValueError("bad context: genus must be at least 1")
     rng = random.Random(seed)
     tensor = HLieTensor.zero(genus)
     for d in range(k, max_degree):

@@ -354,9 +354,12 @@ class HomologyClass(SparseCombination):
 
 
 def class_of(z: WedgeChain) -> HomologyClass:
-    """Canonical coordinates of a 3-cycle in ker/im."""
+    """Canonical coordinates of a 3-cycle in ker/im; genus at least 1,
+    as `HomologyClass` requires."""
     if z.arity != 3:
         raise ValueError("class_of handles arity-3 chains")
+    if z.genus < 1:
+        raise ValueError("bad context")
     _check_cycle(z)
     genus, k = z.genus, z.nilpotency_class
     coords: dict[tuple[int, int], Fraction] = {}

@@ -28,7 +28,9 @@ by tensor arithmetic alone.  `coproduct` itself stays as the reference
 the tests compare the predicates against.
 
 Also hosts free group words and expansions (multiplicative maps from the
-surface group into the unit group of the tensor algebra).
+surface group into the unit group of the tensor algebra); an
+`ExpansionMap` is a `free_lie.GeneratorMap` on `TensorSeries` images
+whose memo keeps the inverse images.
 """
 
 from __future__ import annotations
@@ -40,10 +42,10 @@ from itertools import combinations
 from math import factorial, lcm
 from typing import Mapping, NamedTuple
 
-from .free_lie import (LieSeries, Word, gen_count, is_lyndon, letter_label,
-                       std_factorization)
-from .sparse import (TruncatedSeries, add_into, add_term, check_truncation,
-                     power_series, scaled, unscaled)
+from .free_lie import (GeneratorMap, LieSeries, Word, gen_count, is_lyndon,
+                       letter_label, std_factorization)
+from .sparse import (TruncatedSeries, add_into, add_term, power_series,
+                     scaled, unscaled)
 
 ONE = Fraction(1)
 
@@ -308,49 +310,24 @@ class FreeGroupWord:
                         for l, e in self.letters)
 
 
-class ExpansionMap:
+class ExpansionMap(GeneratorMap):
     """Images of the positive generators under a candidate expansion.
 
     The container itself does not enforce the expansion axioms; use
-    check_expansion (or symplectic.verify_symplectic) to validate.
+    check_expansion (or symplectic.verify_symplectic) to validate.  The
+    memo keeps each inverse image under its letter.
     """
 
-    __slots__ = ("genus", "max_degree", "images", "_inverses")
-
-    def __init__(self, genus: int, max_degree: int,
-                 images: Mapping[int, TensorSeries]):
-        if genus < 0:
-            raise ValueError("bad context")
-        n = gen_count(genus)
-        if sorted(images) != list(range(n)):
-            raise ValueError("need exactly one image per generator")
-        for s in images.values():
-            if s.genus != genus or s.max_degree != max_degree:
-                raise ValueError("image context mismatch")
-        self.genus = genus
-        self.max_degree = max_degree
-        self.images = dict(images)
-        self._inverses: dict[int, TensorSeries] = {}
+    __slots__ = ()
+    _series = TensorSeries
 
     def image(self, letter: int, e: int = 1) -> TensorSeries:
         if e == 1:
             return self.images[letter]
-        inv = self._inverses.get(letter)
+        inv = self._memo.get(letter)
         if inv is None:
-            inv = inv_unit(self.images[letter])
-            self._inverses[letter] = inv
+            inv = self._memo[letter] = inv_unit(self.images[letter])
         return inv
-
-    def truncated(self, n: int) -> "ExpansionMap":
-        """Every image truncated above degree n, 1 <= n <= max_degree."""
-        check_truncation(n, self.max_degree)
-        return ExpansionMap(self.genus, n,
-                            {l: s.truncated(n) for l, s in self.images.items()})
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, ExpansionMap) and self.genus == other.genus
-                and self.max_degree == other.max_degree
-                and self.images == other.images)
 
 
 def evaluate_expansion(theta: ExpansionMap, w: FreeGroupWord) -> TensorSeries:

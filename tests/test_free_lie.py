@@ -11,6 +11,7 @@ from lietrees.free_lie import (LieSeries, a_letter, b_letter, bch, bracket,
                                lyndon_basis, parse_letter, partner,
                                std_factorization, witt_dim)
 from lietrees.sparse import add_into
+from lietrees.suite import _adjoint_identity
 from lietrees.tensor_hopf import embed_lie, mul
 
 F = Fraction
@@ -252,6 +253,17 @@ class TestBch:
                         - F(1, 12) * bracket(y, xy)
                         - F(1, 24) * bracket(y, bracket(x, xy)))
             assert bch(x, y) == expected
+
+    def test_adjoint_identity_pins_bch_below_the_top_degree(self):
+        """exp(ad z) = exp(ad x) o exp(ad y) holds for z = bch(x, y), and
+        fails once a single degree-2 word is added to z."""
+        rng = random.Random(5)
+        for genus in (1, 2):
+            x, y = rand_series(rng, genus, 4), rand_series(rng, genus, 4)
+            z = bch(x, y)
+            assert _adjoint_identity(x, y, z)
+            bad = z + LieSeries(genus, 4, {(0, 1): 1})
+            assert not _adjoint_identity(x, y, bad)
 
     @settings(max_examples=10, deadline=None)
     @given(st.data())

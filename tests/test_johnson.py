@@ -17,9 +17,26 @@ from lietrees.johnson import (Derivation, LieAutomorphism, apply_aut,
                               tau_bracket_check, tau_to_trees, tau_truncated)
 from lietrees.koszul import boundary, capital_phi
 from lietrees.symplectic import omega
-from lietrees.tensor_hopf import TensorSeries, exp
+from lietrees.tensor_hopf import ExpansionMap, TensorSeries, exp
 
 F = Fraction
+
+# The three generator maps, each with a valid image of a letter and an
+# image of the other series type; they share one constructor.
+KINDS = {
+    LieAutomorphism: (lambda g, n, l: LieSeries.gen(g, n, l), "LieSeries",
+                      lambda g, n, l: TensorSeries.gen(g, n, l)),
+    Derivation: (lambda g, n, l: LieSeries(g, n, {(0, 1): 1}), "LieSeries",
+                 lambda g, n, l: TensorSeries.gen(g, n, l)),
+    ExpansionMap: (lambda g, n, l: exp(TensorSeries.gen(g, n, l)),
+                   "TensorSeries", lambda g, n, l: LieSeries.gen(g, n, l)),
+}
+
+
+def images_of(kind, genus, n):
+    """Valid generator images of this kind at genus and degree n."""
+    image = KINDS[kind][0]
+    return {l: image(genus, n, l) for l in range(gen_count(genus))}
 
 
 def rand_series(genus, lo, hi, rng, cap):
@@ -82,19 +99,26 @@ class TestAutomorphisms:
         assert psi.truncated(3).image_of(0) == psi.image_of(0).truncated(3)
 
     def test_truncation_rejects_degrees_outside_range(self):
-        psi = identity_aut(2, 3)
-        for n in (0, -1, 4, 7):
-            with pytest.raises(ValueError):
-                psi.truncated(n)
-        assert psi.truncated(3) == psi
+        for kind in KINDS:
+            m = kind(2, 3, images_of(kind, 2, 3))
+            for n in (0, -1, 4, 7):
+                with pytest.raises(ValueError, match=f"truncation degree {n} "
+                                   "outside 1..3"):
+                    m.truncated(n)
+            assert m.truncated(3) == m
+            assert m.truncated(2) == kind(2, 2, images_of(kind, 2, 2))
 
     def test_rejects_images_truncated_below_max_degree(self):
-        images = {l: LieSeries.gen(2, 3, l) for l in range(4)}
-        with pytest.raises(ValueError):
-            LieAutomorphism(2, 7, images)
-        images[1] = LieSeries.gen(2, 7, 1)
-        with pytest.raises(ValueError):
-            LieAutomorphism(2, 7, images)
+        for kind in KINDS:
+            images = images_of(kind, 2, 3)
+            with pytest.raises(ValueError, match="image of a1 is truncated at "
+                               "degree 3, below 7"):
+                kind(2, 7, images)
+            images.update(images_of(kind, 2, 7))
+            images[1] = images_of(kind, 2, 4)[1]
+            with pytest.raises(ValueError, match="image of b1 is truncated at "
+                               "degree 4, below 7"):
+                kind(2, 7, images)
 
     def test_rejects_a_negative_genus(self):
         for make in (lambda: LieAutomorphism(-1, 3, {}),
@@ -105,21 +129,51 @@ class TestAutomorphisms:
                 make()
 
     def test_images_above_max_degree_are_truncated(self):
-        images = {l: LieSeries.gen(2, 7, l) for l in range(4)}
-        assert LieAutomorphism(2, 3, images) == identity_aut(2, 3)
+        for kind in KINDS:
+            fine = images_of(kind, 2, 7)
+            m = kind(2, 3, fine)
+            assert m == kind(2, 3, images_of(kind, 2, 3))
+            assert m.images == {l: s.truncated(3) for l, s in fine.items()}
+
+    def test_images_at_max_degree_are_kept_as_given(self):
+        for kind in KINDS:
+            images = images_of(kind, 2, 3)
+            m = kind(2, 3, images)
+            assert all(m.images[l] is s for l, s in images.items())
 
     def test_rejects_an_image_for_a_non_generator(self):
-        images = {l: LieSeries.gen(1, 3, l) for l in range(2)}
-        for key in (5, 2, -1, "a1"):
-            with pytest.raises(ValueError, match=f"image for {key!r}, which "
-                               "is not a generator letter of genus 1"):
-                LieAutomorphism(1, 3, {**images, key: LieSeries.gen(1, 3, 0)})
+        for kind in KINDS:
+            images = images_of(kind, 1, 3)
+            for key in (5, 2, -1, "a1"):
+                with pytest.raises(ValueError, match=f"image for {key!r}, "
+                                   "which is not a generator letter of "
+                                   "genus 1"):
+                    kind(1, 3, {**images, key: images[0]})
 
     def test_rejects_an_image_that_is_not_a_lie_series(self):
-        images = {l: LieSeries.gen(1, 3, l) for l in range(2)}
-        images[1] = exp(TensorSeries.gen(1, 3, 1))
-        with pytest.raises(ValueError, match="image of b1 is not a LieSeries"):
-            LieAutomorphism(1, 3, images)
+        """An image of the other series type: a TensorSeries for the Lie
+        maps, a LieSeries for an expansion."""
+        for kind in KINDS:
+            _, name, other = KINDS[kind]
+            images = images_of(kind, 1, 3)
+            images[1] = other(1, 3, 1)
+            with pytest.raises(ValueError,
+                               match=f"image of b1 is not a {name}$"):
+                kind(1, 3, images)
+
+    def test_maps_of_different_kinds_are_never_equal(self):
+        # at genus 0 every kind has the same (empty) images
+        maps = [kind(0, 3, {}) for kind in KINDS]
+        assert maps[0] == identity_aut(0, 3)
+        for i, m in enumerate(maps):
+            assert [m == o for o in maps] == [j == i for j in range(3)]
+        theta = ExpansionMap(1, 3, images_of(ExpansionMap, 1, 3))
+        assert identity_aut(1, 3) != theta and theta != identity_aut(1, 3)
+
+    def test_repr_names_each_image(self):
+        for kind in KINDS:
+            m = kind(1, 2, images_of(kind, 1, 2))
+            assert repr(m) == f"a1 -> {m.images[0]!r}; b1 -> {m.images[1]!r}"
 
 
 class TestDerivations:
@@ -134,6 +188,11 @@ class TestDerivations:
             Derivation(1, 3, {0: zero, 1: zero, 9: "junk"})
         with pytest.raises(ValueError, match="image of a1 is not a LieSeries"):
             Derivation(1, 3, {0: "junk", 1: zero})
+        for kind in KINDS:
+            images = images_of(kind, 2, 3)
+            del images[2]
+            with pytest.raises(ValueError, match="missing image for a2"):
+                kind(2, 3, images)
 
     def test_leibniz(self):
         rng = random.Random(6)
@@ -163,14 +222,17 @@ class TestDerivations:
         assert exp_der(zero) == identity_aut(2, 4)
 
     def test_rejects_values_of_another_genus(self):
-        values = {l: LieSeries(1, 3, {(0, 1): 1}) for l in range(4)}
-        with pytest.raises(ValueError, match="genus 1, not 2"):
-            Derivation(2, 3, values)
+        for kind in KINDS:
+            values = {l: KINDS[kind][0](1, 3, l % 2) for l in range(4)}
+            with pytest.raises(ValueError, match="image of a1 has genus 1, "
+                               "not 2"):
+                kind(2, 3, values)
 
     def test_rejects_max_degree_below_one(self):
-        values = {l: LieSeries.zero(2, 3) for l in range(4)}
-        with pytest.raises(ValueError, match="max_degree must be at least 1"):
-            Derivation(2, 0, values)
+        for kind in KINDS:
+            with pytest.raises(ValueError,
+                               match="max_degree must be at least 1"):
+                kind(2, 0, images_of(kind, 2, 3))
 
 
 def draw_ic_elements(data, count):
@@ -297,6 +359,10 @@ class TestRandomElements:
         with pytest.raises(ValueError):
             random_ic_element(2, 2, 0, 3)
 
+    def test_rejects_genus_zero(self):
+        with pytest.raises(ValueError, match="genus must be at least 1"):
+            random_ic_element(0, 1, 0, 2)
+
 
 class TestTreeLift:
     def test_round_trip_through_eta(self):
@@ -361,6 +427,13 @@ class TestObstruction:
         psi = random_ic_element(2, 1, 5, 4)
         with pytest.raises(ValueError):
             morita_mk(psi, 2)
+
+    def test_both_routes_reject_genus_zero(self):
+        psi = identity_aut(0, 2)
+        for route in (lambda: morita_mk(psi, 1),
+                      lambda: capital_phi(tau_to_trees(psi, 1), 1)):
+            with pytest.raises(ValueError, match="bad context"):
+                route()
 
     def test_rejects_an_automorphism_moving_the_symplectic_element(self):
         psi = level_two_unfixing_automorphism()

@@ -203,6 +203,10 @@ class TestClasses:
         with pytest.raises(ValueError, match="bad context"):
             HomologyClass(genus, k, parts)
 
+    def test_rejects_genus_zero_like_the_constructor(self):
+        with pytest.raises(ValueError, match="bad context"):
+            class_of(WedgeChain.zero(0, 3, 3))
+
     def test_constructor_rejects_a_non_int_degree(self):
         with pytest.raises(ValueError, match="degree key '5' is not an int"):
             HomologyClass(2, 3, {"5": (1,)})
