@@ -465,6 +465,10 @@ def random_tree(genus: int, degree: int, rng) -> TreeCombo:
     the relations can kill every candidate, in which case the first
     nonzero canonical diagram (or the zero combination) is returned.
     """
+    if genus < 1:
+        raise ValueError("bad context: genus must be at least 1")
+    if degree < 0:
+        raise ValueError(f"tree degree must be at least 0, not {degree}")
 
     def rand_plant(m: int) -> Plant:
         if m == 1:

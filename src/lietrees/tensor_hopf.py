@@ -7,25 +7,22 @@ multiplicatively, so a word splits as the sum over all ways of dividing
 its letter positions into two subsequences.  Under this structure the
 primitive part is exactly the image of the free Lie algebra, which is
 what makes this module an independent oracle for `free_lie`: embed_lie
-expands canonical bracketings as commutators of tensors, and project_lie
-comes back by peeling off the Lyndon basis, least word first, since the
+expands canonical bracketings as commutators of tensors, and `_peel`
+comes back by taking off the Lyndon basis, least word first.  The
 canonical bracketing of a Lyndon word w is w plus greater words of the
-same length (Reutenauer, Free Lie Algebras, Thm 5.1); the peel rejects
-a non-primitive element itself, at the first non-Lyndon least word.  No
-`free_lie` bracket table is used.  Products run on integer numerators
-over one common denominator (`sparse.scaled`) in one loop, `_product`:
-`mul`, the bracketings `_embed_word`, the power series behind exp, log
-and inv_unit, the free group word product `evaluate_expansion`, and the
-primitivity test.  Every coefficient a series holds is a nonzero
-lowest-terms `Fraction`, made once per output word by `sparse.unscaled`.
-
-The predicates do not expand the coproduct, which has 2^m components
-per word of length m.  By Dynkin-Specht-Wever, a homogeneous element p
-of degree n is primitive iff D(p) = n·p, where D is left-normed
-bracketing; by Friedrichs, x with constant term 1 is group-like iff
-log x is primitive (Reutenauer, Free Lie Algebras, §1.3).  D is computed
-by tensor arithmetic alone.  `coproduct` itself stays as the reference
-the tests compare the predicates against.
+same length (Reutenauer, Free Lie Algebras, Thm 5.1), so the least word
+left in a primitive residual is Lyndon, and the peel decides
+primitivity itself: it fails at the first non-Lyndon least word.
+`project_lie` and `is_primitive` run it, and `is_grouplike` runs it on
+log x, since by Friedrichs x with constant term 1 is group-like iff
+log x is primitive (Reutenauer, §1.3).  No `free_lie` bracket table is
+used, and the coproduct, with 2^m components per word of length m, is
+never expanded: `coproduct` is the tests' reference.  Products run on
+integer numerators over one common denominator (`sparse.scaled`) in one
+loop, `_product`: `mul`, `_embed_word`, the power series behind exp,
+log and inv_unit, and `evaluate_expansion`; the peel runs on the same
+numerators.  Every coefficient a series holds is a nonzero lowest-terms
+`Fraction`, made once per output word by `sparse.unscaled`.
 
 Also hosts free group words and expansions (multiplicative maps from the
 surface group into the unit group of the tensor algebra); an
@@ -160,38 +157,9 @@ def coproduct(x: TensorSeries) -> dict[tuple[Word, Word], Fraction]:
     return out
 
 
-def _dynkin(piece: Mapping[Word, Fraction], n: int) -> dict[Word, Fraction]:
-    """Left-normed bracketing of a homogeneous degree-n element.
-
-    Reads the words one letter at a time by D(y·a) = D(y)·a - a·D(y).
-    The state maps each unread suffix to the expanded prefixes in front
-    of it, so like terms merge at every step and the work is bounded by
-    the number of distinct (prefix, suffix) pairs, not 2^m per word.
-    """
-    state: dict[Word, dict[Word, Fraction]] = {}
-    for w, c in piece.items():
-        state.setdefault(w[1:], {})[w[:1]] = c
-    for _ in range(n - 1):
-        nxt: dict[Word, dict[Word, Fraction]] = {}
-        for suffix, prefixes in state.items():
-            a, rest = suffix[:1], suffix[1:]
-            acc = nxt.setdefault(rest, {})
-            for p, c in prefixes.items():
-                add_term(acc, p + a, c)
-                add_term(acc, a + p, -c)
-        state = nxt
-    return state.get((), {})
-
-
 def is_primitive(x: TensorSeries) -> bool:
-    """Primitive: no constant term, and D(p_n) = n·p_n in every degree n."""
-    pieces: dict[int, dict[Word, int]] = {}
-    # D is linear, so the test runs on the integer numerators of x
-    for w, c in scaled(x.coords)[0].items():
-        pieces.setdefault(len(w), {})[w] = c
-    return not x.constant_term() and all(
-        _dynkin(p, n) == {w: n * c for w, c in p.items()}
-        for n, p in sorted(pieces.items()))
+    """In the image of the free Lie algebra: the Lyndon peel completes."""
+    return _peel(scaled(x.coords)[0]) is not None
 
 
 def is_grouplike(x: TensorSeries) -> bool:
@@ -222,34 +190,39 @@ def embed_lie(x: LieSeries) -> TensorSeries:
     return TensorSeries._of(x.genus, x.max_degree, unscaled(out, den))
 
 
-def project_lie(x: TensorSeries) -> LieSeries:
-    """Inverse of embed_lie on primitive elements, by peeling off the
-    Lyndon basis least word first.
+def _peel(numerators: Mapping[Word, int]) -> dict[Word, int] | None:
+    """Lyndon coordinates of an integer tensor, or None if it is not Lie.
 
-    The canonical bracketing of a Lyndon word w expands to w plus words
-    of the same length greater than w (Reutenauer, Free Lie Algebras,
-    Thm 5.1), so the least word left in a primitive residual is Lyndon
-    and its coefficient is the coordinate on that word.  The peel is its
-    own primitivity test: it stops at a non-Lyndon least word, and if it
-    meets none, x is the Lie combination it wrote.
+    The least word left in a Lie residual is Lyndon, with the residual's
+    coefficient as its coordinate (see the module docstring), so the
+    peel ends at the first non-Lyndon least word, the empty word too.
     """
-    residual = dict(x.coords)
+    residual = dict(numerators)
     heap = sorted(residual)         # a sorted list is a heap
-    out: dict[Word, Fraction] = {}
+    out: dict[Word, int] = {}
     while heap:
         w = heapq.heappop(heap)
         c = residual.pop(w, None)
         if c is None:
             continue
         if not is_lyndon(w):
-            raise ValueError("project_lie needs a primitive element")
+            return None
         out[w] = c
         for u, e in _embed_word(w).items():
             if u != w:
                 if u not in residual:
                     heapq.heappush(heap, u)
                 add_term(residual, u, -c * e)
-    return LieSeries._of(x.genus, x.max_degree, out)
+    return out
+
+
+def project_lie(x: TensorSeries) -> LieSeries:
+    """Inverse of embed_lie on primitive elements, by the Lyndon peel."""
+    nx, den = scaled(x.coords)
+    out = _peel(nx)
+    if out is None:
+        raise ValueError("project_lie needs a primitive element")
+    return LieSeries._of(x.genus, x.max_degree, unscaled(out, den))
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +295,14 @@ class ExpansionMap(GeneratorMap):
     _series = TensorSeries
 
     def image(self, letter: int, e: int = 1) -> TensorSeries:
+        """The image of the generator letter raised to e = 1 or -1."""
+        if letter not in self.images:
+            raise ValueError(f"{letter!r} is not a generator letter of "
+                             f"genus {self.genus}")
         if e == 1:
             return self.images[letter]
+        if e != -1:
+            raise ValueError(f"exponent {e!r} is not 1 or -1")
         inv = self._memo.get(letter)
         if inv is None:
             inv = self._memo[letter] = inv_unit(self.images[letter])

@@ -419,6 +419,16 @@ class TestRandomTrees:
         assert random_tree(1, 1, random.Random(0)).is_zero()
         assert random_tree(1, 3, random.Random(0)).is_zero()
 
+    @pytest.mark.parametrize("genus", [0, -1])
+    def test_rejects_a_genus_below_one(self, genus):
+        with pytest.raises(ValueError, match="genus must be at least 1"):
+            random_tree(genus, 2, random.Random(0))
+
+    def test_rejects_a_negative_degree(self):
+        with pytest.raises(ValueError, match="tree degree must be at least 0"):
+            random_tree(2, -1, random.Random(0))
+        assert random_tree(2, 0, random.Random(0))
+
 
 class TestText:
     def test_render(self):

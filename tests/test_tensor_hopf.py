@@ -16,7 +16,7 @@ from lietrees.johnson import identity_aut
 from lietrees.sparse import add_into, add_term
 from lietrees.symplectic import paper_example_expansion
 from lietrees.tensor_hopf import (ExpansionMap, FreeGroupWord, TensorSeries,
-                                  _dynkin, _embed_word, basis_expansion,
+                                  _embed_word, basis_expansion,
                                   check_expansion, coproduct, embed_lie,
                                   evaluate_expansion, exp, inv_unit,
                                   is_grouplike, is_primitive, log,
@@ -195,14 +195,9 @@ class TestHopfStructure:
 
 
 class TestDynkinPredicates:
-    """The Dynkin-operator predicates agree with the coproduct oracle."""
-
-    def test_left_normed_bracketing(self):
-        assert _dynkin({(0, 1): F(1)}, 2) == {(0, 1): F(1), (1, 0): F(-1)}
-        # [[a,b],c] = abc - bac - cab + cba
-        assert _dynkin({(0, 1, 2): F(2)}, 3) == {
-            (0, 1, 2): F(2), (1, 0, 2): F(-2), (2, 0, 1): F(-2), (2, 1, 0): F(2)}
-        assert _dynkin({(0, 0): F(1)}, 2) == {}
+    """is_primitive and is_grouplike, both decided by the Lyndon peel,
+    agree with the coproduct oracle.  The draw_* helpers serve the other
+    classes too."""
 
     @staticmethod
     def draw_lie(data, genus=None, n=None, top=5):
@@ -279,6 +274,21 @@ class TestLyndonPeel:
         p = embed_lie(x)
         assert project_lie(p) == x
         assert dynkin_project(p) == x
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_a_coordinate_over_a_new_prime(self, data):
+        # the prime 10007 divides no drawn denominator, so dividing one
+        # coordinate by it moves the common denominator the peel runs over
+        x = TestDynkinPredicates.draw_lie(data)
+        assume(x)
+        w = data.draw(st.sampled_from(sorted(x.coords)))
+        coords = dict(x.coords)
+        coords[w] /= 10007
+        x = LieSeries(x.genus, x.max_degree, coords)
+        p = embed_lie(x)
+        assert is_primitive(p)
+        assert project_lie(p) == x == dynkin_project(p)
 
 
 class TestPeelRejection:
@@ -575,6 +585,16 @@ class TestExpansions:
     def test_rejects_a_negative_genus(self):
         with pytest.raises(ValueError, match="bad context"):
             ExpansionMap(-1, 2, {})
+
+    @pytest.mark.parametrize("e", [0, 2, -2])
+    def test_image_rejects_an_exponent_other_than_one_or_minus_one(self, e):
+        with pytest.raises(ValueError, match=f"exponent {e} is not 1 or -1"):
+            basis_expansion(1, 3).image(0, e)
+
+    @pytest.mark.parametrize("letter", [2, 7, -1])
+    def test_image_rejects_a_non_letter(self, letter):
+        with pytest.raises(ValueError, match="not a generator letter"):
+            basis_expansion(1, 3).image(letter)
 
     def test_truncation(self):
         theta = basis_expansion(1, 5)
