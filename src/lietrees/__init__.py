@@ -12,10 +12,10 @@ from .free_lie import (LieSeries, bch, bracket, bracket_basis, is_lyndon,
                        letter_label, lyndon_basis, parse_letter,
                        std_factorization, witt_dim)
 from .tensor_hopf import (ExpansionMap, FreeGroupWord, TensorSeries,
-                          basis_expansion, check_expansion, coproduct,
-                          embed_lie, evaluate_expansion, exp, inv_unit,
-                          is_grouplike, is_primitive, log, magnus_expansion,
-                          mul, project_lie)
+                          basis_expansion, check_expansion, embed_lie,
+                          evaluate_expansion, exp, inv_unit, is_grouplike,
+                          is_primitive, log, magnus_expansion, mul,
+                          project_lie)
 from .jacobi import (HLieTensor, TreeCombo, TreeDiagram, comm, eta,
                      eta_inverse, fission, ihx_combination, parse_tree_text,
                      random_tree, tree_equal, tree_space_dim, tree_text)

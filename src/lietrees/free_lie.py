@@ -159,13 +159,13 @@ def _split_by_weight(coords: Mapping, genus: int,
     return blocks
 
 
-def _solve_by_weight(solvers: Mapping, blocks: Mapping) -> dict | None:
+def _solve_by_weight(solver_of, blocks: Mapping) -> dict | None:
     """Each block's right-hand side solved, in weight order, by the
-    `BlockSolver` filed under its weight, and the sparse solutions joined;
-    None when some block has no solver or no solution."""
+    `BlockSolver` `solver_of(mu)` of its weight, and the sparse solutions
+    joined; None when some block has no solution."""
     out: dict = {}
     for mu in sorted(blocks):
-        sol = solvers[mu].solve(blocks[mu]) if mu in solvers else None
+        sol = solver_of(mu).solve(blocks[mu])
         if sol is None:
             return None
         out.update(sol)

@@ -18,15 +18,17 @@ to a sum of wedge triples over its trivalent vertices, and eta pairs
 each leaf color with the bracket of the rest; all three read subtree
 brackets bracketed once per directed edge of the tree.  eta_inverse
 solves back onto caterpillar (left-normed) trees with exact linear
-algebra.  The caterpillar family builds one colouring per orbit of the
-caterpillar's symmetries, and its completeness is certified at runtime
-against the rank-computed dimension of the bracket-map kernel.
+algebra, one weight block at a time and only in the blocks its input
+lands in.  The caterpillar family of a (degree, weight) block builds one
+colouring per orbit of the caterpillar's symmetries, and its solver is
+certified when built: its rank must equal the rank-computed dimension
+of that block of the bracket-map kernel.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 from typing import Iterable, Mapping
 
@@ -355,17 +357,24 @@ def _hl_blocks(genus: int, d: int) -> dict[tuple[int, ...], dict]:
 
 
 @lru_cache(maxsize=None)
+def _tree_block_dim(genus: int, d: int, mu: tuple[int, ...]) -> int:
+    """dim of the tree space's weight-mu block: the block's size minus the
+    rank of its brackets."""
+    keys = _hl_blocks(genus, d)[mu]
+    return len(keys) - rank_of_columns([bracket_basis((h,), w) for h, w in keys])
+
+
 def tree_space_dim(genus: int, d: int) -> int:
     """dim of ker([-,-]: H (x) L_{d+1} -> L_{d+2}), computed by rank."""
     if d < 0:
         raise ValueError("degree must be >= 0")
-    return sum(len(keys) - rank_of_columns([bracket_basis((h,), w)
-                                            for h, w in keys])
-               for keys in _hl_blocks(genus, d).values())
+    return sum(_tree_block_dim(genus, d, mu) for mu in _hl_blocks(genus, d))
 
 
-def _caterpillar_colourings(genus: int, d: int):
-    """One colouring of degree-d caterpillars per orbit of their symmetries.
+@lru_cache(maxsize=None)
+def _caterpillar_colourings(genus: int, d: int) -> dict[tuple[int, ...], list]:
+    """One colouring of degree-d caterpillars per orbit of their symmetries,
+    by weight, each weight's in product order.
 
     The colouring (c0, c1, c2, ...) is the tree rooted at c0 with plant
     (((c1 c2) c3) ...).  Two colourings give one diagram, up to AS sign,
@@ -373,10 +382,11 @@ def _caterpillar_colourings(genus: int, d: int):
     c1, c2 force zero.  For d >= 2 the symmetries are c1 <-> c2,
     c0 <-> c_{d+1} and the spine reversal (c0, c1, c2, c3, ..., c_{d+1})
     -> (c1, c0, c_{d+1}, c_d, ..., c3, c2); only the first colouring of
-    each orbit is yielded: c1 < c2, c0 <= c_{d+1}, and no reversed image,
+    each orbit is kept: c1 < c2, c0 <= c_{d+1}, and no reversed image,
     with or without either swap, before it.  For d <= 1 only c1 < c2 is
-    required, and `_caterpillar_buckets` skips the repeated diagrams.
+    required, and `_caterpillars` skips the repeated diagrams.
     """
+    out: dict[tuple[int, ...], list] = {}
     for colors in product(range(gen_count(genus)), repeat=d + 2):
         if d > 0 and colors[1] >= colors[2]:
             continue
@@ -386,48 +396,34 @@ def _caterpillar_colourings(genus: int, d: int):
                                 for x, y in ((c1, c2), (c2, c1))
                                 for z, t in ((c0, last), (last, c0))):
                 continue
-        yield colors
+        out.setdefault(_letter_weight(colors, genus), []).append(colors)
+    return out
 
 
-def _caterpillar_buckets(genus: int, colourings: Iterable[tuple[int, ...]]):
-    """The distinct nonzero diagrams of caterpillar colourings by weight,
-    each bucket ordered by the first colouring that yields each diagram."""
-    seen: set[TreeDiagram] = set()
-    out: dict[tuple[int, ...], list[TreeDiagram]] = {}
-    for colors in colourings:
+def _caterpillars(genus: int, d: int, mu: tuple[int, ...]) -> list[TreeDiagram]:
+    """The distinct nonzero caterpillar diagrams of degree d and weight mu,
+    ordered by the first colouring that yields each."""
+    out: dict[TreeDiagram, None] = {}
+    for colors in _caterpillar_colourings(genus, d).get(mu, ()):
         plant: Plant = colors[1]
         for x in colors[2:]:
             plant = (plant, x)
         tree, _ = TreeDiagram.build(genus, colors[0], plant)
-        if tree is not None and tree not in seen:
-            seen.add(tree)
-            out.setdefault(_letter_weight(colors, genus), []).append(tree)
-    return out
-
-
-def _caterpillars(genus: int,
-                  d: int) -> dict[tuple[int, ...], list[TreeDiagram]]:
-    """The distinct nonzero caterpillar diagrams of degree d by weight."""
-    return _caterpillar_buckets(genus, _caterpillar_colourings(genus, d))
+        if tree is not None:
+            out.setdefault(tree)
+    return list(out)
 
 
 @lru_cache(maxsize=None)
-def _eta_solvers(genus: int, d: int):
-    """Per-weight solvers for eta on the caterpillar diagrams of degree d.
-
-    Completeness of the caterpillar family is certified by comparing the
-    total achieved rank with tree_space_dim.
-    """
-    solvers = {}
-    for mu, trees in _caterpillars(genus, d).items():
-        row_keys = _hl_blocks(genus, d).get(mu)
-        if row_keys:
-            solvers[mu] = BlockSolver(row_keys, {
-                t: eta(TreeCombo.single(t)).coords for t in trees})
-    if sum(s.rank for s in solvers.values()) != tree_space_dim(genus, d):
-        raise RuntimeError(
-            f"caterpillar family does not span tree space at degree {d}")
-    return solvers
+def _eta_solver(genus: int, d: int, mu: tuple[int, ...]) -> BlockSolver:
+    """eta on the degree-d caterpillars of weight mu, certified to span
+    the tree space's weight-mu block: its rank is that block's dimension."""
+    solver = BlockSolver(_hl_blocks(genus, d)[mu], {
+        t: eta(TreeCombo.single(t)).coords for t in _caterpillars(genus, d, mu)})
+    if solver.rank != _tree_block_dim(genus, d, mu):
+        raise RuntimeError(f"caterpillar family does not span tree space "
+                           f"at degree {d}, weight {mu}")
+    return solver
 
 
 def eta_inverse(x: HLieTensor, d: int) -> TreeCombo:
@@ -441,7 +437,7 @@ def eta_inverse(x: HLieTensor, d: int) -> TreeCombo:
         raise ValueError("input not in the bracket kernel")
     if x.is_zero():
         return TreeCombo.zero(x.genus)
-    coords = _solve_by_weight(_eta_solvers(x.genus, d), _split_by_weight(
+    coords = _solve_by_weight(partial(_eta_solver, x.genus, d), _split_by_weight(
         x.coords, x.genus, lambda hw: (hw[0], *hw[1])))
     if coords is None:
         raise RuntimeError("kernel element outside the certified span")

@@ -28,9 +28,9 @@ from typing import Iterable, Mapping
 from .exact_linalg import (ZERO, BlockSolver, _echelon, _rows_of, _rref,
                            kernel_from_rref, rank_of_rows, reduce_against,
                            semi_echelon)
-from .free_lie import (Word, _letter_weight, _solve_by_weight,
-                       _split_by_weight, bracket_basis, gen_count, is_lyndon,
-                       letter_label, lyndon_basis)
+from .free_lie import (Word, _solve_by_weight, _split_by_weight,
+                       bracket_basis, gen_count, is_lyndon, letter_label,
+                       lyndon_basis)
 from .sparse import SparseCombination, add_into, add_term
 
 Monomial = tuple[Word, ...]
@@ -405,8 +405,7 @@ def _solve_boundary3(z: WedgeChain) -> WedgeChain:
     """`solve_boundary3` for an arity-2 chain known to be a cycle."""
     genus, k = z.genus, z.nilpotency_class
     blocks = _split_by_weight(z.coords, genus, chain.from_iterable)
-    sol = _solve_by_weight({mu: _d3_solver(genus, k, mu) for mu in blocks},
-                           blocks)
+    sol = _solve_by_weight(partial(_d3_solver, genus, k), blocks)
     if sol is None:
         raise NotABoundaryError("2-cycle is not a 3-boundary")
     return WedgeChain._of(genus, k, 3, sol)
@@ -434,11 +433,12 @@ def capital_phi(c, k: int) -> HomologyClass:
 
 def phi_matrix_rank(genus: int, k: int) -> int:
     """Rank of capital_phi on the caterpillar spanning family of degrees
-    [k, 2k): over the caterpillar buckets of weakly decreasing weight mu,
-    the sum of |orbit(mu)| (rank([d4 block ; cycles]) - rank(d4 block)).
+    [k, 2k): over the per-weight caterpillar families of weakly decreasing
+    weight mu, the sum of |orbit(mu)| (rank([d4 block ; cycles]) -
+    rank(d4 block)).
 
     Fission preserves weight and commutes with letter permutations, as the
-    boundary does, so the matrix is block diagonal by bucket and a bucket's
+    boundary does, so the matrix is block diagonal by weight and a block's
     rank depends only on its weight's orbit.  The difference is the number
     of pivots in the cycle columns of one echelon whose columns are the d4
     boundaries, then the cycles.  No H3 coordinates are formed."""
@@ -447,16 +447,15 @@ def phi_matrix_rank(genus: int, k: int) -> int:
         raise ValueError("need genus >= 1 and class k >= 1")
     total = 0
     for d in range(k, 2 * k):
-        orbit = dict(_dominant_weights(gen_count(genus), d + 2))
-        buckets = jacobi._caterpillar_buckets(genus, (
-            c for c in jacobi._caterpillar_colourings(genus, d)
-            if _letter_weight(c, genus) in orbit))
-        for mu, trees in buckets.items():
+        for mu, orbit in _dominant_weights(gen_count(genus), d + 2):
+            trees = jacobi._caterpillars(genus, d, mu)
+            if not trees:
+                continue
             index = {m: i for i, m in enumerate(_monomials(genus, k, 3, mu))}
             columns = [_monomial_boundary(genus, k, m)
                        for m in _monomials(genus, k, 4, mu)]
             n4 = len(columns)
-            # the bucket's cycles share monomials: one boundary for each
+            # the block's cycles share monomials: one boundary for each
             d3 = cache(partial(_monomial_boundary, genus, k))
             for tree in trees:
                 z = jacobi.fission(jacobi.TreeCombo.single(tree),
@@ -471,5 +470,5 @@ def phi_matrix_rank(genus: int, k: int) -> int:
                         "cycle monomial outside the weight block")
                 columns.append(z.coords)
             pivots = _echelon(_rows_of(columns, index))
-            total += orbit[mu] * sum(c >= n4 for c in pivots)
+            total += orbit * sum(c >= n4 for c in pivots)
     return total

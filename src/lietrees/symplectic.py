@@ -97,9 +97,8 @@ def _solve_splitting(genus: int, j: int,
                                     in bracket_basis((mate,), w).items()}
     if not all(col_blocks.values()):
         raise RuntimeError("defect weight outside the bracket image")
-    solvers = {mu: BlockSolver(sorted(set().union(*cols.values())), cols)
-               for mu, cols in col_blocks.items()}
-    sol = _solve_by_weight(solvers, blocks)
+    sol = _solve_by_weight(lambda mu: BlockSolver(
+        sorted(set().union(*col_blocks[mu].values())), col_blocks[mu]), blocks)
     if sol is None:
         raise RuntimeError("bracket splitting system is inconsistent")
     gains: dict[int, dict[Word, Fraction]] = {}

@@ -17,11 +17,12 @@ primitivity itself: it fails at the first non-Lyndon least word.
 log x, since by Friedrichs x with constant term 1 is group-like iff
 log x is primitive (Reutenauer, §1.3).  No `free_lie` bracket table is
 used, and the coproduct, with 2^m components per word of length m, is
-never expanded: `coproduct` is the tests' reference.  Products run on
-integer numerators over one common denominator (`sparse.scaled`) in one
-loop, `_product`: `mul`, `_embed_word`, the power series behind exp,
-log and inv_unit, and `evaluate_expansion`; the peel runs on the same
-numerators.  Every coefficient a series holds is a nonzero lowest-terms
+never expanded; the tests keep the expanded coproduct as their
+reference.  Products run on integer numerators over one common
+denominator (`sparse.scaled`) in one loop, `_product`: `mul`,
+`_embed_word`, the power series behind exp, log and inv_unit, and
+`evaluate_expansion`; the peel runs on the same numerators, log's
+without a round trip through `Fraction`.  Every coefficient a series holds is a nonzero lowest-terms
 `Fraction`, made once per output word by `sparse.unscaled`.
 
 Also hosts free group words and expansions (multiplicative maps from the
@@ -35,7 +36,6 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import factorial, lcm
 from typing import Mapping, NamedTuple
 
@@ -97,13 +97,14 @@ def mul(x: TensorSeries, y: TensorSeries) -> TensorSeries:
     return x._like(unscaled(_product(nx, ny, x.max_degree), dx * dy))
 
 
-def _series_in(u: TensorSeries, coeff) -> TensorSeries:
-    """The sum of coeff(k) * u^k over k >= 0, u with no constant term.
+def _series_in(u: TensorSeries, coeff) -> tuple[dict[Word, int], int]:
+    """The sum of coeff(k) * u^k over k >= 0, u with no constant term, as
+    integer numerators over one denominator, for `unscaled` or the peel.
 
     With u = nu / du, the power u^k is an integer dict over du^k.  Over
     the common denominator D = lcm(denominators of coeff(0..K)) * du^K,
     K the last k with u^k possibly nonzero, every term is an integer
-    dict, so `power_series` sums integers and the result is unscaled once.
+    dict, so `power_series` sums integers.
     """
     n = u.max_degree
     nu, du = scaled(u.coords)
@@ -114,47 +115,36 @@ def _series_in(u: TensorSeries, coeff) -> TensorSeries:
             for k, c in enumerate(cs)]
     acc = power_series(lambda p: p._like(_product(p.coords, nu, n)),
                        u._like({(): 1}), ints.__getitem__, last)
-    return u._like(unscaled(acc.coords, den))
+    return acc.coords, den
 
 
 def exp(x: TensorSeries) -> TensorSeries:
     if x.constant_term():
         raise ValueError("exp needs a zero constant term")
-    return _series_in(x, lambda k: Fraction(1, factorial(k)))
+    return x._like(unscaled(*_series_in(x, lambda k: Fraction(1, factorial(k)))))
 
 
-def log(x: TensorSeries) -> TensorSeries:
+def _log_scaled(x: TensorSeries) -> tuple[dict[Word, int], int]:
     if x.constant_term() != 1:
         raise ValueError("log needs constant term 1")
     return _series_in(x - TensorSeries.one(x.genus, x.max_degree),
                       lambda k: Fraction((-1) ** (k + 1), k) if k else 0)
 
 
+def log(x: TensorSeries) -> TensorSeries:
+    return x._like(unscaled(*_log_scaled(x)))
+
+
 def inv_unit(x: TensorSeries) -> TensorSeries:
     """Inverse of 1 + u as the truncated geometric series in u."""
     if x.constant_term() != 1:
         raise ValueError("inverse needs constant term 1")
-    return _series_in(x - TensorSeries.one(x.genus, x.max_degree),
-                      lambda k: (-1) ** k)
+    return x._like(unscaled(*_series_in(
+        x - TensorSeries.one(x.genus, x.max_degree), lambda k: (-1) ** k)))
 
 
 # ---------------------------------------------------------------------------
 # Hopf predicates
-
-
-def coproduct(x: TensorSeries) -> dict[tuple[Word, Word], Fraction]:
-    """All (left word, right word) components of the coproduct."""
-    out: dict[tuple[Word, Word], Fraction] = {}
-    for w, c in x.coords.items():
-        m = len(w)
-        idx = range(m)
-        for r in range(m + 1):
-            for left in combinations(idx, r):
-                left_set = set(left)
-                wl = tuple(w[i] for i in left)
-                wr = tuple(w[i] for i in idx if i not in left_set)
-                add_term(out, (wl, wr), c)
-    return out
 
 
 def is_primitive(x: TensorSeries) -> bool:
@@ -163,8 +153,9 @@ def is_primitive(x: TensorSeries) -> bool:
 
 
 def is_grouplike(x: TensorSeries) -> bool:
-    """Coproduct of x equals x (x) x below the truncation degree (Friedrichs)."""
-    return x.constant_term() == 1 and is_primitive(log(x))
+    """Coproduct of x equals x (x) x below the truncation degree: log x is
+    primitive (Friedrichs), peeled on its integer numerators."""
+    return x.constant_term() == 1 and _peel(_log_scaled(x)[0]) is not None
 
 
 # ---------------------------------------------------------------------------

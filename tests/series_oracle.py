@@ -10,10 +10,14 @@ degree.  A chain of `mul` over the images of a free group word's letters
 `tensor_hopf.evaluate_expansion`.  They work on plain word -> coefficient
 dicts and share no code with `lietrees`, whose integer kernels for
 `mul`, `exp`, `log`, `inv_unit` and `evaluate_expansion` the tests
-compare against them.
+compare against them.  `coproduct` expands the coproduct word by word,
+every generator primitive, for the tests' Hopf-algebra definitions of
+primitive and group-like, which `tensor_hopf` decides by the Lyndon
+peel instead.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
 from typing import Mapping
 
@@ -71,3 +75,20 @@ def inv_unit(x: Mapping, n: int) -> dict:
     """Inverse of a series with constant term 1."""
     u = {w: c for w, c in x.items() if w}
     return _series(u, lambda k: (-1) ** k, n)
+
+
+def coproduct(x: Mapping) -> dict:
+    """All (left word, right word) components of the coproduct of a word
+    dict: each word splits over every way of dividing its letter
+    positions into two subsequences."""
+    out: dict = {}
+    for w, c in x.items():
+        m = len(w)
+        idx = range(m)
+        for r in range(m + 1):
+            for left in combinations(idx, r):
+                left_set = set(left)
+                wl = tuple(w[i] for i in left)
+                wr = tuple(w[i] for i in idx if i not in left_set)
+                _add_term(out, (wl, wr), c)
+    return out

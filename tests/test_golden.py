@@ -128,3 +128,14 @@ def test_eta_inverse_tree_text():
         h.update(tree_combo_to_text(eta_inverse(x, d)).encode())
     assert h.hexdigest() == ("5c082dfdeb770c4bd3bbb30e566091d1"
                              "7b0e54ddb36d7305c4c3fbcc7b4e68eb")
+
+
+def test_class_three_tree_text():
+    for genus, expect in (
+            (2, "f3fb9d02720cfe0b04c4944e0d3f3932"
+                "33d99333b75784482f73fbf5a305856f"),
+            (3, "c92d4358c035c30c1b23e3765b4eaf2f"
+                "25c54008f8b366500fde87ac2dc00811")):
+        psi = random_ic_element(genus, 3, 1, 6)
+        text = tree_combo_to_text(tau_to_trees(psi, 3))
+        assert hashlib.sha256(text.encode()).hexdigest() == expect

@@ -1,6 +1,7 @@
 """Tree diagrams: canonical forms, comm, fission, eta and its inverse."""
 
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -8,11 +9,13 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lietrees import jacobi
 from lietrees.exact_linalg import kernel_from_rref
 from lietrees.free_lie import (LieSeries, _letter_weight, bracket_basis,
                                gen_count, lyndon_basis, witt_dim)
 from lietrees.jacobi import (HLieTensor, TreeCombo, TreeDiagram,
-                             _caterpillars, _encode, comm, eta, eta_inverse,
+                             _caterpillars, _encode, _eta_solver, _hl_blocks,
+                             _tree_block_dim, comm, eta, eta_inverse,
                              fission, ihx_combination, parse_tree_text,
                              random_tree, tree_equal, tree_space_dim,
                              tree_text)
@@ -151,6 +154,29 @@ class TestEtaInverse:
         x = HLieTensor(genus, acc)
         assert eta(eta_inverse(x, d)) == x
 
+    @pytest.mark.parametrize("genus, d", [(1, 2), (2, 2), (2, 3), (3, 2)])
+    def test_every_block_certifies_and_the_ranks_sum_to_the_dimension(
+            self, genus, d):
+        expect = (2 * genus * witt_dim(2 * genus, d + 1)
+                  - witt_dim(2 * genus, d + 2))
+        assert sum(_eta_solver(genus, d, mu).rank
+                   for mu in _hl_blocks(genus, d)) == expect
+
+    def test_a_block_missing_a_diagram_names_its_degree_and_weight(
+            self, monkeypatch):
+        # a block whose caterpillars are independent loses rank with any one
+        d = 2
+        mu = next(mu for mu in _hl_blocks(2, d)
+                  if 0 < len(_caterpillars(2, d, mu))
+                  == _tree_block_dim(2, d, mu))
+        real = jacobi._caterpillars
+        monkeypatch.setattr(jacobi, "_caterpillars",
+                            lambda *block: real(*block)[1:])
+        _eta_solver.cache_clear()
+        with pytest.raises(RuntimeError,
+                           match=re.escape(f"at degree {d}, weight {mu}")):
+            _eta_solver(2, d, mu)
+
 
 @lru_cache(maxsize=None)
 def bracket_kernel(genus, d):
@@ -202,25 +228,40 @@ def c1_below_c2_caterpillars(genus, d):
     return out
 
 
+def weights(genus, d):
+    """Every letter-count vector of the degree-d caterpillars' d + 2 leaves."""
+    return [mu for mu in product(range(d + 3), repeat=gen_count(genus))
+            if sum(mu) == d + 2]
+
+
+def family_keys(genus, d):
+    """The per-weight caterpillar families over every weight, empty ones
+    left out, as {weight: keys in family order}."""
+    out = {}
+    for mu in weights(genus, d):
+        keys = [t.key for t in _caterpillars(genus, d, mu)]
+        if keys:
+            out[mu] = keys
+    return out
+
+
 def bucket_keys(buckets):
-    return [(mu, [t.key for t in trees]) for mu, trees in buckets.items()]
+    return {mu: [t.key for t in trees] for mu, trees in buckets.items()}
 
 
 class TestCaterpillars:
     @pytest.mark.parametrize("genus, d", [(1, 1), (1, 2), (1, 3), (2, 1),
                                           (2, 2), (2, 3), (3, 1), (3, 2)])
     def test_matches_brute_force_in_order(self, genus, d):
-        got = [(mu, [t.key for t in trees])
-               for mu, trees in _caterpillars(genus, d).items()]
-        assert got == list(brute_caterpillars(genus, d).items())
+        assert family_keys(genus, d) == brute_caterpillars(genus, d)
 
     @pytest.mark.parametrize(
         "genus, d", [(g, d) for g in (1, 2) for d in range(6)]
         + [(3, d) for d in range(4)])
     def test_orbit_pruning_matches_c1_below_c2_loop(self, genus, d):
-        # equal buckets, equal keys, equal bucket and in-bucket order;
+        # equal weights, equal keys, equal order within each weight;
         # d = 0 and d = 1 stay on the c1 < c2 rule
-        assert (bucket_keys(_caterpillars(genus, d))
+        assert (family_keys(genus, d)
                 == bucket_keys(c1_below_c2_caterpillars(genus, d)))
 
     @pytest.mark.parametrize("genus, d", [(1, 4), (2, 2), (2, 4), (3, 3)])
@@ -234,10 +275,32 @@ class TestCaterpillars:
             return out
 
         monkeypatch.setattr(TreeDiagram, "build", classmethod(record))
-        buckets = _caterpillars(genus, d)
+        families = [_caterpillars(genus, d, mu) for mu in weights(genus, d)]
         nonzero = [t for t in built if t is not None]
         assert len(nonzero) == len(set(nonzero))
-        assert len(nonzero) == sum(map(len, buckets.values()))
+        assert len(nonzero) == sum(map(len, families))
+
+    @pytest.mark.parametrize("genus, d", [(2, 3), (3, 2)])
+    def test_builds_only_the_requested_weight(self, genus, d, monkeypatch):
+        families = family_keys(genus, d)
+        mu = max(families, key=lambda m: len(families[m]))
+        leaves = []
+        real = TreeDiagram.build.__func__
+
+        def record(cls, genus, root, plant):
+            flat, stack = [root], [plant]
+            while stack:
+                p = stack.pop()
+                if isinstance(p, int):
+                    flat.append(p)
+                else:
+                    stack.extend(p)
+            leaves.append(_letter_weight(flat, genus))
+            return real(cls, genus, root, plant)
+
+        monkeypatch.setattr(TreeDiagram, "build", classmethod(record))
+        assert _caterpillars(genus, d, mu)
+        assert leaves and set(leaves) == {mu}
 
 
 class TestHLieTensor:

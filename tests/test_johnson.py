@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lietrees import koszul
-from lietrees.free_lie import LieSeries, gen_count, lyndon_basis
+from lietrees import jacobi, koszul
+from lietrees.free_lie import LieSeries, _letter_weight, gen_count, lyndon_basis
 from lietrees.jacobi import HLieTensor, eta, random_tree
 from lietrees.johnson import (Derivation, LieAutomorphism, apply_aut,
                               apply_der, compose_aut, derivation_from_tensor,
@@ -370,6 +370,27 @@ class TestTreeLift:
         combo = tau_to_trees(psi, 2)
         assert eta(combo) == tau_truncated(psi, 2)
 
+    def test_builds_only_the_blocks_of_the_window_tensor(self, monkeypatch):
+        psi = random_ic_element(2, 3, 1, 6)
+        t = tau_truncated(psi, 3)
+        blocks = {(d, _letter_weight((h, *w), 2))
+                  for d in t.degrees() for h, w in t.graded_part(d).coords}
+        evaluated = set()
+        real = jacobi.eta
+
+        def recording(c):
+            evaluated.update(
+                (tree.degree, _letter_weight(map(tree.color_of,
+                                                 tree.leaf_ids()), 2))
+                for tree in c.coords)
+            return real(c)
+
+        monkeypatch.setattr(jacobi, "eta", recording)
+        jacobi._eta_solver.cache_clear()
+        tau_to_trees(psi, 3)
+        assert jacobi._eta_solver.cache_info().currsize == len(blocks)
+        assert evaluated == blocks
+
 
 def level_one_automorphism():
     """a1 -> a1 + [a2,b2], every other generator fixed: one degree-2 deviation."""
@@ -422,6 +443,11 @@ class TestObstruction:
             lhs = -morita_mk(psi, k)
             rhs = capital_phi(tau_to_trees(psi, k), k)
             assert lhs == rhs
+
+    @pytest.mark.parametrize("genus", [2, 3])
+    def test_tree_formula_at_class_3(self, genus):
+        psi = random_ic_element(genus, 3, 1, 6)
+        assert -morita_mk(psi, 3) == capital_phi(tau_to_trees(psi, 3), 3)
 
     def test_rejects_shallow_elements(self):
         psi = random_ic_element(2, 1, 5, 4)
