@@ -52,13 +52,13 @@ def _build_parser() -> argparse.ArgumentParser:
     joh = groups.add_parser("johnson", help="degree-window invariants")
     jsub = joh.add_subparsers(dest="action", required=True)
     jt = jsub.add_parser("tau", help="tree lift of the window tensor")
-    jt.add_argument("--aut", required=True, help="automorphism document")
+    jt.add_argument("--aut", help="automorphism document (default stdin)")
     jt.add_argument("--k", type=int, required=True)
 
     mor = groups.add_parser("morita", help="homology-valued invariant")
     msub = mor.add_subparsers(dest="action", required=True)
     mk = msub.add_parser("mk")
-    mk.add_argument("--aut", required=True, help="automorphism document")
+    mk.add_argument("--aut", help="automorphism document (default stdin)")
     mk.add_argument("--k", type=int, required=True)
 
     su = groups.add_parser("suite", help="property suite")
@@ -83,7 +83,7 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _load_automorphism(path: str) -> johnson.LieAutomorphism:
+def _load_automorphism(path: str | None) -> johnson.LieAutomorphism:
     return documents.automorphism_from_doc(documents.load_json(_read_text(path)))
 
 

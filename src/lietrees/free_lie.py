@@ -10,6 +10,11 @@ factorization and is never stored.
 Bracket rewriting is the classical recursive collection on the Lyndon
 (Hall) family.  The tensor-algebra round trip in `tensor_hopf` is kept
 deliberately independent of it and serves as the oracle in the tests.
+`bracket_coords` is the one bracket loop, on coordinate dicts of any
+exact type: `LieSeries.bracket` runs it on its `Fraction` coords as
+they stand, since its operands are mostly a few words and scaling them
+would cost more than it saves, and the generator maps of `johnson` on
+the integer numerators of their memoised word images.
 
 `GeneratorMap`, the one base of the maps given by an image per
 generator letter (`LieAutomorphism`, `Derivation`, `ExpansionMap`),
@@ -18,7 +23,6 @@ lives here, the lowest module that knows the letters.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping
 
@@ -211,6 +215,31 @@ def bracket_basis(u: Word, v: Word) -> dict[Word, int]:
     return result
 
 
+def bracket_coords(x: Mapping[Word, object], y: Mapping[Word, object],
+                   n: int) -> dict[Word, object]:
+    """The bracket of two Lyndon coordinate dicts, term pairs above degree
+    n never formed and zero sums dropped.  Coefficients of any exact type
+    (`Fraction` coords of a `LieSeries`, or the integer numerators of a
+    generator map's memo) come out of the same type.
+
+    The right operand is bucketed by degree once, and each left term
+    walks the buckets upward until the next one would pass the cap.
+    """
+    by_len: dict[int, list[tuple[Word, object]]] = {}
+    for wv, cv in y.items():
+        by_len.setdefault(len(wv), []).append((wv, cv))
+    buckets = sorted(by_len.items())
+    out: dict[Word, object] = {}
+    for wu, cu in x.items():
+        room = n - len(wu)
+        for d, terms in buckets:
+            if d > room:
+                break
+            for wv, cv in terms:
+                add_into(out, bracket_basis(wu, wv), cu * cv)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # series
 
@@ -233,26 +262,11 @@ class LieSeries(TruncatedSeries):
     _key_text = staticmethod(bracket_string)
 
     def bracket(self, other: "LieSeries") -> "LieSeries":
-        """[self, other]; term pairs above max_degree are never formed.
-
-        The right operand is bucketed by degree once, and each left term
-        walks the buckets upward until the next one would pass the cap.
-        """
+        """[self, other] on the `Fraction` coords as they stand; term pairs
+        above max_degree are never formed."""
         self._check(other)
-        by_len: dict[int, list[tuple[Word, Fraction]]] = {}
-        for wv, cv in other.coords.items():
-            by_len.setdefault(len(wv), []).append((wv, cv))
-        buckets = sorted(by_len.items())
-        out: dict[Word, Fraction] = {}
-        n = self.max_degree
-        for wu, cu in self.coords.items():
-            room = n - len(wu)
-            for d, terms in buckets:
-                if d > room:
-                    break
-                for wv, cv in terms:
-                    add_into(out, bracket_basis(wu, wv), cu * cv)
-        return self._like(out)
+        return self._like(bracket_coords(self.coords, other.coords,
+                                         self.max_degree))
 
 
 def bracket(x: LieSeries, y: LieSeries) -> LieSeries:
@@ -277,7 +291,7 @@ class GeneratorMap:
     map's genus, cut down to `max_degree` (kept as given when already
     there; a coarser image is rejected).  A subclass names `_series`,
     vets images in `_check_image` and caches in `_memo`, which starts as
-    the images keyed by their one-letter words."""
+    the `_memo_entry` of each image keyed by its one-letter word."""
 
     __slots__ = ("genus", "max_degree", "images", "_memo")
     _series: type[TruncatedSeries]
@@ -315,7 +329,12 @@ class GeneratorMap:
             self._check_image(letter, img)
             clean[letter] = img
         self.images = clean
-        self._memo = {(letter,): img for letter, img in clean.items()}
+        self._memo = {(letter,): self._memo_entry(img)
+                      for letter, img in clean.items()}
+
+    def _memo_entry(self, img: TruncatedSeries):
+        """What the memo keeps for a generator image: the image itself."""
+        return img
 
     def _check_image(self, letter: int, img: TruncatedSeries) -> None:
         """Raise ValueError for an image this kind of map cannot have."""

@@ -9,19 +9,26 @@ generator deviations, its tree-diagram lift, and the homology-valued
 invariant obtained by solving a boundary problem in the Koszul complex
 of the nilpotent quotient.  Automorphisms and derivations take their
 construction, truncation and equality from `free_lie.GeneratorMap`;
-`_LieMap` adds the apply loop over memoised word images.
+`_LieMap` adds the apply loop over memoised word images.  The memo holds
+each word image as integer numerators over one denominator
+(`sparse.scaled`), the generator images included: a word's image is
+the integer bracket (`free_lie.bracket_coords`) of its factors' images
+over the product of their denominators, and applying the map to a
+series scales it once, sums over the lcm of the word images'
+denominators and makes one `Fraction` per output word.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .free_lie import (GeneratorMap, LieSeries, Word, a_letter, b_letter,
-                       gen_count, letter_label, partner, std_factorization)
+                       bracket_coords, gen_count, letter_label, partner,
+                       std_factorization)
 from .jacobi import HLieTensor, TreeCombo, eta, eta_inverse, random_tree
-from .sparse import add_term, power_series
+from .sparse import add_into, add_term, power_series, scaled, unscaled
 
 ONE = Fraction(1)
 
@@ -29,28 +36,38 @@ ONE = Fraction(1)
 class _LieMap(GeneratorMap):
     """A generator map of L/L_{>N} into itself: a subclass gives `_kind`
     and `_extend`, the image of a basis word from those of its standard
-    factors; word images are cached in the memo."""
+    factors; the memo keeps word images as (numerators, denominator)."""
 
     __slots__ = ()
     _series = LieSeries
 
-    def _word(self, w: Word) -> LieSeries:
+    def _memo_entry(self, img: LieSeries) -> tuple[dict[Word, int], int]:
+        return scaled(img.coords)
+
+    def _word(self, w: Word) -> tuple[dict[Word, int], int]:
         got = self._memo.get(w)
         if got is None:
             got = self._memo[w] = self._extend(*std_factorization(w))
         return got
 
     def _apply(self, x: LieSeries) -> LieSeries:
+        """x scaled once, each word image brought over the lcm of their
+        denominators, and one `Fraction` made per output word."""
         if x.genus != self.genus:
             raise ValueError("genus mismatch")
         if x.max_degree > self.max_degree:
             raise ValueError(f"series truncated above the {self._kind}")
-        acc: dict[Word, Fraction] = {}
-        for w, c in x.coords.items():
-            for wu, cu in self._word(w).coords.items():
-                if len(wu) <= x.max_degree:
-                    add_term(acc, wu, c * cu)
-        return x._like(acc)
+        nx, dx = scaled(x.coords)
+        images = [(c, *self._word(w)) for w, c in nx.items()]
+        den = lcm(*(du for _, _, du in images))
+        n = x.max_degree
+        acc: dict[Word, int] = {}
+        for c, nu, du in images:
+            f = c * (den // du)
+            for wu, cu in nu.items():
+                if len(wu) <= n:
+                    add_term(acc, wu, f * cu)
+        return x._like(unscaled(acc, dx * den))
 
 
 class LieAutomorphism(_LieMap):
@@ -65,8 +82,9 @@ class LieAutomorphism(_LieMap):
                 f"image of {letter_label(letter)} must be the generator "
                 "plus higher-degree terms")
 
-    def _extend(self, u: Word, v: Word) -> LieSeries:
-        return self._word(u).bracket(self._word(v))
+    def _extend(self, u: Word, v: Word) -> tuple[dict[Word, int], int]:
+        (nu, du), (nv, dv) = self._word(u), self._word(v)
+        return bracket_coords(nu, nv, self.max_degree), du * dv
 
     def image_of(self, letter: int) -> LieSeries:
         return self.images[letter]
@@ -124,10 +142,13 @@ class Derivation(_LieMap):
         if md is not None and md < 2:
             raise ValueError("derivation must raise degree")
 
-    def _extend(self, u: Word, v: Word) -> LieSeries:
-        zero = LieSeries.zero(self.genus, self.max_degree)
-        return (self._word(u).bracket(zero._like({v: ONE}))
-                + zero._like({u: ONE}).bracket(self._word(v)))
+    def _extend(self, u: Word, v: Word) -> tuple[dict[Word, int], int]:
+        """[D(u), v] + [u, D(v)] over du·dv."""
+        (nu, du), (nv, dv) = self._word(u), self._word(v)
+        n = self.max_degree
+        out = bracket_coords(nu, {v: dv}, n)
+        add_into(out, bracket_coords({u: du}, nv, n))
+        return out, du * dv
 
 
 def apply_der(delta: Derivation, x: LieSeries) -> LieSeries:

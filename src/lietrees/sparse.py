@@ -21,9 +21,10 @@ coefficients and steps give, so the tensor series feed it integer
 numerators and integer coefficients.  `scaled` writes coords as integer
 numerators over one common denominator and `unscaled` turns an integer
 accumulator back into lowest-terms `Fraction`s.  The tensor product,
-the tensor power series, the free group word product and the
-primitivity test all work between the two, so each pays one gcd per
-output entry instead of one per product or sum.
+the tensor power series, the free group word product, the primitivity
+test and the Lie-side generator maps, whose memo keeps every word image
+scaled, all work between the two, so each pays one gcd per output
+entry instead of one per product or sum.
 """
 
 from __future__ import annotations

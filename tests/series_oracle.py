@@ -14,12 +14,24 @@ compare against them.  `coproduct` expands the coproduct word by word,
 every generator primitive, for the tests' Hopf-algebra definitions of
 primitive and group-like, which `tensor_hopf` decides by the Lyndon
 peel instead.
+
+The Lie side has the same kind of oracle.  `lie_bracket` is the bracket
+of two Lyndon coordinate dicts with one `Fraction` product per pair of
+terms, and `apply_map` is the generator-map apply loop with a memo of
+`Fraction` word images, the way `johnson` worked before the maps kept
+their word images as integer numerators over one denominator.
+`compose`, `invert`, `exp_der` and `log_aut` sum their series term by
+term on top of it.  These take the integer structure constants from
+`free_lie.bracket_basis`; the arithmetic, the memo and the series are
+their own.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
 from typing import Mapping
+
+from lietrees.free_lie import bracket_basis, std_factorization
 
 
 def _add_term(acc: dict, key, c) -> None:
@@ -92,3 +104,88 @@ def coproduct(x: Mapping) -> dict:
                 wr = tuple(w[i] for i in idx if i not in left_set)
                 _add_term(out, (wl, wr), c)
     return out
+
+
+def lie_bracket(x: Mapping, y: Mapping, n: int) -> dict:
+    """Bracket of two Lyndon coordinate dicts, words above n discarded."""
+    out: dict = {}
+    for wu, cu in x.items():
+        for wv, cv in y.items():
+            if len(wu) + len(wv) <= n:
+                for w, e in bracket_basis(wu, wv).items():
+                    _add_term(out, w, Fraction(cu) * cv * e)
+    return out
+
+
+def apply_map(images: Mapping, n: int, x: Mapping, m: int,
+              derivation: bool = False) -> dict:
+    """The map with these generator images (dicts at truncation n) applied
+    to x (a dict at truncation m <= n), as an automorphism, or as a
+    derivation when asked; words above m discarded."""
+    memo = {(letter,): dict(img) for letter, img in images.items()}
+
+    def word(w):
+        if w not in memo:
+            u, v = std_factorization(w)
+            if derivation:
+                out = lie_bracket(word(u), {v: Fraction(1)}, n)
+                for key, c in lie_bracket({u: Fraction(1)}, word(v), n).items():
+                    _add_term(out, key, c)
+            else:
+                out = lie_bracket(word(u), word(v), n)
+            memo[w] = out
+        return memo[w]
+
+    acc: dict = {}
+    for w, c in x.items():
+        for wu, cu in word(w).items():
+            if len(wu) <= m:
+                _add_term(acc, wu, Fraction(c) * cu)
+    return acc
+
+
+def _lie_series(step, x: Mapping, coeff, n: int) -> dict:
+    """The sum of coeff(k) * step^k(x) over 0 <= k <= n."""
+    out: dict = {}
+    for k in range(n + 1):
+        if k:
+            x = step(x)
+        for w, c in x.items():
+            _add_term(out, w, coeff(k) * c)
+    return out
+
+
+def _difference(x: Mapping, y: Mapping) -> dict:
+    out = dict(x)
+    for w, c in y.items():
+        _add_term(out, w, -c)
+    return out
+
+
+def compose(psi: Mapping, phi: Mapping, n: int) -> dict:
+    """Generator images of x -> psi(phi(x)), both maps at truncation n."""
+    return {l: apply_map(psi, n, img, n) for l, img in phi.items()}
+
+
+def invert(psi: Mapping, n: int) -> dict:
+    """Generator images of the inverse, the sum of (id - psi)^k."""
+    step = lambda t: _difference(t, apply_map(psi, n, t, n))
+    return {l: _lie_series(step, {(l,): Fraction(1)}, lambda k: 1, n)
+            for l in psi}
+
+
+def exp_der(delta: Mapping, n: int) -> dict:
+    """Generator images of the exponential of a derivation, sum delta^k/k!."""
+    step = lambda t: apply_map(delta, n, t, n, derivation=True)
+    return {l: _lie_series(step, {(l,): Fraction(1)},
+                           lambda k: Fraction(1, factorial(k)), n)
+            for l in delta}
+
+
+def log_aut(psi: Mapping, n: int) -> dict:
+    """Generator values of the derivation log psi, the sum of
+    (-1)^k/(k+1) (psi - id)^k applied to psi(x) - x."""
+    step = lambda t: _difference(apply_map(psi, n, t, n), t)
+    return {l: _lie_series(step, _difference(img, {(l,): Fraction(1)}),
+                           lambda k: Fraction((-1) ** k, k + 1), n)
+            for l, img in psi.items()}

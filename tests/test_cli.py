@@ -1,5 +1,6 @@
 """Command-line interface: wiring, formats, exit codes."""
 
+import io
 import json
 
 import pytest
@@ -124,6 +125,22 @@ class TestJohnson:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "not in filtration level 2" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["johnson", "tau", "--k", "2"],
+                                  ["morita", "mk", "--k", "2"]])
+def test_automorphism_document_on_stdin(argv, tmp_path, monkeypatch, capsys):
+    """Without --aut the command reads the document from standard input
+    and prints what it prints with --aut FILE."""
+    doc = dump_json(automorphism_to_doc(random_ic_element(2, 2, 1, 4)))
+    path = tmp_path / "aut.json"
+    path.write_text(doc)
+    assert run([*argv, "--aut", str(path)]) == 0
+    from_file = capsys.readouterr().out
+    assert from_file
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    assert run(argv) == 0
+    assert capsys.readouterr().out == from_file
 
 
 class TestMorita:

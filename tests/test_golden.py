@@ -42,6 +42,23 @@ def test_constructed_expansion_document_at_genus_3(capsys):
                       "83d35c112ea91072f3afd08c09e2520a")
 
 
+def test_constructed_expansion_document_at_genus_3_degree_7(capsys):
+    """The automorphism `_extend` path (build_corrector, invert_aut) at
+    genus 3 past degree 5."""
+    assert run(["expand", "construct", "--genus", "3", "--degree", "7"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == ("37b7bb8c063f88879bf2cf91e821c8ba"
+                      "1dfffa21b79a86cde2695318f1ac3cb1")
+
+
+def test_log_of_a_class_three_automorphism():
+    """The derivation `_extend` path (exp_der inside random_ic_element)
+    and log_aut at degree 6."""
+    text = repr(log_aut(random_ic_element(2, 3, 1, 6)))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "da4cb165aab9cfb77bccdc8ef567d65d7e0286d56d1176cf23546c66cc27b703")
+
+
 def test_automorphism_series():
     """exp_der (inside random_ic_element), log_aut and invert_aut."""
     h = hashlib.sha256()

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lietrees import jacobi, koszul
+import series_oracle as oracle
+from lietrees import jacobi, johnson, koszul
 from lietrees.free_lie import LieSeries, _letter_weight, gen_count, lyndon_basis
 from lietrees.jacobi import HLieTensor, eta, random_tree
 from lietrees.johnson import (Derivation, LieAutomorphism, apply_aut,
@@ -268,6 +269,137 @@ class TestGroupLaws:
         delta = log_aut(psi)
         assert log_aut(exp_der(delta)) == delta
         assert exp_der(delta) == psi
+
+
+# Maps drawn against the Fraction oracle: genus 1-3, truncation 2-6, each
+# generator image a few random terms of degree 2..n over the generator
+# (an automorphism) or alone (a derivation).  "moved" divides one
+# coefficient by 10007, which moves the common denominator of the memo;
+# "identity" draws no terms (the identity map, or the zero derivation).
+VARIANTS = ("plain", "moved", "identity")
+
+
+def draw_terms(data, genus, lo, hi):
+    words = [w for d in range(lo, hi + 1) for w in lyndon_basis(genus, d)]
+    chosen = data.draw(st.lists(st.sampled_from(words), max_size=3,
+                                unique=True)) if words else []
+    return {w: F(data.draw(st.integers(1, 4)) * data.draw(st.sampled_from(
+        (1, -1))), data.draw(st.sampled_from((1, 2, 3)))) for w in chosen}
+
+
+def draw_images(data, genus, n, automorphism):
+    """Generator images as plain dicts at truncation n."""
+    variant = data.draw(st.sampled_from(VARIANTS))
+    devs = {l: {} if variant == "identity" else draw_terms(data, genus, 2, n)
+            for l in range(gen_count(genus))}
+    if variant == "moved":
+        letter = data.draw(st.integers(0, gen_count(genus) - 1))
+        if not devs[letter]:
+            devs[letter] = {lyndon_basis(genus, 2)[0]: F(1)}
+        w = data.draw(st.sampled_from(sorted(devs[letter])))
+        devs[letter][w] /= 10007
+    if automorphism:
+        for l, dev in devs.items():
+            dev[(l,)] = F(1)
+    return devs
+
+
+def draw_map(data, automorphism):
+    genus = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(2, 6))
+    images = draw_images(data, genus, n, automorphism)
+    kind = LieAutomorphism if automorphism else Derivation
+    return kind(genus, n, {l: LieSeries(genus, n, img)
+                           for l, img in images.items()}), images
+
+
+def as_images(m):
+    return {l: s.coords for l, s in m.images.items()}
+
+
+class TestAgainstFractionOracle:
+    """The integer generator maps equal the Fraction apply loop and series."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), st.booleans())
+    def test_apply(self, data, automorphism):
+        m, images = draw_map(data, automorphism)
+        cap = data.draw(st.integers(1, m.max_degree))     # x may be coarser
+        x = LieSeries(m.genus, cap, draw_terms(data, m.genus, 1, cap))
+        got = (apply_aut if automorphism else apply_der)(m, x)
+        assert got.max_degree == cap
+        assert got.coords == oracle.apply_map(
+            images, m.max_degree, x.coords, cap, derivation=not automorphism)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_compose(self, data):
+        psi, images = draw_map(data, True)
+        other = draw_images(data, psi.genus, psi.max_degree, True)
+        phi = LieAutomorphism(psi.genus, psi.max_degree, {
+            l: LieSeries(psi.genus, psi.max_degree, img)
+            for l, img in other.items()})
+        assert as_images(compose_aut(psi, phi)) == oracle.compose(
+            images, other, psi.max_degree)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_invert(self, data):
+        psi, images = draw_map(data, True)
+        assert as_images(invert_aut(psi)) == oracle.invert(
+            images, psi.max_degree)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_exp_der(self, data):
+        delta, values = draw_map(data, False)
+        assert as_images(exp_der(delta)) == oracle.exp_der(
+            values, delta.max_degree)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_log_aut(self, data):
+        psi, images = draw_map(data, True)
+        assert as_images(log_aut(psi)) == oracle.log_aut(
+            images, psi.max_degree)
+
+
+class TestIntegerPath:
+    """The maps keep word images as integer numerators over one
+    denominator and make `Fraction`s only once per applied series."""
+
+    @pytest.mark.parametrize("automorphism", [True, False])
+    def test_memo_holds_integer_numerators(self, automorphism):
+        rng = random.Random(11)
+        m = (rand_aut if automorphism else rand_derivation)(2, 5, rng)
+        x = rand_series(2, 1, 5, rng, 5)
+        (apply_aut if automorphism else apply_der)(m, x)
+        assert len(m._memo) > gen_count(2)
+        for w, entry in m._memo.items():
+            numerators, den = entry
+            assert type(den) is int and den > 0
+            assert all(type(c) is int for c in numerators.values()), w
+
+    def test_one_unscaled_per_apply(self, monkeypatch):
+        rng = random.Random(12)
+        psi = rand_aut(2, 5, rng)
+        x = rand_series(2, 1, 5, rng, 5)
+        calls = []
+        real = johnson.unscaled
+        monkeypatch.setattr(johnson, "unscaled",
+                            lambda acc, den: calls.append(den) or real(acc, den))
+        apply_aut(psi, x)
+        assert len(calls) == 1
+
+    def test_group_operations_make_no_series_bracket(self, monkeypatch):
+        rng = random.Random(13)
+        psi, phi = rand_aut(2, 5, rng), rand_aut(2, 5, rng)
+
+        def refuse(self, other):
+            raise AssertionError("LieSeries.bracket called")
+        monkeypatch.setattr(LieSeries, "bracket", refuse)
+        inv = invert_aut(psi)
+        assert compose_aut(phi, inv) != identity_aut(2, 5)
 
 
 class TestTensorDerivations:
