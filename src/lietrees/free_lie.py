@@ -11,10 +11,12 @@ Bracket rewriting is the classical recursive collection on the Lyndon
 (Hall) family.  The tensor-algebra round trip in `tensor_hopf` is kept
 deliberately independent of it and serves as the oracle in the tests.
 `bracket_coords` is the one bracket loop, on coordinate dicts of any
-exact type: `LieSeries.bracket` runs it on its `Fraction` coords as
-they stand, since its operands are mostly a few words and scaling them
-would cost more than it saves, and the generator maps of `johnson` on
-the integer numerators of their memoised word images.
+exact type split by `graded` into their degree parts, so that it only
+visits parts whose degrees fit under the cap: `LieSeries.bracket`
+grades its `Fraction` coords as they stand, since its operands are
+mostly a few words and scaling them would cost more than it saves, and
+the generator maps of `johnson` keep the integer numerators of their
+memoised word images graded once, when an entry is stored.
 
 `GeneratorMap`, the one base of the maps given by an image per
 generator letter (`LieAutomorphism`, `Derivation`, `ExpansionMap`),
@@ -215,28 +217,44 @@ def bracket_basis(u: Word, v: Word) -> dict[Word, int]:
     return result
 
 
-def bracket_coords(x: Mapping[Word, object], y: Mapping[Word, object],
-                   n: int) -> dict[Word, object]:
-    """The bracket of two Lyndon coordinate dicts, term pairs above degree
-    n never formed and zero sums dropped.  Coefficients of any exact type
-    (`Fraction` coords of a `LieSeries`, or the integer numerators of a
-    generator map's memo) come out of the same type.
+def graded(coords: Mapping[Word, object]) -> tuple[tuple[int, dict], ...]:
+    """The nonempty degree parts (d, {word of length d: c}) of a Lyndon
+    coordinate dict, in ascending degree; a homogeneous dict is its own
+    one part, uncopied."""
+    degrees = set(map(len, coords))
+    if len(degrees) < 2:
+        return ((degrees.pop(), coords),) if degrees else ()
+    parts: dict[int, dict] = {d: {} for d in sorted(degrees)}
+    for w, c in coords.items():
+        parts[len(w)][w] = c
+    return tuple(parts.items())
 
-    The right operand is bucketed by degree once, and each left term
-    walks the buckets upward until the next one would pass the cap.
+
+def bracket_coords(x: tuple[tuple[int, Mapping], ...],
+                   y: tuple[tuple[int, Mapping], ...],
+                   n: int) -> dict[Word, object]:
+    """The bracket of two `graded` Lyndon coordinate dicts, term pairs
+    above degree n never formed and zero sums dropped.  Coefficients of
+    any exact type (`Fraction` coords of a `LieSeries`, or the integer
+    numerators of a generator map's memo) come out of the same type.
+
+    Each left part of degree du meets the right parts of degree at most
+    n - du; the walk stops at the first left part that meets none.
     """
-    by_len: dict[int, list[tuple[Word, object]]] = {}
-    for wv, cv in y.items():
-        by_len.setdefault(len(wv), []).append((wv, cv))
-    buckets = sorted(by_len.items())
     out: dict[Word, object] = {}
-    for wu, cu in x.items():
-        room = n - len(wu)
-        for d, terms in buckets:
-            if d > room:
+    if not y:
+        return out
+    least = y[0][0]
+    for du, xs in x:
+        room = n - du
+        if room < least:
+            break
+        for dv, ys in y:
+            if dv > room:
                 break
-            for wv, cv in terms:
-                add_into(out, bracket_basis(wu, wv), cu * cv)
+            for wu, cu in xs.items():
+                for wv, cv in ys.items():
+                    add_into(out, bracket_basis(wu, wv), cu * cv)
     return out
 
 
@@ -265,7 +283,8 @@ class LieSeries(TruncatedSeries):
         """[self, other] on the `Fraction` coords as they stand; term pairs
         above max_degree are never formed."""
         self._check(other)
-        return self._like(bracket_coords(self.coords, other.coords,
+        return self._like(bracket_coords(graded(self.coords),
+                                         graded(other.coords),
                                          self.max_degree))
 
 

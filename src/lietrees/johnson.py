@@ -11,11 +11,17 @@ of the nilpotent quotient.  Automorphisms and derivations take their
 construction, truncation and equality from `free_lie.GeneratorMap`;
 `_LieMap` adds the apply loop over memoised word images.  The memo holds
 each word image as integer numerators over one denominator
-(`sparse.scaled`), the generator images included: a word's image is
-the integer bracket (`free_lie.bracket_coords`) of its factors' images
-over the product of their denominators, and applying the map to a
-series scales it once, sums over the lcm of the word images'
-denominators and makes one `Fraction` per output word.
+(`sparse.scaled`), split by degree (`free_lie.graded`), the generator
+images included: a word's image is the integer bracket
+(`free_lie.bracket_coords`) of its factors' images over the product of
+their denominators.  One integer core, `_LieMap._image`, takes integer
+numerators to the image's numerators over the lcm of the word images'
+denominators, reading each word image only up to the truncation.
+Applying the map to a series scales it once and makes one `Fraction`
+per output word; `invert_aut`, `log_aut` and `exp_der` step and sum
+their power series on the same core's integers
+(`sparse.scaled_series`) and make one `Fraction` per word of each
+generator image.
 """
 
 from __future__ import annotations
@@ -25,49 +31,98 @@ from fractions import Fraction
 from math import factorial, lcm
 
 from .free_lie import (GeneratorMap, LieSeries, Word, a_letter, b_letter,
-                       bracket_coords, gen_count, letter_label, partner,
-                       std_factorization)
+                       bracket_coords, gen_count, graded, letter_label,
+                       partner, std_factorization)
 from .jacobi import HLieTensor, TreeCombo, eta, eta_inverse, random_tree
-from .sparse import add_into, add_term, power_series, scaled, unscaled
+from .sparse import add_into, add_term, scaled, scaled_series, unscaled
 
 ONE = Fraction(1)
+Parts = tuple[tuple[int, dict[Word, int]], ...]
 
 
 class _LieMap(GeneratorMap):
     """A generator map of L/L_{>N} into itself: a subclass gives `_kind`
     and `_extend`, the image of a basis word from those of its standard
-    factors; the memo keeps word images as (numerators, denominator)."""
+    factors; the memo keeps word images as (parts, denominator), the
+    parts the `graded` integer numerators."""
 
     __slots__ = ()
     _series = LieSeries
 
-    def _memo_entry(self, img: LieSeries) -> tuple[dict[Word, int], int]:
-        return scaled(img.coords)
+    def _memo_entry(self, img: LieSeries) -> tuple[Parts, int]:
+        nx, den = scaled(img.coords)
+        return graded(nx), den
 
-    def _word(self, w: Word) -> tuple[dict[Word, int], int]:
+    def _word(self, w: Word) -> tuple[Parts, int]:
         got = self._memo.get(w)
         if got is None:
-            got = self._memo[w] = self._extend(*std_factorization(w))
+            nx, den = self._extend(*std_factorization(w))
+            got = self._memo[w] = graded(nx), den
         return got
 
+    def _image(self, nx: dict[Word, int], n: int,
+               den: int | None = None) -> tuple[dict[Word, int], int]:
+        """(numerators, den) of the image of the integer combination nx,
+        words above n dropped: each word image brought over den (by
+        default the lcm of their denominators) and walked up to degree n."""
+        images = [(c, *self._word(w)) for w, c in nx.items()]
+        if den is None:
+            den = lcm(*(du for _, _, du in images))
+        acc: dict[Word, int] = {}
+        for c, parts, du in images:
+            f = c * (den // du)
+            for d, terms in parts:
+                if d > n:
+                    break
+                add_into(acc, terms, f)
+        return acc, den
+
     def _apply(self, x: LieSeries) -> LieSeries:
-        """x scaled once, each word image brought over the lcm of their
-        denominators, and one `Fraction` made per output word."""
+        """x scaled once, its integer image taken, and one `Fraction` made
+        per output word."""
+        _check_kind(x, LieSeries, "x")
         if x.genus != self.genus:
             raise ValueError("genus mismatch")
         if x.max_degree > self.max_degree:
             raise ValueError(f"series truncated above the {self._kind}")
         nx, dx = scaled(x.coords)
-        images = [(c, *self._word(w)) for w, c in nx.items()]
-        den = lcm(*(du for _, _, du in images))
-        n = x.max_degree
-        acc: dict[Word, int] = {}
-        for c, nu, du in images:
-            f = c * (den // du)
-            for wu, cu in nu.items():
-                if len(wu) <= n:
-                    add_term(acc, wu, f * cu)
+        acc, den = self._image(nx, x.max_degree)
         return x._like(unscaled(acc, dx * den))
+
+    def _generator_series(self, start, step, coeff) -> dict[int, LieSeries]:
+        """Per generator l, the sum of coeff(k) * step^k(x) for x =
+        start(l) = (numerators, den), by `sparse.scaled_series` on integer
+        numerators, with one `unscaled` per generator image.
+
+        A word image's denominator is the product of those of its
+        letters' images, so r = lcm(letter image denominators)^N clears
+        them all: a term t steps to step(t, acc, r), acc the map's image
+        of t over r, and the step multiplies the denominator by r.  Each
+        step raises degree, so a start of least degree m vanishes after
+        N - m steps."""
+        n = self.max_degree
+        ratio = lcm(*(self._memo[(l,)][1]
+                      for l in range(gen_count(self.genus)))) ** n
+
+        def run(t: LieSeries) -> LieSeries:
+            acc, _ = self._image(t.coords, n, ratio)
+            return t._like(step(t.coords, acc, ratio))
+
+        out = {}
+        for l in range(gen_count(self.genus)):
+            nx, dx = start(l)
+            x = LieSeries._of(self.genus, n, nx)
+            acc, den = scaled_series(run, x, coeff, n - (x.min_degree() or n),
+                                     ratio)
+            out[l] = x._like(unscaled(acc, dx * den))
+        return out
+
+
+def _check_kind(value: object, kind: type, name: str) -> None:
+    """Raise ValueError unless value is a `kind`."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be a {kind.__name__}, "
+                         f"not {type(value).__name__}")
 
 
 class LieAutomorphism(_LieMap):
@@ -83,8 +138,8 @@ class LieAutomorphism(_LieMap):
                 "plus higher-degree terms")
 
     def _extend(self, u: Word, v: Word) -> tuple[dict[Word, int], int]:
-        (nu, du), (nv, dv) = self._word(u), self._word(v)
-        return bracket_coords(nu, nv, self.max_degree), du * dv
+        (pu, du), (pv, dv) = self._word(u), self._word(v)
+        return bracket_coords(pu, pv, self.max_degree), du * dv
 
     def image_of(self, letter: int) -> LieSeries:
         return self.images[letter]
@@ -102,11 +157,14 @@ def identity_aut(genus: int, max_degree: int) -> LieAutomorphism:
 
 def apply_aut(psi: LieAutomorphism, x: LieSeries) -> LieSeries:
     """psi(x); x may live at a coarser truncation than psi."""
+    _check_kind(psi, LieAutomorphism, "psi")
     return psi._apply(x)
 
 
 def compose_aut(psi: LieAutomorphism, phi: LieAutomorphism) -> LieAutomorphism:
     """x -> psi(phi(x)), at the finer of the two truncations that both support."""
+    _check_kind(psi, LieAutomorphism, "psi")
+    _check_kind(phi, LieAutomorphism, "phi")
     if psi.genus != phi.genus:
         raise ValueError("genus mismatch")
     n = min(psi.max_degree, phi.max_degree)
@@ -121,13 +179,20 @@ def invert_aut(psi: LieAutomorphism) -> LieAutomorphism:
     id - psi is linear and raises degree, so on each generator the sum
     stops by degree N; the result is checked to compose to the identity.
     """
-    genus, n = psi.genus, psi.max_degree
-    phi = LieAutomorphism(genus, n, {
-        l: power_series(lambda t: t - apply_aut(psi, t),
-                        LieSeries.gen(genus, n, l), lambda k: 1, n)
-        for l in range(gen_count(genus))})
-    if compose_aut(psi, phi) != identity_aut(genus, n):
-        raise RuntimeError("inverse iteration failed to converge")
+    _check_kind(psi, LieAutomorphism, "psi")
+
+    def step(nt, acc, ratio):
+        out = {w: c * ratio for w, c in nt.items()}
+        add_into(out, acc, -1)
+        return out
+
+    phi = LieAutomorphism(psi.genus, psi.max_degree, psi._generator_series(
+        lambda l: ({(l,): 1}, 1), step, lambda k: 1))
+    for l, img in phi.images.items():
+        nx, dx = scaled(img.coords)
+        acc, den = psi._image(nx, psi.max_degree)
+        if acc != {(l,): dx * den}:
+            raise RuntimeError("inverse iteration failed to converge")
     return phi
 
 
@@ -144,26 +209,26 @@ class Derivation(_LieMap):
 
     def _extend(self, u: Word, v: Word) -> tuple[dict[Word, int], int]:
         """[D(u), v] + [u, D(v)] over du·dv."""
-        (nu, du), (nv, dv) = self._word(u), self._word(v)
+        (pu, du), (pv, dv) = self._word(u), self._word(v)
         n = self.max_degree
-        out = bracket_coords(nu, {v: dv}, n)
-        add_into(out, bracket_coords({u: du}, nv, n))
+        out = bracket_coords(pu, ((len(v), {v: dv}),), n)
+        add_into(out, bracket_coords(((len(u), {u: du}),), pv, n))
         return out, du * dv
 
 
 def apply_der(delta: Derivation, x: LieSeries) -> LieSeries:
     """Leibniz extension of the generator values."""
+    _check_kind(delta, Derivation, "delta")
     return delta._apply(x)
 
 
 def exp_der(delta: Derivation) -> LieAutomorphism:
     """Automorphism sum of delta^k / k!; finite because delta raises degree."""
-    genus, n = delta.genus, delta.max_degree
-    return LieAutomorphism(genus, n, {
-        l: power_series(lambda t: apply_der(delta, t),
-                        LieSeries.gen(genus, n, l),
-                        lambda k: Fraction(1, factorial(k)), n)
-        for l in range(gen_count(genus))})
+    _check_kind(delta, Derivation, "delta")
+    images = delta._generator_series(lambda l: ({(l,): 1}, 1),
+                                     lambda nt, acc, ratio: acc,
+                                     lambda k: Fraction(1, factorial(k)))
+    return LieAutomorphism(delta.genus, delta.max_degree, images)
 
 
 def log_aut(psi: LieAutomorphism) -> Derivation:
@@ -173,11 +238,19 @@ def log_aut(psi: LieAutomorphism) -> Derivation:
     (-1)^k/(k+1) (psi - id)^k applied to the deviation psi(x) - x; each
     application of psi - id raises degree.
     """
-    genus, n = psi.genus, psi.max_degree
-    return Derivation(genus, n, {
-        l: power_series(lambda t: apply_aut(psi, t) - t, psi.deviation(l),
-                        lambda k: Fraction((-1) ** k, k + 1), n)
-        for l in range(gen_count(genus))})
+    _check_kind(psi, LieAutomorphism, "psi")
+
+    def deviation(l):
+        nx, dx = scaled(psi.images[l].coords)
+        add_term(nx, (l,), -dx)
+        return nx, dx
+
+    def step(nt, acc, ratio):
+        add_into(acc, nt, -ratio)
+        return acc
+
+    return Derivation(psi.genus, psi.max_degree, psi._generator_series(
+        deviation, step, lambda k: Fraction((-1) ** k, k + 1)))
 
 
 def is_omega_fixing(psi: LieAutomorphism) -> bool:

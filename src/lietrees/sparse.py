@@ -17,14 +17,16 @@ cut above `max_degree`, `gen` and `truncated`, whose range check
 `check_truncation` the automorphism and expansion maps share too.
 `power_series` is the one loop behind tensor exp, log and inverse and
 the Lie-side exp_der, log_aut and invert_aut; it adds whatever its
-coefficients and steps give, so the tensor series feed it integer
-numerators and integer coefficients.  `scaled` writes coords as integer
-numerators over one common denominator and `unscaled` turns an integer
-accumulator back into lowest-terms `Fraction`s.  The tensor product,
-the tensor power series, the free group word product, the primitivity
-test and the Lie-side generator maps, whose memo keeps every word image
-scaled, all work between the two, so each pays one gcd per output
-entry instead of one per product or sum.
+coefficients and steps give.  Both algebras reach it through
+`scaled_series`, whose steps multiply a term's denominator by a fixed
+ratio, so every term and coefficient it sums is an integer.  `scaled`
+writes coords as integer numerators over one common denominator and
+`unscaled` turns an integer accumulator back into lowest-terms
+`Fraction`s.  The tensor product, the power series of both algebras,
+the free group word product, the primitivity test and the Lie-side
+generator maps, whose memo keeps every word image scaled, all work
+between the two, so each pays one gcd per output entry instead of one
+per product or sum.
 """
 
 from __future__ import annotations
@@ -226,3 +228,18 @@ def power_series(step, x: SparseCombination, coeff, n: int):
             break
         add_into(out, x.coords, coeff(k))
     return x._like(out)
+
+
+def scaled_series(step, x: SparseCombination, coeff, last: int,
+                  ratio: int) -> tuple[dict, int]:
+    """The sum of coeff(k) * step^k(x) over 0 <= k <= last, as (integer
+    numerators, den), for integer x and a step that, read over a
+    denominator, multiplies it by ratio, so step^k(x) is an integer dict
+    over ratio^k.  Over den = lcm(denominators of coeff(0..last)) *
+    ratio^last every summand is an integer dict, so `power_series` sums
+    integers.  step^k(x) must vanish for k > last."""
+    cs = [coeff(k) for k in range(last + 1)]
+    den = lcm(*(c.denominator for c in cs)) * ratio ** last
+    ints = [c.numerator * (den // (c.denominator * ratio ** k))
+            for k, c in enumerate(cs)]
+    return power_series(step, x, ints.__getitem__, last).coords, den

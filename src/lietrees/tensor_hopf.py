@@ -20,10 +20,11 @@ used, and the coproduct, with 2^m components per word of length m, is
 never expanded; the tests keep the expanded coproduct as their
 reference.  Products run on integer numerators over one common
 denominator (`sparse.scaled`) in one loop, `_product`: `mul`,
-`_embed_word`, the power series behind exp, log and inv_unit, and
-`evaluate_expansion`; the peel runs on the same numerators, log's
-without a round trip through `Fraction`.  Every coefficient a series holds is a nonzero lowest-terms
-`Fraction`, made once per output word by `sparse.unscaled`.
+`_embed_word`, the power series behind exp, log and inv_unit
+(`sparse.scaled_series`), and `evaluate_expansion`; the peel runs on
+the same numerators, log's without a round trip through `Fraction`.
+Every coefficient a series holds is a nonzero lowest-terms `Fraction`,
+made once per output word by `sparse.unscaled`.
 
 Also hosts free group words and expansions (multiplicative maps from the
 surface group into the unit group of the tensor algebra); an
@@ -36,13 +37,13 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial
 from typing import Mapping, NamedTuple
 
 from .free_lie import (GeneratorMap, LieSeries, Word, gen_count, is_lyndon,
                        letter_label, std_factorization)
-from .sparse import (TruncatedSeries, add_into, add_term, power_series,
-                     scaled, unscaled)
+from .sparse import (TruncatedSeries, add_into, add_term, scaled,
+                     scaled_series, unscaled)
 
 ONE = Fraction(1)
 
@@ -99,23 +100,13 @@ def mul(x: TensorSeries, y: TensorSeries) -> TensorSeries:
 
 def _series_in(u: TensorSeries, coeff) -> tuple[dict[Word, int], int]:
     """The sum of coeff(k) * u^k over k >= 0, u with no constant term, as
-    integer numerators over one denominator, for `unscaled` or the peel.
-
-    With u = nu / du, the power u^k is an integer dict over du^k.  Over
-    the common denominator D = lcm(denominators of coeff(0..K)) * du^K,
-    K the last k with u^k possibly nonzero, every term is an integer
-    dict, so `power_series` sums integers.
-    """
+    integer numerators over one denominator, for `unscaled` or the peel:
+    with u = nu / du, the power u^k is an integer dict over du^k."""
     n = u.max_degree
     nu, du = scaled(u.coords)
-    last = n // u.min_degree() if u else 0
-    cs = [coeff(k) for k in range(last + 1)]
-    den = lcm(*(c.denominator for c in cs)) * du ** last
-    ints = [c.numerator * (den // (c.denominator * du ** k))
-            for k, c in enumerate(cs)]
-    acc = power_series(lambda p: p._like(_product(p.coords, nu, n)),
-                       u._like({(): 1}), ints.__getitem__, last)
-    return acc.coords, den
+    return scaled_series(lambda p: p._like(_product(p.coords, nu, n)),
+                         u._like({(): 1}), coeff,
+                         n // u.min_degree() if u else 0, du)
 
 
 def exp(x: TensorSeries) -> TensorSeries:

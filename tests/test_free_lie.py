@@ -6,10 +6,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import series_oracle as oracle
+from lietrees import free_lie
 from lietrees.free_lie import (LieSeries, a_letter, b_letter, bch, bracket,
-                               bracket_basis, is_lyndon, letter_label,
-                               lyndon_basis, parse_letter, partner,
-                               std_factorization, witt_dim)
+                               bracket_basis, bracket_coords, graded,
+                               is_lyndon, letter_label, lyndon_basis,
+                               parse_letter, partner, std_factorization,
+                               witt_dim)
 from lietrees.sparse import add_into
 from lietrees.suite import _adjoint_identity
 from lietrees.tensor_hopf import embed_lie, mul
@@ -185,6 +188,69 @@ class TestBucketedBracket:
         assert a.bracket(ab).coords == {(0, 0, 1): F(1)}
         assert ab.bracket(a).coords == {(0, 0, 1): F(-1)}
         assert ab.bracket(ab).coords == {}
+
+
+def draw_coords(data, genus, integer):
+    """A Lyndon coordinate dict with up to two words in each of a drawn
+    set of degrees 1..5, possibly none; `int` or `Fraction` coefficients."""
+    coords = {}
+    for d in sorted(data.draw(st.sets(st.integers(1, 5), max_size=3))):
+        basis = lyndon_basis(genus, d)
+        for i in data.draw(st.sets(st.integers(0, len(basis) - 1),
+                                   min_size=1, max_size=2)):
+            c = data.draw(st.integers(-3, 3).filter(bool))
+            coords[basis[i]] = c if integer else F(c, data.draw(
+                st.integers(1, 3)))
+    return coords
+
+
+class TestGradedBracket:
+    """`bracket_coords` on `graded` operands against the all-pairs
+    `Fraction` bracket of the series oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_oracle(self, data):
+        genus = data.draw(st.integers(1, 2))
+        integer = data.draw(st.booleans())
+        x = draw_coords(data, genus, integer)
+        y = draw_coords(data, genus, integer)
+        n = data.draw(st.integers(0, 10))
+        self.check(x, y, n)
+
+    @pytest.mark.parametrize("x, y, n", [
+        ({}, {(0,): 1, (0, 1): 2}, 5),                      # empty left
+        ({(0,): 1, (0, 1): 2}, {}, 5),                      # empty right
+        ({(0, 1): 1, (0, 0, 1): 1}, {(1,): 1, (0, 1, 1): 3}, 1),  # n below both
+        ({(0,): 1, (0, 1): F(1, 2), (0, 0, 1): 3},          # mixed degrees
+         {(1,): -1, (0, 1, 1): 2, (0, 0, 0, 1): 1}, 4),
+    ])
+    def test_edge_cases(self, x, y, n):
+        self.check(x, y, n)
+
+    @staticmethod
+    def check(x, y, n):
+        real = free_lie.bracket_basis
+
+        def guarded(u, v):
+            assert len(u) + len(v) <= n, (u, v, n)
+            return real(u, v)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(free_lie, "bracket_basis", guarded)
+            got = bracket_coords(graded(x), graded(y), n)
+        assert got == oracle.lie_bracket(x, y, n)
+        assert all(got.values())
+        if all(type(c) is int for c in (*x.values(), *y.values())):
+            assert all(type(c) is int for c in got.values())
+
+    def test_grading(self):
+        coords = {(0, 0, 1): 1, (0,): 2, (1,): 3, (0, 1): 4}
+        assert graded(coords) == ((1, {(0,): 2, (1,): 3}), (2, {(0, 1): 4}),
+                                  (3, {(0, 0, 1): 1}))
+        assert graded({}) == ()
+        one = {(0, 1): 1}
+        assert graded(one) == ((2, one),)
 
 
 class TestLieSeries:

@@ -156,3 +156,11 @@ def test_class_three_tree_text():
         psi = random_ic_element(genus, 3, 1, 6)
         text = tree_combo_to_text(tau_to_trees(psi, 3))
         assert hashlib.sha256(text.encode()).hexdigest() == expect
+
+
+def test_inverse_of_a_class_two_automorphism():
+    """invert_aut outside build_corrector, on images with mixed
+    denominators (exp_der inside random_ic_element)."""
+    text = repr(invert_aut(random_ic_element(2, 2, 7, 6)))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "9530b3d100d4931bcf41a2e586c5a84e69703fa4d9fb2493eb0603823206ed0c")

@@ -17,6 +17,7 @@ from lietrees.johnson import (Derivation, LieAutomorphism, apply_aut,
                               log_aut, morita_mk, random_ic_element,
                               tau_bracket_check, tau_to_trees, tau_truncated)
 from lietrees.koszul import boundary, capital_phi
+from lietrees.sparse import SparseCombination
 from lietrees.symplectic import omega
 from lietrees.tensor_hopf import ExpansionMap, TensorSeries, exp
 
@@ -370,15 +371,28 @@ class TestIntegerPath:
 
     @pytest.mark.parametrize("automorphism", [True, False])
     def test_memo_holds_integer_numerators(self, automorphism):
+        """Each entry is (parts, den): the nonempty degree parts of the
+        word image in ascending degree, each holding words of its length
+        with `int` numerators, over an `int` den > 0."""
         rng = random.Random(11)
         m = (rand_aut if automorphism else rand_derivation)(2, 5, rng)
         x = rand_series(2, 1, 5, rng, 5)
         (apply_aut if automorphism else apply_der)(m, x)
         assert len(m._memo) > gen_count(2)
+        images = as_images(m)
         for w, entry in m._memo.items():
-            numerators, den = entry
+            parts, den = entry
             assert type(den) is int and den > 0
-            assert all(type(c) is int for c in numerators.values()), w
+            degrees = [d for d, _ in parts]
+            assert degrees == sorted(set(degrees)), w
+            image = {}
+            for d, numerators in parts:
+                assert numerators, w
+                assert all(len(u) == d for u in numerators), w
+                assert all(type(c) is int for c in numerators.values()), w
+                image.update((u, F(c, den)) for u, c in numerators.items())
+            assert image == oracle.apply_map(images, 5, {w: F(1)}, 5,
+                                             derivation=not automorphism), w
 
     def test_one_unscaled_per_apply(self, monkeypatch):
         rng = random.Random(12)
@@ -391,6 +405,23 @@ class TestIntegerPath:
         apply_aut(psi, x)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("series", ["invert_aut", "log_aut", "exp_der"])
+    def test_series_sum_integers(self, monkeypatch, series):
+        """The Lie series step and sum on integer numerators: no
+        `Fraction` difference, and one `unscaled` per generator image."""
+        rng = random.Random(14)
+        m = (rand_derivation if series == "exp_der" else rand_aut)(2, 5, rng)
+        calls = []
+        real = johnson.unscaled
+        monkeypatch.setattr(johnson, "unscaled",
+                            lambda acc, den: calls.append(den) or real(acc, den))
+
+        def refuse(self, other):
+            raise AssertionError("SparseCombination.__sub__ called")
+        monkeypatch.setattr(SparseCombination, "__sub__", refuse)
+        getattr(johnson, series)(m)
+        assert len(calls) == gen_count(2)
+
     def test_group_operations_make_no_series_bracket(self, monkeypatch):
         rng = random.Random(13)
         psi, phi = rand_aut(2, 5, rng), rand_aut(2, 5, rng)
@@ -400,6 +431,35 @@ class TestIntegerPath:
         monkeypatch.setattr(LieSeries, "bracket", refuse)
         inv = invert_aut(psi)
         assert compose_aut(phi, inv) != identity_aut(2, 5)
+
+
+def _wrong_kind_calls():
+    """(call, expected type name) for each entry point handed a value of
+    the wrong kind."""
+    psi = identity_aut(2, 3)
+    delta = Derivation(2, 3, {l: LieSeries(2, 3, {(0, 1): 1})
+                              for l in range(gen_count(2))})
+    x = LieSeries.gen(2, 3, 0)
+    return {
+        "apply_der(aut)": (lambda: apply_der(psi, x), "Derivation"),
+        "apply_aut(der)": (lambda: apply_aut(delta, x), "LieAutomorphism"),
+        "log_aut(der)": (lambda: log_aut(delta), "LieAutomorphism"),
+        "invert_aut(None)": (lambda: invert_aut(None), "LieAutomorphism"),
+        "compose_aut(der, der)": (lambda: compose_aut(delta, delta),
+                                  "LieAutomorphism"),
+        "compose_aut(aut, der)": (lambda: compose_aut(psi, delta),
+                                  "LieAutomorphism"),
+        "exp_der(aut)": (lambda: exp_der(psi), "Derivation"),
+        "apply_aut(psi, {})": (lambda: apply_aut(psi, {}), "LieSeries"),
+        "apply_der(delta, {})": (lambda: apply_der(delta, {}), "LieSeries"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_wrong_kind_calls()))
+def test_wrong_kind_is_rejected_by_name(case):
+    call, expected = _wrong_kind_calls()[case]
+    with pytest.raises(ValueError, match=f"must be a {expected}, not "):
+        call()
 
 
 class TestTensorDerivations:
