@@ -12,7 +12,7 @@ from .free_lie import (LieSeries, bch, bracket, bracket_basis, is_lyndon,
                        letter_label, lyndon_basis, parse_letter,
                        std_factorization, witt_dim)
 from .tensor_hopf import (ExpansionMap, FreeGroupWord, TensorSeries,
-                          basis_expansion, check_expansion, embed_lie,
+                          antipode, basis_expansion, check_expansion, embed_lie,
                           evaluate_expansion, exp, inv_unit, is_grouplike,
                           is_primitive, log, magnus_expansion, mul,
                           project_lie)

@@ -6,6 +6,15 @@ are lists of generator names, so documents round-trip exactly.  Tree
 combinations use a plain text format, one coefficient and one
 parenthesized tree per line.  All validation errors raise
 DocumentError with a message naming the offending field.
+
+A series is read in one pass over its terms: names are looked up in
+one table per document, and a term that passes every check inline is
+kept as it is; only a failing term is checked again field by field, so
+the path to a field such as `images.b2[17].word` is built only for an
+error.  The readers check everything the series constructors would
+(range, degree, Lyndon words, a word given at most once whatever its
+coefficient, exact rational coefficients) and build the series with
+the unchecked `_of`; the generator-map constructors still vet the images.
 """
 
 from __future__ import annotations
@@ -55,6 +64,19 @@ def _parse_word(raw: Any, genus: int, where: str) -> Word:
     return tuple(letters)
 
 
+class _Letters(dict):
+    """Generator name -> letter for one genus, filled by `parse_letter`
+    as names are first met, so a large genus builds no table."""
+
+    def __init__(self, genus: int):
+        super().__init__()
+        self.genus = genus
+
+    def __missing__(self, name):
+        letter = self[name] = parse_letter(name, self.genus)
+        return letter
+
+
 def _terms_payload(coords) -> list[dict]:
     """Terms sorted by degree, then word."""
     return [{"coefficient": str(c), "word": [letter_label(x) for x in w]}
@@ -70,30 +92,55 @@ def lie_series_to_doc(x: LieSeries) -> dict:
             "terms": _terms_payload(x.coords)}
 
 
-def _series_terms_from_doc(raw: Any, genus: int, max_degree: int,
+def _term_from_doc(term: Any, letters: _Letters, max_degree: int,
+                   lyndon: bool, seen: dict, spot: str) -> tuple[Word, Fraction]:
+    """One term with every check in order, each error naming its field."""
+    if not isinstance(term, dict):
+        raise DocumentError(f"{spot}: term must be an object")
+    extra = set(term) - {"coefficient", "word"}
+    if extra:
+        raise DocumentError(f"{spot}.{sorted(extra)[0]}: unknown field")
+    c = _parse_coeff(term.get("coefficient"), f"{spot}.coefficient")
+    w = _parse_word(term.get("word"), letters.genus, f"{spot}.word")
+    if lyndon and not w:
+        raise DocumentError(f"{spot}.word: empty word is not a Lyndon word")
+    if lyndon and not is_lyndon(w):
+        raise DocumentError(f"{spot}.word: not a Lyndon word")
+    if len(w) > max_degree:
+        raise DocumentError(f"{spot}.word: degree above max_degree")
+    if w in seen:
+        raise DocumentError(f"{spot}.word: duplicate word")
+    return w, c
+
+
+def _series_terms_from_doc(raw: Any, letters: _Letters, max_degree: int,
                            where: str, lyndon: bool) -> dict[Word, Fraction]:
+    """Nonzero coefficients by word, each word in range, at most
+    max_degree long, Lyndon if asked, and given once, at any coefficient.
+    A term that passes the inline checks is taken as it is; any other
+    goes through `_term_from_doc`, which names what is wrong with it."""
     if not isinstance(raw, list):
         raise DocumentError(f"{where}: expected a list of terms")
     coords: dict[Word, Fraction] = {}
     for i, term in enumerate(raw):
-        spot = f"{where}[{i}]"
-        if not isinstance(term, dict):
-            raise DocumentError(f"{spot}: term must be an object")
-        extra = set(term) - {"coefficient", "word"}
-        if extra:
-            raise DocumentError(f"{spot}.{sorted(extra)[0]}: unknown field")
-        c = _parse_coeff(term.get("coefficient"), f"{spot}.coefficient")
-        w = _parse_word(term.get("word"), genus, f"{spot}.word")
-        if lyndon and not w:
-            raise DocumentError(f"{spot}.word: empty word is not a Lyndon word")
-        if lyndon and not is_lyndon(w):
-            raise DocumentError(f"{spot}.word: not a Lyndon word")
-        if len(w) > max_degree:
-            raise DocumentError(f"{spot}.word: degree above max_degree")
-        if w in coords:
-            raise DocumentError(f"{spot}.word: duplicate word")
-        if c:
-            coords[w] = c
+        try:
+            if (isinstance(term, dict) and len(term) == 2
+                    and isinstance(cr := term["coefficient"], str)
+                    and isinstance(wr := term["word"], list)):
+                w = tuple([letters[name] for name in wr])
+                c = Fraction(cr)
+                good = ((not lyndon or is_lyndon(w)) and len(w) <= max_degree
+                        and w not in coords)
+            else:
+                good = False
+        except (KeyError, TypeError, ValueError, ZeroDivisionError):
+            good = False
+        if not good:
+            w, c = _term_from_doc(term, letters, max_degree, lyndon, coords,
+                                  f"{where}[{i}]")
+        coords[w] = c
+    if not all(coords.values()):
+        coords = {w: c for w, c in coords.items() if c}
     return coords
 
 
@@ -105,8 +152,9 @@ def lie_series_from_doc(doc: Any) -> LieSeries:
         raise DocumentError(f"{sorted(extra)[0]}: unknown field")
     genus = _require_int(doc, "genus", 0)
     n = _require_int(doc, "max_degree", 1)
-    coords = _series_terms_from_doc(doc.get("terms"), genus, n, "terms", True)
-    return LieSeries(genus, n, coords)
+    coords = _series_terms_from_doc(doc.get("terms"), _Letters(genus), n,
+                                    "terms", True)
+    return LieSeries._of(genus, n, coords)
 
 
 # ---------------------------------------------------------------------------
@@ -139,11 +187,12 @@ def _images_from_doc(doc: Any, lyndon: bool):
     extra_keys = set(raw) - set(expected)
     if extra_keys:
         raise DocumentError(f"images.{sorted(extra_keys)[0]}: unknown generator")
+    letters = _Letters(genus)
     out = {}
     for name, letter in expected.items():
         if name not in raw:
             raise DocumentError(f"images.{name}: missing generator image")
-        out[letter] = _series_terms_from_doc(raw[name], genus, n,
+        out[letter] = _series_terms_from_doc(raw[name], letters, n,
                                              f"images.{name}", lyndon)
     return genus, n, out
 
@@ -151,7 +200,7 @@ def _images_from_doc(doc: Any, lyndon: bool):
 def expansion_from_doc(doc: Any) -> ExpansionMap:
     genus, n, raw = _images_from_doc(doc, lyndon=False)
     return ExpansionMap(genus, n,
-                        {l: TensorSeries(genus, n, coords)
+                        {l: TensorSeries._of(genus, n, coords)
                          for l, coords in raw.items()})
 
 
@@ -172,7 +221,7 @@ def automorphism_from_doc(doc: Any) -> LieAutomorphism:
                 len(w) == 1 and w != (letter,) for w in coords):
             raise DocumentError(
                 f"images.{name}: degree-1 part must be exactly {name}")
-        images[letter] = LieSeries(genus, n, coords)
+        images[letter] = LieSeries._of(genus, n, coords)
     return LieAutomorphism(genus, n, images)
 
 

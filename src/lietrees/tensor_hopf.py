@@ -26,10 +26,16 @@ the same numerators, log's without a round trip through `Fraction`.
 Every coefficient a series holds is a nonzero lowest-terms `Fraction`,
 made once per output word by `sparse.unscaled`.
 
+The antipode S, each word reversed with sign (-1)^length, inverts a
+group-like element in every truncation (Reutenauer, §1.3), with no
+series.
+
 Also hosts free group words and expansions (multiplicative maps from the
 surface group into the unit group of the tensor algebra); an
 `ExpansionMap` is a `free_lie.GeneratorMap` on `TensorSeries` images
-whose memo keeps the inverse images.
+whose memo keeps the inverse images: the antipode of each image that
+`check_expansion` finds group-like, the geometric series `inv_unit` of
+any other.
 """
 
 from __future__ import annotations
@@ -132,6 +138,14 @@ def inv_unit(x: TensorSeries) -> TensorSeries:
         raise ValueError("inverse needs constant term 1")
     return x._like(unscaled(*_series_in(
         x - TensorSeries.one(x.genus, x.max_degree), lambda k: (-1) ** k)))
+
+
+def antipode(x: TensorSeries) -> TensorSeries:
+    """S(x): each word reversed, times (-1)^length.  S is the algebra
+    anti-automorphism with S(a) = -a on letters, so S(xy) = S(y)S(x) and
+    S(S(x)) = x; on a group-like x it is the inverse (see ExpansionMap)."""
+    return x._like({w[::-1]: -c if len(w) % 2 else c
+                    for w, c in x.coords.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +284,13 @@ class ExpansionMap(GeneratorMap):
 
     The container itself does not enforce the expansion axioms; use
     check_expansion (or symplectic.verify_symplectic) to validate.  The
-    memo keeps each inverse image under its letter.
+    memo keeps each inverse image under its letter.  An image that
+    check_expansion finds group-like gets its antipode there: with
+    Delta x = x (x) x modulo degrees above n, and S, the product and the
+    coproduct all keeping degree, the antipode axiom
+    m (S (x) id) Delta = eta epsilon gives S(x) x = epsilon(x) = 1 modulo
+    degree n + 1, and x S(x) = 1 alike.  Any other image is inverted by
+    the geometric series `inv_unit` when first asked for.
     """
 
     __slots__ = ()
@@ -308,12 +328,18 @@ class ExpansionReport(NamedTuple):
 
 
 def check_expansion(theta: ExpansionMap) -> ExpansionReport:
-    """Normalization (1 + generator + higher) and group-likeness of all images."""
+    """Normalization (1 + generator + higher) and group-likeness of all
+    images, the latter stopping at the first image that is not group-like;
+    the memo of theta keeps the antipode of each group-like image as its
+    inverse."""
     ok_exp = all(s.constant_term() == 1
                  and s.graded_part(1).coords == {(letter,): ONE}
                  for letter, s in theta.images.items())
-    ok_gl = all(is_grouplike(s) for s in theta.images.values())
-    return ExpansionReport(ok_exp, ok_gl)
+    for letter, s in theta.images.items():
+        if not is_grouplike(s):
+            return ExpansionReport(ok_exp, False)
+        theta._memo[letter] = antipode(s)
+    return ExpansionReport(ok_exp, True)
 
 
 def magnus_expansion(genus: int, max_degree: int) -> ExpansionMap:

@@ -14,7 +14,8 @@ from lietrees.documents import (DocumentError, automorphism_from_doc,
                                 lie_series_from_doc, lie_series_to_doc,
                                 load_json, tree_combo_from_text,
                                 tree_combo_to_text)
-from lietrees.free_lie import LieSeries, lyndon_basis
+from lietrees.free_lie import (LieSeries, letter_label, lyndon_basis,
+                               parse_letter)
 from lietrees.jacobi import TreeCombo, random_tree, tree_equal
 from lietrees.johnson import LieAutomorphism, random_ic_element
 from lietrees.symplectic import construct_symplectic, paper_example_expansion
@@ -226,3 +227,175 @@ class TestWriterRoundTrips:
         back = tree_combo_from_text(text, genus)
         assert back == combo
         assert tree_combo_to_text(back) == text
+
+
+def term(c, *word):
+    return {"coefficient": c, "word": list(word)}
+
+
+def expansion_doc(b2):
+    """Genus 2, degree 3, every generator sent to 1 + itself but b2."""
+    images = {x: [term("1"), term("1", x)] for x in ("a1", "b1", "a2")}
+    return {"genus": 2, "max_degree": 3, "images": {**images, "b2": b2}}
+
+
+def automorphism_doc(b2):
+    """Genus 2, degree 3, every generator fixed but b2."""
+    images = {x: [term("1", x)] for x in ("a1", "b1", "a2")}
+    return {"genus": 2, "max_degree": 3, "images": {**images, "b2": b2}}
+
+
+def lie_doc(*terms):
+    return {"genus": 2, "max_degree": 3, "terms": list(terms)}
+
+
+ONE, B2 = term("1"), term("1", "b2")
+
+# every message as the reader gave it before terms were checked inline
+DIAGNOSTICS = [
+    (expansion_from_doc, expansion_doc([ONE, {"coefficient": "1", "word": "b2"}]),
+     "images.b2[1].word: word must be a list of generator names"),
+    (expansion_from_doc, expansion_doc([ONE, term("1", "b2", 7)]),
+     "images.b2[1].word[1]: generator name must be a string"),
+    (expansion_from_doc, expansion_doc([ONE, term("1", "b2", ["a1"])]),
+     "images.b2[1].word[1]: generator name must be a string"),
+    (expansion_from_doc, expansion_doc([ONE, term("1", "b2", "c1")]),
+     "images.b2[1].word[1]: unknown generator 'c1'"),
+    (expansion_from_doc, expansion_doc([ONE, term("1", "a3")]),
+     "images.b2[1].word[0]: unknown generator 'a3'"),
+    (expansion_from_doc, expansion_doc([ONE, term("1/0", "b2")]),
+     "images.b2[1].coefficient: bad rational '1/0'"),
+    (expansion_from_doc, expansion_doc([ONE, term("x", "b2")]),
+     "images.b2[1].coefficient: bad rational 'x'"),
+    (expansion_from_doc, expansion_doc([ONE, term(1, "b2")]),
+     "images.b2[1].coefficient: coefficient must be a rational string"),
+    (expansion_from_doc, expansion_doc([ONE, {"word": ["b2"]}]),
+     "images.b2[1].coefficient: coefficient must be a rational string"),
+    (expansion_from_doc, expansion_doc([ONE, {"coefficient": "1"}]),
+     "images.b2[1].word: word must be a list of generator names"),
+    (expansion_from_doc,
+     expansion_doc([ONE, {"coefficient": "1", "word": ["b2"], "extra": 0}]),
+     "images.b2[1].extra: unknown field"),
+    (expansion_from_doc, expansion_doc([ONE, term("1", *["b2"] * 4)]),
+     "images.b2[1].word: degree above max_degree"),
+    (expansion_from_doc, expansion_doc([ONE, ["b2"]]),
+     "images.b2[1]: term must be an object"),
+    (expansion_from_doc, expansion_doc("b2"),
+     "images.b2: expected a list of terms"),
+    (expansion_from_doc, expansion_doc([ONE, B2, term("2", "b2")]),
+     "images.b2[2].word: duplicate word"),
+    (expansion_from_doc, {**expansion_doc([]), "x": 1}, "x: unknown field"),
+    (expansion_from_doc, {"genus": 2, "max_degree": 3, "images": {"a1": []}},
+     "images.b1: missing generator image"),
+    (expansion_from_doc, {"genus": 2, "max_degree": 3, "images": []},
+     "images: expected an object keyed by generator"),
+    (expansion_from_doc, {"genus": 0, "max_degree": 3, "images": {}},
+     "genus: expected an integer >= 1"),
+    (expansion_from_doc, {"genus": 2, "max_degree": 0, "images": {}},
+     "max_degree: expected an integer >= 1"),
+    (expansion_from_doc, [], "document: expected an object"),
+    (automorphism_from_doc, automorphism_doc([B2, ONE]),
+     "images.b2[1].word: empty word is not a Lyndon word"),
+    (automorphism_from_doc, automorphism_doc([B2, term("1", "b2", "a1")]),
+     "images.b2[1].word: not a Lyndon word"),
+    (automorphism_from_doc, automorphism_doc([B2, term("1", "a1", "b2", "a1")]),
+     "images.b2[1].word: not a Lyndon word"),
+    (automorphism_from_doc,
+     automorphism_doc([B2, term("1", "a1", "a1", "a1", "b2")]),
+     "images.b2[1].word: degree above max_degree"),
+    (automorphism_from_doc, automorphism_doc([B2, term("1", "a3")]),
+     "images.b2[1].word[0]: unknown generator 'a3'"),
+    (automorphism_from_doc, automorphism_doc([B2, term("1", "c1")]),
+     "images.b2[1].word[0]: unknown generator 'c1'"),
+    (automorphism_from_doc, automorphism_doc([B2, term(2, "a1", "b2")]),
+     "images.b2[1].coefficient: coefficient must be a rational string"),
+    (automorphism_from_doc, automorphism_doc([B2, term("1/0", "a1", "b2")]),
+     "images.b2[1].coefficient: bad rational '1/0'"),
+    (automorphism_from_doc, automorphism_doc([term("2", "b2")]),
+     "images.b2: degree-1 part must be exactly b2"),
+    (automorphism_from_doc, automorphism_doc([B2, term("1", "a1")]),
+     "images.b2: degree-1 part must be exactly b2"),
+    (automorphism_from_doc, automorphism_doc([{"coefficient": "1", "word": 3}]),
+     "images.b2[0].word: word must be a list of generator names"),
+    (lie_series_from_doc, lie_doc(term("1", "b1", "a1")),
+     "terms[0].word: not a Lyndon word"),
+    (lie_series_from_doc, lie_doc(term("1")),
+     "terms[0].word: empty word is not a Lyndon word"),
+    (lie_series_from_doc, lie_doc(term("1", "z9")),
+     "terms[0].word[0]: unknown generator 'z9'"),
+    (lie_series_from_doc, lie_doc("a1"), "terms[0]: term must be an object"),
+    (lie_series_from_doc, {"genus": 2, "max_degree": 3, "terms": {}},
+     "terms: expected a list of terms"),
+    (lie_series_from_doc, {"genus": "two", "max_degree": 3, "terms": []},
+     "genus: expected an integer >= 0"),
+]
+
+
+@pytest.mark.parametrize("read, doc, message", DIAGNOSTICS)
+def test_diagnostic_messages(read, doc, message):
+    with pytest.raises(DocumentError) as err:
+        read(doc)
+    assert str(err.value) == message
+
+
+# a word given twice is refused whatever the coefficients and their order
+DUPLICATES = [
+    (expansion_from_doc, lambda ts: expansion_doc([ONE, *ts]),
+     ("a1", "b1"), "images.b2[2].word: duplicate word"),
+    (automorphism_from_doc, lambda ts: automorphism_doc([B2, *ts]),
+     ("a1", "b1"), "images.b2[2].word: duplicate word"),
+    (lie_series_from_doc, lambda ts: lie_doc(*ts),
+     ("a1", "b1"), "terms[1].word: duplicate word"),
+]
+
+
+@pytest.mark.parametrize("read, make, word, message", DUPLICATES)
+@pytest.mark.parametrize("first, second",
+                         [("0", "1/2"), ("1/2", "0"), ("0", "0"), ("1", "2")])
+def test_duplicate_word_in_either_order(read, make, word, message,
+                                        first, second):
+    doc = make([term(first, *word), term(second, *word)])
+    with pytest.raises(DocumentError) as err:
+        read(doc)
+    assert str(err.value) == message
+
+
+def assert_fraction_coords(x):
+    assert all(type(c) is F and c for c in x.coords.values()), x.coords
+
+
+def raw_coords(terms, genus):
+    """The terms of a document as {word: coefficient string}."""
+    return {tuple(parse_letter(name, genus) for name in t["word"]):
+            t["coefficient"] for t in terms}
+
+
+class TestReadersMatchTheCheckedConstructors:
+    """The readers build through the unchecked `_of`; what they build
+    equals the checked constructors' value, all coefficients Fractions."""
+
+    def test_expansion(self):
+        doc = expansion_to_doc(construct_symplectic(2, 4))
+        doc["images"]["a1"].append(term("0", "b2", "b2"))
+        theta = expansion_from_doc(through_json(doc))
+        for l, image in theta.images.items():
+            raw = raw_coords(doc["images"][letter_label(l)], 2)
+            assert image == TensorSeries(2, 4, raw)
+            assert_fraction_coords(image)
+        assert (3, 3) not in theta.images[0].coords
+
+    def test_automorphism(self):
+        psi = random_ic_element(2, 2, 5, 4)
+        doc = automorphism_to_doc(psi)
+        back = automorphism_from_doc(through_json(doc))
+        for l, image in back.images.items():
+            raw = raw_coords(doc["images"][letter_label(l)], 2)
+            assert image == LieSeries(2, 4, raw)
+            assert_fraction_coords(image)
+
+    def test_lie_series(self):
+        doc = lie_series_to_doc(sample_series(2))
+        doc["terms"].append(term("0", "a1", "a1", "b1"))
+        x = lie_series_from_doc(through_json(doc))
+        assert x == LieSeries(2, 4, raw_coords(doc["terms"], 2))
+        assert_fraction_coords(x)

@@ -14,9 +14,10 @@ from lietrees.free_lie import (LieSeries, bracket_basis, is_lyndon,
                                lyndon_basis)
 from lietrees.johnson import identity_aut
 from lietrees.sparse import add_into, add_term
-from lietrees.symplectic import paper_example_expansion
+from lietrees.symplectic import (construct_symplectic,
+                                 paper_example_expansion, verify_symplectic)
 from lietrees.tensor_hopf import (ExpansionMap, FreeGroupWord, TensorSeries,
-                                  _embed_word, basis_expansion,
+                                  _embed_word, antipode, basis_expansion,
                                   check_expansion, embed_lie,
                                   evaluate_expansion, exp, inv_unit,
                                   is_grouplike, is_primitive, log,
@@ -610,3 +611,67 @@ class TestExpansions:
         cut = theta.truncated(3)
         assert cut.max_degree == 3
         assert cut.image(0) == theta.image(0).truncated(3)
+
+
+class TestAntipode:
+    """S reverses each word with sign (-1)^length; on a group-like image
+    it is the inverse, and check_expansion puts it in the memo."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_inverts_exponentials(self, data):
+        x = exp(embed_lie(TestDynkinPredicates.draw_lie(data)))
+        one = TensorSeries.one(x.genus, x.max_degree)
+        s = antipode(x)
+        assert mul(s, x) == one and mul(x, s) == one
+        assert s == inv_unit(x)
+        assert antipode(s) == x
+        assert_fractions(s)
+
+    @settings(max_examples=40, deadline=None)
+    @given(PAIRS)
+    def test_reverses_products(self, xy):
+        x, y = xy
+        assert antipode(mul(x, y)) == mul(antipode(y), antipode(x))
+        assert antipode(antipode(x)) == x
+
+    def test_signs_and_reversal(self):
+        x = TensorSeries(2, 3, {(): 2, (1,): F(1, 2), (0, 3): 3, (0, 1, 2): -1})
+        assert antipode(x).coords == {(): 2, (1,): F(-1, 2), (3, 0): 3,
+                                      (2, 1, 0): 1}
+
+    def test_check_expansion_memoises_the_antipode(self, monkeypatch):
+        theta = construct_symplectic(2, 5)
+        assert check_expansion(theta).is_grouplike
+        # counts the calls tensor_hopf makes, not those of this module's inv_unit
+        calls = counted(monkeypatch, "inv_unit")
+        for l, image in theta.images.items():
+            assert theta.image(l, -1) == inv_unit(image)
+        assert calls == []
+
+    def test_verify_uses_no_geometric_series(self, monkeypatch):
+        calls = counted(monkeypatch, "inv_unit")
+        assert verify_symplectic(construct_symplectic(2, 5), 5).ok
+        assert calls == []
+
+    def test_an_image_that_is_not_grouplike_is_inverted_by_series(
+            self, monkeypatch):
+        theta = construct_symplectic(2, 5)
+        last = max(theta.images)
+        image = theta.images[last]
+        w = min(w for w in image.coords if len(w) == 3)
+        edited = ExpansionMap(2, 5, {
+            **theta.images,
+            last: image + TensorSeries(2, 5, {w: F(1, 3)})})
+        calls = counted(monkeypatch, "inv_unit")
+        report = verify_symplectic(edited, 5)
+        assert report.normalized and not report.grouplike
+        assert len(calls) == 1
+
+    def test_magnus_images_are_inverted_by_series(self, monkeypatch):
+        theta = magnus_expansion(2, 4)
+        assert not check_expansion(theta).is_grouplike
+        calls = counted(monkeypatch, "inv_unit")
+        for l, image in theta.images.items():
+            assert theta.image(l, -1) == inv_unit(image)
+        assert len(calls) == len(theta.images)
