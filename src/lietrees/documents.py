@@ -77,6 +77,14 @@ class _Letters(dict):
         return letter
 
 
+def _is_name(key: Any, letters: _Letters) -> bool:
+    """Whether key is exactly the name of a generator (so not `a01`)."""
+    try:
+        return letter_label(letters[key]) == key
+    except (TypeError, ValueError):
+        return False
+
+
 def _terms_payload(coords) -> list[dict]:
     """Terms sorted by degree, then word."""
     return [{"coefficient": str(c), "word": [letter_label(x) for x in w]}
@@ -183,13 +191,14 @@ def _images_from_doc(doc: Any, lyndon: bool):
     raw = doc.get("images")
     if not isinstance(raw, dict):
         raise DocumentError("images: expected an object keyed by generator")
-    expected = {letter_label(l): l for l in range(gen_count(genus))}
-    extra_keys = set(raw) - set(expected)
-    if extra_keys:
-        raise DocumentError(f"images.{sorted(extra_keys)[0]}: unknown generator")
     letters = _Letters(genus)
+    unknown = [name for name in raw if not _is_name(name, letters)]
+    if unknown:
+        raise DocumentError(
+            f"images.{sorted(unknown, key=str)[0]}: unknown generator")
     out = {}
-    for name, letter in expected.items():
+    for letter in range(gen_count(genus)):
+        name = letter_label(letter)
         if name not in raw:
             raise DocumentError(f"images.{name}: missing generator image")
         out[letter] = _series_terms_from_doc(raw[name], letters, n,

@@ -309,8 +309,8 @@ class GeneratorMap:
     """A map fixed by one image per generator letter: a `_series` of the
     map's genus, cut down to `max_degree` (kept as given when already
     there; a coarser image is rejected).  A subclass names `_series`,
-    vets images in `_check_image` and caches in `_memo`, which starts as
-    the `_memo_entry` of each image keyed by its one-letter word."""
+    vets images in `_check_image` and caches in `_memo`, which starts
+    empty and is filled as entries are first asked for."""
 
     __slots__ = ("genus", "max_degree", "images", "_memo")
     _series: type[TruncatedSeries]
@@ -348,12 +348,7 @@ class GeneratorMap:
             self._check_image(letter, img)
             clean[letter] = img
         self.images = clean
-        self._memo = {(letter,): self._memo_entry(img)
-                      for letter, img in clean.items()}
-
-    def _memo_entry(self, img: TruncatedSeries):
-        """What the memo keeps for a generator image: the image itself."""
-        return img
+        self._memo = {}
 
     def _check_image(self, letter: int, img: TruncatedSeries) -> None:
         """Raise ValueError for an image this kind of map cannot have."""

@@ -11,15 +11,17 @@ of the nilpotent quotient.  Automorphisms and derivations take their
 construction, truncation and equality from `free_lie.GeneratorMap`;
 `_LieMap` adds the apply loop over memoised word images.  The memo holds
 each word image as integer numerators over one denominator
-(`sparse.scaled`), split by degree (`free_lie.graded`), the generator
-images included: a word's image is the integer bracket
+(`sparse.scaled`), split by degree (`free_lie.graded`), and is filled on
+first use: a generator's image is scaled from the map's image of it,
+and a longer word's image is the integer bracket
 (`free_lie.bracket_coords`) of its factors' images over the product of
 their denominators.  One integer core, `_LieMap._image`, takes integer
 numerators to the image's numerators over the lcm of the word images'
 denominators, reading each word image only up to the truncation.
 Applying the map to a series scales it once and makes one `Fraction`
-per output word; `invert_aut`, `log_aut` and `exp_der` step and sum
-their power series on the same core's integers
+per output word.  Each map kind has one series step, psi - id for an
+automorphism and delta for a derivation: `invert_aut`, `log_aut` and
+`exp_der` sum their powers on the same core's integers
 (`sparse.scaled_series`) and make one `Fraction` per word of each
 generator image.
 """
@@ -41,22 +43,20 @@ Parts = tuple[tuple[int, dict[Word, int]], ...]
 
 
 class _LieMap(GeneratorMap):
-    """A generator map of L/L_{>N} into itself: a subclass gives `_kind`
-    and `_extend`, the image of a basis word from those of its standard
-    factors; the memo keeps word images as (parts, denominator), the
-    parts the `graded` integer numerators."""
+    """A generator map of L/L_{>N} into itself: a subclass gives `_kind`,
+    `_extend`, the image of a basis word from those of its standard
+    factors, and `_step`, the series step of `_generator_series`; the
+    memo keeps word images as (parts, denominator), the parts the
+    `graded` integer numerators, each made when first asked for."""
 
     __slots__ = ()
     _series = LieSeries
 
-    def _memo_entry(self, img: LieSeries) -> tuple[Parts, int]:
-        nx, den = scaled(img.coords)
-        return graded(nx), den
-
     def _word(self, w: Word) -> tuple[Parts, int]:
         got = self._memo.get(w)
         if got is None:
-            nx, den = self._extend(*std_factorization(w))
+            nx, den = (scaled(self.images[w[0]].coords) if len(w) == 1
+                       else self._extend(*std_factorization(w)))
             got = self._memo[w] = graded(nx), den
         return got
 
@@ -89,32 +89,27 @@ class _LieMap(GeneratorMap):
         acc, den = self._image(nx, x.max_degree)
         return x._like(unscaled(acc, dx * den))
 
-    def _generator_series(self, start, step, coeff) -> dict[int, LieSeries]:
-        """Per generator l, the sum of coeff(k) * step^k(x) for x =
+    def _generator_series(self, start, coeff) -> dict[int, LieSeries]:
+        """Per generator l, the sum of coeff(k) * `_step`^k(x) for x =
         start(l) = (numerators, den), by `sparse.scaled_series` on integer
         numerators, with one `unscaled` per generator image.
 
         A word image's denominator is the product of those of its
         letters' images, so r = lcm(letter image denominators)^N clears
-        them all: a term t steps to step(t, acc, r), acc the map's image
-        of t over r, and the step multiplies the denominator by r.  Each
-        step raises degree, so a start of least degree m vanishes after
-        N - m steps."""
+        them all: the numerators nt of a term step to _step(nt, acc, r),
+        acc the map's image of nt over r, and the step multiplies the
+        denominator by r.  Each step raises degree, so a start of least
+        degree m vanishes after N - m steps."""
         n = self.max_degree
-        ratio = lcm(*(self._memo[(l,)][1]
+        ratio = lcm(*(self._word((l,))[1]
                       for l in range(gen_count(self.genus)))) ** n
-
-        def run(t: LieSeries) -> LieSeries:
-            acc, _ = self._image(t.coords, n, ratio)
-            return t._like(step(t.coords, acc, ratio))
-
         out = {}
         for l in range(gen_count(self.genus)):
             nx, dx = start(l)
-            x = LieSeries._of(self.genus, n, nx)
-            acc, den = scaled_series(run, x, coeff, n - (x.min_degree() or n),
-                                     ratio)
-            out[l] = x._like(unscaled(acc, dx * den))
+            acc, den = scaled_series(
+                lambda nt: self._step(nt, self._image(nt, n, ratio)[0], ratio),
+                nx, coeff, n - min(map(len, nx), default=n), ratio)
+            out[l] = LieSeries._of(self.genus, n, unscaled(acc, dx * den))
         return out
 
 
@@ -140,6 +135,14 @@ class LieAutomorphism(_LieMap):
     def _extend(self, u: Word, v: Word) -> tuple[dict[Word, int], int]:
         (pu, du), (pv, dv) = self._word(u), self._word(v)
         return bracket_coords(pu, pv, self.max_degree), du * dv
+
+    @staticmethod
+    def _step(nt: dict[Word, int], acc: dict[Word, int],
+              ratio: int) -> dict[Word, int]:
+        """(psi - id)(t): acc, psi(t) over ratio times t's denominator,
+        less t's numerators nt brought over the same."""
+        add_into(acc, nt, -ratio)
+        return acc
 
     def image_of(self, letter: int) -> LieSeries:
         return self.images[letter]
@@ -174,20 +177,14 @@ def compose_aut(psi: LieAutomorphism, phi: LieAutomorphism) -> LieAutomorphism:
 
 
 def invert_aut(psi: LieAutomorphism) -> LieAutomorphism:
-    """Group inverse psi^-1 = sum over k >= 0 of (id - psi)^k.
+    """Group inverse psi^-1 = sum over k >= 0 of (-1)^k (psi - id)^k.
 
-    id - psi is linear and raises degree, so on each generator the sum
+    psi - id is linear and raises degree, so on each generator the sum
     stops by degree N; the result is checked to compose to the identity.
     """
     _check_kind(psi, LieAutomorphism, "psi")
-
-    def step(nt, acc, ratio):
-        out = {w: c * ratio for w, c in nt.items()}
-        add_into(out, acc, -1)
-        return out
-
     phi = LieAutomorphism(psi.genus, psi.max_degree, psi._generator_series(
-        lambda l: ({(l,): 1}, 1), step, lambda k: 1))
+        lambda l: ({(l,): 1}, 1), lambda k: (-1) ** k))
     for l, img in phi.images.items():
         nx, dx = scaled(img.coords)
         acc, den = psi._image(nx, psi.max_degree)
@@ -215,6 +212,12 @@ class Derivation(_LieMap):
         add_into(out, bracket_coords(((len(u), {u: du}),), pv, n))
         return out, du * dv
 
+    @staticmethod
+    def _step(nt: dict[Word, int], acc: dict[Word, int],
+              ratio: int) -> dict[Word, int]:
+        """delta(t): acc, already delta(t) over ratio times t's denominator."""
+        return acc
+
 
 def apply_der(delta: Derivation, x: LieSeries) -> LieSeries:
     """Leibniz extension of the generator values."""
@@ -226,7 +229,6 @@ def exp_der(delta: Derivation) -> LieAutomorphism:
     """Automorphism sum of delta^k / k!; finite because delta raises degree."""
     _check_kind(delta, Derivation, "delta")
     images = delta._generator_series(lambda l: ({(l,): 1}, 1),
-                                     lambda nt, acc, ratio: acc,
                                      lambda k: Fraction(1, factorial(k)))
     return LieAutomorphism(delta.genus, delta.max_degree, images)
 
@@ -245,12 +247,8 @@ def log_aut(psi: LieAutomorphism) -> Derivation:
         add_term(nx, (l,), -dx)
         return nx, dx
 
-    def step(nt, acc, ratio):
-        add_into(acc, nt, -ratio)
-        return acc
-
     return Derivation(psi.genus, psi.max_degree, psi._generator_series(
-        deviation, step, lambda k: Fraction((-1) ** k, k + 1)))
+        deviation, lambda k: Fraction((-1) ** k, k + 1)))
 
 
 def is_omega_fixing(psi: LieAutomorphism) -> bool:

@@ -15,11 +15,10 @@ and `_order(key)` and `_key_text(key)` lay out the repr.
 `TruncatedSeries` adds what `LieSeries` and `TensorSeries` share: words
 cut above `max_degree`, `gen` and `truncated`, whose range check
 `check_truncation` the automorphism and expansion maps share too.
-`power_series` is the one loop behind tensor exp, log and inverse and
-the Lie-side exp_der, log_aut and invert_aut; it adds whatever its
-coefficients and steps give.  Both algebras reach it through
-`scaled_series`, whose steps multiply a term's denominator by a fixed
-ratio, so every term and coefficient it sums is an integer.  `scaled`
+`scaled_series` is the one loop behind tensor exp, log and inverse and
+the Lie-side exp_der, log_aut and invert_aut.  It runs on plain integer
+dicts: its steps multiply a term's denominator by a fixed ratio, so
+every term and coefficient it sums is an integer.  `scaled`
 writes coords as integer numerators over one common denominator and
 `unscaled` turns an integer accumulator back into lowest-terms
 `Fraction`s.  The tensor product, the power series of both algebras,
@@ -217,29 +216,22 @@ class TruncatedSeries(SparseCombination):
                         {w: c for w, c in self.coords.items() if len(w) <= n})
 
 
-def power_series(step, x: SparseCombination, coeff, n: int):
-    """The sum of coeff(k) * step^k(x) over 0 <= k <= n, stopped at the
-    first term that vanishes: step runs at most n times."""
+def scaled_series(step, x: dict, coeff, last: int,
+                  ratio: int) -> tuple[dict, int]:
+    """The sum of coeff(k) * step^k(x) over 0 <= k <= last, stopped at the
+    first term that vanishes, as (integer numerators, den), for an
+    integer dict x and a step that, read over a denominator, multiplies
+    it by ratio, so step^k(x) is an integer dict over ratio^k.  Over den
+    = lcm(denominators of coeff(0..last)) * ratio^last every summand is
+    an integer dict.  step runs at most last times; step^k(x) must
+    vanish for k > last."""
+    cs = [coeff(k) for k in range(last + 1)]
+    den = lcm(*(c.denominator for c in cs)) * ratio ** last
     out: dict = {}
-    for k in range(n + 1):
+    for k, c in enumerate(cs):
         if k:
             x = step(x)
         if not x:
             break
-        add_into(out, x.coords, coeff(k))
-    return x._like(out)
-
-
-def scaled_series(step, x: SparseCombination, coeff, last: int,
-                  ratio: int) -> tuple[dict, int]:
-    """The sum of coeff(k) * step^k(x) over 0 <= k <= last, as (integer
-    numerators, den), for integer x and a step that, read over a
-    denominator, multiplies it by ratio, so step^k(x) is an integer dict
-    over ratio^k.  Over den = lcm(denominators of coeff(0..last)) *
-    ratio^last every summand is an integer dict, so `power_series` sums
-    integers.  step^k(x) must vanish for k > last."""
-    cs = [coeff(k) for k in range(last + 1)]
-    den = lcm(*(c.denominator for c in cs)) * ratio ** last
-    ints = [c.numerator * (den // (c.denominator * ratio ** k))
-            for k, c in enumerate(cs)]
-    return power_series(step, x, ints.__getitem__, last).coords, den
+        add_into(out, x, c.numerator * (den // (c.denominator * ratio ** k)))
+    return out, den

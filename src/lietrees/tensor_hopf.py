@@ -33,9 +33,9 @@ series.
 Also hosts free group words and expansions (multiplicative maps from the
 surface group into the unit group of the tensor algebra); an
 `ExpansionMap` is a `free_lie.GeneratorMap` on `TensorSeries` images
-whose memo keeps the inverse images: the antipode of each image that
-`check_expansion` finds group-like, the geometric series `inv_unit` of
-any other.
+whose memo keeps only the inverse images, each under its letter: the
+antipode of each image that `check_expansion` finds group-like, the
+geometric series `inv_unit` of any other.
 """
 
 from __future__ import annotations
@@ -110,8 +110,7 @@ def _series_in(u: TensorSeries, coeff) -> tuple[dict[Word, int], int]:
     with u = nu / du, the power u^k is an integer dict over du^k."""
     n = u.max_degree
     nu, du = scaled(u.coords)
-    return scaled_series(lambda p: p._like(_product(p.coords, nu, n)),
-                         u._like({(): 1}), coeff,
+    return scaled_series(lambda p: _product(p, nu, n), {(): 1}, coeff,
                          n // u.min_degree() if u else 0, du)
 
 
@@ -284,7 +283,8 @@ class ExpansionMap(GeneratorMap):
 
     The container itself does not enforce the expansion axioms; use
     check_expansion (or symplectic.verify_symplectic) to validate.  The
-    memo keeps each inverse image under its letter.  An image that
+    memo, empty at construction, keeps each inverse image under its
+    letter and nothing else.  An image that
     check_expansion finds group-like gets its antipode there: with
     Delta x = x (x) x modulo degrees above n, and S, the product and the
     coproduct all keeping degree, the antipode axiom

@@ -8,6 +8,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lietrees import documents
 from lietrees.documents import (DocumentError, automorphism_from_doc,
                                 automorphism_to_doc, dump_json,
                                 expansion_from_doc, expansion_to_doc,
@@ -119,6 +120,32 @@ class TestExpansionDocs:
         with pytest.raises(DocumentError) as err:
             expansion_from_doc(doc)
         assert "images.a2" in str(err.value)
+
+    def test_rejects_a_name_that_only_parses_to_a_generator(self):
+        doc = expansion_to_doc(construct_symplectic(1, 3))
+        doc["images"]["a01"] = doc["images"].pop("a1")
+        with pytest.raises(DocumentError,
+                           match=r"^images\.a01: unknown generator$"):
+            expansion_from_doc(doc)
+
+    @pytest.mark.parametrize("read", [expansion_from_doc,
+                                      automorphism_from_doc])
+    def test_rejects_keys_of_mixed_types(self, read):
+        images = {"a1": [term("1", "a1")], 3: [], "zz": []}
+        with pytest.raises(DocumentError,
+                           match=r"^images\.3: unknown generator$"):
+            read({"genus": 1, "max_degree": 2, "images": images})
+
+    def test_missing_image_costs_no_pass_over_the_genus(self, monkeypatch):
+        calls = []
+        real = documents.letter_label
+        monkeypatch.setattr(documents, "letter_label",
+                            lambda l: calls.append(l) or real(l))
+        with pytest.raises(DocumentError,
+                           match=r"^images\.a1: missing generator image$"):
+            expansion_from_doc({"genus": 10 ** 4, "max_degree": 1,
+                                "images": {}})
+        assert len(calls) <= 2
 
 
 class TestAutomorphismDocs:

@@ -137,6 +137,11 @@ class TestAutomorphisms:
             assert m == kind(2, 3, images_of(kind, 2, 3))
             assert m.images == {l: s.truncated(3) for l, s in fine.items()}
 
+    def test_memo_starts_empty(self):
+        """Nothing is scaled or cached until a map is first used."""
+        for kind in KINDS:
+            assert kind(2, 4, images_of(kind, 2, 4))._memo == {}
+
     def test_images_at_max_degree_are_kept_as_given(self):
         for kind in KINDS:
             images = images_of(kind, 2, 3)
@@ -314,6 +319,20 @@ def draw_map(data, automorphism):
                            for l, img in images.items()}), images
 
 
+def dict_series(inner):
+    """`sparse.scaled_series`, asserting that its start and every value
+    its step returns are plain dicts."""
+    def wrapper(step, x, *rest):
+        assert type(x) is dict, type(x)
+
+        def checked(t):
+            out = step(t)
+            assert type(out) is dict, type(out)
+            return out
+        return inner(checked, x, *rest)
+    return wrapper
+
+
 def as_images(m):
     return {l: s.coords for l, s in m.images.items()}
 
@@ -408,13 +427,16 @@ class TestIntegerPath:
     @pytest.mark.parametrize("series", ["invert_aut", "log_aut", "exp_der"])
     def test_series_sum_integers(self, monkeypatch, series):
         """The Lie series step and sum on integer numerators: no
-        `Fraction` difference, and one `unscaled` per generator image."""
+        `Fraction` difference, one `unscaled` per generator image, and
+        `scaled_series` handed a plain dict that every step returns."""
         rng = random.Random(14)
         m = (rand_derivation if series == "exp_der" else rand_aut)(2, 5, rng)
         calls = []
         real = johnson.unscaled
         monkeypatch.setattr(johnson, "unscaled",
                             lambda acc, den: calls.append(den) or real(acc, den))
+        monkeypatch.setattr(johnson, "scaled_series",
+                            dict_series(johnson.scaled_series))
 
         def refuse(self, other):
             raise AssertionError("SparseCombination.__sub__ called")

@@ -5,11 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import series_oracle
 from lietrees.free_lie import LieSeries
 from lietrees.jacobi import HLieTensor, TreeCombo, TreeDiagram
 from lietrees.koszul import HomologyClass, WedgeChain
-from lietrees.sparse import add_into, add_term, power_series
-from lietrees.tensor_hopf import TensorSeries, mul
+from lietrees.sparse import add_into, add_term, scaled_series, unscaled
+from lietrees.tensor_hopf import TensorSeries, _product
 
 F = Fraction
 
@@ -136,24 +137,47 @@ def counting(step):
     return run
 
 
-def test_power_series_steps_at_most_n_times():
-    x = LieSeries.gen(1, 3, 0)
-    for n in range(4):
+def test_scaled_series_steps_at_most_last_times():
+    x = {(0,): 1}
+    for last in range(4):
         step = counting(lambda t: t)
-        assert power_series(step, x, lambda k: k + 1, n) == \
-            F((n + 1) * (n + 2), 2) * x
-        assert step.calls == n
+        assert scaled_series(step, x, lambda k: k + 1, last, 1) == \
+            ({(0,): (last + 1) * (last + 2) // 2}, 1)
+        assert step.calls == last
 
 
-def test_power_series_stops_at_the_first_vanishing_term():
+def test_scaled_series_stops_at_the_first_vanishing_term():
     # right multiplication by b1 takes 1 to zero in m + 1 steps at max degree m
     for m in range(1, 5):
-        b1 = TensorSeries.gen(1, m, 1)
-        step = counting(lambda t: mul(t, b1))
-        got = power_series(step, TensorSeries.one(1, m), lambda k: F(1, k + 1), 9)
+        step = counting(lambda t: _product(t, {(1,): 1}, m))
+        acc, den = scaled_series(step, {(): 1}, lambda k: F(1, k + 1), 9, 1)
         assert step.calls == m + 1
-        assert got == TensorSeries(1, m, {(1,) * k: F(1, k + 1)
-                                          for k in range(m + 1)})
+        assert unscaled(acc, den) == {(1,) * k: F(1, k + 1)
+                                      for k in range(m + 1)}
+
+
+def test_scaled_series_of_zero_runs_no_step():
     step = counting(lambda t: t)
-    assert power_series(step, LieSeries.zero(1, 3), lambda k: 1, 5).is_zero()
+    assert scaled_series(step, {}, lambda k: 1, 5, 1) == ({}, 1)
     assert step.calls == 0
+
+
+def test_scaled_series_numerators_over_den_are_the_fraction_sum():
+    """The step right-multiplies integer numerators by a1 + 2 b1, so read
+    over a denominator it multiplies by v = (a1 + 2 b1) / 3 and puts a
+    factor 3 on the denominator: the sum is that of coeff(k) x v^k."""
+    n, x = 4, {(): 2, (0, 1): -1}
+    v = {(0,): F(1, 3), (1,): F(2, 3)}
+
+    def coeff(k):
+        return F((-1) ** k, k + 1)
+    acc, den = scaled_series(lambda t: _product(t, {(0,): 1, (1,): 2}, n),
+                             x, coeff, n, 3)
+    assert all(type(c) is int for c in acc.values())
+    expected: dict = {}
+    power = {w: F(c) for w, c in x.items()}
+    for k in range(n + 1):
+        add_into(expected, power, coeff(k))
+        power = series_oracle.mul(power, v, n)
+    assert not power
+    assert unscaled(acc, den) == expected

@@ -10,8 +10,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import series_oracle
 from lietrees import tensor_hopf
-from lietrees.free_lie import (LieSeries, bracket_basis, is_lyndon,
-                               lyndon_basis)
+from lietrees.free_lie import (LieSeries, bracket_basis, gen_count,
+                               is_lyndon, lyndon_basis)
 from lietrees.johnson import identity_aut
 from lietrees.sparse import add_into, add_term
 from lietrees.symplectic import (construct_symplectic,
@@ -485,6 +485,29 @@ class TestIntegerKernel:
             assert len(calls) == 1, f.__name__
 
     @settings(max_examples=30, deadline=None)
+    @given(NILPOTENT_AND_UNIT)
+    def test_each_series_sums_plain_dicts(self, ux):
+        """`scaled_series` gets a dict start, and every step returns a
+        dict: no series object is built over numerators."""
+        u, x = ux
+        inner = tensor_hopf.scaled_series
+        seen = []
+
+        def wrapper(step, start, *rest):
+            seen.append(type(start))
+
+            def checked(t):
+                out = step(t)
+                seen.append(type(out))
+                return out
+            return inner(checked, start, *rest)
+        for f, arg in ((exp, u), (log, x), (inv_unit, x)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(tensor_hopf, "scaled_series", wrapper)
+                f(arg)
+        assert len(seen) >= 3 and set(seen) == {dict}, seen
+
+    @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 2).flatmap(lambda g: series(g, 7, low=3)))
     def test_series_stop_after_the_last_nonzero_power(self, u):
         """u of minimum degree 3 at max degree 7: u^2 is the last power."""
@@ -648,6 +671,12 @@ class TestAntipode:
         for l, image in theta.images.items():
             assert theta.image(l, -1) == inv_unit(image)
         assert calls == []
+
+    def test_check_expansion_memoises_only_the_inverse_images(self):
+        theta = construct_symplectic(2, 5)
+        assert theta._memo == {}
+        assert check_expansion(theta).is_grouplike
+        assert set(theta._memo) == set(range(gen_count(2)))
 
     def test_verify_uses_no_geometric_series(self, monkeypatch):
         calls = counted(monkeypatch, "inv_unit")
