@@ -20,6 +20,7 @@ the unchecked `_of`; the generator-map constructors still vet the images.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Any
 
@@ -41,11 +42,26 @@ def _require_int(doc: Any, field: str, minimum: int) -> int:
     return v
 
 
+_PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _rational(text: str) -> Fraction:
+    """Fraction(text), the one coefficient parser: a plain ASCII
+    -?[0-9]+(/[0-9]+)? string, as the writers print, is read with int,
+    and any other is handed to Fraction(str) as it is, so the strings
+    accepted, their values and the errors raised are Fraction's."""
+    m = _PLAIN_RATIONAL.fullmatch(text)
+    if m is None:
+        return Fraction(text)
+    num, den = m.groups()
+    return Fraction(int(num), int(den)) if den else Fraction(int(num))
+
+
 def _parse_coeff(raw: Any, where: str) -> Fraction:
     if not isinstance(raw, str):
         raise DocumentError(f"{where}: coefficient must be a rational string")
     try:
-        return Fraction(raw)
+        return _rational(raw)
     except (ValueError, ZeroDivisionError):
         raise DocumentError(f"{where}: bad rational {raw!r}") from None
 
@@ -78,11 +94,12 @@ class _Letters(dict):
 
 
 def _is_name(key: Any, letters: _Letters) -> bool:
-    """Whether key is exactly the name of a generator (so not `a01`)."""
+    """Whether key is the name of a generator of the genus."""
     try:
-        return letter_label(letters[key]) == key
+        letters[key]
     except (TypeError, ValueError):
         return False
+    return True
 
 
 def _terms_payload(coords) -> list[dict]:
@@ -136,7 +153,7 @@ def _series_terms_from_doc(raw: Any, letters: _Letters, max_degree: int,
                     and isinstance(cr := term["coefficient"], str)
                     and isinstance(wr := term["word"], list)):
                 w = tuple([letters[name] for name in wr])
-                c = Fraction(cr)
+                c = _rational(cr)
                 good = ((not lyndon or is_lyndon(w)) and len(w) <= max_degree
                         and w not in coords)
             else:

@@ -60,13 +60,17 @@ def letter_label(letter: int) -> str:
 
 
 def parse_letter(name: str, genus: int) -> int:
+    """The letter whose `letter_label` is name, so not `a01`."""
     kind, idx = name[:1], name[1:]
     if kind not in ("a", "b") or not idx.isdigit():
         raise ValueError(f"bad generator name {name!r}")
     i = int(idx)
+    letter = a_letter(i) if kind == "a" else b_letter(i)
+    if letter_label(letter) != name:
+        raise ValueError(f"bad generator name {name!r}")
     if not 1 <= i <= genus:
         raise ValueError(f"generator {name!r} out of range for genus {genus}")
-    return a_letter(i) if kind == "a" else b_letter(i)
+    return letter
 
 
 # ---------------------------------------------------------------------------

@@ -122,7 +122,8 @@ def build_corrector(genus: int, max_degree: int) -> LieAutomorphism:
     w = omega(genus, max_degree)
     psi = identity_aut(genus, max_degree)
     for j in range(2, max_degree):
-        defect = (target - apply_aut(psi, w)).graded_part(j + 1)
+        defect = (target.graded_part(j + 1)
+                  - apply_aut(psi, w).graded_part(j + 1))
         if not defect:
             continue
         gains = _solve_splitting(genus, j, defect)

@@ -14,15 +14,22 @@ same length (Reutenauer, Free Lie Algebras, Thm 5.1), so the least word
 left in a primitive residual is Lyndon, and the peel decides
 primitivity itself: it fails at the first non-Lyndon least word.
 `project_lie` and `is_primitive` run it, and `is_grouplike` runs it on
-log x, since by Friedrichs x with constant term 1 is group-like iff
-log x is primitive (Reutenauer, §1.3).  No `free_lie` bracket table is
-used, and the coproduct, with 2^m components per word of length m, is
-never expanded; the tests keep the expanded coproduct as their
-reference.  Products run on integer numerators over one common
-denominator (`sparse.scaled`) in one loop, `_product`: `mul`,
-`_embed_word`, the power series behind exp, log and inv_unit
-(`sparse.scaled_series`), and `evaluate_expansion`; the peel runs on
-the same numerators, log's without a round trip through `Fraction`.
+p = x^-1 D(x), one degree at a time, where D(w) = |w| w is the degree
+derivation: x with constant term 1 is group-like iff p is primitive.
+Proof: Delta D = D2 Delta with D2 = D (x) 1 + 1 (x) D.  If p is
+primitive, Delta x and x (x) x both solve D2 z = z (p (x) 1 + 1 (x) p)
+from z_0 = 1 (x) 1: Delta x because Delta is an algebra map, x (x) x
+because D is a derivation.  That equation fixes z one degree at a
+time, so Delta x = x (x) x.  Conversely, for a group-like x,
+Delta p = (x^-1 (x) x^-1) D2(x (x) x) = p (x) 1 + 1 (x) p.  All of it
+holds modulo the degrees above the truncation, which D, Delta and the
+product keep.  No `free_lie` bracket table is used, and the coproduct,
+with 2^m components per word of length m, is never expanded; the tests
+keep the expanded coproduct as their reference.  Products run on
+integer numerators over one common denominator (`sparse.scaled`) in one
+loop, `_product`: `mul`, `_embed_word`, the power series behind exp,
+log and inv_unit (`sparse.scaled_series`), `evaluate_expansion` and the
+degree recursion of `is_grouplike`; the peel runs on the same numerators.
 Every coefficient a series holds is a nonzero lowest-terms `Fraction`,
 made once per output word by `sparse.unscaled`.
 
@@ -33,9 +40,10 @@ series.
 Also hosts free group words and expansions (multiplicative maps from the
 surface group into the unit group of the tensor algebra); an
 `ExpansionMap` is a `free_lie.GeneratorMap` on `TensorSeries` images
-whose memo keeps only the inverse images, each under its letter: the
-antipode of each image that `check_expansion` finds group-like, the
-geometric series `inv_unit` of any other.
+whose memo keeps only the inverse images, each under its letter as
+integer numerators over one denominator: the antipode of each image
+that `check_expansion` finds group-like, the geometric series
+`inv_unit` of any other.
 """
 
 from __future__ import annotations
@@ -48,7 +56,7 @@ from typing import Mapping, NamedTuple
 
 from .free_lie import (GeneratorMap, LieSeries, Word, gen_count, is_lyndon,
                        letter_label, std_factorization)
-from .sparse import (TruncatedSeries, add_into, add_term, scaled,
+from .sparse import (TruncatedSeries, add_into, scaled,
                      scaled_series, unscaled)
 
 ONE = Fraction(1)
@@ -120,15 +128,12 @@ def exp(x: TensorSeries) -> TensorSeries:
     return x._like(unscaled(*_series_in(x, lambda k: Fraction(1, factorial(k)))))
 
 
-def _log_scaled(x: TensorSeries) -> tuple[dict[Word, int], int]:
+def log(x: TensorSeries) -> TensorSeries:
     if x.constant_term() != 1:
         raise ValueError("log needs constant term 1")
-    return _series_in(x - TensorSeries.one(x.genus, x.max_degree),
-                      lambda k: Fraction((-1) ** (k + 1), k) if k else 0)
-
-
-def log(x: TensorSeries) -> TensorSeries:
-    return x._like(unscaled(*_log_scaled(x)))
+    return x._like(unscaled(*_series_in(
+        x - TensorSeries.one(x.genus, x.max_degree),
+        lambda k: Fraction((-1) ** (k + 1), k) if k else 0)))
 
 
 def inv_unit(x: TensorSeries) -> TensorSeries:
@@ -139,12 +144,16 @@ def inv_unit(x: TensorSeries) -> TensorSeries:
         x - TensorSeries.one(x.genus, x.max_degree), lambda k: (-1) ** k)))
 
 
+def _antipode(coords: Mapping[Word, object]) -> dict[Word, object]:
+    """Each word reversed, its coefficient times (-1)^length."""
+    return {w[::-1]: -c if len(w) % 2 else c for w, c in coords.items()}
+
+
 def antipode(x: TensorSeries) -> TensorSeries:
     """S(x): each word reversed, times (-1)^length.  S is the algebra
     anti-automorphism with S(a) = -a on letters, so S(xy) = S(y)S(x) and
     S(S(x)) = x; on a group-like x it is the inverse (see ExpansionMap)."""
-    return x._like({w[::-1]: -c if len(w) % 2 else c
-                    for w, c in x.coords.items()})
+    return x._like(_antipode(x.coords))
 
 
 # ---------------------------------------------------------------------------
@@ -157,9 +166,36 @@ def is_primitive(x: TensorSeries) -> bool:
 
 
 def is_grouplike(x: TensorSeries) -> bool:
-    """Coproduct of x equals x (x) x below the truncation degree: log x is
-    primitive (Friedrichs), peeled on its integer numerators."""
-    return x.constant_term() == 1 and _peel(_log_scaled(x)[0]) is not None
+    """Coproduct of x equals x (x) x below the truncation degree: the
+    constant term is 1 and p = x^-1 D(x), D(w) = |w| w, is primitive (see
+    the module docstring for the proof)."""
+    return _grouplike_scaled(*scaled(x.coords), x.max_degree)
+
+
+def _grouplike_scaled(nx: Mapping[Word, int], den: int, n: int) -> bool:
+    """is_grouplike of x = nx / den, truncated above n.
+
+    x p = D(x) is solved one degree at a time: p_m = m x_m - sum over
+    0 < i < m of x_i p_(m-i).  Over den, x_i is the integer dict X_i,
+    and P_m = den^m p_m = m den^(m-1) X_m - sum den^(i-1) X_i P_(m-i) is
+    an integer dict too.  Each P_m is peeled as soon as it is formed, so
+    the test stops at the first degree that is not Lie.
+    """
+    if nx.get(()) != den:
+        return False
+    xs: list[dict[Word, int]] = [{} for _ in range(n + 1)]
+    for w, c in nx.items():
+        xs[len(w)][w] = c
+    ps: list[dict[Word, int]] = [{}]
+    for m in range(1, n + 1):
+        scale = m * den ** (m - 1)
+        p = {w: scale * c for w, c in xs[m].items()}
+        for i in range(1, m):
+            add_into(p, _product(xs[i], ps[m - i], m), -den ** (i - 1))
+        if _peel(p) is None:
+            return False
+        ps.append(p)
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +230,10 @@ def _peel(numerators: Mapping[Word, int]) -> dict[Word, int] | None:
     """
     residual = dict(numerators)
     heap = sorted(residual)         # a sorted list is a heap
+    pop, push = heapq.heappop, heapq.heappush
     out: dict[Word, int] = {}
     while heap:
-        w = heapq.heappop(heap)
+        w = pop(heap)
         c = residual.pop(w, None)
         if c is None:
             continue
@@ -205,9 +242,14 @@ def _peel(numerators: Mapping[Word, int]) -> dict[Word, int] | None:
         out[w] = c
         for u, e in _embed_word(w).items():
             if u != w:
-                if u not in residual:
-                    heapq.heappush(heap, u)
-                add_term(residual, u, -c * e)
+                old = residual.get(u)
+                if old is None:
+                    push(heap, u)
+                    residual[u] = -c * e
+                elif old == c * e:
+                    del residual[u]
+                else:
+                    residual[u] = old - c * e
     return out
 
 
@@ -284,10 +326,10 @@ class ExpansionMap(GeneratorMap):
     The container itself does not enforce the expansion axioms; use
     check_expansion (or symplectic.verify_symplectic) to validate.  The
     memo, empty at construction, keeps each inverse image under its
-    letter and nothing else.  An image that
-    check_expansion finds group-like gets its antipode there: with
-    Delta x = x (x) x modulo degrees above n, and S, the product and the
-    coproduct all keeping degree, the antipode axiom
+    letter, as integer numerators over one denominator, and nothing
+    else.  An image that check_expansion finds group-like gets its
+    antipode there: with Delta x = x (x) x modulo degrees above n, and S,
+    the product and the coproduct all keeping degree, the antipode axiom
     m (S (x) id) Delta = eta epsilon gives S(x) x = epsilon(x) = 1 modulo
     degree n + 1, and x S(x) = 1 alike.  Any other image is inverted by
     the geometric series `inv_unit` when first asked for.
@@ -305,9 +347,16 @@ class ExpansionMap(GeneratorMap):
             return self.images[letter]
         if e != -1:
             raise ValueError(f"exponent {e!r} is not 1 or -1")
+        return TensorSeries._of(self.genus, self.max_degree,
+                                unscaled(*self._inverse(letter)))
+
+    def _inverse(self, letter: int) -> tuple[dict[Word, int], int]:
+        """The inverse image of a letter as (numerators, den), from the
+        memo, which `inv_unit` fills on a miss."""
         inv = self._memo.get(letter)
         if inv is None:
-            inv = self._memo[letter] = inv_unit(self.images[letter])
+            inv = self._memo[letter] = scaled(
+                inv_unit(self.images[letter]).coords)
         return inv
 
 
@@ -317,7 +366,8 @@ def evaluate_expansion(theta: ExpansionMap, w: FreeGroupWord) -> TensorSeries:
     acc: dict[Word, int] = {(): 1}
     den = 1
     for letter, e in w.letters:
-        nx, dx = scaled(theta.image(letter, e).coords)
+        nx, dx = (scaled(theta.images[letter].coords) if e == 1
+                  else theta._inverse(letter))
         acc, den = _product(acc, nx, theta.max_degree), den * dx
     return TensorSeries._of(theta.genus, theta.max_degree, unscaled(acc, den))
 
@@ -329,16 +379,17 @@ class ExpansionReport(NamedTuple):
 
 def check_expansion(theta: ExpansionMap) -> ExpansionReport:
     """Normalization (1 + generator + higher) and group-likeness of all
-    images, the latter stopping at the first image that is not group-like;
-    the memo of theta keeps the antipode of each group-like image as its
-    inverse."""
+    images, the latter stopping at the first image that is not group-like.
+    Each image is scaled once; the memo of theta keeps the antipode of
+    each group-like image, on the same numerators, as its inverse."""
     ok_exp = all(s.constant_term() == 1
                  and s.graded_part(1).coords == {(letter,): ONE}
                  for letter, s in theta.images.items())
     for letter, s in theta.images.items():
-        if not is_grouplike(s):
+        nx, dx = scaled(s.coords)
+        if not _grouplike_scaled(nx, dx, s.max_degree):
             return ExpansionReport(ok_exp, False)
-        theta._memo[letter] = antipode(s)
+        theta._memo[letter] = _antipode(nx), dx
     return ExpansionReport(ok_exp, True)
 
 

@@ -192,6 +192,12 @@ class TestTreeText:
         with pytest.raises(DocumentError):
             tree_combo_from_text("q (a1 (b1 a2))", 2)
 
+    @pytest.mark.parametrize("name", ["a01", "b\u0661"])
+    def test_rejects_a_name_that_only_parses_to_a_generator(self, name):
+        with pytest.raises(DocumentError,
+                           match=f"^line 1: bad generator name '{name}'$"):
+            tree_combo_from_text(f"1 (a1 ({name} a2))", 2)
+
 
 def rand_coeff(rng):
     return F(rng.randint(-9, 9), rng.randint(1, 7))
@@ -355,6 +361,12 @@ DIAGNOSTICS = [
      "terms: expected a list of terms"),
     (lie_series_from_doc, {"genus": "two", "max_degree": 3, "terms": []},
      "genus: expected an integer >= 0"),
+    (lie_series_from_doc, lie_doc(term("1", "a01")),
+     "terms[0].word[0]: unknown generator 'a01'"),
+    (lie_series_from_doc, lie_doc(term("1", "b\u0661")),
+     "terms[0].word[0]: unknown generator 'b\u0661'"),
+    (expansion_from_doc, expansion_doc([ONE, term("1", "b02")]),
+     "images.b2[1].word[0]: unknown generator 'b02'"),
 ]
 
 
@@ -426,3 +438,69 @@ class TestReadersMatchTheCheckedConstructors:
         x = lie_series_from_doc(through_json(doc))
         assert x == LieSeries(2, 4, raw_coords(doc["terms"], 2))
         assert_fraction_coords(x)
+
+
+def outcome(parse, text):
+    """The value parse gives text, or the type of error it raises."""
+    try:
+        value = parse(text)
+    except (ValueError, ZeroDivisionError) as e:
+        return type(e)
+    assert type(value) is F
+    return value
+
+
+DIGITS = st.text("0123456789", min_size=1, max_size=12)
+RESPELLINGS = st.one_of(
+    st.builds(lambda p, q: str(F(p, q)), st.integers(), st.integers(1)),
+    st.builds(lambda s, p, q: f"{s}{p}/{q}", st.sampled_from(["", "-", "+"]),
+              DIGITS, DIGITS),
+    st.builds(lambda s, p: f"{s}{p}", st.sampled_from(["", "-", "+", "--"]),
+              DIGITS),
+    st.builds(lambda a, p, b: f"{a}{p}{b}",
+              st.sampled_from([" ", "\t", "\n", ""]), DIGITS,
+              st.sampled_from([" ", "\n", "", " /2", "/ 2"])),
+    st.builds(lambda p, q, e: f"{p}.{q}{e}", DIGITS, DIGITS,
+              st.sampled_from(["", "e3", "E-2", "e+1"])),
+    st.builds(lambda p, q: f"{p}_{q}", DIGITS, DIGITS),
+    st.builds(lambda p, d: p + d, DIGITS,
+              st.sampled_from(["\u0661", "\u0669", "\uff11", "\u00b2"])),
+    st.sampled_from(["1/0", "-0/0", "0", "-0", "", "/", "1/", "/2", "1//2",
+                     "nan", "inf", "0x10", "1/-2", "١/٢"]),
+    st.builds(lambda n, tail: "1" * n + tail, st.integers(4290, 4310),
+              st.sampled_from(["", "/3"])),
+    st.text(max_size=8),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(RESPELLINGS)
+def test_coefficient_parser_agrees_with_fraction(text):
+    """The one coefficient parser accepts exactly the strings
+    Fraction(str) accepts, with the same value and the same error."""
+    assert outcome(documents._rational, text) == outcome(F, text)
+
+
+def respell(c):
+    """A coefficient string in a form Fraction reads but the plain
+    -?[0-9]+(/[0-9]+)? form does not: p/q as +2p/2q, or -p/q as
+    " -2p/2q" with a leading space."""
+    x = F(c)
+    sign = "+" if x >= 0 else " -"
+    out = f"{sign}{2 * abs(x.numerator)}/{2 * x.denominator}"
+    assert documents._PLAIN_RATIONAL.fullmatch(out) is None
+    return out
+
+
+def test_respelled_coefficients_read_to_the_same_series():
+    theta = construct_symplectic(2, 4)
+    doc = expansion_to_doc(theta)
+    for terms in doc["images"].values():
+        for t in terms:
+            t["coefficient"] = respell(t["coefficient"])
+    assert expansion_from_doc(through_json(doc)) == theta
+    x = sample_series(4)
+    doc = lie_series_to_doc(x)
+    for t in doc["terms"]:
+        t["coefficient"] = respell(t["coefficient"])
+    assert lie_series_from_doc(through_json(doc)) == x

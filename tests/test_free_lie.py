@@ -45,6 +45,12 @@ class TestLetters:
         with pytest.raises(ValueError):
             parse_letter("c1", 2)
 
+    @pytest.mark.parametrize("name", ["a01", "b\u0661", "a\uff11", "b+1",
+                                      "a1 ", "a"])
+    def test_parse_rejects_names_other_than_the_label(self, name):
+        with pytest.raises(ValueError, match="bad generator name"):
+            parse_letter(name, 2)
+
     def test_symplectic_partner(self):
         for i in (1, 2, 3):
             assert partner(a_letter(i)) == (b_letter(i), -1)

@@ -260,6 +260,39 @@ class TestDynkinPredicates:
         monkeypatch.setattr(tensor_hopf, "unscaled", refuse)
         assert is_grouplike(g)
 
+    def test_grouplike_runs_no_series(self, monkeypatch):
+        g = exp(embed_lie(LieSeries(2, 4, {(0,): F(1, 2), (0, 1): F(2, 3)})))
+
+        def refuse(*args):
+            raise AssertionError("a series was summed")
+
+        monkeypatch.setattr(tensor_hopf, "scaled_series", refuse)
+        assert is_grouplike(g)
+        assert not is_grouplike(g + TensorSeries(2, 4, {(1, 0): F(1, 5)}))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_an_edit_at_degree_d_stops_the_peel_there(self, data):
+        """p = x^-1 D(x) is peeled one degree at a time, so an exponential
+        edited at degree d is peeled on degrees 1..d and no further, and
+        an edit at the top degree is still seen."""
+        x = self.draw_lie(data, top=6)
+        g = exp(embed_lie(x))
+        n = x.max_degree
+        with pytest.MonkeyPatch.context() as mp:
+            calls = counted(mp, "_peel")
+            assert is_grouplike(g)
+        assert len(calls) == n
+        for d in range(2, n + 1):
+            w, c = self.draw_term(data, x.genus, d)
+            coords = dict(g.coords)
+            add_term(coords, w, c)
+            edited = TensorSeries(x.genus, n, coords)
+            with pytest.MonkeyPatch.context() as mp:
+                calls = counted(mp, "_peel")
+                assert not is_grouplike(edited), (w, c)
+            assert len(calls) == d, (w, c)
+
     def test_constant_terms(self):
         one = TensorSeries.one(1, 3)
         assert not is_primitive(one) and not coproduct_primitive(one)
@@ -677,6 +710,18 @@ class TestAntipode:
         assert theta._memo == {}
         assert check_expansion(theta).is_grouplike
         assert set(theta._memo) == set(range(gen_count(2)))
+
+    def test_check_expansion_scales_each_image_once(self, monkeypatch):
+        theta = construct_symplectic(2, 5)
+
+        def refuse(*args):
+            raise AssertionError("a series was summed or unscaled")
+
+        monkeypatch.setattr(tensor_hopf, "scaled_series", refuse)
+        monkeypatch.setattr(tensor_hopf, "unscaled", refuse)
+        calls = counted(monkeypatch, "scaled")
+        assert check_expansion(theta).is_grouplike
+        assert len(calls) == len(theta.images)
 
     def test_verify_uses_no_geometric_series(self, monkeypatch):
         calls = counted(monkeypatch, "inv_unit")
