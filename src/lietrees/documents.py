@@ -7,13 +7,13 @@ combinations use a plain text format, one coefficient and one
 parenthesized tree per line.  All validation errors raise
 DocumentError with a message naming the offending field.
 
-A series is read in one pass over its terms: names are looked up in
-one table per document, and a term that passes every check inline is
-kept as it is; only a failing term is checked again field by field, so
-the path to a field such as `images.b2[17].word` is built only for an
-error.  The readers check everything the series constructors would
-(range, degree, Lyndon words, a word given at most once whatever its
-coefficient, exact rational coefficients) and build the series with
+`_header` checks what the series-like documents share (an object, no
+unknown field, `genus`, `max_degree`), and one loop,
+`_series_terms_from_doc`, reads every series, checking each term once,
+in order: an object, no unknown field, coefficient, word list, names
+(looked up in one table per document), Lyndon, degree, duplicate.  A
+location such as `images.b2[17].word[0]` is formatted only for an error.
+The readers check all that the series constructors would and build with
 the unchecked `_of`; the generator-map constructors still vet the images.
 """
 
@@ -35,13 +35,6 @@ class DocumentError(ValueError):
     """Malformed exchange document; the message names the bad field."""
 
 
-def _require_int(doc: Any, field: str, minimum: int) -> int:
-    v = doc.get(field)
-    if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
-        raise DocumentError(f"{field}: expected an integer >= {minimum}")
-    return v
-
-
 _PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
@@ -55,29 +48,6 @@ def _rational(text: str) -> Fraction:
         return Fraction(text)
     num, den = m.groups()
     return Fraction(int(num), int(den)) if den else Fraction(int(num))
-
-
-def _parse_coeff(raw: Any, where: str) -> Fraction:
-    if not isinstance(raw, str):
-        raise DocumentError(f"{where}: coefficient must be a rational string")
-    try:
-        return _rational(raw)
-    except (ValueError, ZeroDivisionError):
-        raise DocumentError(f"{where}: bad rational {raw!r}") from None
-
-
-def _parse_word(raw: Any, genus: int, where: str) -> Word:
-    if not isinstance(raw, list):
-        raise DocumentError(f"{where}: word must be a list of generator names")
-    letters = []
-    for i, name in enumerate(raw):
-        if not isinstance(name, str):
-            raise DocumentError(f"{where}[{i}]: generator name must be a string")
-        try:
-            letters.append(parse_letter(name, genus))
-        except ValueError:
-            raise DocumentError(f"{where}[{i}]: unknown generator {name!r}") from None
-    return tuple(letters)
 
 
 class _Letters(dict):
@@ -117,52 +87,67 @@ def lie_series_to_doc(x: LieSeries) -> dict:
             "terms": _terms_payload(x.coords)}
 
 
-def _term_from_doc(term: Any, letters: _Letters, max_degree: int,
-                   lyndon: bool, seen: dict, spot: str) -> tuple[Word, Fraction]:
-    """One term with every check in order, each error naming its field."""
-    if not isinstance(term, dict):
-        raise DocumentError(f"{spot}: term must be an object")
-    extra = set(term) - {"coefficient", "word"}
+_TERM_FIELDS = frozenset(("coefficient", "word"))
+
+
+def _header(doc: Any, body: str, min_genus: int) -> tuple[int, int]:
+    """(genus, max_degree) of a document whose only other field is body."""
+    if not isinstance(doc, dict):
+        raise DocumentError("document: expected an object")
+    extra = doc.keys() - {"genus", "max_degree", body}
     if extra:
-        raise DocumentError(f"{spot}.{sorted(extra)[0]}: unknown field")
-    c = _parse_coeff(term.get("coefficient"), f"{spot}.coefficient")
-    w = _parse_word(term.get("word"), letters.genus, f"{spot}.word")
-    if lyndon and not w:
-        raise DocumentError(f"{spot}.word: empty word is not a Lyndon word")
-    if lyndon and not is_lyndon(w):
-        raise DocumentError(f"{spot}.word: not a Lyndon word")
-    if len(w) > max_degree:
-        raise DocumentError(f"{spot}.word: degree above max_degree")
-    if w in seen:
-        raise DocumentError(f"{spot}.word: duplicate word")
-    return w, c
+        raise DocumentError(f"{min(extra, key=str)}: unknown field")
+    for field, minimum in (("genus", min_genus), ("max_degree", 1)):
+        v = doc.get(field)
+        if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
+            raise DocumentError(f"{field}: expected an integer >= {minimum}")
+    return doc["genus"], doc["max_degree"]
 
 
 def _series_terms_from_doc(raw: Any, letters: _Letters, max_degree: int,
                            where: str, lyndon: bool) -> dict[Word, Fraction]:
-    """Nonzero coefficients by word, each word in range, at most
-    max_degree long, Lyndon if asked, and given once, at any coefficient.
-    A term that passes the inline checks is taken as it is; any other
-    goes through `_term_from_doc`, which names what is wrong with it."""
+    """Nonzero coefficients by word, each term checked once, in the order
+    of the module docstring; Lyndon words only if lyndon is set."""
     if not isinstance(raw, list):
         raise DocumentError(f"{where}: expected a list of terms")
+
+    def bad(field: str, message: str) -> DocumentError:
+        return DocumentError(f"{where}[{i}]{field}: {message}")
+
     coords: dict[Word, Fraction] = {}
     for i, term in enumerate(raw):
+        if not isinstance(term, dict):
+            raise bad("", "term must be an object")
+        # a two-field term with both fields, the common case, needs no set
+        if len(term) != 2 or "coefficient" not in term or "word" not in term:
+            extra = term.keys() - _TERM_FIELDS
+            if extra:
+                raise bad(f".{min(extra, key=str)}", "unknown field")
+        cr = term.get("coefficient")
+        if not isinstance(cr, str):
+            raise bad(".coefficient", "coefficient must be a rational string")
         try:
-            if (isinstance(term, dict) and len(term) == 2
-                    and isinstance(cr := term["coefficient"], str)
-                    and isinstance(wr := term["word"], list)):
-                w = tuple([letters[name] for name in wr])
-                c = _rational(cr)
-                good = ((not lyndon or is_lyndon(w)) and len(w) <= max_degree
-                        and w not in coords)
-            else:
-                good = False
-        except (KeyError, TypeError, ValueError, ZeroDivisionError):
-            good = False
-        if not good:
-            w, c = _term_from_doc(term, letters, max_degree, lyndon, coords,
-                                  f"{where}[{i}]")
+            c = _rational(cr)
+        except (ValueError, ZeroDivisionError):
+            raise bad(".coefficient", f"bad rational {cr!r}") from None
+        wr = term.get("word")
+        if not isinstance(wr, list):
+            raise bad(".word", "word must be a list of generator names")
+        try:
+            w = tuple([letters[name] for name in wr])
+        except (TypeError, ValueError):
+            j, name = next((j, name) for j, name in enumerate(wr)
+                           if not _is_name(name, letters))
+            raise bad(f".word[{j}]", f"unknown generator {name!r}"
+                      if isinstance(name, str)
+                      else "generator name must be a string") from None
+        if lyndon and not is_lyndon(w):
+            raise bad(".word", "not a Lyndon word" if w
+                      else "empty word is not a Lyndon word")
+        if len(w) > max_degree:
+            raise bad(".word", "degree above max_degree")
+        if w in coords:
+            raise bad(".word", "duplicate word")
         coords[w] = c
     if not all(coords.values()):
         coords = {w: c for w, c in coords.items() if c}
@@ -170,13 +155,7 @@ def _series_terms_from_doc(raw: Any, letters: _Letters, max_degree: int,
 
 
 def lie_series_from_doc(doc: Any) -> LieSeries:
-    if not isinstance(doc, dict):
-        raise DocumentError("document: expected an object")
-    extra = set(doc) - {"genus", "max_degree", "terms"}
-    if extra:
-        raise DocumentError(f"{sorted(extra)[0]}: unknown field")
-    genus = _require_int(doc, "genus", 0)
-    n = _require_int(doc, "max_degree", 1)
+    genus, n = _header(doc, "terms", 0)
     coords = _series_terms_from_doc(doc.get("terms"), _Letters(genus), n,
                                     "terms", True)
     return LieSeries._of(genus, n, coords)
@@ -198,13 +177,7 @@ def expansion_to_doc(theta: ExpansionMap) -> dict:
 
 
 def _images_from_doc(doc: Any, lyndon: bool):
-    if not isinstance(doc, dict):
-        raise DocumentError("document: expected an object")
-    extra = set(doc) - {"genus", "max_degree", "images"}
-    if extra:
-        raise DocumentError(f"{sorted(extra)[0]}: unknown field")
-    genus = _require_int(doc, "genus", 1)
-    n = _require_int(doc, "max_degree", 1)
+    genus, n = _header(doc, "images", 1)
     raw = doc.get("images")
     if not isinstance(raw, dict):
         raise DocumentError("images: expected an object keyed by generator")
@@ -212,7 +185,7 @@ def _images_from_doc(doc: Any, lyndon: bool):
     unknown = [name for name in raw if not _is_name(name, letters)]
     if unknown:
         raise DocumentError(
-            f"images.{sorted(unknown, key=str)[0]}: unknown generator")
+            f"images.{min(unknown, key=str)}: unknown generator")
     out = {}
     for letter in range(gen_count(genus)):
         name = letter_label(letter)
@@ -283,7 +256,11 @@ def tree_combo_from_text(text: str, genus: int) -> TreeCombo:
         head, _, rest = line.partition(" ")
         if "(" in head:
             raise DocumentError(f"line {lineno}: missing coefficient")
-        coeff = _parse_coeff(head, f"line {lineno}: coefficient")
+        try:
+            coeff = _rational(head)
+        except (ValueError, ZeroDivisionError):
+            raise DocumentError(f"line {lineno}: coefficient: bad rational "
+                                f"{head!r}") from None
         if not rest.strip():
             raise DocumentError(f"line {lineno}: missing tree expression")
         try:

@@ -28,7 +28,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Mapping
 
-from .sparse import TruncatedSeries, add_into, check_truncation
+from .sparse import TruncatedSeries, add_into, check_kind, check_truncation
 
 Word = tuple[int, ...]
 
@@ -302,6 +302,7 @@ def bch(x: LieSeries, y: LieSeries) -> LieSeries:
     Computed by transporting to the tensor algebra, multiplying
     exponentials, taking log and projecting back to the Lyndon basis.
     """
+    check_kind(x, LieSeries, "x")
     x._check(y)
     from . import tensor_hopf as th
 

@@ -36,7 +36,8 @@ from .free_lie import (GeneratorMap, LieSeries, Word, a_letter, b_letter,
                        bracket_coords, gen_count, graded, letter_label,
                        partner, std_factorization)
 from .jacobi import HLieTensor, TreeCombo, eta, eta_inverse, random_tree
-from .sparse import add_into, add_term, scaled, scaled_series, unscaled
+from .sparse import (add_into, add_term, check_kind, scaled, scaled_series,
+                     unscaled)
 
 ONE = Fraction(1)
 Parts = tuple[tuple[int, dict[Word, int]], ...]
@@ -80,7 +81,7 @@ class _LieMap(GeneratorMap):
     def _apply(self, x: LieSeries) -> LieSeries:
         """x scaled once, its integer image taken, and one `Fraction` made
         per output word."""
-        _check_kind(x, LieSeries, "x")
+        check_kind(x, LieSeries, "x")
         if x.genus != self.genus:
             raise ValueError("genus mismatch")
         if x.max_degree > self.max_degree:
@@ -111,13 +112,6 @@ class _LieMap(GeneratorMap):
                 nx, coeff, n - min(map(len, nx), default=n), ratio)
             out[l] = LieSeries._of(self.genus, n, unscaled(acc, dx * den))
         return out
-
-
-def _check_kind(value: object, kind: type, name: str) -> None:
-    """Raise ValueError unless value is a `kind`."""
-    if not isinstance(value, kind):
-        raise ValueError(f"{name} must be a {kind.__name__}, "
-                         f"not {type(value).__name__}")
 
 
 class LieAutomorphism(_LieMap):
@@ -160,14 +154,14 @@ def identity_aut(genus: int, max_degree: int) -> LieAutomorphism:
 
 def apply_aut(psi: LieAutomorphism, x: LieSeries) -> LieSeries:
     """psi(x); x may live at a coarser truncation than psi."""
-    _check_kind(psi, LieAutomorphism, "psi")
+    check_kind(psi, LieAutomorphism, "psi")
     return psi._apply(x)
 
 
 def compose_aut(psi: LieAutomorphism, phi: LieAutomorphism) -> LieAutomorphism:
     """x -> psi(phi(x)), at the finer of the two truncations that both support."""
-    _check_kind(psi, LieAutomorphism, "psi")
-    _check_kind(phi, LieAutomorphism, "phi")
+    check_kind(psi, LieAutomorphism, "psi")
+    check_kind(phi, LieAutomorphism, "phi")
     if psi.genus != phi.genus:
         raise ValueError("genus mismatch")
     n = min(psi.max_degree, phi.max_degree)
@@ -182,7 +176,7 @@ def invert_aut(psi: LieAutomorphism) -> LieAutomorphism:
     psi - id is linear and raises degree, so on each generator the sum
     stops by degree N; the result is checked to compose to the identity.
     """
-    _check_kind(psi, LieAutomorphism, "psi")
+    check_kind(psi, LieAutomorphism, "psi")
     phi = LieAutomorphism(psi.genus, psi.max_degree, psi._generator_series(
         lambda l: ({(l,): 1}, 1), lambda k: (-1) ** k))
     for l, img in phi.images.items():
@@ -221,13 +215,13 @@ class Derivation(_LieMap):
 
 def apply_der(delta: Derivation, x: LieSeries) -> LieSeries:
     """Leibniz extension of the generator values."""
-    _check_kind(delta, Derivation, "delta")
+    check_kind(delta, Derivation, "delta")
     return delta._apply(x)
 
 
 def exp_der(delta: Derivation) -> LieAutomorphism:
     """Automorphism sum of delta^k / k!; finite because delta raises degree."""
-    _check_kind(delta, Derivation, "delta")
+    check_kind(delta, Derivation, "delta")
     images = delta._generator_series(lambda l: ({(l,): 1}, 1),
                                      lambda k: Fraction(1, factorial(k)))
     return LieAutomorphism(delta.genus, delta.max_degree, images)
@@ -240,7 +234,7 @@ def log_aut(psi: LieAutomorphism) -> Derivation:
     (-1)^k/(k+1) (psi - id)^k applied to the deviation psi(x) - x; each
     application of psi - id raises degree.
     """
-    _check_kind(psi, LieAutomorphism, "psi")
+    check_kind(psi, LieAutomorphism, "psi")
 
     def deviation(l):
         nx, dx = scaled(psi.images[l].coords)
@@ -253,6 +247,7 @@ def log_aut(psi: LieAutomorphism) -> Derivation:
 
 def is_omega_fixing(psi: LieAutomorphism) -> bool:
     from .symplectic import omega
+    check_kind(psi, LieAutomorphism, "psi")
     w = omega(psi.genus, psi.max_degree)
     return apply_aut(psi, w) == w
 
@@ -299,7 +294,10 @@ def tau_truncated(psi: LieAutomorphism, k: int) -> HLieTensor:
 
 
 def _check_level(psi: LieAutomorphism, k: int) -> None:
-    """Reject k < 1, a truncation below 2k, or a deviation of degree <= k."""
+    """Reject a psi that is not an automorphism, a k that is not an int,
+    k < 1, a truncation below 2k, or a deviation of degree <= k."""
+    check_kind(psi, LieAutomorphism, "psi")
+    check_kind(k, int, "k")
     if k < 1:
         raise ValueError("k must be at least 1")
     if psi.max_degree < 2 * k:

@@ -31,7 +31,7 @@ from .exact_linalg import (ZERO, BlockSolver, _echelon, _rows_of, _rref,
 from .free_lie import (Word, _solve_by_weight, _split_by_weight,
                        bracket_basis, gen_count, is_lyndon, letter_label,
                        lyndon_basis)
-from .sparse import SparseCombination, add_into, add_term
+from .sparse import SparseCombination, add_into, add_term, check_kind
 
 Monomial = tuple[Word, ...]
 
@@ -418,8 +418,8 @@ def capital_phi(c, k: int) -> HomologyClass:
     land in the zero class.
     """
     from .jacobi import TreeCombo, fission
-    if not isinstance(c, TreeCombo):
-        raise TypeError("capital_phi takes a TreeCombo")
+    check_kind(c, TreeCombo, "c")
+    check_kind(k, int, "k")
     if k < 1:
         raise ValueError("k must be at least 1")
     degs = c.degrees()

@@ -76,6 +76,14 @@ def check_truncation(n: int, max_degree: int) -> None:
         raise ValueError(f"truncation degree {n} outside 1..{max_degree}")
 
 
+def check_kind(value: object, kind: type, name: str) -> None:
+    """Raise ValueError, naming the argument, unless value is a `kind`."""
+    if not isinstance(value, kind):
+        article = "an" if kind.__name__[0] in "AEIOUaeiou" else "a"
+        raise ValueError(f"{name} must be {article} {kind.__name__}, "
+                         f"not {type(value).__name__}")
+
+
 class SparseCombination:
     """Construction and vector-space protocol shared by the combination types.
 

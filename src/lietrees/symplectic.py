@@ -22,6 +22,7 @@ from .free_lie import (LieSeries, Word, _letter_weight, _solve_by_weight,
                        gen_count, lyndon_basis, partner)
 from .johnson import (LieAutomorphism, apply_aut, compose_aut, identity_aut,
                       invert_aut)
+from .sparse import check_kind
 from .tensor_hopf import (ExpansionMap, FreeGroupWord, TensorSeries,
                           basis_expansion, check_expansion, embed_lie,
                           evaluate_expansion, mul, project_lie)
@@ -194,6 +195,8 @@ def verify_symplectic(theta: ExpansionMap, n: int) -> SymplecticReport:
     boundary word times exp(omega) is 1; on failure of the last check
     the first failing degree is reported.
     """
+    check_kind(theta, ExpansionMap, "theta")
+    check_kind(n, int, "n")
     if n < 2:
         raise ValueError("verification degree must be at least 2")
     if theta.max_degree < n:

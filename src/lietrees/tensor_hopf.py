@@ -56,7 +56,7 @@ from typing import Mapping, NamedTuple
 
 from .free_lie import (GeneratorMap, LieSeries, Word, gen_count, is_lyndon,
                        letter_label, std_factorization)
-from .sparse import (TruncatedSeries, add_into, scaled,
+from .sparse import (TruncatedSeries, add_into, check_kind, scaled,
                      scaled_series, unscaled)
 
 ONE = Fraction(1)
@@ -107,41 +107,41 @@ def _product(nx: Mapping[Word, int], ny: Mapping[Word, int],
 
 def mul(x: TensorSeries, y: TensorSeries) -> TensorSeries:
     """Concatenation product, truncated, on integer numerators."""
+    check_kind(x, TensorSeries, "x")
     x._check(y)
     (nx, dx), (ny, dy) = scaled(x.coords), scaled(y.coords)
     return x._like(unscaled(_product(nx, ny, x.max_degree), dx * dy))
 
 
-def _series_in(u: TensorSeries, coeff) -> tuple[dict[Word, int], int]:
-    """The sum of coeff(k) * u^k over k >= 0, u with no constant term, as
-    integer numerators over one denominator, for `unscaled` or the peel:
+def _series_in(x: TensorSeries, c0: int, what: str, coeff) -> TensorSeries:
+    """The sum of coeff(k) * u^k over k >= 0, u = x - c0 for a `TensorSeries`
+    x with constant term c0 (else ValueError(what)), on integer numerators:
     with u = nu / du, the power u^k is an integer dict over du^k."""
-    n = u.max_degree
-    nu, du = scaled(u.coords)
-    return scaled_series(lambda p: _product(p, nu, n), {(): 1}, coeff,
-                         n // u.min_degree() if u else 0, du)
+    check_kind(x, TensorSeries, "x")
+    if x.constant_term() != c0:
+        raise ValueError(what)
+    n = x.max_degree
+    nu, du = scaled(x.coords)
+    nu.pop((), None)
+    acc, den = scaled_series(lambda p: _product(p, nu, n), {(): 1}, coeff,
+                             n // min(map(len, nu)) if nu else 0, du)
+    return x._like(unscaled(acc, den))
 
 
 def exp(x: TensorSeries) -> TensorSeries:
-    if x.constant_term():
-        raise ValueError("exp needs a zero constant term")
-    return x._like(unscaled(*_series_in(x, lambda k: Fraction(1, factorial(k)))))
+    return _series_in(x, 0, "exp needs a zero constant term",
+                      lambda k: Fraction(1, factorial(k)))
 
 
 def log(x: TensorSeries) -> TensorSeries:
-    if x.constant_term() != 1:
-        raise ValueError("log needs constant term 1")
-    return x._like(unscaled(*_series_in(
-        x - TensorSeries.one(x.genus, x.max_degree),
-        lambda k: Fraction((-1) ** (k + 1), k) if k else 0)))
+    return _series_in(x, 1, "log needs constant term 1",
+                      lambda k: Fraction((-1) ** (k + 1), k) if k else 0)
 
 
 def inv_unit(x: TensorSeries) -> TensorSeries:
     """Inverse of 1 + u as the truncated geometric series in u."""
-    if x.constant_term() != 1:
-        raise ValueError("inverse needs constant term 1")
-    return x._like(unscaled(*_series_in(
-        x - TensorSeries.one(x.genus, x.max_degree), lambda k: (-1) ** k)))
+    return _series_in(x, 1, "inverse needs constant term 1",
+                      lambda k: (-1) ** k)
 
 
 def _antipode(coords: Mapping[Word, object]) -> dict[Word, object]:
@@ -153,6 +153,7 @@ def antipode(x: TensorSeries) -> TensorSeries:
     """S(x): each word reversed, times (-1)^length.  S is the algebra
     anti-automorphism with S(a) = -a on letters, so S(xy) = S(y)S(x) and
     S(S(x)) = x; on a group-like x it is the inverse (see ExpansionMap)."""
+    check_kind(x, TensorSeries, "x")
     return x._like(_antipode(x.coords))
 
 
@@ -162,6 +163,7 @@ def antipode(x: TensorSeries) -> TensorSeries:
 
 def is_primitive(x: TensorSeries) -> bool:
     """In the image of the free Lie algebra: the Lyndon peel completes."""
+    check_kind(x, TensorSeries, "x")
     return _peel(scaled(x.coords)[0]) is not None
 
 
@@ -169,6 +171,7 @@ def is_grouplike(x: TensorSeries) -> bool:
     """Coproduct of x equals x (x) x below the truncation degree: the
     constant term is 1 and p = x^-1 D(x), D(w) = |w| w, is primitive (see
     the module docstring for the proof)."""
+    check_kind(x, TensorSeries, "x")
     return _grouplike_scaled(*scaled(x.coords), x.max_degree)
 
 
@@ -214,6 +217,7 @@ def _embed_word(w: Word) -> Mapping[Word, int]:
 
 
 def embed_lie(x: LieSeries) -> TensorSeries:
+    check_kind(x, LieSeries, "x")
     nx, den = scaled(x.coords)
     out: dict[Word, int] = {}
     for w, c in nx.items():
@@ -255,6 +259,7 @@ def _peel(numerators: Mapping[Word, int]) -> dict[Word, int] | None:
 
 def project_lie(x: TensorSeries) -> LieSeries:
     """Inverse of embed_lie on primitive elements, by the Lyndon peel."""
+    check_kind(x, TensorSeries, "x")
     nx, den = scaled(x.coords)
     out = _peel(nx)
     if out is None:
@@ -361,6 +366,8 @@ class ExpansionMap(GeneratorMap):
 
 
 def evaluate_expansion(theta: ExpansionMap, w: FreeGroupWord) -> TensorSeries:
+    check_kind(theta, ExpansionMap, "theta")
+    check_kind(w, FreeGroupWord, "w")
     if theta.genus != w.genus:
         raise ValueError("mismatched genus")
     acc: dict[Word, int] = {(): 1}
@@ -382,6 +389,7 @@ def check_expansion(theta: ExpansionMap) -> ExpansionReport:
     images, the latter stopping at the first image that is not group-like.
     Each image is scaled once; the memo of theta keeps the antipode of
     each group-like image, on the same numerators, as its inverse."""
+    check_kind(theta, ExpansionMap, "theta")
     ok_exp = all(s.constant_term() == 1
                  and s.graded_part(1).coords == {(letter,): ONE}
                  for letter, s in theta.images.items())

@@ -1,10 +1,12 @@
 """Command-line interface: wiring, formats, exit codes."""
 
+import argparse
 import io
 import json
 
 import pytest
 
+from lietrees import cli
 from lietrees.cli import run
 from lietrees.documents import (automorphism_to_doc, dump_json,
                                 expansion_from_doc, expansion_to_doc,
@@ -211,3 +213,39 @@ class TestErrors:
         assert captured.out == ""
         assert captured.err.startswith("error:")
         assert "Traceback" not in captured.err
+
+
+class TestParser:
+    def test_several_runs_build_the_parser_once(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        cli._build_parser.cache_clear()
+        argv = ["homology", "dims", "--genus", "1", "--class", "1", "--n", "3"]
+        for _ in range(3):
+            assert run(argv) == 0
+        assert run(["phi", "rank", "--genus", "1", "--class", "1"]) == 0
+        assert built.count("lietrees") == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["frobnicate"], "lietrees: error: argument group: invalid choice: "
+                         "'frobnicate'"),
+        (["phi", "rank", "--genus", "1"], "lietrees phi rank: error: the "
+         "following arguments are required: --class"),
+        (["homology", "dims", "--genus", "2", "--class", "2", "--n", "7"],
+         "lietrees homology dims: error: argument --n: invalid choice: 7"),
+    ])
+    def test_usage_errors_after_a_run_exit_2_on_stderr(self, argv, message,
+                                                       capsys):
+        assert run(["phi", "rank", "--genus", "1", "--class", "1"]) == 0
+        capsys.readouterr()
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: lietrees")
+        assert message in captured.err

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import series_oracle as oracle
 from lietrees import jacobi, johnson, koszul
 from lietrees.free_lie import LieSeries, _letter_weight, gen_count, lyndon_basis
-from lietrees.jacobi import HLieTensor, eta, random_tree
+from lietrees.jacobi import HLieTensor, TreeCombo, eta, random_tree
 from lietrees.johnson import (Derivation, LieAutomorphism, apply_aut,
                               apply_der, compose_aut, derivation_from_tensor,
                               exp_der, identity_aut, invert_aut,
@@ -482,6 +483,39 @@ def test_wrong_kind_is_rejected_by_name(case):
     call, expected = _wrong_kind_calls()[case]
     with pytest.raises(ValueError, match=f"must be a {expected}, not "):
         call()
+
+
+def _level_calls():
+    """(call, message) for each level-k entry point handed a psi that is
+    not an automorphism or a k that is not an int."""
+    psi = random_ic_element(2, 1, 3, 4)
+    delta = log_aut(psi)
+    not_aut = "psi must be a LieAutomorphism, not "
+    not_int = "k must be an int, not float"
+    calls = {
+        "is_omega_fixing(str)": (lambda: is_omega_fixing("a1"), not_aut + "str"),
+        "is_omega_fixing(der)": (lambda: is_omega_fixing(delta),
+                                 not_aut + "Derivation"),
+        "capital_phi(combo, 1.5)": (lambda: capital_phi(TreeCombo(1), 1.5),
+                                    not_int),
+        "capital_phi(str, 1)": (lambda: capital_phi("a1", 1),
+                                "c must be a TreeCombo, not str"),
+    }
+    for f in (tau_truncated, johnson_k, tau_bracket_check, kernel_check,
+              tau_to_trees, morita_mk):
+        name = f.__name__
+        calls[f"{name}(str)"] = (partial(f, "a1", 1), not_aut + "str")
+        calls[f"{name}(der)"] = (partial(f, delta, 1), not_aut + "Derivation")
+        calls[f"{name}(psi, 1.5)"] = (partial(f, psi, 1.5), not_int)
+    return calls
+
+
+@pytest.mark.parametrize("case", sorted(_level_calls()))
+def test_level_entry_points_reject_wrong_kinds(case):
+    call, message = _level_calls()[case]
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
 
 
 class TestTensorDerivations:

@@ -10,11 +10,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 import series_oracle
 from lietrees import tensor_hopf
-from lietrees.free_lie import (LieSeries, bracket_basis, gen_count,
+from lietrees.free_lie import (LieSeries, bch, bracket_basis, gen_count,
                                is_lyndon, lyndon_basis)
 from lietrees.johnson import identity_aut
 from lietrees.sparse import add_into, add_term
-from lietrees.symplectic import (construct_symplectic,
+from lietrees.symplectic import (construct_symplectic, omega,
                                  paper_example_expansion, verify_symplectic)
 from lietrees.tensor_hopf import (ExpansionMap, FreeGroupWord, TensorSeries,
                                   _embed_word, antipode, basis_expansion,
@@ -749,3 +749,47 @@ class TestAntipode:
         for l, image in theta.images.items():
             assert theta.image(l, -1) == inv_unit(image)
         assert len(calls) == len(theta.images)
+
+
+def _wrong_kind_calls():
+    """(call, message) for each tensor-side entry point handed a value of
+    the wrong kind; mul(omega, omega) must not return a LieSeries holding
+    the non-Lyndon word a1.b1.a1.b1."""
+    lie = omega(1, 4)
+    t = TensorSeries.gen(1, 4, 0)
+    aut = identity_aut(1, 4)
+    theta = magnus_expansion(1, 4)
+    not_tensor = "x must be a TensorSeries, not LieSeries"
+    not_lie = "x must be a LieSeries, not TensorSeries"
+    not_map = "theta must be an ExpansionMap, not LieAutomorphism"
+    return {
+        "mul(lie, lie)": (lambda: mul(lie, lie), not_tensor),
+        "exp(str)": (lambda: exp("a1"), "x must be a TensorSeries, not str"),
+        "exp(lie)": (lambda: exp(lie), not_tensor),
+        "log(lie)": (lambda: log(lie), not_tensor),
+        "inv_unit(lie)": (lambda: inv_unit(lie), not_tensor),
+        "antipode(lie)": (lambda: antipode(lie), not_tensor),
+        "is_primitive(lie)": (lambda: is_primitive(lie), not_tensor),
+        "is_grouplike(lie)": (lambda: is_grouplike(lie), not_tensor),
+        "project_lie(lie)": (lambda: project_lie(lie), not_tensor),
+        "embed_lie(tensor)": (lambda: embed_lie(t), not_lie),
+        "bch(tensor, tensor)": (lambda: bch(t, t), not_lie),
+        "check_expansion(aut)": (lambda: check_expansion(aut), not_map),
+        "verify_symplectic(aut, 4)": (lambda: verify_symplectic(aut, 4),
+                                      not_map),
+        "verify_symplectic(theta, 4.0)": (lambda: verify_symplectic(theta, 4.0),
+                                          "n must be an int, not float"),
+        "evaluate_expansion(aut, word)": (
+            lambda: evaluate_expansion(aut, FreeGroupWord.gen(1, 0)), not_map),
+        "evaluate_expansion(theta, str)": (
+            lambda: evaluate_expansion(theta, "a1"),
+            "w must be a FreeGroupWord, not str"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_wrong_kind_calls()))
+def test_wrong_kind_is_rejected_by_name(case):
+    call, message = _wrong_kind_calls()[case]
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
