@@ -28,6 +28,7 @@ from .free_lie import (LieSeries, Word, gen_count, is_lyndon, letter_label,
                        parse_letter)
 from .jacobi import TreeCombo, parse_tree_text, tree_text
 from .johnson import LieAutomorphism
+from .sparse import check_kind
 from .tensor_hopf import ExpansionMap, TensorSeries
 
 
@@ -83,6 +84,7 @@ def _terms_payload(coords) -> list[dict]:
 
 
 def lie_series_to_doc(x: LieSeries) -> dict:
+    check_kind(x, LieSeries, "x")
     return {"genus": x.genus, "max_degree": x.max_degree,
             "terms": _terms_payload(x.coords)}
 
@@ -173,6 +175,7 @@ def _images_to_doc(m: ExpansionMap | LieAutomorphism) -> dict:
 
 
 def expansion_to_doc(theta: ExpansionMap) -> dict:
+    check_kind(theta, ExpansionMap, "theta")
     return _images_to_doc(theta)
 
 
@@ -208,6 +211,7 @@ def expansion_from_doc(doc: Any) -> ExpansionMap:
 
 
 def automorphism_to_doc(psi: LieAutomorphism) -> dict:
+    check_kind(psi, LieAutomorphism, "psi")
     return _images_to_doc(psi)
 
 
@@ -241,6 +245,7 @@ def load_json(text: str) -> Any:
 
 
 def tree_combo_to_text(c: TreeCombo) -> str:
+    check_kind(c, TreeCombo, "c")
     lines = []
     for tree, coeff in sorted(c.coords.items(), key=lambda t: t[0].key):
         lines.append(f"{coeff} {tree_text(tree)}")

@@ -1,17 +1,17 @@
 """Exact linear algebra on sparse row dicts of nonzero exact rationals.
 
 Every rank, kernel, solve and quotient computation in the package runs
-through this module, and one elimination kernel: the fraction-free
-`_echelon` over the integers (denominators cleared, row <- a*row -
-f*pivot, then division by the row's content).  Every rank is its length,
-and `_rref` back-substitutes it into the reduced row echelon form, whose
-readers divide by each pivot once, at the end.  The RREF is unique, so
-`BlockSolver` solutions and `kernel_from_rref` bases do not depend on row
-order.  A `BlockSolver` takes {label: sparse column} and its solutions
-are sparse, keyed by those labels; `free_lie._solve_by_weight` is the one
-blockwise solve, a solver per weight block.  Only the sparse
-`semi_echelon` over `Fraction`, used for the H3 quotient basis the
-canonical coordinates are read in, depends on row order.
+through this module, and one fraction-free reduction, `_reduce` over
+the integers (denominators cleared, row <- a*row - f*pivot, then
+division by the row's content).  `_echelon` runs it on rows, and every
+rank is its length; `_rref` back-substitutes that into the unique
+reduced row echelon form.  `BlockSolver` runs it on tagged columns, read
+only up to full rank; its solutions, keyed by the column labels, are
+supported on the first independent columns.  Neither depends on row
+order.  `free_lie._solve_by_weight` is the one blockwise solve, a solver
+per weight block.  Only the sparse `semi_echelon` over `Fraction`, used
+for the H3 quotient basis the canonical coordinates are read in,
+depends on row order.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 from numbers import Rational
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .sparse import scaled
 
@@ -89,6 +89,15 @@ def _cancel(row: dict[int, int], c: int,
     return {j: v // g for j, v in row.items()} if g > 1 else row
 
 
+def _reduce(row: dict[int, int],
+            pivots: Mapping[int, Mapping[int, int]]) -> dict[int, int]:
+    """row cancelled against pivots, each filed under its least column,
+    until it vanishes or its least column has none."""
+    while row and (c := min(row)) in pivots:
+        row = _cancel(row, c, pivots[c])
+    return row
+
+
 def _echelon(rows: Iterable[Mapping[int, Rational]]) -> dict[int, dict[int, int]]:
     """Fraction-free echelon form of sparse rows keyed by column index.
 
@@ -99,14 +108,8 @@ def _echelon(rows: Iterable[Mapping[int, Rational]]) -> dict[int, dict[int, int]
     """
     pivots: dict[int, dict[int, int]] = {}
     for vec in rows:
-        row = _primitive(vec)
-        while row:
-            c = min(row)
-            prow = pivots.get(c)
-            if prow is None:
-                pivots[c] = row
-                break
-            row = _cancel(row, c, prow)
+        if row := _reduce(_primitive(vec), pivots):
+            pivots[min(row)] = row
     return pivots
 
 
@@ -142,51 +145,46 @@ def rank_of_columns(columns: Sequence[Mapping[object, Rational]]) -> int:
 
 
 class BlockSolver:
-    """Reusable exact solver for a fixed family of labelled sparse columns.
+    """Reusable exact solver for a labelled family of sparse columns.
 
-    Built once by `_echelon` of [a | I] over a fixed row universe, the
-    columns of a in the order of their mapping.  The rows led in a reduce
-    to the RREF of a, their I part recording how; the rows led in I are a
-    basis of the left kernel of a, so b is consistent exactly when each
-    annihilates it.  Solves run in integers up to one division per pivot
-    and set free variables to zero: each is the unique solution supported
-    on the pivot columns, {label: value} over its nonzero entries.
+    Column j, column(labels[j]) over the n row keys with a tag 1 at index
+    n + j, is reduced by `_cancel` against the pivots kept so far, each
+    filed under its least row, and dropped if only tags are left.  The
+    kept columns, `pivots`, are the first independent ones in label
+    order; once they number n no later column is read.  A solve reduces
+    b alike, its multiplier carried past every tag, and reads x off the
+    tags: the unique solution supported on the pivots, {label: value}
+    over its nonzero entries, or None when b is outside the span.
     """
 
-    def __init__(self, row_keys: Sequence[object],
-                 columns: Mapping[object, Mapping[object, Rational]]):
-        self.row_keys = list(row_keys)
-        self.index = {k: i for i, k in enumerate(self.row_keys)}
-        labels = list(columns)
-        n = len(labels)
-        rows = _rows_of(columns.values(), self.index)
-        for i, row in enumerate(rows):
-            row[n + i] = 1
-        echelon = _echelon(rows)
-        self.cokernel = [{j - n: v for j, v in row.items()}
-                         for c, row in echelon.items() if c >= n]
-        pivots, reduced = _rref(echelon, n)
-        self.pivots = [labels[c] for c in pivots]
-        self.rank = len(pivots)
-        # x[label] = sum_j t[j] * b[j] / p for each (label, t, p) in transform
-        self.transform = [(labels[c], {j - n: v for j, v in row.items()
-                                       if j >= n}, row[c])
-                          for c, row in zip(pivots, reduced)]
+    def __init__(self, row_keys: Iterable[object], labels: Sequence[object],
+                 column: Callable[[object], Mapping[object, Rational]]):
+        self.index = {k: i for i, k in enumerate(row_keys)}
+        self.labels, self.pivots, self._echelon = labels, [], {}
+        n = len(self.index)
+        for j, label in enumerate(labels):
+            if len(self.pivots) == n:
+                break
+            vec = {self.index[k]: v for k, v in column(label).items() if v}
+            row = _reduce(_primitive({**vec, n + j: 1}), self._echelon)
+            if (c := min(row)) < n:
+                self._echelon[c] = row
+                self.pivots.append(label)
+        self.rank = len(self.pivots)
 
     def solve(self, b: Mapping[object, Rational]) -> Optional[dict]:
         bvec = {self.index.get(k): v for k, v in b.items() if v}
         if None in bvec:
             return None          # target hits a row no column reaches
+        n = len(self.index)
+        last = n + len(self.labels)
         bint, den = scaled(bvec)
-        for y in self.cokernel:
-            if sum(y.get(i, 0) * v for i, v in bint.items()):
-                return None
-        x = {}
-        for label, trow, p in self.transform:
-            s = sum(trow.get(i, 0) * v for i, v in bint.items())
-            if s:
-                x[label] = Fraction(s, p * den)
-        return x
+        # row part = -row[last] * b + sum over tags t of row[t] * column t
+        row = _reduce({**bint, last: -den}, self._echelon)
+        if min(row) < n:
+            return None
+        m = row.pop(last)
+        return {self.labels[t - n]: Fraction(v, m) for t, v in row.items()}
 
 
 def reduce_against(v: dict[int, Fraction],

@@ -20,9 +20,9 @@ brackets bracketed once per directed edge of the tree.  eta_inverse
 solves back onto caterpillar (left-normed) trees with exact linear
 algebra, one weight block at a time and only in the blocks its input
 lands in.  The caterpillar family of a (degree, weight) block builds one
-colouring per orbit of the caterpillar's symmetries, and its solver is
-certified when built: its rank must equal the rank-computed dimension
-of that block of the bracket-map kernel.
+colouring per orbit of the caterpillar's symmetries, whose etas are its
+solver's columns; the solver is certified when built: its rank must
+equal the rank-computed dimension of that block of the bracket-map kernel.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .exact_linalg import BlockSolver, rank_of_columns
 from .free_lie import (LieSeries, Word, _letter_weight, _solve_by_weight,
                        _split_by_weight, bracket_basis, gen_count, is_lyndon,
                        letter_label, lyndon_basis, parse_letter)
-from .sparse import SparseCombination, add_into, add_term
+from .sparse import SparseCombination, add_into, add_term, check_kind
 
 Plant = int | tuple
 ONE = Fraction(1)
@@ -303,6 +303,7 @@ def fission(c: TreeCombo, nilpotency_class: int | None = None):
     built once per directed edge and truncated above the class, whose
     longer factors the wedge chain drops anyway."""
     from . import koszul
+    check_kind(c, TreeCombo, "c")
     degs = c.degrees()
     if not degs:
         if nilpotency_class is None:
@@ -329,6 +330,7 @@ def fission(c: TreeCombo, nilpotency_class: int | None = None):
 
 def eta(c: TreeCombo) -> HLieTensor:
     """Sum over leaves of color tensor bracket-of-the-rest."""
+    check_kind(c, TreeCombo, "c")
     acc: dict[tuple[int, Word], Fraction] = {}
     for tree, coeff in c.coords.items():
         kinds, colors, nbrs = tree.graph()
@@ -418,8 +420,8 @@ def _caterpillars(genus: int, d: int, mu: tuple[int, ...]) -> list[TreeDiagram]:
 def _eta_solver(genus: int, d: int, mu: tuple[int, ...]) -> BlockSolver:
     """eta on the degree-d caterpillars of weight mu, certified to span
     the tree space's weight-mu block: its rank is that block's dimension."""
-    solver = BlockSolver(_hl_blocks(genus, d)[mu], {
-        t: eta(TreeCombo.single(t)).coords for t in _caterpillars(genus, d, mu)})
+    solver = BlockSolver(_hl_blocks(genus, d)[mu], _caterpillars(genus, d, mu),
+                         lambda t: eta(TreeCombo.single(t)).coords)
     if solver.rank != _tree_block_dim(genus, d, mu):
         raise RuntimeError(f"caterpillar family does not span tree space "
                            f"at degree {d}, weight {mu}")

@@ -350,6 +350,9 @@ def random_ic_element(genus: int, k: int, seed: int,
     tensors, one per tree degree from k up to max_degree - 1, so the
     result fixes the symplectic element exactly.
     """
+    check_kind(genus, int, "genus")
+    check_kind(k, int, "k")
+    check_kind(max_degree, int, "max_degree")
     if k < 1 or max_degree < 2 * k:
         raise ValueError("need k >= 1 and max_degree >= 2k")
     if genus < 1:

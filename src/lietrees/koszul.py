@@ -11,9 +11,9 @@ fraction-free integer ranks, taken once per orbit of the letter
 permutations.  Canonical H3 coordinates are per weight, never per orbit:
 a cycle is reduced modulo the RREF of the d4 image and read in the
 `semi_echelon` basis of the reduced d3 kernel, built only for the blocks
-it lands in.  Boundary solves reuse a cached `BlockSolver` per block.  An
-H3 class keeps them sparsely, keyed by (degree, index); `parts` is a
-dense view per degree.
+it lands in.  Boundary solves reuse a cached `BlockSolver` per block,
+its d3 columns built only up to full rank.  An H3 class keeps them
+sparsely, keyed by (degree, index); `parts` is a dense view per degree.
 """
 
 from __future__ import annotations
@@ -117,8 +117,7 @@ def wedge_chain_from_terms(genus: int, nilpotency_class: int, arity: int,
     return WedgeChain._of(genus, nilpotency_class, arity, acc)
 
 
-def _monomial_boundary(genus: int, k: int,
-                       mon: Monomial) -> dict[Monomial, int]:
+def _monomial_boundary(k: int, mon: Monomial) -> dict[Monomial, int]:
     """Boundary of a single wedge monomial, over normalized monomials;
     its coefficients are the integer structure constants, signed."""
     acc: dict[Monomial, int] = {}
@@ -154,7 +153,7 @@ def boundary(c: WedgeChain) -> WedgeChain:
         raise ValueError("boundary needs arity >= 1")
     acc: dict[Monomial, Fraction] = {}
     for mon, coeff in c.coords.items():
-        add_into(acc, _monomial_boundary(c.genus, c.nilpotency_class, mon), coeff)
+        add_into(acc, _monomial_boundary(c.nilpotency_class, mon), coeff)
     return WedgeChain._of(c.genus, c.nilpotency_class, c.arity - 1, acc)
 
 
@@ -233,7 +232,7 @@ def _boundary_rows(genus: int, k: int, arity: int,
     index = {m: i for i, m in enumerate(_monomials(genus, k, arity - 1, mu))}
     rows: list[dict[int, int]] = [{} for _ in index]
     for j, mon in enumerate(_monomials(genus, k, arity, mu)):
-        for tgt, c in _monomial_boundary(genus, k, mon).items():
+        for tgt, c in _monomial_boundary(k, mon).items():
             rows[index[tgt]][j] = c
     return rows
 
@@ -251,6 +250,9 @@ def homology_dims(genus: int, k: int, n: int) -> dict[int, int]:
     the weakly decreasing weights mu of |orbit(mu)| (c_n - rank d_n -
     rank d_{n+1}) at mu.  A letter permutation preserves L_{>k}, so it is
     a chain automorphism carrying each weight block onto its image's."""
+    check_kind(genus, int, "genus")
+    check_kind(k, int, "k")
+    check_kind(n, int, "n")
     if genus < 1 or k < 1 or n < 1:
         raise ValueError("need genus >= 1, class k >= 1 and n >= 1")
     out: dict[int, int] = {}
@@ -277,7 +279,7 @@ def _h3_structure(genus: int, k: int, mu: tuple[int, ...]):
         return None
     index = {m: i for i, m in enumerate(mon3)}
     im_pivots, im_rows = _rref(_echelon(
-        {index[m]: c for m, c in _monomial_boundary(genus, k, m4).items()}
+        {index[m]: c for m, c in _monomial_boundary(k, m4).items()}
         for m4 in _monomials(genus, k, 4, mu)), len(index))
     pivots, rows = _rref(_echelon(_boundary_rows(genus, k, 3, mu)), len(index))
     ker = kernel_from_rref(rows, pivots, len(index))
@@ -356,6 +358,7 @@ class HomologyClass(SparseCombination):
 def class_of(z: WedgeChain) -> HomologyClass:
     """Canonical coordinates of a 3-cycle in ker/im; genus at least 1,
     as `HomologyClass` requires."""
+    check_kind(z, WedgeChain, "z")
     if z.arity != 3:
         raise ValueError("class_of handles arity-3 chains")
     if z.genus < 1:
@@ -384,9 +387,8 @@ def class_of(z: WedgeChain) -> HomologyClass:
 @lru_cache(maxsize=None)
 def _d3_solver(genus: int, k: int, mu: tuple[int, ...]) -> BlockSolver:
     """d3 on the (3, mu) block, its columns labelled by their monomials."""
-    return BlockSolver(_monomials(genus, k, 2, mu),
-                       {m: _monomial_boundary(genus, k, m)
-                        for m in _monomials(genus, k, 3, mu)})
+    return BlockSolver(_monomials(genus, k, 2, mu), _monomials(genus, k, 3, mu),
+                       partial(_monomial_boundary, k))
 
 
 class NotABoundaryError(ValueError, RuntimeError):
@@ -443,6 +445,8 @@ def phi_matrix_rank(genus: int, k: int) -> int:
     of pivots in the cycle columns of one echelon whose columns are the d4
     boundaries, then the cycles.  No H3 coordinates are formed."""
     from . import jacobi
+    check_kind(genus, int, "genus")
+    check_kind(k, int, "k")
     if genus < 1 or k < 1:
         raise ValueError("need genus >= 1 and class k >= 1")
     total = 0
@@ -452,11 +456,11 @@ def phi_matrix_rank(genus: int, k: int) -> int:
             if not trees:
                 continue
             index = {m: i for i, m in enumerate(_monomials(genus, k, 3, mu))}
-            columns = [_monomial_boundary(genus, k, m)
+            columns = [_monomial_boundary(k, m)
                        for m in _monomials(genus, k, 4, mu)]
             n4 = len(columns)
             # the block's cycles share monomials: one boundary for each
-            d3 = cache(partial(_monomial_boundary, genus, k))
+            d3 = cache(partial(_monomial_boundary, k))
             for tree in trees:
                 z = jacobi.fission(jacobi.TreeCombo.single(tree),
                                    nilpotency_class=k)

@@ -99,7 +99,8 @@ def _solve_splitting(genus: int, j: int,
     if not all(col_blocks.values()):
         raise RuntimeError("defect weight outside the bracket image")
     sol = _solve_by_weight(lambda mu: BlockSolver(
-        sorted(set().union(*col_blocks[mu].values())), col_blocks[mu]), blocks)
+        sorted(set().union(*col_blocks[mu].values())), list(col_blocks[mu]),
+        col_blocks[mu].__getitem__), blocks)
     if sol is None:
         raise RuntimeError("bracket splitting system is inconsistent")
     gains: dict[int, dict[Word, Fraction]] = {}
@@ -115,6 +116,8 @@ def build_corrector(genus: int, max_degree: int) -> LieAutomorphism:
     removed by a step sending a_i to a_i + u_i and b_i to b_i + v_i with
     u, v of degree j, then the step is composed on the right.
     """
+    check_kind(genus, int, "genus")
+    check_kind(max_degree, int, "max_degree")
     if genus < 1:
         raise ValueError("genus must be at least 1")
     if max_degree < 2:

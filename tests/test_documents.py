@@ -199,6 +199,29 @@ class TestTreeText:
             tree_combo_from_text(f"1 (a1 ({name} a2))", 2)
 
 
+WRONG_KIND_WRITES = {
+    "lie_series_to_doc(TensorSeries)": (
+        lambda: lie_series_to_doc(TensorSeries.gen(1, 2, 0)),
+        "x must be a LieSeries, not TensorSeries"),
+    "expansion_to_doc(LieAutomorphism)": (
+        lambda: expansion_to_doc(random_ic_element(1, 1, 0, 2)),
+        "theta must be an ExpansionMap, not LieAutomorphism"),
+    "automorphism_to_doc(ExpansionMap)": (
+        lambda: automorphism_to_doc(paper_example_expansion(1)),
+        "psi must be a LieAutomorphism, not ExpansionMap"),
+    "tree_combo_to_text(str)": (lambda: tree_combo_to_text("x"),
+                                "c must be a TreeCombo, not str"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_KIND_WRITES))
+def test_writers_refuse_wrong_kinds_by_name(case):
+    write, message = WRONG_KIND_WRITES[case]
+    with pytest.raises(ValueError) as err:
+        write()
+    assert str(err.value) == message
+
+
 def rand_coeff(rng):
     return F(rng.randint(-9, 9), rng.randint(1, 7))
 

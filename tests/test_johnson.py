@@ -19,7 +19,7 @@ from lietrees.johnson import (Derivation, LieAutomorphism, apply_aut,
                               tau_bracket_check, tau_to_trees, tau_truncated)
 from lietrees.koszul import boundary, capital_phi
 from lietrees.sparse import SparseCombination
-from lietrees.symplectic import omega
+from lietrees.symplectic import construct_symplectic, omega
 from lietrees.tensor_hopf import ExpansionMap, TensorSeries, exp
 
 F = Fraction
@@ -513,6 +513,31 @@ def _level_calls():
 @pytest.mark.parametrize("case", sorted(_level_calls()))
 def test_level_entry_points_reject_wrong_kinds(case):
     call, message = _level_calls()[case]
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
+ENTRY_POINT_CALLS = {
+    "eta(str)": (lambda: eta("x"), "c must be a TreeCombo, not str"),
+    "fission(str)": (lambda: jacobi.fission("x"),
+                     "c must be a TreeCombo, not str"),
+    "class_of(str)": (lambda: koszul.class_of("x"),
+                      "z must be a WedgeChain, not str"),
+    "homology_dims('2', 2, 3)": (lambda: koszul.homology_dims("2", 2, 3),
+                                 "genus must be an int, not str"),
+    "phi_matrix_rank(2, 2.0)": (lambda: koszul.phi_matrix_rank(2, 2.0),
+                                "k must be an int, not float"),
+    "construct_symplectic(2, 3.0)": (lambda: construct_symplectic(2, 3.0),
+                                     "max_degree must be an int, not float"),
+    "random_ic_element(2, 1.5, 1, 4)": (
+        lambda: random_ic_element(2, 1.5, 1, 4), "k must be an int, not float"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ENTRY_POINT_CALLS))
+def test_entry_points_reject_wrong_kinds_by_name(case):
+    call, message = ENTRY_POINT_CALLS[case]
     with pytest.raises(ValueError) as err:
         call()
     assert str(err.value) == message

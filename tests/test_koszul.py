@@ -336,7 +336,7 @@ class TestBlocks:
             for d in range(arity, arity * k + 1):
                 for mu in all_weights(genus, d):
                     for mon in _monomials(genus, k, arity, mu):
-                        for c in _monomial_boundary(genus, k, mon).values():
+                        for c in _monomial_boundary(k, mon).values():
                             assert type(c) is int
                             seen += 1
         assert seen > 0
@@ -520,13 +520,33 @@ class TestCapitalPhi:
         koszul._block_rank.cache_clear()
         calls = Counter()
 
-        def counting(genus, k, mon):
+        def counting(k, mon):
             calls[mon] += 1
-            return _monomial_boundary(genus, k, mon)
+            return _monomial_boundary(k, mon)
 
         monkeypatch.setattr(koszul, "_monomial_boundary", counting)
         assert phi_matrix_rank(2, 3) == 522
         assert calls and max(calls.values()) == 1
+
+    def test_d3_solvers_stop_reading_columns_at_full_rank(self, monkeypatch):
+        # morita_mk at k=2 solves in the class-4 d3 blocks; the solvers
+        # read columns only until the rank reaches the block's row count
+        koszul._d3_solver.cache_clear()
+        columns = []
+
+        def counting(k, mon):
+            if k == 4 and len(mon) == 3:
+                columns.append(mon)
+            return _monomial_boundary(k, mon)
+
+        monkeypatch.setattr(koszul, "_monomial_boundary", counting)
+        morita_mk(random_ic_element(2, 2, 1, 4), 2)
+        blocks = {_letter_weight(tuple(chain.from_iterable(m)), 2)
+                  for m in columns}
+        held = sum(len(_monomials(2, 4, 3, mu)) for mu in blocks)
+        assert held == 152
+        assert 0 < len(columns) < held
+        assert len(set(columns)) == len(columns)
 
     def test_rank_rejects_a_cycle_of_another_weight(self, monkeypatch):
         # every bucket gets the fission of one fixed tree, a genuine cycle
