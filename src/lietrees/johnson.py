@@ -280,14 +280,15 @@ def tau_truncated(psi: LieAutomorphism, k: int) -> HLieTensor:
     """Deviations of a level-k psi in degrees k+1..2k, packaged as a tensor.
 
     Each deviation rides with the `partner` of its generator, signed, so
-    the window data of psi is recovered exactly from the result.
+    the window data of psi is recovered exactly from the result.  Above
+    degree one a deviation's words are its image's, read in place.
     """
     _check_level(psi, k)
     genus = psi.genus
     coords: dict[tuple[int, Word], Fraction] = {}
     for letter in range(gen_count(genus)):
         mate, sign = partner(letter)
-        for w, c in psi.deviation(letter).coords.items():
+        for w, c in psi.image_of(letter).coords.items():
             if k + 1 <= len(w) <= 2 * k:
                 add_term(coords, (mate, w), sign * c)
     return HLieTensor._of(genus, coords)
@@ -295,17 +296,17 @@ def tau_truncated(psi: LieAutomorphism, k: int) -> HLieTensor:
 
 def _check_level(psi: LieAutomorphism, k: int) -> None:
     """Reject a psi that is not an automorphism, a k that is not an int,
-    k < 1, a truncation below 2k, or a deviation of degree <= k."""
+    k < 1, a truncation below 2k, or a deviation of degree <= k.  An
+    image's degree-one part is its generator, so a deviation of degree
+    <= k is an image word of length 2..k."""
     check_kind(psi, LieAutomorphism, "psi")
     check_kind(k, int, "k")
     if k < 1:
         raise ValueError("k must be at least 1")
     if psi.max_degree < 2 * k:
         raise ValueError("automorphism truncated below degree 2k")
-    for letter in range(gen_count(psi.genus)):
-        md = psi.deviation(letter).min_degree()
-        if md is not None and md <= k:
-            raise ValueError(f"automorphism not in filtration level {k}")
+    if any(1 < len(w) <= k for img in psi.images.values() for w in img.coords):
+        raise ValueError(f"automorphism not in filtration level {k}")
 
 
 def johnson_k(psi: LieAutomorphism, k: int) -> HLieTensor:
@@ -377,21 +378,34 @@ def morita_mk(psi: LieAutomorphism, k: int) -> "object":
     a cycle; it bounds a 3-chain, whose reduction to the class-k
     quotient is a cycle with a well-defined class independent of the
     chosen bounding chain.
+
+    Only the cycle's degrees k+2..2k+1, the degrees of H3(L/L_{>k}), are
+    built, checked and solved.  The boundary keeps degree, so each degree
+    part of the cycle is a cycle and bounds on its own.  Below k+2 the
+    cycle vanishes, since psi moves each generator only in degrees above
+    k: the a_i ^ b_i terms cancel in degree 2 and are left out.  Degrees
+    up to 2k are where psi can fail to fix the symplectic element, and
+    degree 2k+1 is where H2(L/L_{>2k}) = L_{2k+1} lives, so a cycle that
+    bounds nothing is still refused.  Above 2k+1 every 2-cycle bounds,
+    and the reduced 3-chain is a cycle in degrees where H3(L/L_{>k}) is
+    zero, so those degrees add nothing to the class.
     """
     from .koszul import _solve_boundary3, boundary, class_of, wedge_chain_from_terms
     _check_level(psi, k)
     genus = psi.genus
-    big = 2 * k
+    lo, hi = k + 2, 2 * k + 1
     terms = []
     for i in range(1, genus + 1):
-        a, b = a_letter(i), b_letter(i)
-        terms.append((((a,), (b,)), ONE))
-        xa = psi.image_of(a).truncated(big)
-        xb = psi.image_of(b).truncated(big)
-        for wu, cu in xa.coords.items():
-            for wv, cv in xb.coords.items():
-                terms.append(((wu, wv), -cu * cv))
-    cycle = wedge_chain_from_terms(genus, big, 2, terms)
+        xb = graded(psi.image_of(b_letter(i)).coords)
+        for du, pu in graded(psi.image_of(a_letter(i)).coords):
+            for dv, pv in xb:
+                if du + dv > hi:
+                    break
+                if du + dv >= lo:
+                    terms.extend(((wu, wv), -cu * cv)
+                                 for wu, cu in pu.items()
+                                 for wv, cv in pv.items())
+    cycle = wedge_chain_from_terms(genus, 2 * k, 2, terms)
     if not boundary(cycle).is_zero():
         raise ValueError("automorphism does not fix the symplectic element "
                          "modulo degree 2k+1")

@@ -12,7 +12,9 @@ permutations.  Canonical H3 coordinates are per weight, never per orbit:
 a cycle is reduced modulo the RREF of the d4 image and read in the
 `semi_echelon` basis of the reduced d3 kernel, built only for the blocks
 it lands in.  Boundary solves reuse a cached `BlockSolver` per block,
-its d3 columns built only up to full rank.  An H3 class keeps them
+its d3 columns built only up to full rank; `johnson.morita_mk` hands
+them only the degrees k+2..2k+1 of its cycle, the degrees of H3 at
+class k, so no other d3 block is built.  An H3 class keeps them
 sparsely, keyed by (degree, index); `parts` is a dense view per degree.
 """
 

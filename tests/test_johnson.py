@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 import series_oracle as oracle
 from lietrees import jacobi, johnson, koszul
-from lietrees.free_lie import LieSeries, _letter_weight, gen_count, lyndon_basis
+from lietrees.free_lie import (LieSeries, _letter_weight, a_letter, b_letter,
+                               gen_count, lyndon_basis)
 from lietrees.jacobi import HLieTensor, TreeCombo, eta, random_tree
 from lietrees.johnson import (Derivation, LieAutomorphism, apply_aut,
                               apply_der, compose_aut, derivation_from_tensor,
@@ -680,6 +681,33 @@ def level_two_unfixing_automorphism():
     return LieAutomorphism(2, 4, images)
 
 
+def moving_a1(genus, k):
+    """a1 -> a1 + the first Lyndon word of degree 2k, every other generator
+    fixed: filtration level k, and the 2-cycle -w ^ b1 of degree 2k+1 is
+    [w, b1] != 0 in H2(L/L_{>2k}) = L_{2k+1}."""
+    n = 2 * k
+    images = {l: LieSeries.gen(genus, n, l) for l in range(gen_count(genus))}
+    images[0] = images[0] + LieSeries(genus, n, {lyndon_basis(genus, n)[0]: 1})
+    return LieAutomorphism(genus, n, images)
+
+
+def full_cycle_morita_mk(psi, k):
+    """The homology route on the whole 2-cycle in Lambda^2(L/L_{>2k}): the
+    a_i ^ b_i terms and every pair of image terms, solved by
+    `solve_boundary3` in every weight block the cycle touches."""
+    big = 2 * k
+    terms = []
+    for i in range(1, psi.genus + 1):
+        a, b = a_letter(i), b_letter(i)
+        xa = psi.image_of(a).truncated(big).coords
+        xb = psi.image_of(b).truncated(big).coords
+        terms.append((((a,), (b,)), 1))
+        terms.extend(((wu, wv), -cu * cv)
+                     for wu, cu in xa.items() for wv, cv in xb.items())
+    cycle = koszul.wedge_chain_from_terms(psi.genus, big, 2, terms)
+    return koszul.class_of(koszul.solve_boundary3(cycle).reduced_to(k))
+
+
 class TestFiltrationLevel:
     SHALLOW = [level_one_automorphism(), random_ic_element(2, 1, 0, 4),
                random_ic_element(2, 1, 5, 4)]
@@ -691,6 +719,33 @@ class TestFiltrationLevel:
     def test_every_route_rejects_a_lower_level(self, route, psi):
         with pytest.raises(ValueError, match="not in filtration level 2"):
             route(psi, 2)
+
+    @pytest.mark.parametrize("psi", [
+        identity_aut(2, 4), level_one_automorphism(),
+        level_two_unfixing_automorphism(), random_ic_element(2, 1, 0, 4),
+        random_ic_element(2, 2, 1, 5), random_ic_element(1, 3, 2, 6)])
+    def test_level_is_read_off_the_least_deviation_degree(self, psi):
+        least = min((d for l in range(gen_count(psi.genus))
+                     if (d := psi.deviation(l).min_degree()) is not None),
+                    default=psi.max_degree + 1)
+        for k in range(1, psi.max_degree // 2 + 1):
+            if least > k:
+                johnson._check_level(psi, k)
+            else:
+                with pytest.raises(ValueError, match="automorphism not in "
+                                   f"filtration level {k}$"):
+                    johnson._check_level(psi, k)
+
+    def test_level_routes_build_no_deviation(self, monkeypatch):
+        def refuse(self, letter):
+            raise AssertionError("deviation built")
+
+        monkeypatch.setattr(LieAutomorphism, "deviation", refuse)
+        psi = random_ic_element(2, 2, 1, 4)
+        morita_mk(psi, 2)
+        tau_to_trees(psi, 2)
+        with pytest.raises(ValueError, match="not in filtration level 2"):
+            morita_mk(level_one_automorphism(), 2)
 
     @pytest.mark.parametrize("route", ROUTES)
     def test_every_route_checks_k_and_truncation(self, route):
@@ -721,6 +776,44 @@ class TestObstruction:
     def test_tree_formula_at_class_3(self, genus):
         psi = random_ic_element(genus, 3, 1, 6)
         assert -morita_mk(psi, 3) == capital_phi(tau_to_trees(psi, 3), 3)
+
+    def test_tree_formula_at_class_4(self):
+        psi = random_ic_element(2, 4, 1, 8)
+        assert -morita_mk(psi, 4) == capital_phi(tau_to_trees(psi, 4), 4)
+
+    @pytest.mark.parametrize("genus", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_window_route_equals_the_full_cycle_route(self, genus, k):
+        psi = random_ic_element(genus, k, 1, 2 * k)
+        assert morita_mk(psi, k) == full_cycle_morita_mk(psi, k)
+
+    @pytest.mark.parametrize("genus, k", [(1, 3), (2, 2), (2, 3), (3, 2)])
+    def test_solves_and_reads_only_the_h3_window(self, genus, k, monkeypatch):
+        solved, read = set(), set()
+
+        def solver(g, c, mu):
+            solved.add(sum(mu))
+            return d3_solver(g, c, mu)
+
+        def structure(g, c, mu):
+            read.add(sum(mu))
+            return h3_structure(g, c, mu)
+
+        d3_solver, h3_structure = koszul._d3_solver, koszul._h3_structure
+        monkeypatch.setattr(koszul, "_d3_solver", solver)
+        monkeypatch.setattr(koszul, "_h3_structure", structure)
+        morita_mk(random_ic_element(genus, k, 1, 2 * k + 1), k)
+        window = set(range(k + 2, 2 * k + 2))
+        assert solved and solved <= window
+        assert read and read <= window
+
+    @pytest.mark.parametrize("genus, k", [(1, 1), (2, 2)])
+    def test_a_move_in_degree_2k_bounds_nothing(self, genus, k):
+        psi = moving_a1(genus, k)
+        for route in (morita_mk, full_cycle_morita_mk):
+            with pytest.raises(koszul.NotABoundaryError,
+                               match="2-cycle is not a 3-boundary"):
+                route(psi, k)
 
     def test_rejects_shallow_elements(self):
         psi = random_ic_element(2, 1, 5, 4)
