@@ -21,8 +21,10 @@ solves back onto caterpillar (left-normed) trees with exact linear
 algebra, one weight block at a time and only in the blocks its input
 lands in.  The caterpillar family of a (degree, weight) block builds one
 colouring per orbit of the caterpillar's symmetries, whose etas are its
-solver's columns; the solver is certified when built: its rank must
-equal the rank-computed dimension of that block of the bracket-map kernel.
+solver's columns; the solver is certified when built: each column must
+lie in the bracket-map kernel and its rank must equal the rank-computed
+dimension of that block of the kernel, so it spans exactly the kernel
+and a failed solve is what refuses an input outside it.
 """
 
 from __future__ import annotations
@@ -368,6 +370,8 @@ def _tree_block_dim(genus: int, d: int, mu: tuple[int, ...]) -> int:
 
 def tree_space_dim(genus: int, d: int) -> int:
     """dim of ker([-,-]: H (x) L_{d+1} -> L_{d+2}), computed by rank."""
+    check_kind(genus, int, "genus")
+    check_kind(d, int, "d")
     if d < 0:
         raise ValueError("degree must be >= 0")
     return sum(_tree_block_dim(genus, d, mu) for mu in _hl_blocks(genus, d))
@@ -416,12 +420,21 @@ def _caterpillars(genus: int, d: int, mu: tuple[int, ...]) -> list[TreeDiagram]:
     return list(out)
 
 
+def _kernel_column(t: TreeDiagram) -> dict[tuple[int, Word], Fraction]:
+    """eta(t), which the bracket contraction must kill."""
+    x = eta(TreeCombo.single(t))
+    if not x.bracket_contraction().is_zero():
+        raise RuntimeError(f"eta of {tree_text(t)} is outside the bracket kernel")
+    return x.coords
+
+
 @lru_cache(maxsize=None)
 def _eta_solver(genus: int, d: int, mu: tuple[int, ...]) -> BlockSolver:
     """eta on the degree-d caterpillars of weight mu, certified to span
-    the tree space's weight-mu block: its rank is that block's dimension."""
+    exactly the tree space's weight-mu block: every column it reads is
+    in the bracket kernel, and its rank is that block's dimension."""
     solver = BlockSolver(_hl_blocks(genus, d)[mu], _caterpillars(genus, d, mu),
-                         lambda t: eta(TreeCombo.single(t)).coords)
+                         _kernel_column)
     if solver.rank != _tree_block_dim(genus, d, mu):
         raise RuntimeError(f"caterpillar family does not span tree space "
                            f"at degree {d}, weight {mu}")
@@ -432,16 +445,23 @@ def eta_inverse(x: HLieTensor, d: int) -> TreeCombo:
     """Preimage of x under eta, on caterpillar trees.
 
     x must be homogeneous of tree degree d and lie in the bracket kernel.
+    Each solver spans exactly its block of the kernel, so x is solved for
+    first, and its bracket contraction is taken only when the solve fails,
+    to tell an input outside the kernel from a solver fault.
     """
+    check_kind(x, HLieTensor, "x")
+    check_kind(d, int, "d")
+    if d < 0:
+        raise ValueError("degree must be >= 0")
     if any(len(w) - 1 != d for _, w in x.coords):
         raise ValueError(f"input not homogeneous of tree degree {d}")
-    if not x.bracket_contraction().is_zero():
-        raise ValueError("input not in the bracket kernel")
     if x.is_zero():
         return TreeCombo.zero(x.genus)
     coords = _solve_by_weight(partial(_eta_solver, x.genus, d), _split_by_weight(
         x.coords, x.genus, lambda hw: (hw[0], *hw[1])))
     if coords is None:
+        if not x.bracket_contraction().is_zero():
+            raise ValueError("input not in the bracket kernel")
         raise RuntimeError("kernel element outside the certified span")
     return TreeCombo._of(x.genus, coords)
 

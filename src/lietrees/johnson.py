@@ -389,8 +389,14 @@ def morita_mk(psi: LieAutomorphism, k: int) -> "object":
     bounds nothing is still refused.  Above 2k+1 every 2-cycle bounds,
     and the reduced 3-chain is a cycle in degrees where H3(L/L_{>k}) is
     zero, so those degrees add nothing to the class.
+
+    The cycle is solved for first: a solved cycle is the boundary of a
+    3-chain, hence a cycle, so its boundary is computed only when the
+    solve fails, to tell a psi moving the symplectic element from a
+    cycle that bounds nothing.
     """
-    from .koszul import _solve_boundary3, boundary, class_of, wedge_chain_from_terms
+    from .koszul import (NotABoundaryError, _solve_boundary3, boundary,
+                         class_of, wedge_chain_from_terms)
     _check_level(psi, k)
     genus = psi.genus
     lo, hi = k + 2, 2 * k + 1
@@ -406,8 +412,11 @@ def morita_mk(psi: LieAutomorphism, k: int) -> "object":
                                  for wu, cu in pu.items()
                                  for wv, cv in pv.items())
     cycle = wedge_chain_from_terms(genus, 2 * k, 2, terms)
-    if not boundary(cycle).is_zero():
-        raise ValueError("automorphism does not fix the symplectic element "
-                         "modulo degree 2k+1")
-    t = _solve_boundary3(cycle)
+    try:
+        t = _solve_boundary3(cycle)
+    except NotABoundaryError:
+        if not boundary(cycle).is_zero():
+            raise ValueError("automorphism does not fix the symplectic "
+                             "element modulo degree 2k+1") from None
+        raise
     return class_of(t.reduced_to(k))

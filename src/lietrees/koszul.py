@@ -16,6 +16,10 @@ its d3 columns built only up to full rank; `johnson.morita_mk` hands
 them only the degrees k+2..2k+1 of its cycle, the degrees of H3 at
 class k, so no other d3 block is built.  An H3 class keeps them
 sparsely, keyed by (degree, index); `parts` is a dense view per degree.
+`capital_phi` is linear, so it sums one memoised class per distinct
+tree and class.  Membership is decided by the exact solves: `class_of`
+and `johnson.morita_mk` take a boundary only when a reduction or a
+solve fails, to name a non-cycle as one.
 """
 
 from __future__ import annotations
@@ -151,6 +155,7 @@ def _monomial_boundary(k: int, mon: Monomial) -> dict[Monomial, int]:
 def boundary(c: WedgeChain) -> WedgeChain:
     """Koszul boundary: sum over factor pairs of bracket wedge rest, with
     the (-1)^(i+j) sign of the displayed convention."""
+    check_kind(c, WedgeChain, "c")
     if c.arity < 1:
         raise ValueError("boundary needs arity >= 1")
     acc: dict[Monomial, Fraction] = {}
@@ -359,19 +364,24 @@ class HomologyClass(SparseCombination):
 
 def class_of(z: WedgeChain) -> HomologyClass:
     """Canonical coordinates of a 3-cycle in ker/im; genus at least 1,
-    as `HomologyClass` requires."""
+    as `HomologyClass` requires.
+
+    The d4 image and the quotient basis span exactly ker d3 in each
+    block, so a zero remainder proves z a cycle; `boundary(z)` is
+    computed only on a failure path, so a non-cycle is still refused as
+    one before any other error."""
     check_kind(z, WedgeChain, "z")
     if z.arity != 3:
         raise ValueError("class_of handles arity-3 chains")
     if z.genus < 1:
         raise ValueError("bad context")
-    _check_cycle(z)
     genus, k = z.genus, z.nilpotency_class
     coords: dict[tuple[int, int], Fraction] = {}
     for mu, block in _split_by_weight(z.coords, genus,
                                       chain.from_iterable).items():
         st = _h3_structure(genus, k, mu)
-        if st is None:
+        if st is None or not block.keys() <= st[0].keys():
+            _check_cycle(z)
             raise BlockMismatchError(
                 "cycle monomial outside the enumerated basis")
         index, (im_rows, im_pivots), (q_basis, q_pivots) = st
@@ -379,6 +389,7 @@ def class_of(z: WedgeChain) -> HomologyClass:
         reduce_against(v, im_rows, im_pivots)
         coeffs = reduce_against(v, q_basis, q_pivots)
         if v:
+            _check_cycle(z)
             raise RuntimeError("cycle reduction left a nonzero remainder")
         d = sum(mu)
         offset = _quotient_layout(genus, k, d)[0][mu]
@@ -399,6 +410,7 @@ class NotABoundaryError(ValueError, RuntimeError):
 
 def solve_boundary3(z: WedgeChain) -> WedgeChain:
     """Some t with boundary(t) = z for an arity-2 cycle z; cached per block."""
+    check_kind(z, WedgeChain, "z")
     if z.arity != 2:
         raise ValueError("solve_boundary3 takes arity-2 chains")
     _check_cycle(z)
@@ -406,7 +418,8 @@ def solve_boundary3(z: WedgeChain) -> WedgeChain:
 
 
 def _solve_boundary3(z: WedgeChain) -> WedgeChain:
-    """`solve_boundary3` for an arity-2 chain known to be a cycle."""
+    """`solve_boundary3` without the cycle check: a chain that is not a
+    cycle bounds nothing, so it gets `NotABoundaryError` too."""
     genus, k = z.genus, z.nilpotency_class
     blocks = _split_by_weight(z.coords, genus, chain.from_iterable)
     sol = _solve_by_weight(partial(_d3_solver, genus, k), blocks)
@@ -415,13 +428,23 @@ def _solve_boundary3(z: WedgeChain) -> WedgeChain:
     return WedgeChain._of(genus, k, 3, sol)
 
 
+@lru_cache(maxsize=None)
+def _tree_class(tree, k: int) -> dict[tuple[int, int], Fraction]:
+    """Coordinates of the H3 class of one tree's reduced fission at class
+    k; shared by every caller, so never mutated.  A tree's hash and
+    equality include its genus."""
+    from .jacobi import TreeCombo, fission
+    return class_of(fission(TreeCombo.single(tree), nilpotency_class=k)).coords
+
+
 def capital_phi(c, k: int) -> HomologyClass:
     """H3 class of the reduced fission of a tree combination.
 
     Degrees below k are rejected; degrees 2k and above are allowed and
-    land in the zero class.
+    land in the zero class.  Phi is linear, so the class is summed from
+    the `_tree_class` memo, one class per distinct tree and class k.
     """
-    from .jacobi import TreeCombo, fission
+    from .jacobi import TreeCombo
     check_kind(c, TreeCombo, "c")
     check_kind(k, int, "k")
     if k < 1:
@@ -431,8 +454,10 @@ def capital_phi(c, k: int) -> HomologyClass:
         raise ValueError(f"tree degree {degs[0]} below the class bound {k}")
     if not degs:
         return HomologyClass(c.genus, k)
-    z = fission(c, nilpotency_class=k)
-    return class_of(z)
+    coords: dict[tuple[int, int], Fraction] = {}
+    for tree, coeff in c.coords.items():
+        add_into(coords, _tree_class(tree, k), coeff)
+    return HomologyClass._of(c.genus, k, coords)
 
 
 def phi_matrix_rank(genus: int, k: int) -> int:

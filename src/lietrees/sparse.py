@@ -77,8 +77,9 @@ def check_truncation(n: int, max_degree: int) -> None:
 
 
 def check_kind(value: object, kind: type, name: str) -> None:
-    """Raise ValueError, naming the argument, unless value is a `kind`."""
-    if not isinstance(value, kind):
+    """Raise ValueError, naming the argument, unless value is a `kind`;
+    a bool is not an int here, though Python makes it a subclass."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         article = "an" if kind.__name__[0] in "AEIOUaeiou" else "a"
         raise ValueError(f"{name} must be {article} {kind.__name__}, "
                          f"not {type(value).__name__}")

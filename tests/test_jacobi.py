@@ -138,6 +138,50 @@ class TestEtaInverse:
         with pytest.raises(ValueError):
             eta_inverse(bad, 1)
 
+    def test_a_tensor_outside_the_kernel_is_refused_by_name(self):
+        # a kernel element plus a1 (x) a1.b1.a2, whose bracket is nonzero
+        x = eta(random_tree(2, 2, random.Random(1)))
+        bad = x + HLieTensor(2, {(0, (0, 1, 2)): F(1)})
+        assert not bad.bracket_contraction().is_zero()
+        with pytest.raises(ValueError,
+                           match="^input not in the bracket kernel$"):
+            eta_inverse(bad, 2)
+
+    def test_a_kernel_element_takes_no_bracket_contraction(self, monkeypatch):
+        x = eta(random_tree(2, 2, random.Random(1)))
+        eta_inverse(x, 2)                   # builds the block solvers
+        calls = []
+        real = HLieTensor.bracket_contraction
+        monkeypatch.setattr(HLieTensor, "bracket_contraction",
+                            lambda t: calls.append(t) or real(t))
+        assert eta(eta_inverse(x, 2)) == x
+        assert calls == []
+
+    def test_a_failed_solve_in_the_kernel_is_a_solver_fault(self, monkeypatch):
+        class NoSolution:
+            def solve(self, b):
+                return None
+
+        monkeypatch.setattr(jacobi, "_eta_solver", lambda *block: NoSolution())
+        x = eta(random_tree(2, 1, random.Random(0)))
+        with pytest.raises(RuntimeError,
+                           match="^kernel element outside the certified span$"):
+            eta_inverse(x, 1)
+
+    def test_a_column_outside_the_kernel_fails_certification(self, monkeypatch):
+        # every caterpillar's eta replaced by a1 (x) [a1, b1], which the
+        # bracket does not kill
+        monkeypatch.setattr(jacobi, "eta", lambda c: HLieTensor(
+            c.genus, {(0, (0, 1)): F(1)}))
+        mu = next(mu for mu in _hl_blocks(1, 2) if _caterpillars(1, 2, mu))
+        _eta_solver.cache_clear()
+        try:
+            with pytest.raises(RuntimeError,
+                               match="is outside the bracket kernel$"):
+                _eta_solver(1, 2, mu)
+        finally:
+            _eta_solver.cache_clear()
+
     @settings(max_examples=30, deadline=None)
     @given(st.data())
     def test_round_trip_on_bracket_kernel(self, data):

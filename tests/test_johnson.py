@@ -20,8 +20,10 @@ from lietrees.johnson import (Derivation, LieAutomorphism, apply_aut,
                               tau_bracket_check, tau_to_trees, tau_truncated)
 from lietrees.koszul import boundary, capital_phi
 from lietrees.sparse import SparseCombination
-from lietrees.symplectic import construct_symplectic, omega
-from lietrees.tensor_hopf import ExpansionMap, TensorSeries, exp
+from lietrees.symplectic import (build_corrector, construct_symplectic, omega,
+                                 verify_symplectic)
+from lietrees.tensor_hopf import (ExpansionMap, TensorSeries, exp,
+                                  magnus_expansion)
 
 F = Fraction
 
@@ -533,12 +535,76 @@ ENTRY_POINT_CALLS = {
                                      "max_degree must be an int, not float"),
     "random_ic_element(2, 1.5, 1, 4)": (
         lambda: random_ic_element(2, 1.5, 1, 4), "k must be an int, not float"),
+    "eta_inverse(str, 1)": (lambda: jacobi.eta_inverse("x", 1),
+                            "x must be a HLieTensor, not str"),
+    "eta_inverse(zero, '1')": (
+        lambda: jacobi.eta_inverse(HLieTensor.zero(2), "1"),
+        "d must be an int, not str"),
+    "eta_inverse(zero, -1)": (lambda: jacobi.eta_inverse(HLieTensor.zero(2), -1),
+                              "degree must be >= 0"),
+    "boundary(str)": (lambda: boundary("x"), "c must be a WedgeChain, not str"),
+    "solve_boundary3(str)": (lambda: koszul.solve_boundary3("x"),
+                             "z must be a WedgeChain, not str"),
+    "tree_space_dim('2', 1)": (lambda: jacobi.tree_space_dim("2", 1),
+                               "genus must be an int, not str"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(ENTRY_POINT_CALLS))
 def test_entry_points_reject_wrong_kinds_by_name(case):
     call, message = ENTRY_POINT_CALLS[case]
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def _bool_calls():
+    """(call, message) for each entry point asking for an int, handed
+    True: a bool is refused, not read as 1."""
+    psi = random_ic_element(2, 1, 3, 4)
+    theta = magnus_expansion(1, 4)
+    not_int = "{} must be an int, not bool"
+    calls = {
+        "build_corrector(True, 2)": (lambda: build_corrector(True, 2), "genus"),
+        "build_corrector(2, True)": (lambda: build_corrector(2, True),
+                                     "max_degree"),
+        "verify_symplectic(theta, True)": (
+            lambda: verify_symplectic(theta, True), "n"),
+        "random_ic_element(True, 1, 1, 2)": (
+            lambda: random_ic_element(True, 1, 1, 2), "genus"),
+        "random_ic_element(2, True, 1, 2)": (
+            lambda: random_ic_element(2, True, 1, 2), "k"),
+        "random_ic_element(2, 1, 1, True)": (
+            lambda: random_ic_element(2, 1, 1, True), "max_degree"),
+        "homology_dims(True, 2, 3)": (
+            lambda: koszul.homology_dims(True, 2, 3), "genus"),
+        "homology_dims(2, True, 3)": (
+            lambda: koszul.homology_dims(2, True, 3), "k"),
+        "homology_dims(2, 2, True)": (
+            lambda: koszul.homology_dims(2, 2, True), "n"),
+        "capital_phi(c, True)": (
+            lambda: capital_phi(random_tree(2, 1, random.Random(0)), True), "k"),
+        "phi_matrix_rank(True, 2)": (lambda: koszul.phi_matrix_rank(True, 2),
+                                     "genus"),
+        "phi_matrix_rank(2, True)": (lambda: koszul.phi_matrix_rank(2, True),
+                                     "k"),
+        "eta_inverse(zero, True)": (
+            lambda: jacobi.eta_inverse(HLieTensor.zero(2), True), "d"),
+        "tree_space_dim(True, 1)": (lambda: jacobi.tree_space_dim(True, 1),
+                                    "genus"),
+        "tree_space_dim(2, True)": (lambda: jacobi.tree_space_dim(2, True),
+                                    "d"),
+    }
+    for f in (tau_truncated, johnson_k, tau_bracket_check, kernel_check,
+              tau_to_trees, morita_mk):
+        calls[f"{f.__name__}(psi, True)"] = (partial(f, psi, True), "k")
+    return {case: (call, not_int.format(name))
+            for case, (call, name) in calls.items()}
+
+
+@pytest.mark.parametrize("case", sorted(_bool_calls()))
+def test_int_arguments_refuse_a_bool(case):
+    call, message = _bool_calls()[case]
     with pytest.raises(ValueError) as err:
         call()
     assert str(err.value) == message
@@ -835,8 +901,9 @@ class TestObstruction:
             morita_mk(psi, 2)
 
     def test_one_boundary_per_cycle(self, monkeypatch):
-        # its own symplectic-element check, then class_of's; the bounding
-        # 3-chain is solved for without a second check of the 2-cycle
+        # a solved 2-cycle and a zero remainder in class_of prove both
+        # chains cycles, so the success path takes no boundary; a psi
+        # moving the symplectic element takes one, of its 2-cycle
         calls = []
 
         def counting(c):
@@ -845,7 +912,10 @@ class TestObstruction:
 
         monkeypatch.setattr(koszul, "boundary", counting)
         morita_mk(random_ic_element(2, 2, 3, 4), 2)
-        assert calls == [2, 3]
+        assert calls == []
+        with pytest.raises(ValueError, match="does not fix the symplectic"):
+            morita_mk(level_two_unfixing_automorphism(), 2)
+        assert calls == [2]
 
     def test_requires_enough_degrees(self):
         psi = random_ic_element(2, 2, 0, 4).truncated(3)

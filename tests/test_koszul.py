@@ -179,6 +179,35 @@ class TestClasses:
         with pytest.raises(ValueError):
             class_of(c)
 
+    def test_a_non_cycle_outside_the_enumerated_basis_is_refused_as_one(self):
+        # a1 ^ b1 ^ a1.a1.b1, built unchecked at class 2: no class-2
+        # 3-monomial has its weight (3, 2), and its boundary
+        # [a1, b1] ^ a1.a1.b1 is nonzero
+        z = WedgeChain._of(1, 2, 3, {((0,), (1,), (0, 0, 1)): F(1)})
+        assert koszul._h3_structure(1, 2, (3, 2)) is None
+        with pytest.raises(ValueError, match="^input chain is not a cycle$"):
+            class_of(z)
+
+    def test_a_cycle_with_a_factor_above_the_class_is_refused_by_name(self):
+        # a1 ^ a1.b1.b1 ^ a1.a1.b1.b1, built unchecked at class 3: every
+        # pair of factors brackets above the class, so it is a cycle, but
+        # its weight block holds no monomial with a length-4 factor
+        z = WedgeChain._of(1, 3, 3, {((0,), (0, 1, 1), (0, 0, 1, 1)): F(1)})
+        assert boundary(z).is_zero()
+        with pytest.raises(BlockMismatchError,
+                           match="^cycle monomial outside the enumerated basis$"):
+            class_of(z)
+
+    def test_a_cycle_takes_no_boundary(self, monkeypatch):
+        z = fission(random_tree(2, 2, random.Random(5)), 2)
+        expect = class_of(z)
+
+        def refuse(c):
+            raise AssertionError("boundary taken on the success path")
+
+        monkeypatch.setattr(koszul, "boundary", refuse)
+        assert class_of(z) == expect and not expect.is_zero()
+
     def test_boundaries_map_to_zero(self):
         for seed in range(4):
             c = random_chain(2, 2, 4, random.Random(seed))
@@ -461,7 +490,58 @@ class TestSolveBoundary3:
         assert isinstance(info.value, RuntimeError)
 
 
+def draw_combo(data, genus, k):
+    """A rational combination of one to four random trees of degrees
+    k..2k+1 at the genus."""
+    rng = random.Random(data.draw(st.integers(0, 10**6), label="seed"))
+    c = TreeCombo.zero(genus)
+    for _ in range(data.draw(st.integers(1, 4), label="trees")):
+        d = data.draw(st.integers(k, 2 * k + 1), label="degree")
+        q = data.draw(st.fractions(min_value=-5, max_value=5,
+                                   max_denominator=4).filter(bool), label="q")
+        c = c + q * random_tree(genus, d, rng)
+    return c
+
+
 class TestCapitalPhi:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_by_linearity_is_the_class_of_the_fission(self, data):
+        genus = data.draw(st.integers(1, 3), label="genus")
+        k = data.draw(st.integers(1, 3), label="class")
+        c = draw_combo(data, genus, k)
+        assert capital_phi(c, k) == class_of(fission(c, k))
+        for tree in c.coords:
+            if tree.degree >= 2 * k:
+                assert capital_phi(TreeCombo.single(tree), k).is_zero()
+
+    def test_one_tree_at_two_classes_and_two_genera(self):
+        koszul._tree_class.cache_clear()
+        trees = [TreeDiagram.build(genus, 0, ((1, 2), 3))[0]
+                 for genus in (2, 3)]
+        assert trees[0].key == trees[1].key and trees[0] != trees[1]
+        seen = set()
+        for tree in trees:
+            for k in (1, 2):
+                c = 2 * TreeCombo.single(tree) + F(1, 3) * random_tree(
+                    tree.genus, k, random.Random(k))
+                h = capital_phi(c, k)
+                assert h == class_of(fission(c, k))
+                assert h.genus == tree.genus and h.nilpotency_class == k
+                seen.update((t, k) for t in c.coords)
+            # degree 2 is in the window at class 2 and above it at class 1
+            assert capital_phi(TreeCombo.single(tree), 1).is_zero()
+            assert not capital_phi(TreeCombo.single(tree), 2).is_zero()
+        # one memo entry per distinct tree and class: the genus tells the
+        # two trees apart
+        assert koszul._tree_class.cache_info().currsize == len(seen) == 8
+
+    def test_the_memo_is_not_changed_by_a_result(self):
+        c = random_tree(2, 2, random.Random(5))
+        expect = class_of(fission(c, 2))
+        capital_phi(c, 2).coords.clear()
+        assert capital_phi(c, 2) == expect
+
     def test_low_degree_rejected(self):
         c = random_tree(2, 1, random.Random(0))
         with pytest.raises(ValueError):

@@ -9,7 +9,8 @@ import series_oracle
 from lietrees.free_lie import LieSeries
 from lietrees.jacobi import HLieTensor, TreeCombo, TreeDiagram
 from lietrees.koszul import HomologyClass, WedgeChain
-from lietrees.sparse import add_into, add_term, scaled_series, unscaled
+from lietrees.sparse import (add_into, add_term, check_kind, scaled_series,
+                             unscaled)
 from lietrees.tensor_hopf import TensorSeries, _product
 
 F = Fraction
@@ -181,3 +182,12 @@ def test_scaled_series_numerators_over_den_are_the_fraction_sum():
         power = series_oracle.mul(power, v, n)
     assert not power
     assert unscaled(acc, den) == expected
+
+
+def test_check_kind_refuses_a_bool_as_an_int():
+    check_kind(3, int, "k")
+    check_kind(True, bool, "flag")
+    check_kind(True, object, "x")
+    for value in (True, False):
+        with pytest.raises(ValueError, match="^k must be an int, not bool$"):
+            check_kind(value, int, "k")
