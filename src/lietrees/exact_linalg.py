@@ -138,12 +138,6 @@ def rank_of_rows(rows: Iterable[Mapping[int, Rational]]) -> int:
     return len(_echelon(rows))
 
 
-def rank_of_columns(columns: Sequence[Mapping[object, Rational]]) -> int:
-    """Rank of the span of sparse column vectors keyed by arbitrary row labels."""
-    labels = dict.fromkeys(k for col in columns for k in col)
-    return rank_of_rows(_rows_of(columns, {k: i for i, k in enumerate(labels)}))
-
-
 class BlockSolver:
     """Reusable exact solver for a labelled family of sparse columns.
 

@@ -18,6 +18,11 @@ mostly a few words and scaling them would cost more than it saves, and
 the generator maps of `johnson` keep the integer numerators of their
 memoised word images graded once, when an entry is stored.
 
+`lyndon_count` and `bracket_kernel_dim` are the one weight-block
+census: Witt's formula by weight, and from it the dimension of each
+weight block of the tree space, which `jacobi` and `koszul` read their
+block dimensions and H3 layout off, with no elimination.
+
 `GeneratorMap`, the one base of the maps given by an image per
 generator letter (`LieAutomorphism`, `Derivation`, `ExpansionMap`),
 lives here, the lowest module that knows the letters.
@@ -26,6 +31,7 @@ lives here, the lowest module that knows the letters.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import factorial, gcd, prod
 from typing import Iterable, Mapping
 
 from .sparse import TruncatedSeries, add_into, check_kind, check_truncation
@@ -133,6 +139,30 @@ def witt_dim(alphabet_size: int, degree: int) -> int:
         if degree % e == 0:
             total += _mobius(e) * alphabet_size ** (degree // e)
     return total // degree
+
+
+def lyndon_count(mu: tuple[int, ...]) -> int:
+    """Number of Lyndon words of content mu (letter i occurring mu[i]
+    times), the dimension of the free Lie algebra at weight mu: Witt's
+    formula by multidegree, (1/n) sum over e | gcd(mu) of Moebius(e)
+    (n/e)! / prod_i (mu_i/e)!, with n = |mu|."""
+    n = sum(mu)
+    if not n:
+        return 0
+    g = gcd(*mu)
+    return sum(_mobius(e) * factorial(n // e)
+               // prod(factorial(m // e) for m in mu)
+               for e in range(1, g + 1) if g % e == 0) // n
+
+
+def bracket_kernel_dim(mu: tuple[int, ...]) -> int:
+    """Dimension of the weight-mu block (|mu| >= 2) of the kernel of the
+    bracket H (x) L -> L, (h, u) -> [h, u]: the bracket is onto every
+    weight of degree at least 2, so it is the block of H (x) L, the sum
+    over the letters h in mu of `lyndon_count(mu - e_h)`, less
+    `lyndon_count(mu)`."""
+    return sum(lyndon_count((*mu[:h], m - 1, *mu[h + 1:]))
+               for h, m in enumerate(mu) if m) - lyndon_count(mu)
 
 
 @lru_cache(maxsize=None)

@@ -22,9 +22,10 @@ algebra, one weight block at a time and only in the blocks its input
 lands in.  The caterpillar family of a (degree, weight) block builds one
 colouring per orbit of the caterpillar's symmetries, whose etas are its
 solver's columns; the solver is certified when built: each column must
-lie in the bracket-map kernel and its rank must equal the rank-computed
-dimension of that block of the kernel, so it spans exactly the kernel
-and a failed solve is what refuses an input outside it.
+lie in the bracket-map kernel and its rank must equal the census
+dimension `free_lie.bracket_kernel_dim` of that block of the kernel, so
+it spans exactly the kernel and a failed solve is what refuses an input
+outside it.
 """
 
 from __future__ import annotations
@@ -34,10 +35,10 @@ from functools import lru_cache, partial
 from itertools import product
 from typing import Iterable, Mapping
 
-from .exact_linalg import BlockSolver, rank_of_columns
-from .free_lie import (LieSeries, Word, _letter_weight, _solve_by_weight,
-                       _split_by_weight, bracket_basis, gen_count, is_lyndon,
-                       letter_label, lyndon_basis, parse_letter)
+from .exact_linalg import BlockSolver
+from .free_lie import (LieSeries, Word, _solve_by_weight, _split_by_weight,
+                       bracket_basis, bracket_kernel_dim, gen_count, is_lyndon,
+                       letter_label, lyndon_basis, parse_letter, witt_dim)
 from .sparse import SparseCombination, add_into, add_term, check_kind
 
 Plant = int | tuple
@@ -360,27 +361,35 @@ def _hl_blocks(genus: int, d: int) -> dict[tuple[int, ...], dict]:
                             genus, lambda hw: (hw[0], *hw[1]))
 
 
-@lru_cache(maxsize=None)
-def _tree_block_dim(genus: int, d: int, mu: tuple[int, ...]) -> int:
-    """dim of the tree space's weight-mu block: the block's size minus the
-    rank of its brackets."""
-    keys = _hl_blocks(genus, d)[mu]
-    return len(keys) - rank_of_columns([bracket_basis((h,), w) for h, w in keys])
-
-
 def tree_space_dim(genus: int, d: int) -> int:
-    """dim of ker([-,-]: H (x) L_{d+1} -> L_{d+2}), computed by rank."""
+    """dim of ker([-,-]: H (x) L_{d+1} -> L_{d+2}), counted, not ranked:
+    the bracket is onto, so it is 2g W(2g, d+1) - W(2g, d+2), W being
+    Witt's `witt_dim`; by weight, its blocks are `bracket_kernel_dim`."""
     check_kind(genus, int, "genus")
     check_kind(d, int, "d")
     if d < 0:
         raise ValueError("degree must be >= 0")
-    return sum(_tree_block_dim(genus, d, mu) for mu in _hl_blocks(genus, d))
+    n = gen_count(genus)
+    return n * witt_dim(n, d + 1) - witt_dim(n, d + 2)
+
+
+def _arrangements(mu: tuple[int, ...]):
+    """The words of content mu, the permutations of that multiset, in
+    lexicographic order."""
+    if not any(mu):
+        yield ()
+    for x, m in enumerate(mu):
+        if m:
+            for rest in _arrangements((*mu[:x], m - 1, *mu[x + 1:])):
+                yield (x, *rest)
 
 
 @lru_cache(maxsize=None)
-def _caterpillar_colourings(genus: int, d: int) -> dict[tuple[int, ...], list]:
-    """One colouring of degree-d caterpillars per orbit of their symmetries,
-    by weight, each weight's in product order.
+def _caterpillar_colourings(genus: int, d: int,
+                            mu: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """One colouring of degree-d caterpillars of weight mu (|mu| = d + 2)
+    per orbit of their symmetries, in product order; only the words of
+    content mu are walked.
 
     The colouring (c0, c1, c2, ...) is the tree rooted at c0 with plant
     (((c1 c2) c3) ...).  Two colourings give one diagram, up to AS sign,
@@ -392,8 +401,8 @@ def _caterpillar_colourings(genus: int, d: int) -> dict[tuple[int, ...], list]:
     with or without either swap, before it.  For d <= 1 only c1 < c2 is
     required, and `_caterpillars` skips the repeated diagrams.
     """
-    out: dict[tuple[int, ...], list] = {}
-    for colors in product(range(gen_count(genus)), repeat=d + 2):
+    out = []
+    for colors in _arrangements(mu):
         if d > 0 and colors[1] >= colors[2]:
             continue
         if d > 1:
@@ -402,7 +411,7 @@ def _caterpillar_colourings(genus: int, d: int) -> dict[tuple[int, ...], list]:
                                 for x, y in ((c1, c2), (c2, c1))
                                 for z, t in ((c0, last), (last, c0))):
                 continue
-        out.setdefault(_letter_weight(colors, genus), []).append(colors)
+        out.append(colors)
     return out
 
 
@@ -410,7 +419,7 @@ def _caterpillars(genus: int, d: int, mu: tuple[int, ...]) -> list[TreeDiagram]:
     """The distinct nonzero caterpillar diagrams of degree d and weight mu,
     ordered by the first colouring that yields each."""
     out: dict[TreeDiagram, None] = {}
-    for colors in _caterpillar_colourings(genus, d).get(mu, ()):
+    for colors in _caterpillar_colourings(genus, d, mu):
         plant: Plant = colors[1]
         for x in colors[2:]:
             plant = (plant, x)
@@ -435,7 +444,7 @@ def _eta_solver(genus: int, d: int, mu: tuple[int, ...]) -> BlockSolver:
     in the bracket kernel, and its rank is that block's dimension."""
     solver = BlockSolver(_hl_blocks(genus, d)[mu], _caterpillars(genus, d, mu),
                          _kernel_column)
-    if solver.rank != _tree_block_dim(genus, d, mu):
+    if solver.rank != bracket_kernel_dim(mu):
         raise RuntimeError(f"caterpillar family does not span tree space "
                            f"at degree {d}, weight {mu}")
     return solver

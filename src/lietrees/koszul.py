@@ -8,18 +8,23 @@ by a walk of the graded basis pruned by the weight left to fill.
 Boundary coefficients are `int` structure constants, computed per
 monomial as read.  Homology dimensions and the phi rank are
 fraction-free integer ranks, taken once per orbit of the letter
-permutations.  Canonical H3 coordinates are per weight, never per orbit:
-a cycle is reduced modulo the RREF of the d4 image and read in the
-`semi_echelon` basis of the reduced d3 kernel, built only for the blocks
-it lands in.  Boundary solves reuse a cached `BlockSolver` per block,
-its d3 columns built only up to full rank; `johnson.morita_mk` hands
-them only the degrees k+2..2k+1 of its cycle, the degrees of H3 at
-class k, so no other d3 block is built.  An H3 class keeps them
-sparsely, keyed by (degree, index); `parts` is a dense view per degree.
-`capital_phi` is linear, so it sums one memoised class per distinct
-tree and class.  Membership is decided by the exact solves: `class_of`
-and `johnson.morita_mk` take a boundary only when a reduction or a
-solve fails, to name a non-cycle as one.
+permutations; they are the independent oracle for the census that lays
+out H3.  That layout, each weight block's offset and dimension, is
+counted, not ranked: Phi carries the trees of degree [k, 2k[ onto H3
+weight by weight, so a block's dimension is the tree space's,
+`free_lie.bracket_kernel_dim`.  Canonical H3 coordinates are per weight,
+never per orbit: a cycle is reduced modulo the RREF of the d4 image and
+read in the `semi_echelon` basis of the reduced d3 kernel, built only
+for the blocks it lands in and checked against the census.  Boundary
+solves reuse a cached `BlockSolver` per block, its d3 columns built only
+up to full rank; `johnson.morita_mk` hands them only the degrees
+k+2..2k+1 of its cycle, the degrees of H3 at class k, so no other d3
+block is built.  An H3 class keeps them sparsely, keyed by (degree,
+index); `parts` is a dense view per degree.  `capital_phi` is linear,
+so it sums one memoised class per distinct tree and class.  Membership
+is decided by the exact solves: `class_of` and `johnson.morita_mk` take
+a boundary only when a reduction or a solve fails, to name a non-cycle
+as one.
 """
 
 from __future__ import annotations
@@ -35,8 +40,8 @@ from .exact_linalg import (ZERO, BlockSolver, _echelon, _rows_of, _rref,
                            kernel_from_rref, rank_of_rows, reduce_against,
                            semi_echelon)
 from .free_lie import (Word, _solve_by_weight, _split_by_weight,
-                       bracket_basis, gen_count, is_lyndon, letter_label,
-                       lyndon_basis)
+                       bracket_basis, bracket_kernel_dim, gen_count,
+                       is_lyndon, letter_label, lyndon_basis)
 from .sparse import SparseCombination, add_into, add_term, check_kind
 
 Monomial = tuple[Word, ...]
@@ -280,7 +285,10 @@ def homology_dims(genus: int, k: int, n: int) -> dict[int, int]:
 @lru_cache(maxsize=None)
 def _h3_structure(genus: int, k: int, mu: tuple[int, ...]):
     """(monomial index, im-d4 RREF, quotient semi-echelon) for one block,
-    each as (rows, pivots), the quotient's in `kernel_from_rref` order."""
+    each as (rows, pivots), the quotient's in `kernel_from_rref` order;
+    certified when built: the quotient basis must have the census
+    dimension of H3 at mu, `bracket_kernel_dim(mu)` in degrees
+    k+2..2k+1 and 0 elsewhere."""
     mon3 = _monomials(genus, k, 3, mu)
     if not mon3:
         return None
@@ -292,25 +300,33 @@ def _h3_structure(genus: int, k: int, mu: tuple[int, ...]):
     ker = kernel_from_rref(rows, pivots, len(index))
     for v in ker:
         reduce_against(v, im_rows, im_pivots)
-    return index, (im_rows, im_pivots), semi_echelon(ker)
+    quotient = semi_echelon(ker)
+    dim = bracket_kernel_dim(mu) if k + 2 <= sum(mu) <= 2 * k + 1 else 0
+    if len(quotient[0]) != dim:
+        raise RuntimeError(f"H3 quotient basis at class {k}, weight {mu} has "
+                           f"{len(quotient[0])} vectors, but the census "
+                           f"gives {dim}")
+    return index, (im_rows, im_pivots), quotient
 
 
 @lru_cache(maxsize=None)
 def _quotient_layout(genus: int, k: int,
                      d: int) -> tuple[dict[tuple[int, ...], int], int]:
     """Offset of each weight block inside the degree-d H3 coordinates, and
-    the dimension of H3 in degree d: c3 - rank d3 - rank d4 per block, at
-    its orbit's weakly decreasing weight; empty outside degrees 3..3k."""
+    the dimension of H3 in degree d, from the census, with no elimination.
+
+    Phi is a weight-preserving isomorphism from the trees of degree
+    [k, 2k[ onto H3(L/L_{>k}), so H3 lives in degrees k+2..2k+1 and its
+    weight-mu block has the dimension `bracket_kernel_dim(mu)` of the
+    tree space's.  Only the weights of nonzero dimension get an offset,
+    in `_weights` order; outside the window the layout is empty."""
     offsets, total = {}, 0
-    if not 3 <= d <= 3 * k:
+    if not k + 2 <= d <= 2 * k + 1:
         return offsets, total
     for mu in _weights(gen_count(genus), d):
-        rep = tuple(sorted(mu, reverse=True))
-        c3 = len(_monomials(genus, k, 3, rep))
-        if c3:
+        if dim := bracket_kernel_dim(mu):
             offsets[mu] = total
-            total += (c3 - _block_rank(genus, k, 3, rep)
-                      - _block_rank(genus, k, 4, rep))
+            total += dim
     return offsets, total
 
 
@@ -391,9 +407,11 @@ def class_of(z: WedgeChain) -> HomologyClass:
         if v:
             _check_cycle(z)
             raise RuntimeError("cycle reduction left a nonzero remainder")
-        d = sum(mu)
-        offset = _quotient_layout(genus, k, d)[0][mu]
-        coords.update(((d, i), c) for i, c in enumerate(coeffs, offset) if c)
+        if coeffs:                  # a block with no H3 has no offset
+            d = sum(mu)
+            offset = _quotient_layout(genus, k, d)[0][mu]
+            coords.update(((d, i), c)
+                          for i, c in enumerate(coeffs, offset) if c)
     return HomologyClass._of(genus, k, coords)
 
 

@@ -2,15 +2,16 @@
 
 `_eliminate` is Gauss-Jordan over `Fraction` with a fixed pivot rule:
 leftmost column first, first nonzero row at or below the current one in
-that column.  `echelon_reduce` and `reduce_against` are the dense
-semi-echelon over `Fraction` lists whose bases, pivots and coefficients
-the sparse `semi_echelon` must reproduce.  None of them shares code with
-`lietrees.exact_linalg`, whose fraction-free integer echelon and sparse
-`semi_echelon` the tests compare against them.
+that column; `rank_of_columns` is its rank of sparse columns keyed by
+arbitrary row labels.  `echelon_reduce` and `reduce_against` are the
+dense semi-echelon over `Fraction` lists whose bases, pivots and
+coefficients the sparse `semi_echelon` must reproduce.  None of them
+shares code with `lietrees.exact_linalg`, whose fraction-free integer
+echelon and sparse `semi_echelon` the tests compare against them.
 """
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -51,6 +52,21 @@ def _eliminate(rows: list[dict[int, Fraction]], ncols: int):
         if r == len(rows):
             break
     return r, pivots
+
+
+def rank_of_columns(columns: Sequence[Mapping[object, Fraction]]) -> int:
+    """Rank of the span of sparse column vectors keyed by arbitrary row
+    labels, by `_eliminate`."""
+    labels: dict[object, int] = {}
+    for col in columns:
+        for key in col:
+            labels.setdefault(key, len(labels))
+    rows: list[dict[int, Fraction]] = [{} for _ in labels]
+    for j, col in enumerate(columns):
+        for key, v in col.items():
+            if v:
+                rows[labels[key]][j] = v
+    return _eliminate(rows, len(columns))[0]
 
 
 def reduce_against(v: list[Fraction], basis: Sequence[Sequence[Fraction]],

@@ -5,11 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lietrees.exact_linalg import (BlockSolver, _echelon, _rref,
-                                   kernel_from_rref, rank_of_columns,
-                                   rank_of_rows, reduce_against, semi_echelon)
+from lietrees.exact_linalg import (BlockSolver, _echelon, _rows_of, _rref,
+                                   kernel_from_rref, rank_of_rows,
+                                   reduce_against, semi_echelon)
 import linalg_oracle
-from linalg_oracle import _eliminate
+from linalg_oracle import _eliminate, rank_of_columns
 
 F = Fraction
 
@@ -241,7 +241,8 @@ def test_fraction_free_rank_matches_fraction_oracle(matrix):
     assert rank_of_rows({j: v for j, v in enumerate(row)}
                         for row in rows) == expect
     columns = [{i: row[j] for i, row in enumerate(rows)} for j in range(ncols)]
-    assert rank_of_columns(columns) == expect
+    index = {i: i for i in range(len(rows))}
+    assert rank_of_rows(_rows_of(columns, index)) == expect
 
 
 def oracle_solution(ncols, rows, b):
@@ -348,7 +349,7 @@ def test_reduce_against_scaled_rref_rows(matrix, data):
 
 class TestFractionFreeRank:
     def test_empty_input(self):
-        assert rank_of_columns([]) == 0
+        assert block_solver([], {}).rank == 0
         assert rank_of_rows([]) == 0
 
     def test_zero_and_repeated_rows_are_dependent(self):
@@ -358,8 +359,8 @@ class TestFractionFreeRank:
 
     def test_keys_are_arbitrary_labels(self):
         cols = [{"p": 1, ("q", 1): F(2, 3)}, {"p": 3, ("q", 1): 2}]
-        assert rank_of_columns(cols) == 1
+        assert block_solver(["p", ("q", 1)], dict(enumerate(cols))).rank == 1
 
     def test_rejects_floats(self):
         with pytest.raises(TypeError, match="exact rationals"):
-            rank_of_columns([{0: 0.5}])
+            rank_of_rows([{0: 0.5}])

@@ -1,16 +1,20 @@
 """Free Lie algebra on the Lyndon basis: words, brackets, BCH."""
 
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import series_oracle as oracle
 from lietrees import free_lie
-from lietrees.free_lie import (LieSeries, a_letter, b_letter, bch, bracket,
-                               bracket_basis, bracket_coords, graded,
-                               is_lyndon, letter_label, lyndon_basis,
+from lietrees.free_lie import (LieSeries, _letter_weight, a_letter, b_letter,
+                               bch, bracket, bracket_basis, bracket_coords,
+                               bracket_kernel_dim, graded, is_lyndon,
+                               letter_label, lyndon_basis, lyndon_count,
                                parse_letter, partner, std_factorization,
                                witt_dim)
 from lietrees.sparse import add_into
@@ -80,6 +84,43 @@ class TestLyndonWords:
         assert [witt_dim(2, d) for d in range(2, 7)] == [1, 2, 3, 6, 9]
         assert [witt_dim(4, d) for d in range(2, 7)] == [6, 20, 60, 204, 670]
         assert witt_dim(6, 4) == 315
+
+
+@lru_cache(maxsize=None)
+def lyndon_contents(genus, n):
+    """How many Lyndon words of length n have each content."""
+    return Counter(_letter_weight(w, genus) for w in lyndon_basis(genus, n))
+
+
+class TestCensus:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda genus: st.lists(
+        st.integers(0, 3), min_size=2 * genus, max_size=2 * genus).filter(
+            lambda mu: 1 <= sum(mu) <= 6)))
+    def test_counts_the_lyndon_words_of_each_content(self, mu):
+        mu = tuple(mu)
+        assert lyndon_count(mu) == lyndon_contents(len(mu) // 2, sum(mu))[mu]
+
+    @pytest.mark.parametrize("alphabet", range(1, 7))
+    def test_sums_to_witt_over_the_weights_of_a_degree(self, alphabet):
+        for n in range(1, 8):
+            assert sum(lyndon_count(mu)
+                       for mu in product(range(n + 1), repeat=alphabet)
+                       if sum(mu) == n) == witt_dim(alphabet, n)
+
+    def test_known_counts(self):
+        assert lyndon_count((0, 0)) == 0
+        assert lyndon_count((1, 0)) == 1
+        assert lyndon_count((2, 0)) == 0
+        assert lyndon_count((2, 2)) == 1          # a a b b
+        assert lyndon_count((3, 3)) == 3
+        assert lyndon_count((2, 2, 2, 2)) == 312  # (8!/2^4 - 4!) / 8
+
+    def test_bracket_kernel_of_a_y_and_of_a_strut(self):
+        # one Y tree with leaves a1 b1 a2; struts are the symmetric pairs
+        assert bracket_kernel_dim((1, 1, 1, 0)) == 1
+        assert bracket_kernel_dim((1, 1)) == 1
+        assert bracket_kernel_dim((2, 0)) == 1
 
 
 class TestStandardFactorization:

@@ -12,16 +12,17 @@ from hypothesis import given, settings, strategies as st
 from lietrees import jacobi
 from lietrees.exact_linalg import kernel_from_rref
 from lietrees.free_lie import (LieSeries, _letter_weight, bracket_basis,
-                               gen_count, lyndon_basis, witt_dim)
+                               bracket_kernel_dim, gen_count, lyndon_basis,
+                               witt_dim)
 from lietrees.jacobi import (HLieTensor, TreeCombo, TreeDiagram,
                              _caterpillars, _encode, _eta_solver, _hl_blocks,
-                             _tree_block_dim, comm, eta, eta_inverse,
-                             fission, ihx_combination, parse_tree_text,
+                             comm, eta, eta_inverse, fission,
+                             ihx_combination, parse_tree_text,
                              random_tree, tree_equal, tree_space_dim,
                              tree_text)
 from lietrees.koszul import wedge_chain_from_terms
 from lietrees.sparse import add_term
-from linalg_oracle import _eliminate
+from linalg_oracle import _eliminate, rank_of_columns
 
 F = Fraction
 
@@ -212,7 +213,7 @@ class TestEtaInverse:
         d = 2
         mu = next(mu for mu in _hl_blocks(2, d)
                   if 0 < len(_caterpillars(2, d, mu))
-                  == _tree_block_dim(2, d, mu))
+                  == bracket_kernel_dim(mu))
         real = jacobi._caterpillars
         monkeypatch.setattr(jacobi, "_caterpillars",
                             lambda *block: real(*block)[1:])
@@ -293,7 +294,32 @@ def bucket_keys(buckets):
     return {mu: [t.key for t in trees] for mu, trees in buckets.items()}
 
 
+def product_walk_colourings(genus, d):
+    """Caterpillar colourings by weight from a walk of every colouring in
+    product order, under the symmetry filter of `_caterpillar_colourings`."""
+    out = {}
+    for colors in product(range(gen_count(genus)), repeat=d + 2):
+        if d > 0 and colors[1] >= colors[2]:
+            continue
+        if d > 1:
+            c0, c1, c2, last, mid = (*colors[:3], colors[-1], colors[-2:2:-1])
+            if c0 > last or any((x, z, t, *mid, y) < colors
+                                for x, y in ((c1, c2), (c2, c1))
+                                for z, t in ((c0, last), (last, c0))):
+                continue
+        out.setdefault(_letter_weight(colors, genus), []).append(colors)
+    return out
+
+
 class TestCaterpillars:
+    @pytest.mark.parametrize("genus, d", [(1, 3), (2, 2), (2, 3), (2, 4),
+                                          (2, 5), (3, 3)])
+    def test_colourings_per_weight_match_the_product_walk(self, genus, d):
+        walk = product_walk_colourings(genus, d)
+        for mu in weights(genus, d):
+            assert (jacobi._caterpillar_colourings(genus, d, mu)
+                    == walk.get(mu, []))
+
     @pytest.mark.parametrize("genus, d", [(1, 1), (1, 2), (1, 3), (2, 1),
                                           (2, 2), (2, 3), (3, 1), (3, 2)])
     def test_matches_brute_force_in_order(self, genus, d):
@@ -367,8 +393,6 @@ class TestDimensions:
 
     def test_matches_rank_of_eta_on_caterpillars(self):
         # caterpillars span the space, so the eta rank is the dimension
-        from lietrees.exact_linalg import rank_of_columns
-        from lietrees.free_lie import gen_count
         for genus, d in ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2)):
             n = gen_count(genus)
             cols = []
@@ -394,6 +418,32 @@ class TestDimensions:
     def test_rejects_genus_below_one(self, genus):
         with pytest.raises(ValueError):
             tree_space_dim(genus, 1)
+
+    @pytest.mark.parametrize("genus, d", [(g, d) for g in (1, 2)
+                                          for d in range(6)]
+                             + [(3, d) for d in range(4)])
+    def test_census_is_the_rank_on_every_block(self, genus, d):
+        for mu, keys in _hl_blocks(genus, d).items():
+            cols = [bracket_basis((h,), w) for h, w in keys]
+            assert bracket_kernel_dim(mu) == len(keys) - rank_of_columns(cols)
+
+    def test_an_off_by_one_census_fails_the_solver_certificate(
+            self, monkeypatch):
+        d, mu = 2, (1, 1, 1, 1)
+        monkeypatch.setattr(jacobi, "bracket_kernel_dim",
+                            lambda mu: bracket_kernel_dim(mu) + 1)
+        _eta_solver.cache_clear()
+        with pytest.raises(RuntimeError, match=re.escape(
+                f"does not span tree space at degree {d}, weight {mu}")):
+            _eta_solver(2, d, mu)
+
+    def test_counted_without_building_a_block(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a tree block was built")
+
+        monkeypatch.setattr(jacobi, "_hl_blocks", refuse)
+        monkeypatch.setattr(jacobi, "BlockSolver", refuse)
+        assert tree_space_dim(3, 7) == 6 * witt_dim(6, 8) - witt_dim(6, 9)
 
     def test_formula(self):
         for genus in (1, 2, 3):

@@ -1,6 +1,7 @@
 """Koszul chains on the nilpotent quotients: boundary, homology, lifting."""
 
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import chain, combinations, product
@@ -9,7 +10,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from lietrees import jacobi, koszul
-from lietrees.exact_linalg import rank_of_columns
 from lietrees.free_lie import _letter_weight, lyndon_basis, witt_dim
 from lietrees.jacobi import (TreeCombo, TreeDiagram, _caterpillars, fission,
                              random_tree)
@@ -20,6 +20,7 @@ from lietrees.koszul import (BlockMismatchError, HomologyClass,
                              capital_phi, class_of, homology_dims,
                              phi_matrix_rank, solve_boundary3,
                              wedge_chain_from_terms)
+from linalg_oracle import rank_of_columns
 
 F = Fraction
 
@@ -270,20 +271,20 @@ class TestQuotientLayout:
         assert koszul._h3_structure.cache_info().currsize == len(touched)
 
     def test_ranks_are_taken_once_per_weight_orbit(self, monkeypatch):
-        koszul._quotient_layout.cache_clear()
+        # the layout is counted; the rank path left is homology_dims
         koszul._block_rank.cache_clear()
         seen = []
 
         def recording(genus, k, arity, mu):
-            seen.append(mu)
+            seen.append((arity, mu))
             return rows_of(genus, k, arity, mu)
 
         rows_of = koszul._boundary_rows
         monkeypatch.setattr(koszul, "_boundary_rows", recording)
-        for d in range(3, 7):
-            koszul._quotient_layout(2, 2, d)
+        homology_dims(2, 2, 3)
         assert seen
-        assert all(list(mu) == sorted(mu, reverse=True) for mu in seen)
+        assert all(list(mu) == sorted(mu, reverse=True) for _, mu in seen)
+        assert len(seen) == len(set(seen))
 
     def test_degrees_without_arity_3_monomials_enumerate_nothing(
             self, monkeypatch):
@@ -320,6 +321,60 @@ class TestQuotientLayout:
             for (mu, start), end in zip(offsets.items(), ends):
                 q_basis = koszul._h3_structure(genus, k, mu)[2][0]
                 assert end - start == len(q_basis)
+
+    @pytest.mark.parametrize("genus, k", [(1, 1), (1, 2), (1, 3), (1, 4),
+                                          (2, 1), (2, 2), (2, 3), (3, 2)])
+    def test_census_layout_is_the_rank_layout(self, genus, k):
+        # offsets and totals of the rank route, zero-dimension weights dropped
+        for d in range(3, 3 * k + 1):
+            offsets, total = {}, 0
+            for mu in koszul._weights(2 * genus, d):
+                rep = tuple(sorted(mu, reverse=True))
+                h = (len(_monomials(genus, k, 3, rep))
+                     - _block_rank(genus, k, 3, rep)
+                     - _block_rank(genus, k, 4, rep))
+                if h:
+                    offsets[mu] = total
+                    total += h
+            assert koszul._quotient_layout(genus, k, d) == (offsets, total)
+
+    def test_layout_reaches_no_elimination(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the layout eliminated")
+
+        for name in ("_echelon", "rank_of_rows", "_block_rank", "_monomials"):
+            monkeypatch.setattr(koszul, name, refuse)
+        koszul._quotient_layout.cache_clear()
+        assert koszul._quotient_layout(3, 3, 7)[1] == (
+            6 * witt_dim(6, 6) - witt_dim(6, 7))
+
+    def test_an_off_by_one_census_fails_the_quotient_certificate(
+            self, monkeypatch):
+        mu = (2, 1, 1, 0)
+        real = koszul.bracket_kernel_dim
+        monkeypatch.setattr(koszul, "bracket_kernel_dim",
+                            lambda mu: real(mu) - 1)
+        koszul._h3_structure.cache_clear()
+        with pytest.raises(RuntimeError, match=re.escape(
+                f"H3 quotient basis at class 2, weight {mu} has")):
+            koszul._h3_structure(2, 2, mu)
+
+
+class TestClassOfBlocksWithoutH3:
+    def test_a_boundary_outside_the_window_is_the_zero_class(self):
+        # class 3: H3 lives in degrees 5..7, and this boundary has degree 4
+        z = boundary(WedgeChain(2, 3, 4, {((0,), (1,), (2,), (3,)): F(1)}))
+        assert not z.is_zero() and z.degrees() == [4]
+        assert koszul._quotient_layout(2, 3, 4) == ({}, 0)
+        assert class_of(z).is_zero()
+
+    def test_phi_of_a_degree_2k_tree_is_the_zero_class(self):
+        # three forks a1 b1, a2 b2 and a1 a2 on one vertex: at class 2 the
+        # fission keeps that vertex's wedge, of degree 2k + 2, past the window
+        k = 2
+        tree = TreeCombo.from_terms(2, [(F(1), 0, (1, ((2, 3), (0, 2))))])
+        assert fission(tree, k).degrees() == [2 * k + 2]
+        assert capital_phi(tree, k).is_zero()
 
 
 def draw_fission(data, genus, k):
