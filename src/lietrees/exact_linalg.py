@@ -1,17 +1,23 @@
 """Exact linear algebra on sparse row dicts of nonzero exact rationals.
 
 Every rank, kernel, solve and quotient computation in the package runs
-through this module, and one fraction-free reduction, `_reduce` over
-the integers (denominators cleared, row <- a*row - f*pivot, then
-division by the row's content).  `_echelon` runs it on rows, and every
-rank is its length; `_rref` back-substitutes that into the unique
-reduced row echelon form.  `BlockSolver` runs it on tagged columns, read
-only up to full rank; its solutions, keyed by the column labels, are
-supported on the first independent columns.  Neither depends on row
-order.  `free_lie._solve_by_weight` is the one blockwise solve, a solver
-per weight block.  Only the sparse `semi_echelon` over `Fraction`, used
-for the H3 quotient basis the canonical coordinates are read in,
-depends on row order.
+through this module, and one fraction-free step, `_cancel` over the
+integers (denominators cleared, row <- a*row - f*pivot, then division
+by the row's content).  `_reduce` cancels a row at its least column
+while that has a pivot; `_echelon` runs it on rows, and every rank is
+its length; `_rref` back-substitutes that into the unique reduced row
+echelon form.  `BlockSolver` runs it on tagged columns, read only up to
+full rank; its solutions, keyed by the column labels, are supported on
+the first independent columns.  Neither depends on row order.  The
+solver's reads, `solve` and the memoised unit solve `unit`, share one
+core that cancels at every pivot row, not only the least, so a unit's
+residual is zero on every pivot row and unit solves add up (`unit_terms`,
+which reads a solver's first right-hand side whole, so a block read once
+costs one reduction): `free_lie._solve_by_weight` is the one blockwise
+solve, a solver per weight block, and `free_lie._sum_units` the same
+solve on integers, summed from unit solves.  Only the sparse
+`semi_echelon` over `Fraction`, used for the H3 quotient basis the
+canonical coordinates are read in, depends on row order.
 """
 
 from __future__ import annotations
@@ -145,16 +151,28 @@ class BlockSolver:
     n + j, is reduced by `_cancel` against the pivots kept so far, each
     filed under its least row, and dropped if only tags are left.  The
     kept columns, `pivots`, are the first independent ones in label
-    order; once they number n no later column is read.  A solve reduces
-    b alike, its multiplier carried past every tag, and reads x off the
-    tags: the unique solution supported on the pivots, {label: value}
-    over its nonzero entries, or None when b is outside the span.
+    order; once they number n no later column is read.
+
+    One fraction-free core serves both reads: an integer row, a
+    multiplier tag carried past every tag, is cancelled at every pivot
+    row it reaches, and comes back as (x, residual, m) with m times the
+    row equal to A x + residual, x over the tags, the residual zero on
+    every pivot row.  A vector of the span that is zero there is zero,
+    so the residual vanishes exactly when the row is in the span, and x
+    is then the unique solution supported on the pivots.  `solve(b)` is
+    the core on b, {label: value} over its nonzero entries, or None when
+    b is outside the span.  `unit(key)` is the core on the row key's unit
+    vector, memoised on the solver and filled on first use: by
+    linearity, the sum of b_key unit(key) has a zero residual exactly
+    when b is in the span, and its x is then `solve(b)`'s.
     """
 
     def __init__(self, row_keys: Iterable[object], labels: Sequence[object],
                  column: Callable[[object], Mapping[object, Rational]]):
         self.index = {k: i for i, k in enumerate(row_keys)}
         self.labels, self.pivots, self._echelon = labels, [], {}
+        self._units: dict[object, tuple[dict, dict[int, int], int]] = {}
+        self._summed = False
         n = len(self.index)
         for j, label in enumerate(labels):
             if len(self.pivots) == n:
@@ -166,19 +184,50 @@ class BlockSolver:
                 self.pivots.append(label)
         self.rank = len(self.pivots)
 
+    def _core(self, vec: dict[int, int],
+              den: int = 1) -> tuple[dict, dict[int, int], int]:
+        """(x, residual, m), integers, with m vec / den = A x + residual;
+        vec is an integer row on the row indices.  A cancellation at c
+        adds entries only above c, so the pivots are met in increasing
+        order, each at most once."""
+        n = len(self.index)
+        last = n + len(self.labels)
+        # row part = -row[last] * vec / den + sum over tags t of row[t] * column t
+        row = {**vec, last: -den}
+        while pending := [c for c in row if c in self._echelon]:
+            c = min(pending)
+            row = _cancel(row, c, self._echelon[c])
+        m = row.pop(last)
+        return ({self.labels[t - n]: v for t, v in row.items() if t >= n},
+                {t: -v for t, v in row.items() if t < n}, m)
+
     def solve(self, b: Mapping[object, Rational]) -> Optional[dict]:
         bvec = {self.index.get(k): v for k, v in b.items() if v}
         if None in bvec:
             return None          # target hits a row no column reaches
-        n = len(self.index)
-        last = n + len(self.labels)
-        bint, den = scaled(bvec)
-        # row part = -row[last] * b + sum over tags t of row[t] * column t
-        row = _reduce({**bint, last: -den}, self._echelon)
-        if min(row) < n:
+        x, residual, m = self._core(*scaled(bvec))
+        if residual:
             return None
-        m = row.pop(last)
-        return {self.labels[t - n]: Fraction(v, m) for t, v in row.items()}
+        return {label: Fraction(v, m) for label, v in x.items()}
+
+    def unit(self, key: object) -> tuple[dict, dict[int, int], int]:
+        """The core on the unit vector of a row key, memoised."""
+        got = self._units.get(key)
+        if got is None:
+            got = self._units[key] = self._core({self.index[key]: 1})
+        return got
+
+    def unit_terms(self, b: Mapping[object, int]) -> list[tuple[int, dict,
+                                                               dict, int]]:
+        """An integer vector b over row keys as terms (c, x, residual, m),
+        the core on b being their sum of c (x, residual) / m: c times
+        `unit(key)` for each key; on the solver's first call, the one term
+        of the core on b itself, with no unit memoised, so a block read
+        once costs one reduction, not one per key."""
+        if self._summed:
+            return [(c, *self.unit(k)) for k, c in b.items()]
+        self._summed = True
+        return [(1, *self._core({self.index[k]: c for k, c in b.items() if c}))]
 
 
 def reduce_against(v: dict[int, Fraction],

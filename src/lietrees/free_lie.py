@@ -31,7 +31,7 @@ lives here, the lowest module that knows the letters.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial, gcd, prod
+from math import factorial, gcd, lcm, prod
 from typing import Iterable, Mapping
 
 from .sparse import TruncatedSeries, add_into, check_kind, check_truncation
@@ -210,6 +210,26 @@ def _solve_by_weight(solver_of, blocks: Mapping) -> dict | None:
             return None
         out.update(sol)
     return out
+
+
+def _sum_units(solver_of, blocks: Mapping) -> tuple[dict, int] | None:
+    """`_solve_by_weight` of integer right-hand sides by linearity: the
+    sum of each block's `BlockSolver.unit_terms`, from the solvers'
+    memos, as (integer numerators, den) over the lcm of the terms'
+    multipliers; None when some block's summed residual is nonzero,
+    which is when its right-hand side is outside the span."""
+    terms = [solver_of(mu).unit_terms(blocks[mu]) for mu in sorted(blocks)]
+    den = lcm(*(m for block in terms for *_, m in block))
+    out: dict = {}
+    for block in terms:
+        residual: dict[int, int] = {}
+        for c, x, r, m in block:
+            f = c * (den // m)
+            add_into(out, x, f)
+            add_into(residual, r, f)
+        if residual:
+            return None
+    return out, den
 
 
 # ---------------------------------------------------------------------------

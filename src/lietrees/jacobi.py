@@ -19,26 +19,28 @@ each leaf color with the bracket of the rest; all three read subtree
 brackets bracketed once per directed edge of the tree.  eta_inverse
 solves back onto caterpillar (left-normed) trees with exact linear
 algebra, one weight block at a time and only in the blocks its input
-lands in.  The caterpillar family of a (degree, weight) block builds one
-colouring per orbit of the caterpillar's symmetries, whose etas are its
-solver's columns; the solver is certified when built: each column must
-lie in the bracket-map kernel and its rank must equal the census
-dimension `free_lie.bracket_kernel_dim` of that block of the kernel, so
-it spans exactly the kernel and a failed solve is what refuses an input
-outside it.
+lands in; `johnson.tau_to_trees` sums the same solvers' memoised unit
+solves instead.  A block's rows, the keys of H (x) L of its weight, are
+listed from the words of that content alone.  The caterpillar family of
+a (degree, weight) block builds one colouring per orbit of the
+caterpillar's symmetries, whose etas are its solver's columns; the
+solver is certified when built: each column must lie in the bracket-map
+kernel and its rank must equal the census dimension
+`free_lie.bracket_kernel_dim` of that block of the kernel, so it spans
+exactly the kernel and a failed solve is what refuses an input outside
+it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import product
 from typing import Iterable, Mapping
 
 from .exact_linalg import BlockSolver
 from .free_lie import (LieSeries, Word, _solve_by_weight, _split_by_weight,
                        bracket_basis, bracket_kernel_dim, gen_count, is_lyndon,
-                       letter_label, lyndon_basis, parse_letter, witt_dim)
+                       letter_label, parse_letter, witt_dim)
 from .sparse import SparseCombination, add_into, add_term, check_kind
 
 Plant = int | tuple
@@ -353,14 +355,6 @@ def tree_equal(x: TreeCombo, y: TreeCombo) -> bool:
     return eta(x) == eta(y)
 
 
-@lru_cache(maxsize=None)
-def _hl_blocks(genus: int, d: int) -> dict[tuple[int, ...], dict]:
-    """Basis keys (h, w) of H (x) L_{d+1} by weight, each block's sorted."""
-    return _split_by_weight(dict.fromkeys(product(range(gen_count(genus)),
-                                                  lyndon_basis(genus, d + 1))),
-                            genus, lambda hw: (hw[0], *hw[1]))
-
-
 def tree_space_dim(genus: int, d: int) -> int:
     """dim of ker([-,-]: H (x) L_{d+1} -> L_{d+2}), counted, not ranked:
     the bracket is onto, so it is 2g W(2g, d+1) - W(2g, d+2), W being
@@ -382,6 +376,15 @@ def _arrangements(mu: tuple[int, ...]):
         if m:
             for rest in _arrangements((*mu[:x], m - 1, *mu[x + 1:])):
                 yield (x, *rest)
+
+
+def _hl_block(mu: tuple[int, ...]) -> list[tuple[int, Word]]:
+    """Basis keys (h, w) of the weight-mu block of H (x) L, in the order
+    of H (x) the Lyndon basis: each letter h of mu, then the Lyndon words
+    of content mu - e_h, lexicographically; no other block is listed."""
+    return [(h, w) for h, m in enumerate(mu) if m
+            for w in _arrangements((*mu[:h], m - 1, *mu[h + 1:]))
+            if is_lyndon(w)]
 
 
 @lru_cache(maxsize=None)
@@ -442,7 +445,7 @@ def _eta_solver(genus: int, d: int, mu: tuple[int, ...]) -> BlockSolver:
     """eta on the degree-d caterpillars of weight mu, certified to span
     exactly the tree space's weight-mu block: every column it reads is
     in the bracket kernel, and its rank is that block's dimension."""
-    solver = BlockSolver(_hl_blocks(genus, d)[mu], _caterpillars(genus, d, mu),
+    solver = BlockSolver(_hl_block(mu), _caterpillars(genus, d, mu),
                          _kernel_column)
     if solver.rank != bracket_kernel_dim(mu):
         raise RuntimeError(f"caterpillar family does not span tree space "

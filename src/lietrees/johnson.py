@@ -23,16 +23,23 @@ per output word.  Each map kind has one series step, psi - id for an
 automorphism and delta for a derivation: `invert_aut`, `log_aut` and
 `exp_der` sum their powers on the same core's integers
 (`sparse.scaled_series`) and make one `Fraction` per word of each
-generator image.
+generator image.  The two invariants are linear in the window
+coefficients of psi, read from that memo on integers: `morita_mk` and
+`tau_to_trees` sum the memoised unit solves of the cached d3 and eta
+solvers, and build a chain or tensor only on a failure path.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial
+from itertools import chain
 from math import factorial, lcm
 
-from .free_lie import (GeneratorMap, LieSeries, Word, a_letter, b_letter,
+from . import jacobi
+from .free_lie import (GeneratorMap, LieSeries, Word, _letter_weight,
+                       _split_by_weight, _sum_units, a_letter, b_letter,
                        bracket_coords, gen_count, graded, letter_label,
                        partner, std_factorization)
 from .jacobi import HLieTensor, TreeCombo, eta, eta_inverse, random_tree
@@ -335,12 +342,35 @@ def kernel_check(psi: LieAutomorphism, k: int) -> bool:
 
 
 def tau_to_trees(psi: LieAutomorphism, k: int) -> TreeCombo:
-    """Tree-diagram lift of the window tensor, grade by grade."""
-    t = tau_truncated(psi, k)
-    combo = TreeCombo.zero(psi.genus)
-    for d in t.degrees():
-        combo = combo + eta_inverse(t.graded_part(d), d)
-    return combo
+    """Tree-diagram lift of the window tensor, by linearity.
+
+    eta_inverse is linear, so the lift is summed from the memoised unit
+    solves of the cached eta solvers (`free_lie._sum_units`), one per
+    window word, weighted by its signed coefficient on integers over one
+    denominator, with no tensor built.  A residual left means the window
+    tensor is outside the bracket kernel; then the tensor is built and
+    lifted grade by grade through `eta_inverse`, which names the fault.
+    """
+    _check_level(psi, k)
+    genus = psi.genus
+    images = [(l, *psi._word((l,))) for l in range(gen_count(genus))]
+    den = lcm(*(dl for *_, dl in images))
+    blocks: dict = {}
+    for l, parts, dl in images:
+        mate, sign = partner(l)
+        f = sign * (den // dl)
+        for d, terms in parts:
+            if k + 1 <= d <= 2 * k:
+                for w, c in terms.items():
+                    blocks.setdefault((d - 1, _letter_weight((mate, *w), genus)),
+                                      {})[(mate, w)] = f * c
+    solved = _sum_units(lambda block: jacobi._eta_solver(genus, *block), blocks)
+    if solved is None:
+        t = tau_truncated(psi, k)
+        return sum((eta_inverse(t.graded_part(d), d) for d in t.degrees()),
+                   TreeCombo.zero(genus))
+    x, m = solved
+    return TreeCombo._of(genus, unscaled(x, m * den))
 
 
 def random_ic_element(genus: int, k: int, seed: int,
@@ -390,28 +420,47 @@ def morita_mk(psi: LieAutomorphism, k: int) -> "object":
     and the reduced 3-chain is a cycle in degrees where H3(L/L_{>k}) is
     zero, so those degrees add nothing to the class.
 
-    The cycle is solved for first: a solved cycle is the boundary of a
-    3-chain, hence a cycle, so its boundary is computed only when the
-    solve fails, to tell a psi moving the symplectic element from a
-    cycle that bounds nothing.
+    The cycle is solved by linearity: its integer numerators over one
+    denominator, read from the memoised images of the a_i and b_i, weight
+    the memoised unit solves of the cached d3 solvers
+    (`free_lie._sum_units`), and one `class_of` reads the summed 3-chain
+    reduced to class k.  A residual left means the cycle bounds nothing,
+    or is no cycle; then the chain is built and solved as a whole, and
+    its boundary, computed only there, tells a psi moving the symplectic
+    element from a cycle that bounds nothing.
     """
-    from .koszul import (NotABoundaryError, _solve_boundary3, boundary,
-                         class_of, wedge_chain_from_terms)
+    from .koszul import (NotABoundaryError, WedgeChain, _d3_solver,
+                         _solve_boundary3, boundary, class_of,
+                         wedge_chain_from_terms)
     _check_level(psi, k)
     genus = psi.genus
     lo, hi = k + 2, 2 * k + 1
-    terms = []
-    for i in range(1, genus + 1):
-        xb = graded(psi.image_of(b_letter(i)).coords)
-        for du, pu in graded(psi.image_of(a_letter(i)).coords):
+    handles = [(psi._word((a_letter(i),)), psi._word((b_letter(i),)))
+               for i in range(1, genus + 1)]
+    den = lcm(*(da * db for (_, da), (_, db) in handles))
+    terms: dict = {}
+    for (xa, da), (xb, db) in handles:
+        f = -(den // (da * db))
+        for du, pu in xa:
             for dv, pv in xb:
                 if du + dv > hi:
                     break
                 if du + dv >= lo:
-                    terms.extend(((wu, wv), -cu * cv)
-                                 for wu, cu in pu.items()
-                                 for wv, cv in pv.items())
-    cycle = wedge_chain_from_terms(genus, 2 * k, 2, terms)
+                    # wu ^ wv in basis order: by length, then by word
+                    for wu, cu in pu.items():
+                        for wv, cv in pv.items():
+                            if du < dv or du == dv and wu < wv:
+                                add_term(terms, (wu, wv), f * cu * cv)
+                            elif wu != wv:
+                                add_term(terms, (wv, wu), -f * cu * cv)
+    solved = _sum_units(partial(_d3_solver, genus, 2 * k), _split_by_weight(
+        terms, genus, chain.from_iterable))
+    if solved is not None:
+        x, m = solved
+        t = WedgeChain._of(genus, 2 * k, 3, x).reduced_to(k)
+        return class_of(t._like(unscaled(t.coords, m * den)))
+    cycle = wedge_chain_from_terms(genus, 2 * k, 2, (
+        (mon, Fraction(c, den)) for mon, c in terms.items()))
     try:
         t = _solve_boundary3(cycle)
     except NotABoundaryError:

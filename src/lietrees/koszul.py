@@ -17,14 +17,15 @@ never per orbit: a cycle is reduced modulo the RREF of the d4 image and
 read in the `semi_echelon` basis of the reduced d3 kernel, built only
 for the blocks it lands in and checked against the census.  Boundary
 solves reuse a cached `BlockSolver` per block, its d3 columns built only
-up to full rank; `johnson.morita_mk` hands them only the degrees
-k+2..2k+1 of its cycle, the degrees of H3 at class k, so no other d3
-block is built.  An H3 class keeps them sparsely, keyed by (degree,
-index); `parts` is a dense view per degree.  `capital_phi` is linear,
-so it sums one memoised class per distinct tree and class.  Membership
-is decided by the exact solves: `class_of` and `johnson.morita_mk` take
-a boundary only when a reduction or a solve fails, to name a non-cycle
-as one.
+up to full rank; `johnson.morita_mk` sums the solvers' memoised unit
+solves over its cycle's monomials in the degrees k+2..2k+1 only, the
+degrees of H3 at class k, so no other d3 block is built, and solves its
+cycle as a chain only when that sum leaves a residual.  An H3 class
+keeps its coordinates sparsely, keyed by (degree, index); `parts` is a
+dense view per degree.  `capital_phi` is linear, so it sums one
+memoised class per distinct tree and class.  Membership is decided by
+the exact solves: `class_of` and `johnson.morita_mk` take a boundary
+only when a reduction or a solve fails, to name a non-cycle as one.
 """
 
 from __future__ import annotations
@@ -344,13 +345,15 @@ class HomologyClass(SparseCombination):
 
     def __init__(self, genus: int, nilpotency_class: int,
                  parts: Mapping[int, tuple] | None = None):
+        check_kind(genus, int, "genus")
+        check_kind(nilpotency_class, int, "nilpotency_class")
         if genus < 1 or nilpotency_class < 1:
             raise ValueError("bad context")
         self.genus = genus
         self.nilpotency_class = nilpotency_class
         self.coords = {}
         for d, t in (parts or {}).items():
-            if not isinstance(d, int):
+            if not isinstance(d, int) or isinstance(d, bool):
                 raise ValueError(f"degree key {d!r} is not an int")
             dim = _quotient_layout(genus, nilpotency_class, d)[1]
             if len(t) != dim:

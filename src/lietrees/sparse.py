@@ -101,9 +101,10 @@ class SparseCombination:
     _degree = staticmethod(len)
 
     def _fill(self, context: tuple, coords: Mapping | None) -> None:
-        """Set the context fields, check them, and keep each nonzero
-        coefficient, as a `Fraction`, whose key `_admit` accepts."""
+        """Set the context fields, each an int, check them, and keep each
+        nonzero coefficient, as a `Fraction`, whose key `_admit` accepts."""
         for field, value in zip(self._context, context):
+            check_kind(value, int, field)
             setattr(self, field, value)
         self._check_context()
         clean = {}

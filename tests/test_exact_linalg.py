@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from lietrees.exact_linalg import (BlockSolver, _echelon, _rows_of, _rref,
                                    kernel_from_rref, rank_of_rows,
                                    reduce_against, semi_echelon)
+from lietrees import koszul
+from lietrees.sparse import add_term, scaled
 import linalg_oracle
 from linalg_oracle import _eliminate, rank_of_columns
 
@@ -298,6 +300,96 @@ def test_block_solver_matches_fraction_oracle(matrix, data):
     got = solver.solve(dict(enumerate(b)))
     assert (None if got is None else dense(got, ncols)) == oracle_solution(
         ncols, rows, b)
+
+
+def unit_sum(solver, b):
+    """The sum of b_key * unit(key) over b's entries, each unit over its
+    own multiplier: (x, residual) as `Fraction` dicts."""
+    x, residual = {}, {}
+    for key, c in b.items():
+        ux, ur, m = solver.unit(key)
+        for acc, part in ((x, ux), (residual, ur)):
+            for j, v in part.items():
+                add_term(acc, j, c * F(v, m))
+    return x, residual
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(matrices(sparse_int), matrices(sparse_fraction)), st.data())
+def test_unit_solves_match_fraction_oracle(matrix, data):
+    ncols, rows = matrix
+    columns = [{i: F(row[j]) for i, row in enumerate(rows) if row[j]}
+               for j in range(ncols)]
+    solver = BlockSolver(range(len(rows)), range(ncols), columns.__getitem__)
+    # the least row of each vector of an echelon basis of the column span
+    _, pivot_rows = _eliminate([dict(c) for c in columns], len(rows))
+    for key in range(len(rows)):
+        x, r, m = solver.unit(key)
+        assert m and all(x.values()) and all(r.values())
+        assert x.keys() <= set(solver.pivots)
+        assert not r.keys() & set(pivot_rows)
+        # m e_key = A x + r
+        got = [a + r.get(i, 0) for i, a in enumerate(mat_vec(rows,
+                                                               dense(x, ncols)))]
+        assert got == [m * (i == key) for i in range(len(rows))]
+        assert solver.unit(key) is solver.unit(key)
+
+    xs = data.draw(st.lists(sparse_fraction, min_size=ncols, max_size=ncols))
+    image = {i: v for i, v in enumerate(mat_vec(rows, xs)) if v}
+    x, residual = unit_sum(solver, image)
+    assert residual == {}
+    assert x == solver.solve(image)
+    assert dense(x, ncols) == oracle_solution(ncols, rows, dense(image,
+                                                                 len(rows)))
+
+    b = data.draw(st.lists(sparse_fraction, min_size=len(rows),
+                           max_size=len(rows)))
+    x, residual = unit_sum(solver, dict(enumerate(b)))
+    expect = oracle_solution(ncols, rows, b)
+    assert (residual == {}) == (expect is not None)
+    if expect is not None:
+        assert dense(x, ncols) == expect
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(matrices(sparse_int), matrices(sparse_fraction)), st.data())
+def test_unit_terms_read_a_block_once_then_by_units(matrix, data):
+    ncols, rows = matrix
+    columns = [{i: F(row[j]) for i, row in enumerate(rows) if row[j]}
+               for j in range(ncols)]
+    solver = BlockSolver(range(len(rows)), range(ncols), columns.__getitem__)
+    xs = data.draw(st.lists(sparse_fraction, min_size=ncols, max_size=ncols))
+    image = mat_vec(rows, xs)
+    b = data.draw(st.lists(sparse_fraction, min_size=len(rows),
+                           max_size=len(rows)))
+    memo = set()
+    for call, rhs in enumerate((image, b, image)):
+        bint, den = scaled({i: v for i, v in enumerate(rhs) if v})
+        x, residual = {}, {}
+        for c, ux, ur, m in solver.unit_terms(bint):
+            for acc, part in ((x, ux), (residual, ur)):
+                for j, v in part.items():
+                    add_term(acc, j, F(c * v, m * den))
+        expect = oracle_solution(ncols, rows, rhs)
+        assert (residual == {}) == (expect is not None)
+        if expect is not None:
+            assert dense(x, ncols) == expect
+        # the first call runs one reduction; later ones memoise units
+        if call:
+            memo |= bint.keys()
+        assert solver._units.keys() == memo
+
+
+def test_the_unit_memo_lives_on_the_cached_solver():
+    koszul._d3_solver.cache_clear()
+    mu = (2, 1, 1, 1)
+    key = koszul._monomials(2, 4, 2, mu)[0]
+    solver = koszul._d3_solver(2, 4, mu)
+    solver.unit(key)
+    assert koszul._d3_solver(2, 4, mu)._units.keys() == {key}
+    koszul._d3_solver.cache_clear()
+    fresh = koszul._d3_solver(2, 4, mu)
+    assert fresh is not solver and fresh._units == {}
 
 
 def sparse_rows(rows):

@@ -11,11 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 from lietrees import jacobi
 from lietrees.exact_linalg import kernel_from_rref
-from lietrees.free_lie import (LieSeries, _letter_weight, bracket_basis,
-                               bracket_kernel_dim, gen_count, lyndon_basis,
-                               witt_dim)
+from lietrees.free_lie import (LieSeries, _letter_weight, _split_by_weight,
+                               bracket_basis, bracket_kernel_dim, gen_count,
+                               lyndon_basis, witt_dim)
 from lietrees.jacobi import (HLieTensor, TreeCombo, TreeDiagram,
-                             _caterpillars, _encode, _eta_solver, _hl_blocks,
+                             _caterpillars, _encode, _eta_solver, _hl_block,
                              comm, eta, eta_inverse, fission,
                              ihx_combination, parse_tree_text,
                              random_tree, tree_equal, tree_space_dim,
@@ -174,7 +174,7 @@ class TestEtaInverse:
         # bracket does not kill
         monkeypatch.setattr(jacobi, "eta", lambda c: HLieTensor(
             c.genus, {(0, (0, 1)): F(1)}))
-        mu = next(mu for mu in _hl_blocks(1, 2) if _caterpillars(1, 2, mu))
+        mu = next(mu for mu in hl_blocks(1, 2) if _caterpillars(1, 2, mu))
         _eta_solver.cache_clear()
         try:
             with pytest.raises(RuntimeError,
@@ -205,13 +205,13 @@ class TestEtaInverse:
         expect = (2 * genus * witt_dim(2 * genus, d + 1)
                   - witt_dim(2 * genus, d + 2))
         assert sum(_eta_solver(genus, d, mu).rank
-                   for mu in _hl_blocks(genus, d)) == expect
+                   for mu in hl_blocks(genus, d)) == expect
 
     def test_a_block_missing_a_diagram_names_its_degree_and_weight(
             self, monkeypatch):
         # a block whose caterpillars are independent loses rank with any one
         d = 2
-        mu = next(mu for mu in _hl_blocks(2, d)
+        mu = next(mu for mu in hl_blocks(2, d)
                   if 0 < len(_caterpillars(2, d, mu))
                   == bracket_kernel_dim(mu))
         real = jacobi._caterpillars
@@ -273,6 +273,16 @@ def c1_below_c2_caterpillars(genus, d):
     return out
 
 
+@lru_cache(maxsize=None)
+def hl_blocks(genus, d):
+    """Basis keys (h, w) of H (x) L_{d+1} by weight, split from the whole
+    product of the letters and the Lyndon basis: the oracle for the
+    per-weight `jacobi._hl_block`."""
+    return _split_by_weight(dict.fromkeys(product(range(gen_count(genus)),
+                                                  lyndon_basis(genus, d + 1))),
+                            genus, lambda hw: (hw[0], *hw[1]))
+
+
 def weights(genus, d):
     """Every letter-count vector of the degree-d caterpillars' d + 2 leaves."""
     return [mu for mu in product(range(d + 3), repeat=gen_count(genus))
@@ -312,6 +322,13 @@ def product_walk_colourings(genus, d):
 
 
 class TestCaterpillars:
+    @pytest.mark.parametrize("genus, d", [(1, 3), (2, 2), (2, 3), (2, 4),
+                                          (3, 3)])
+    def test_hl_block_is_the_weight_block_of_the_whole_space(self, genus, d):
+        blocks = hl_blocks(genus, d)
+        for mu in weights(genus, d):
+            assert _hl_block(mu) == list(blocks.get(mu, {}))
+
     @pytest.mark.parametrize("genus, d", [(1, 3), (2, 2), (2, 3), (2, 4),
                                           (2, 5), (3, 3)])
     def test_colourings_per_weight_match_the_product_walk(self, genus, d):
@@ -423,7 +440,7 @@ class TestDimensions:
                                           for d in range(6)]
                              + [(3, d) for d in range(4)])
     def test_census_is_the_rank_on_every_block(self, genus, d):
-        for mu, keys in _hl_blocks(genus, d).items():
+        for mu, keys in hl_blocks(genus, d).items():
             cols = [bracket_basis((h,), w) for h, w in keys]
             assert bracket_kernel_dim(mu) == len(keys) - rank_of_columns(cols)
 
@@ -441,7 +458,7 @@ class TestDimensions:
         def refuse(*args):
             raise AssertionError("a tree block was built")
 
-        monkeypatch.setattr(jacobi, "_hl_blocks", refuse)
+        monkeypatch.setattr(jacobi, "_hl_block", refuse)
         monkeypatch.setattr(jacobi, "BlockSolver", refuse)
         assert tree_space_dim(3, 7) == 6 * witt_dim(6, 8) - witt_dim(6, 9)
 

@@ -921,3 +921,62 @@ class TestObstruction:
         psi = random_ic_element(2, 2, 0, 4).truncated(3)
         with pytest.raises(ValueError):
             morita_mk(psi, 2)
+
+
+def chain_tau_to_trees(psi, k):
+    """The tree route on the whole window tensor: `tau_truncated`, lifted
+    grade by grade by `eta_inverse`."""
+    t = tau_truncated(psi, k)
+    combo = TreeCombo.zero(psi.genus)
+    for d in t.degrees():
+        combo = combo + jacobi.eta_inverse(t.graded_part(d), d)
+    return combo
+
+
+class TestLinearRoutes:
+    """Both routes sum memoised unit solves; the chains they replace run
+    only on the failure paths."""
+
+    @pytest.mark.parametrize("genus", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @settings(max_examples=3, deadline=None)
+    @given(seed=st.integers(0, 10 ** 6))
+    def test_both_routes_equal_the_chains(self, genus, k, seed):
+        psi = random_ic_element(genus, k, seed, 2 * k)
+        mk, trees = full_cycle_morita_mk(psi, k), chain_tau_to_trees(psi, k)
+        # twice: a solver's first right-hand side is reduced whole, later
+        # ones are summed from its unit solves
+        for _ in range(2):
+            assert morita_mk(psi, k).coords == mk.coords
+            assert tau_to_trees(psi, k).coords == trees.coords
+
+    def test_the_success_paths_build_no_chain(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a chain route ran")
+
+        for name in ("wedge_chain_from_terms", "_solve_boundary3", "boundary"):
+            monkeypatch.setattr(koszul, name, refuse)
+        monkeypatch.setattr(johnson, "eta_inverse", refuse)
+        monkeypatch.setattr(johnson, "tau_truncated", refuse)
+        psi = random_ic_element(2, 2, 1, 4)
+        assert not morita_mk(psi, 2).is_zero()
+        assert tau_to_trees(psi, 2)
+
+    @pytest.mark.parametrize("psi, k, mk_error, mk_message, tau_message", [
+        (level_two_unfixing_automorphism(), 2, ValueError,
+         "automorphism does not fix the symplectic element modulo degree "
+         "2k+1", "input not in the bracket kernel"),
+        (moving_a1(1, 1), 1, koszul.NotABoundaryError,
+         "2-cycle is not a 3-boundary", "input not in the bracket kernel"),
+        (moving_a1(2, 2), 2, koszul.NotABoundaryError,
+         "2-cycle is not a 3-boundary", "input not in the bracket kernel"),
+    ])
+    def test_the_failure_paths_keep_their_errors(self, psi, k, mk_error,
+                                                  mk_message, tau_message):
+        with pytest.raises(mk_error) as got:
+            morita_mk(psi, k)
+        assert type(got.value) is mk_error and str(got.value) == mk_message
+        with pytest.raises(ValueError) as got:
+            tau_to_trees(psi, k)
+        assert type(got.value) is ValueError
+        assert str(got.value) == tau_message

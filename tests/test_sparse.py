@@ -129,6 +129,30 @@ def test_bad_context_is_rejected(make):
         make()
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: WedgeChain("2", 2, 2), "genus must be an int, not str"),
+    (lambda: LieSeries("2", 3), "genus must be an int, not str"),
+    (lambda: TensorSeries(2, "3"), "max_degree must be an int, not str"),
+    (lambda: HLieTensor("2"), "genus must be an int, not str"),
+    (lambda: TreeCombo("2"), "genus must be an int, not str"),
+    (lambda: HomologyClass("2", 2), "genus must be an int, not str"),
+    (lambda: WedgeChain(2, 2.0, 2),
+     "nilpotency_class must be an int, not float"),
+    (lambda: LieSeries(2, True), "max_degree must be an int, not bool"),
+    (lambda: HLieTensor(True), "genus must be an int, not bool"),
+    (lambda: HomologyClass(True, 2), "genus must be an int, not bool"),
+    (lambda: HomologyClass(2, True), "nilpotency_class must be an int, not bool"),
+    (lambda: HomologyClass(2, 2, {True: ()}), "degree key True is not an int"),
+], ids=["WedgeChain str", "LieSeries str", "TensorSeries str",
+        "HLieTensor str", "TreeCombo str", "HomologyClass str",
+        "WedgeChain float", "LieSeries bool", "HLieTensor bool",
+        "HomologyClass bool genus", "HomologyClass bool class",
+        "HomologyClass bool degree"])
+def test_context_fields_of_a_wrong_kind_are_refused_by_name(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
 def counting(step):
     """step, with the number of calls kept in .calls."""
     def run(x):
