@@ -11,11 +11,10 @@ full rank; its solutions, keyed by the column labels, are supported on
 the first independent columns.  Neither depends on row order.  The
 solver's reads, `solve` and the memoised unit solve `unit`, share one
 core that cancels at every pivot row, not only the least, so a unit's
-residual is zero on every pivot row and unit solves add up (`unit_terms`,
-which reads a solver's first right-hand side whole, so a block read once
-costs one reduction): `free_lie._solve_by_weight` is the one blockwise
-solve, a solver per weight block, and `free_lie._sum_units` the same
-solve on integers, summed from unit solves.  Only the sparse
+residual is zero on every pivot row and unit solves add up:
+`free_lie._solve_by_weight` is the one blockwise solve, a solver per
+weight block, and `free_lie._sum_units` the same solve on integers,
+summed from unit solves.  Only the sparse
 `semi_echelon` over `Fraction`, used for the H3 quotient basis the
 canonical coordinates are read in, depends on row order.
 """
@@ -172,7 +171,6 @@ class BlockSolver:
         self.index = {k: i for i, k in enumerate(row_keys)}
         self.labels, self.pivots, self._echelon = labels, [], {}
         self._units: dict[object, tuple[dict, dict[int, int], int]] = {}
-        self._summed = False
         n = len(self.index)
         for j, label in enumerate(labels):
             if len(self.pivots) == n:
@@ -216,18 +214,6 @@ class BlockSolver:
         if got is None:
             got = self._units[key] = self._core({self.index[key]: 1})
         return got
-
-    def unit_terms(self, b: Mapping[object, int]) -> list[tuple[int, dict,
-                                                               dict, int]]:
-        """An integer vector b over row keys as terms (c, x, residual, m),
-        the core on b being their sum of c (x, residual) / m: c times
-        `unit(key)` for each key; on the solver's first call, the one term
-        of the core on b itself, with no unit memoised, so a block read
-        once costs one reduction, not one per key."""
-        if self._summed:
-            return [(c, *self.unit(k)) for k, c in b.items()]
-        self._summed = True
-        return [(1, *self._core({self.index[k]: c for k, c in b.items() if c}))]
 
 
 def reduce_against(v: dict[int, Fraction],

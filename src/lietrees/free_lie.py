@@ -214,11 +214,14 @@ def _solve_by_weight(solver_of, blocks: Mapping) -> dict | None:
 
 def _sum_units(solver_of, blocks: Mapping) -> tuple[dict, int] | None:
     """`_solve_by_weight` of integer right-hand sides by linearity: the
-    sum of each block's `BlockSolver.unit_terms`, from the solvers'
-    memos, as (integer numerators, den) over the lcm of the terms'
-    multipliers; None when some block's summed residual is nonzero,
-    which is when its right-hand side is outside the span."""
-    terms = [solver_of(mu).unit_terms(blocks[mu]) for mu in sorted(blocks)]
+    sum of b_key times `BlockSolver.unit(key)` over each block, from the
+    solvers' memos, as (integer numerators, den) over the lcm of the
+    units' multipliers; None when some block's summed residual is
+    nonzero, which is when its right-hand side is outside the span."""
+    terms = []
+    for mu in sorted(blocks):
+        unit = solver_of(mu).unit
+        terms.append([(c, *unit(key)) for key, c in blocks[mu].items()])
     den = lcm(*(m for block in terms for *_, m in block))
     out: dict = {}
     for block in terms:

@@ -424,14 +424,13 @@ def morita_mk(psi: LieAutomorphism, k: int) -> "object":
     denominator, read from the memoised images of the a_i and b_i, weight
     the memoised unit solves of the cached d3 solvers
     (`free_lie._sum_units`), and one `class_of` reads the summed 3-chain
-    reduced to class k.  A residual left means the cycle bounds nothing,
-    or is no cycle; then the chain is built and solved as a whole, and
-    its boundary, computed only there, tells a psi moving the symplectic
-    element from a cycle that bounds nothing.
+    reduced to class k.  A residual left means the cycle is outside the
+    span of d3: it bounds nothing, or is no cycle; its boundary, computed
+    only there, tells a psi moving the symplectic element from a cycle
+    that bounds nothing.
     """
     from .koszul import (NotABoundaryError, WedgeChain, _d3_solver,
-                         _solve_boundary3, boundary, class_of,
-                         wedge_chain_from_terms)
+                         boundary, class_of)
     _check_level(psi, k)
     genus = psi.genus
     lo, hi = k + 2, 2 * k + 1
@@ -459,13 +458,8 @@ def morita_mk(psi: LieAutomorphism, k: int) -> "object":
         x, m = solved
         t = WedgeChain._of(genus, 2 * k, 3, x).reduced_to(k)
         return class_of(t._like(unscaled(t.coords, m * den)))
-    cycle = wedge_chain_from_terms(genus, 2 * k, 2, (
-        (mon, Fraction(c, den)) for mon, c in terms.items()))
-    try:
-        t = _solve_boundary3(cycle)
-    except NotABoundaryError:
-        if not boundary(cycle).is_zero():
-            raise ValueError("automorphism does not fix the symplectic "
-                             "element modulo degree 2k+1") from None
-        raise
-    return class_of(t.reduced_to(k))
+    if not boundary(WedgeChain._of(genus, 2 * k, 2,
+                                   unscaled(terms, den))).is_zero():
+        raise ValueError("automorphism does not fix the symplectic "
+                         "element modulo degree 2k+1")
+    raise NotABoundaryError("2-cycle is not a 3-boundary")

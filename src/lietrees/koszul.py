@@ -19,13 +19,13 @@ for the blocks it lands in and checked against the census.  Boundary
 solves reuse a cached `BlockSolver` per block, its d3 columns built only
 up to full rank; `johnson.morita_mk` sums the solvers' memoised unit
 solves over its cycle's monomials in the degrees k+2..2k+1 only, the
-degrees of H3 at class k, so no other d3 block is built, and solves its
-cycle as a chain only when that sum leaves a residual.  An H3 class
+degrees of H3 at class k, so no other d3 block is built, and builds
+its cycle as a chain only when that sum leaves a residual.  An H3 class
 keeps its coordinates sparsely, keyed by (degree, index); `parts` is a
 dense view per degree.  `capital_phi` is linear, so it sums one
 memoised class per distinct tree and class.  Membership is decided by
 the exact solves: `class_of` and `johnson.morita_mk` take a boundary
-only when a reduction or a solve fails, to name a non-cycle as one.
+only when a reduction or a unit sum fails, to name a non-cycle as one.
 """
 
 from __future__ import annotations

@@ -9,7 +9,8 @@ from lietrees.exact_linalg import (BlockSolver, _echelon, _rows_of, _rref,
                                    kernel_from_rref, rank_of_rows,
                                    reduce_against, semi_echelon)
 from lietrees import koszul
-from lietrees.sparse import add_term, scaled
+from lietrees.free_lie import _sum_units
+from lietrees.sparse import add_term, scaled, unscaled
 import linalg_oracle
 from linalg_oracle import _eliminate, rank_of_columns
 
@@ -353,7 +354,7 @@ def test_unit_solves_match_fraction_oracle(matrix, data):
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(matrices(sparse_int), matrices(sparse_fraction)), st.data())
-def test_unit_terms_read_a_block_once_then_by_units(matrix, data):
+def test_sum_units_solves_and_memoises_the_keys_it_reads(matrix, data):
     ncols, rows = matrix
     columns = [{i: F(row[j]) for i, row in enumerate(rows) if row[j]}
                for j in range(ncols)]
@@ -363,20 +364,15 @@ def test_unit_terms_read_a_block_once_then_by_units(matrix, data):
     b = data.draw(st.lists(sparse_fraction, min_size=len(rows),
                            max_size=len(rows)))
     memo = set()
-    for call, rhs in enumerate((image, b, image)):
+    for rhs in (image, b):
         bint, den = scaled({i: v for i, v in enumerate(rhs) if v})
-        x, residual = {}, {}
-        for c, ux, ur, m in solver.unit_terms(bint):
-            for acc, part in ((x, ux), (residual, ur)):
-                for j, v in part.items():
-                    add_term(acc, j, F(c * v, m * den))
+        got = _sum_units(lambda mu: solver, {(): bint})
         expect = oracle_solution(ncols, rows, rhs)
-        assert (residual == {}) == (expect is not None)
-        if expect is not None:
-            assert dense(x, ncols) == expect
-        # the first call runs one reduction; later ones memoise units
-        if call:
-            memo |= bint.keys()
+        assert (got is None) == (expect is None)
+        if got is not None:
+            x, m = got
+            assert dense(unscaled(x, m * den), ncols) == expect
+        memo |= bint.keys()
         assert solver._units.keys() == memo
 
 
