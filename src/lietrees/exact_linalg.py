@@ -7,16 +7,15 @@ by the row's content).  `_reduce` cancels a row at its least column
 while that has a pivot; `_echelon` runs it on rows, and every rank is
 its length; `_rref` back-substitutes that into the unique reduced row
 echelon form.  `BlockSolver` runs it on tagged columns, read only up to
-full rank; its solutions, keyed by the column labels, are supported on
-the first independent columns.  Neither depends on row order.  The
-solver's reads, `solve` and the memoised unit solve `unit`, share one
-core that cancels at every pivot row, not only the least, so a unit's
-residual is zero on every pivot row and unit solves add up:
-`free_lie._solve_by_weight` is the one blockwise solve, a solver per
-weight block, and `free_lie._sum_units` the same solve on integers,
-summed from unit solves.  Only the sparse
-`semi_echelon` over `Fraction`, used for the H3 quotient basis the
-canonical coordinates are read in, depends on row order.
+full rank; its one read, the memoised unit solve `unit`, cancels a row
+key's unit vector at every pivot row, not only the least, so a unit's
+residual is zero on every pivot row and unit solves add up.
+`free_lie._sum_units` is the one blockwise solve, a solver per weight
+block, summed on integers from unit solves; its solutions, keyed by the
+column labels, are supported on the first independent columns.  Neither
+depends on row order.  Only the sparse `semi_echelon` over `Fraction`,
+used for the H3 quotient basis the canonical coordinates are read in,
+depends on row order.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 from numbers import Rational
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .sparse import scaled
 
@@ -152,18 +151,13 @@ class BlockSolver:
     kept columns, `pivots`, are the first independent ones in label
     order; once they number n no later column is read.
 
-    One fraction-free core serves both reads: an integer row, a
-    multiplier tag carried past every tag, is cancelled at every pivot
-    row it reaches, and comes back as (x, residual, m) with m times the
-    row equal to A x + residual, x over the tags, the residual zero on
+    Its one read, `unit(key)`, memoised on the solver, reduces the unit
+    vector of a row key with a multiplier tag carried past every tag,
+    cancelled at every pivot row it reaches, so its residual is zero on
     every pivot row.  A vector of the span that is zero there is zero,
-    so the residual vanishes exactly when the row is in the span, and x
-    is then the unique solution supported on the pivots.  `solve(b)` is
-    the core on b, {label: value} over its nonzero entries, or None when
-    b is outside the span.  `unit(key)` is the core on the row key's unit
-    vector, memoised on the solver and filled on first use: by
-    linearity, the sum of b_key unit(key) has a zero residual exactly
-    when b is in the span, and its x is then `solve(b)`'s.
+    so the sum of b_key unit(key) has a zero residual exactly when b is
+    in the span, and its x is then the unique solution supported on the
+    pivots (`free_lie._sum_units`).
     """
 
     def __init__(self, row_keys: Iterable[object], labels: Sequence[object],
@@ -182,37 +176,23 @@ class BlockSolver:
                 self.pivots.append(label)
         self.rank = len(self.pivots)
 
-    def _core(self, vec: dict[int, int],
-              den: int = 1) -> tuple[dict, dict[int, int], int]:
-        """(x, residual, m), integers, with m vec / den = A x + residual;
-        vec is an integer row on the row indices.  A cancellation at c
-        adds entries only above c, so the pivots are met in increasing
-        order, each at most once."""
-        n = len(self.index)
-        last = n + len(self.labels)
-        # row part = -row[last] * vec / den + sum over tags t of row[t] * column t
-        row = {**vec, last: -den}
-        while pending := [c for c in row if c in self._echelon]:
-            c = min(pending)
-            row = _cancel(row, c, self._echelon[c])
-        m = row.pop(last)
-        return ({self.labels[t - n]: v for t, v in row.items() if t >= n},
-                {t: -v for t, v in row.items() if t < n}, m)
-
-    def solve(self, b: Mapping[object, Rational]) -> Optional[dict]:
-        bvec = {self.index.get(k): v for k, v in b.items() if v}
-        if None in bvec:
-            return None          # target hits a row no column reaches
-        x, residual, m = self._core(*scaled(bvec))
-        if residual:
-            return None
-        return {label: Fraction(v, m) for label, v in x.items()}
-
     def unit(self, key: object) -> tuple[dict, dict[int, int], int]:
-        """The core on the unit vector of a row key, memoised."""
+        """(x, residual, m), integers, with m e_key = A x + residual,
+        memoised.  A cancellation at c adds entries only above c, so the
+        pivots are met in increasing order, each at most once."""
         got = self._units.get(key)
         if got is None:
-            got = self._units[key] = self._core({self.index[key]: 1})
+            n = len(self.index)
+            last = n + len(self.labels)
+            # row part = -row[last] * e_key + sum over tags t of row[t] * column t
+            row = {self.index[key]: 1, last: -1}
+            while pending := [c for c in row if c in self._echelon]:
+                c = min(pending)
+                row = _cancel(row, c, self._echelon[c])
+            m = row.pop(last)
+            got = self._units[key] = (
+                {self.labels[t - n]: v for t, v in row.items() if t >= n},
+                {t: -v for t, v in row.items() if t < n}, m)
         return got
 
 

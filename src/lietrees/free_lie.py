@@ -199,25 +199,13 @@ def _split_by_weight(coords: Mapping, genus: int,
     return blocks
 
 
-def _solve_by_weight(solver_of, blocks: Mapping) -> dict | None:
-    """Each block's right-hand side solved, in weight order, by the
-    `BlockSolver` `solver_of(mu)` of its weight, and the sparse solutions
-    joined; None when some block has no solution."""
-    out: dict = {}
-    for mu in sorted(blocks):
-        sol = solver_of(mu).solve(blocks[mu])
-        if sol is None:
-            return None
-        out.update(sol)
-    return out
-
-
 def _sum_units(solver_of, blocks: Mapping) -> tuple[dict, int] | None:
-    """`_solve_by_weight` of integer right-hand sides by linearity: the
-    sum of b_key times `BlockSolver.unit(key)` over each block, from the
-    solvers' memos, as (integer numerators, den) over the lcm of the
-    units' multipliers; None when some block's summed residual is
-    nonzero, which is when its right-hand side is outside the span."""
+    """The one blockwise solve, by linearity: each block of integer
+    right-hand sides, in weight order, summed as b_key times
+    `BlockSolver.unit(key)` of its weight's solver `solver_of(mu)`, as
+    (integer numerators, den) over the lcm of the units' multipliers;
+    None when some block's summed residual is nonzero, which is when
+    its right-hand side is outside the span."""
     terms = []
     for mu in sorted(blocks):
         unit = solver_of(mu).unit

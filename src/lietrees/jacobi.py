@@ -19,13 +19,13 @@ each leaf color with the bracket of the rest; all three read subtree
 brackets bracketed once per directed edge of the tree.  eta_inverse
 solves back onto caterpillar (left-normed) trees with exact linear
 algebra, one weight block at a time and only in the blocks its input
-lands in; `johnson.tau_to_trees` sums the same solvers' memoised unit
-solves instead.  A block's rows, the keys of H (x) L of its weight, are
-listed from the words of that content alone.  The caterpillar family of
-a (degree, weight) block builds one colouring per orbit of the
-caterpillar's symmetries, whose etas are its solver's columns; the
-solver is certified when built: each column must lie in the bracket-map
-kernel and its rank must equal the census dimension
+lands in, summing each block solver's memoised unit solves as
+`johnson.tau_to_trees` does.  A block's rows, the keys of H (x) L of
+its weight, are listed from the words of that content alone.  The
+caterpillar family of a (degree, weight) block builds one colouring per
+orbit of the caterpillar's symmetries, whose etas are its solver's
+columns; the solver is certified when built: each column must lie in
+the bracket-map kernel and its rank must equal the census dimension
 `free_lie.bracket_kernel_dim` of that block of the kernel, so it spans
 exactly the kernel and a failed solve is what refuses an input outside
 it.
@@ -38,10 +38,11 @@ from functools import lru_cache, partial
 from typing import Iterable, Mapping
 
 from .exact_linalg import BlockSolver
-from .free_lie import (LieSeries, Word, _solve_by_weight, _split_by_weight,
+from .free_lie import (LieSeries, Word, _split_by_weight, _sum_units,
                        bracket_basis, bracket_kernel_dim, gen_count, is_lyndon,
                        letter_label, parse_letter, witt_dim)
-from .sparse import SparseCombination, add_into, add_term, check_kind
+from .sparse import (SparseCombination, add_into, add_term, check_kind,
+                     scaled, unscaled)
 
 Plant = int | tuple
 ONE = Fraction(1)
@@ -469,13 +470,15 @@ def eta_inverse(x: HLieTensor, d: int) -> TreeCombo:
         raise ValueError(f"input not homogeneous of tree degree {d}")
     if x.is_zero():
         return TreeCombo.zero(x.genus)
-    coords = _solve_by_weight(partial(_eta_solver, x.genus, d), _split_by_weight(
-        x.coords, x.genus, lambda hw: (hw[0], *hw[1])))
-    if coords is None:
+    coords, den = scaled(x.coords)
+    solved = _sum_units(partial(_eta_solver, x.genus, d), _split_by_weight(
+        coords, x.genus, lambda hw: (hw[0], *hw[1])))
+    if solved is None:
         if not x.bracket_contraction().is_zero():
             raise ValueError("input not in the bracket kernel")
         raise RuntimeError("kernel element outside the certified span")
-    return TreeCombo._of(x.genus, coords)
+    y, m = solved
+    return TreeCombo._of(x.genus, unscaled(y, m * den))
 
 
 def ihx_combination(genus: int, g: int, h: int, k: int, l: int) -> TreeCombo:

@@ -26,7 +26,8 @@ automorphism and delta for a derivation: `invert_aut`, `log_aut` and
 generator image.  The two invariants are linear in the window
 coefficients of psi, read from that memo on integers: `morita_mk` and
 `tau_to_trees` sum the memoised unit solves of the cached d3 and eta
-solvers, and build a chain or tensor only on a failure path.
+solvers (`free_lie._sum_units`), and build a chain or tensor only on
+a failure path, to name the fault, never to solve again.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .free_lie import (GeneratorMap, LieSeries, Word, _letter_weight,
                        _split_by_weight, _sum_units, a_letter, b_letter,
                        bracket_coords, gen_count, graded, letter_label,
                        partner, std_factorization)
-from .jacobi import HLieTensor, TreeCombo, eta, eta_inverse, random_tree
+from .jacobi import HLieTensor, TreeCombo, eta, random_tree
 from .sparse import (add_into, add_term, check_kind, scaled, scaled_series,
                      unscaled)
 
@@ -347,9 +348,10 @@ def tau_to_trees(psi: LieAutomorphism, k: int) -> TreeCombo:
     eta_inverse is linear, so the lift is summed from the memoised unit
     solves of the cached eta solvers (`free_lie._sum_units`), one per
     window word, weighted by its signed coefficient on integers over one
-    denominator, with no tensor built.  A residual left means the window
-    tensor is outside the bracket kernel; then the tensor is built and
-    lifted grade by grade through `eta_inverse`, which names the fault.
+    denominator, with no tensor built.  Each solver spans exactly its
+    block of the bracket kernel, so a residual left means the window
+    tensor is outside it; only then is the tensor built, and its bracket
+    contraction, as in `eta_inverse`, tells that from a solver fault.
     """
     _check_level(psi, k)
     genus = psi.genus
@@ -366,9 +368,9 @@ def tau_to_trees(psi: LieAutomorphism, k: int) -> TreeCombo:
                                       {})[(mate, w)] = f * c
     solved = _sum_units(lambda block: jacobi._eta_solver(genus, *block), blocks)
     if solved is None:
-        t = tau_truncated(psi, k)
-        return sum((eta_inverse(t.graded_part(d), d) for d in t.degrees()),
-                   TreeCombo.zero(genus))
+        if not tau_truncated(psi, k).bracket_contraction().is_zero():
+            raise ValueError("input not in the bracket kernel")
+        raise RuntimeError("kernel element outside the certified span")
     x, m = solved
     return TreeCombo._of(genus, unscaled(x, m * den))
 

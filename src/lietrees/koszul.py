@@ -16,16 +16,16 @@ weight by weight, so a block's dimension is the tree space's,
 never per orbit: a cycle is reduced modulo the RREF of the d4 image and
 read in the `semi_echelon` basis of the reduced d3 kernel, built only
 for the blocks it lands in and checked against the census.  Boundary
-solves reuse a cached `BlockSolver` per block, its d3 columns built only
-up to full rank; `johnson.morita_mk` sums the solvers' memoised unit
-solves over its cycle's monomials in the degrees k+2..2k+1 only, the
-degrees of H3 at class k, so no other d3 block is built, and builds
-its cycle as a chain only when that sum leaves a residual.  An H3 class
-keeps its coordinates sparsely, keyed by (degree, index); `parts` is a
-dense view per degree.  `capital_phi` is linear, so it sums one
-memoised class per distinct tree and class.  Membership is decided by
-the exact solves: `class_of` and `johnson.morita_mk` take a boundary
-only when a reduction or a unit sum fails, to name a non-cycle as one.
+solves, `solve_boundary3` and `johnson.morita_mk`, sum the memoised unit
+solves of a cached `BlockSolver` per block, its d3 columns built only up
+to full rank; `morita_mk` solves only its cycle's degrees k+2..2k+1,
+the degrees of H3 at class k, and builds its cycle as a chain only when
+that sum leaves a residual.  An H3 class keeps its coordinates
+sparsely, keyed by (degree, index); `parts` is a dense view per degree.
+`capital_phi` is linear, so it sums one memoised class per distinct
+tree and class.  Membership is decided by the exact solves: `class_of`
+and `johnson.morita_mk` take a boundary only when a reduction or a unit
+sum fails, to name a non-cycle as one.
 """
 
 from __future__ import annotations
@@ -40,10 +40,11 @@ from typing import Iterable, Mapping
 from .exact_linalg import (ZERO, BlockSolver, _echelon, _rows_of, _rref,
                            kernel_from_rref, rank_of_rows, reduce_against,
                            semi_echelon)
-from .free_lie import (Word, _solve_by_weight, _split_by_weight,
-                       bracket_basis, bracket_kernel_dim, gen_count,
-                       is_lyndon, letter_label, lyndon_basis)
-from .sparse import SparseCombination, add_into, add_term, check_kind
+from .free_lie import (Word, _split_by_weight, _sum_units, bracket_basis,
+                       bracket_kernel_dim, gen_count, is_lyndon,
+                       letter_label, lyndon_basis)
+from .sparse import (SparseCombination, add_into, add_term, check_kind,
+                     scaled, unscaled)
 
 Monomial = tuple[Word, ...]
 
@@ -430,23 +431,20 @@ class NotABoundaryError(ValueError, RuntimeError):
 
 
 def solve_boundary3(z: WedgeChain) -> WedgeChain:
-    """Some t with boundary(t) = z for an arity-2 cycle z; cached per block."""
+    """Some t with boundary(t) = z for an arity-2 cycle z, summed from the
+    memoised unit solves of the cached d3 solver of each weight block."""
     check_kind(z, WedgeChain, "z")
     if z.arity != 2:
         raise ValueError("solve_boundary3 takes arity-2 chains")
     _check_cycle(z)
-    return _solve_boundary3(z)
-
-
-def _solve_boundary3(z: WedgeChain) -> WedgeChain:
-    """`solve_boundary3` without the cycle check: a chain that is not a
-    cycle bounds nothing, so it gets `NotABoundaryError` too."""
     genus, k = z.genus, z.nilpotency_class
-    blocks = _split_by_weight(z.coords, genus, chain.from_iterable)
-    sol = _solve_by_weight(partial(_d3_solver, genus, k), blocks)
-    if sol is None:
+    coords, den = scaled(z.coords)
+    solved = _sum_units(partial(_d3_solver, genus, k),
+                        _split_by_weight(coords, genus, chain.from_iterable))
+    if solved is None:
         raise NotABoundaryError("2-cycle is not a 3-boundary")
-    return WedgeChain._of(genus, k, 3, sol)
+    x, m = solved
+    return WedgeChain._of(genus, k, 3, unscaled(x, m * den))
 
 
 @lru_cache(maxsize=None)

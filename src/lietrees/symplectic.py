@@ -17,12 +17,12 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .exact_linalg import BlockSolver
-from .free_lie import (LieSeries, Word, _letter_weight, _solve_by_weight,
-                       _split_by_weight, a_letter, b_letter, bracket_basis,
+from .free_lie import (LieSeries, Word, _letter_weight, _split_by_weight,
+                       _sum_units, a_letter, b_letter, bracket_basis,
                        gen_count, lyndon_basis, partner)
 from .johnson import (LieAutomorphism, apply_aut, compose_aut, identity_aut,
                       invert_aut)
-from .sparse import check_kind
+from .sparse import check_kind, scaled, unscaled
 from .tensor_hopf import (ExpansionMap, FreeGroupWord, TensorSeries,
                           basis_expansion, check_expansion, embed_lie,
                           evaluate_expansion, mul, project_lie)
@@ -82,9 +82,12 @@ def omega_tilde(genus: int, max_degree: int) -> LieSeries:
 def _solve_splitting(genus: int, j: int,
                      defect: LieSeries) -> dict[int, dict[Word, Fraction]]:
     """Write a degree-(j+1) element as sum_i [a_i, v_i] + [u_i, b_i] with
-    u, v of degree j; blocked per letter weight, free variables zeroed.
+    u, v of degree j; blocked per letter weight, summed from the unit
+    solves of a fresh solver per block (`free_lie._sum_units`), free
+    variables zeroed.
     Returns {a_i: u_i, b_i: v_i}, the terms each generator's image gains."""
-    blocks = _split_by_weight(defect.coords, genus)
+    coords, den = scaled(defect.coords)
+    blocks = _split_by_weight(coords, genus)
     # column (x, w) is sign * [mate, w], (mate, sign) = partner(x), in the
     # order handle, word, a before b; only the defect's weights are built
     col_blocks: dict[tuple[int, ...], dict] = {mu: {} for mu in blocks}
@@ -98,13 +101,14 @@ def _solve_splitting(genus: int, j: int,
                                     in bracket_basis((mate,), w).items()}
     if not all(col_blocks.values()):
         raise RuntimeError("defect weight outside the bracket image")
-    sol = _solve_by_weight(lambda mu: BlockSolver(
+    solved = _sum_units(lambda mu: BlockSolver(
         sorted(set().union(*col_blocks[mu].values())), list(col_blocks[mu]),
         col_blocks[mu].__getitem__), blocks)
-    if sol is None:
+    if solved is None:
         raise RuntimeError("bracket splitting system is inconsistent")
+    sol, m = solved
     gains: dict[int, dict[Word, Fraction]] = {}
-    for (x, w), c in sol.items():
+    for (x, w), c in unscaled(sol, m * den).items():
         gains.setdefault(x, {})[w] = c
     return gains
 

@@ -2,7 +2,8 @@
 
 `_eliminate` is Gauss-Jordan over `Fraction` with a fixed pivot rule:
 leftmost column first, first nonzero row at or below the current one in
-that column; `rank_of_columns` is its rank of sparse columns keyed by
+that column; `solve` reads its free-variables-zero solution of a
+system, and `rank_of_columns` its rank of sparse columns keyed by
 arbitrary row labels.  `echelon_reduce` and `reduce_against` are the
 dense semi-echelon over `Fraction` lists whose bases, pivots and
 coefficients the sparse `semi_echelon` must reproduce.  None of them
@@ -52,6 +53,21 @@ def _eliminate(rows: list[dict[int, Fraction]], ncols: int):
         if r == len(rows):
             break
     return r, pivots
+
+
+def solve(rows: Sequence[Mapping[int, Fraction]], ncols: int,
+          b: Mapping[int, Fraction]) -> dict[int, Fraction] | None:
+    """The solution of rows . x = b with every free variable zero, read
+    off the `_eliminate` form of [rows | b] as {column: value} over its
+    nonzero entries; None when b is not in the column span."""
+    aug = [dict(row) for row in rows]
+    for i, bi in b.items():
+        if bi:
+            aug[i][ncols] = Fraction(bi)
+    rank, pivots = _eliminate(aug, ncols)
+    if any(aug[rank:]):
+        return None
+    return {c: row[ncols] for row, c in zip(aug, pivots) if row.get(ncols)}
 
 
 def rank_of_columns(columns: Sequence[Mapping[object, Fraction]]) -> int:

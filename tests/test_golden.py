@@ -13,7 +13,9 @@ from lietrees.documents import tree_combo_to_text
 from lietrees.jacobi import TreeCombo, eta, eta_inverse, random_tree
 from lietrees.johnson import (invert_aut, log_aut, morita_mk,
                               random_ic_element, tau_to_trees)
-from lietrees.koszul import capital_phi
+from lietrees.free_lie import a_letter, b_letter
+from lietrees.koszul import (capital_phi, solve_boundary3,
+                             wedge_chain_from_terms)
 from lietrees.symplectic import (construct_symplectic,
                                  paper_example_expansion, verify_symplectic,
                                  zeta_word)
@@ -145,6 +147,25 @@ def test_eta_inverse_tree_text():
         h.update(tree_combo_to_text(eta_inverse(x, d)).encode())
     assert h.hexdigest() == ("5c082dfdeb770c4bd3bbb30e566091d1"
                              "7b0e54ddb36d7305c4c3fbcc7b4e68eb")
+
+
+def test_solve_boundary3_chains():
+    # the whole class-2k 2-cycle of psi at k = 3, as the homology route
+    # builds it: each a_i ^ b_i minus the wedge of the two images
+    h = hashlib.sha256()
+    for genus in (2, 3):
+        psi = random_ic_element(genus, 3, 1, 6)
+        terms = []
+        for i in range(1, genus + 1):
+            a, b = a_letter(i), b_letter(i)
+            xa, xb = psi.image_of(a).coords, psi.image_of(b).coords
+            terms.append((((a,), (b,)), 1))
+            terms.extend(((wu, wv), -cu * cv)
+                         for wu, cu in xa.items() for wv, cv in xb.items())
+        cycle = wedge_chain_from_terms(genus, 6, 2, terms)
+        h.update(repr(solve_boundary3(cycle)).encode())
+    assert h.hexdigest() == ("51db36d6e8160798aeb0dd451be0c995"
+                             "548f61cac0282f7d6481e496ea1b265e")
 
 
 def test_class_three_tree_text():

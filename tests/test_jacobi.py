@@ -22,6 +22,7 @@ from lietrees.jacobi import (HLieTensor, TreeCombo, TreeDiagram,
                              tree_text)
 from lietrees.koszul import wedge_chain_from_terms
 from lietrees.sparse import add_term
+import linalg_oracle
 from linalg_oracle import _eliminate, rank_of_columns
 
 F = Fraction
@@ -158,10 +159,38 @@ class TestEtaInverse:
         assert eta(eta_inverse(x, 2)) == x
         assert calls == []
 
+    # genus 1 has no nonzero tree space in degree 3
+    @pytest.mark.parametrize("genus, d",
+                             [(1, 2), (2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_matches_the_fraction_oracle_on_real_blocks(self, genus, d):
+        # x is a random combination of the caterpillars of up to four
+        # weights; each block's free-variables-zero solution over their
+        # etas, in order, is read off the Gauss-Jordan oracle
+        rng = random.Random(10 * genus + d)
+        blocks = [mu for mu in weights(genus, d) if _caterpillars(genus, d, mu)]
+        x = HLieTensor.zero(genus)
+        for mu in rng.sample(blocks, min(4, len(blocks))):
+            for t in _caterpillars(genus, d, mu):
+                c = rng.choice((-1, 1)) * F(rng.randint(1, 4), rng.randint(1, 3))
+                x = x + c * eta(TreeCombo.single(t))
+        expect = {}
+        for mu, block in _split_by_weight(
+                x.coords, genus, lambda hw: (hw[0], *hw[1])).items():
+            row = {hw: i for i, hw in enumerate(_hl_block(mu))}
+            trees = _caterpillars(genus, d, mu)
+            rows = [{} for _ in row]
+            for j, t in enumerate(trees):
+                for hw, c in eta(TreeCombo.single(t)).coords.items():
+                    rows[row[hw]][j] = c
+            y = linalg_oracle.solve(rows, len(trees),
+                                    {row[hw]: c for hw, c in block.items()})
+            expect.update((trees[j], v) for j, v in y.items())
+        assert expect and eta_inverse(x, d).coords == expect
+
     def test_a_failed_solve_in_the_kernel_is_a_solver_fault(self, monkeypatch):
         class NoSolution:
-            def solve(self, b):
-                return None
+            def unit(self, key):
+                return {}, {0: 1}, 1        # no solution, and a residual
 
         monkeypatch.setattr(jacobi, "_eta_solver", lambda *block: NoSolution())
         x = eta(random_tree(2, 1, random.Random(0)))

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from lietrees import jacobi, koszul
-from lietrees.free_lie import _letter_weight, lyndon_basis, witt_dim
+from lietrees.free_lie import (_letter_weight, _split_by_weight, lyndon_basis,
+                               witt_dim)
 from lietrees.jacobi import (TreeCombo, TreeDiagram, _caterpillars, fission,
                              random_tree)
 from lietrees.johnson import morita_mk, random_ic_element
@@ -20,6 +21,7 @@ from lietrees.koszul import (BlockMismatchError, HomologyClass,
                              capital_phi, class_of, homology_dims,
                              phi_matrix_rank, solve_boundary3,
                              wedge_chain_from_terms)
+import linalg_oracle
 from linalg_oracle import rank_of_columns
 
 F = Fraction
@@ -534,6 +536,34 @@ class TestSolveBoundary3:
         assert boundary(z).is_zero()
         with pytest.raises(ValueError):
             solve_boundary3(z)
+
+    # genus 1 has no nonzero d3 image at class 2
+    @pytest.mark.parametrize("genus, k",
+                             [(1, 3), (2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_matches_the_fraction_oracle_on_real_blocks(self, genus, k):
+        # z bounds a random 3-chain on up to three d3 blocks of each
+        # degree; each block's free-variables-zero solution, its columns
+        # the block's 3-monomials in order, is read off the oracle
+        rng = random.Random(10 * genus + k)
+        t = {}
+        for d in range(3, 3 * k + 1):
+            blocks = [mu for mu in koszul._weights(2 * genus, d)
+                      if _monomials(genus, k, 3, mu)]
+            for mu in rng.sample(blocks, min(3, len(blocks))):
+                for mon in _monomials(genus, k, 3, mu):
+                    t[mon] = rng.choice((-1, 1)) * F(rng.randint(1, 4),
+                                                     rng.randint(1, 3))
+        z = boundary(WedgeChain(genus, k, 3, t))
+        expect = {}
+        for mu, block in _split_by_weight(z.coords, genus,
+                                          chain.from_iterable).items():
+            row = {m: i for i, m in enumerate(_monomials(genus, k, 2, mu))}
+            cols = _monomials(genus, k, 3, mu)
+            x = linalg_oracle.solve(koszul._boundary_rows(genus, k, 3, mu),
+                                    len(cols), {row[mon]: c for mon, c
+                                                in block.items()})
+            expect.update((cols[j], v) for j, v in x.items())
+        assert expect and solve_boundary3(z).coords == expect
 
     def test_not_a_boundary_error_is_both_error_types(self):
         # a1 ^ b1 at genus 1, class 1: a cycle, and no 3-chains exist
