@@ -13,19 +13,21 @@ out H3.  That layout, each weight block's offset and dimension, is
 counted, not ranked: Phi carries the trees of degree [k, 2k[ onto H3
 weight by weight, so a block's dimension is the tree space's,
 `free_lie.bracket_kernel_dim`.  Canonical H3 coordinates are per weight,
-never per orbit: a cycle is reduced modulo the RREF of the d4 image and
-read in the `semi_echelon` basis of the reduced d3 kernel, built only
-for the blocks it lands in and checked against the census.  Boundary
-solves, `solve_boundary3` and `johnson.morita_mk`, sum the memoised unit
-solves of a cached `BlockSolver` per block, its d3 columns built only up
-to full rank; `morita_mk` solves only its cycle's degrees k+2..2k+1,
-the degrees of H3 at class k, and builds its cycle as a chain only when
-that sum leaves a residual.  An H3 class keeps its coordinates
-sparsely, keyed by (degree, index); `parts` is a dense view per degree.
-`capital_phi` is linear, so it sums one memoised class per distinct
-tree and class.  Membership is decided by the exact solves: `class_of`
-and `johnson.morita_mk` take a boundary only when a reduction or a unit
-sum fails, to name a non-cycle as one.
+never per orbit.  Each block a cycle lands in gets one cached H3
+`BlockSolver`, whose columns are the d4 boundaries and then the
+quotient basis: the d3 kernel reduced modulo the d4 image on integers
+and checked against the census.  Every solve sums the memoised unit
+solves of a cached `BlockSolver` per block: `class_of` reads the
+quotient columns' entries of its sum, and the boundary solves,
+`solve_boundary3` and `johnson.morita_mk`, sum those of the d3 solver,
+its columns built only up to full rank; `morita_mk` solves only its
+cycle's degrees k+2..2k+1, the degrees of H3 at class k, and builds its
+cycle as a chain only when that sum leaves a residual.  An H3 class
+keeps its coordinates sparsely, keyed by (degree, index); `parts` is a
+dense view per degree.  `capital_phi` is linear, so it sums one
+memoised class per distinct tree and class.  Membership is decided by
+the exact solves: `class_of` and `johnson.morita_mk` take a boundary
+only when a unit sum fails, to name a non-cycle as one.
 """
 
 from __future__ import annotations
@@ -35,11 +37,10 @@ from fractions import Fraction
 from functools import cache, lru_cache, partial
 from itertools import chain, combinations
 from math import factorial, prod
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
-from .exact_linalg import (ZERO, BlockSolver, _echelon, _rows_of, _rref,
-                           kernel_from_rref, rank_of_rows, reduce_against,
-                           semi_echelon)
+from .exact_linalg import (BlockSolver, _echelon, _reduce_fully, _rows_of,
+                           rank_of_rows)
 from .free_lie import (Word, _split_by_weight, _sum_units, bracket_basis,
                        bracket_kernel_dim, gen_count, is_lyndon,
                        letter_label, lyndon_basis)
@@ -47,6 +48,7 @@ from .sparse import (SparseCombination, add_into, add_term, check_kind,
                      scaled, unscaled)
 
 Monomial = tuple[Word, ...]
+ZERO = Fraction(0)
 
 
 def _wkey(w: Word) -> tuple[int, Word]:
@@ -285,30 +287,54 @@ def homology_dims(genus: int, k: int, n: int) -> dict[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _h3_structure(genus: int, k: int, mu: tuple[int, ...]):
-    """(monomial index, im-d4 RREF, quotient semi-echelon) for one block,
-    each as (rows, pivots), the quotient's in `kernel_from_rref` order;
-    certified when built: the quotient basis must have the census
-    dimension of H3 at mu, `bracket_kernel_dim(mu)` in degrees
-    k+2..2k+1 and 0 elsewhere."""
+def _h3_structure(genus: int, k: int,
+                  mu: tuple[int, ...]) -> BlockSolver | None:
+    """The H3 solver of one block, None if it has no 3-monomials: its
+    columns are the d4 boundaries, labelled by their 4-monomials, then
+    the quotient basis, labelled by their coordinate keys (degree, index).
+
+    The quotient basis is built on integers, in monomial order over the
+    free columns f of `_d3_solver`: the kernel vector m e_f - x, x the
+    unit-sum solve of f's boundary, is reduced by `_reduce_fully` against
+    the d4 echelon and the basis so far, and a nonzero remainder joins
+    the basis, scaled to 1 at its least index.  The remainder is, up to
+    scale, the one representative that vanishes on every pivot so far, so
+    the basis is independent modulo im d4 and the q-part of a solve is
+    unique.
+    Certified when built: the basis must have the census dimension of
+    H3 at mu, `bracket_kernel_dim(mu)` in degrees k+2..2k+1, else 0."""
     mon3 = _monomials(genus, k, 3, mu)
     if not mon3:
         return None
     index = {m: i for i, m in enumerate(mon3)}
-    im_pivots, im_rows = _rref(_echelon(
-        {index[m]: c for m, c in _monomial_boundary(k, m4).items()}
-        for m4 in _monomials(genus, k, 4, mu)), len(index))
-    pivots, rows = _rref(_echelon(_boundary_rows(genus, k, 3, mu)), len(index))
-    ker = kernel_from_rref(rows, pivots, len(index))
-    for v in ker:
-        reduce_against(v, im_rows, im_pivots)
-    quotient = semi_echelon(ker)
+    mon4 = _monomials(genus, k, 4, mu)
+    columns = [_monomial_boundary(k, m4) for m4 in mon4]
+    kept = _echelon({index[m]: c for m, c in col.items()} for col in columns)
+    d3 = _d3_solver(genus, k, mu)
+    pivots = set(d3.pivots)
+    quotient = []
+    for f in mon3:
+        if f in pivots:
+            continue
+        x, m = _sum_units(lambda _: d3, {mu: _monomial_boundary(k, f)})
+        row = {index[f]: m, **{index[t]: -v for t, v in x.items()}}
+        if row := _reduce_fully(row, kept):
+            p = min(row)
+            kept[p] = row
+            quotient.append({mon3[j]: Fraction(v, row[p])
+                             for j, v in row.items()})
     dim = bracket_kernel_dim(mu) if k + 2 <= sum(mu) <= 2 * k + 1 else 0
-    if len(quotient[0]) != dim:
+    if len(quotient) != dim:
         raise RuntimeError(f"H3 quotient basis at class {k}, weight {mu} has "
-                           f"{len(quotient[0])} vectors, but the census "
+                           f"{len(quotient)} vectors, but the census "
                            f"gives {dim}")
-    return index, (im_rows, im_pivots), quotient
+    labels = list(mon4)
+    if quotient:
+        d = sum(mu)
+        offset = _quotient_layout(genus, k, d)[0][mu]
+        labels += [(d, i) for i in range(offset, offset + dim)]
+    return BlockSolver(mon3, labels,
+                       dict(zip(labels, columns + quotient)).__getitem__)
 
 
 @lru_cache(maxsize=None)
@@ -352,15 +378,26 @@ class HomologyClass(SparseCombination):
             raise ValueError("bad context")
         self.genus = genus
         self.nilpotency_class = nilpotency_class
+        if parts is not None and not isinstance(parts, Mapping):
+            raise ValueError(f"parts must be a mapping, "
+                             f"not {type(parts).__name__}")
         self.coords = {}
         for d, t in (parts or {}).items():
             if not isinstance(d, int) or isinstance(d, bool):
                 raise ValueError(f"degree key {d!r} is not an int")
+            if not isinstance(t, Sequence):
+                raise ValueError(f"degree {d} part must be a sequence, "
+                                 f"not {type(t).__name__}")
             dim = _quotient_layout(genus, nilpotency_class, d)[1]
             if len(t) != dim:
                 raise ValueError(f"degree {d} has {len(t)} coordinates, "
                                  f"but H3 has dimension {dim} there")
-            for i, c in enumerate(map(Fraction, t)):
+            for i, c in enumerate(t):
+                try:
+                    c = Fraction(c)
+                except TypeError:
+                    raise ValueError(f"degree {d} coordinate {i} is not a "
+                                     f"rational: {c!r}") from None
                 if c:
                     self.coords[(d, i)] = c
 
@@ -386,37 +423,35 @@ def class_of(z: WedgeChain) -> HomologyClass:
     """Canonical coordinates of a 3-cycle in ker/im; genus at least 1,
     as `HomologyClass` requires.
 
-    The d4 image and the quotient basis span exactly ker d3 in each
-    block, so a zero remainder proves z a cycle; `boundary(z)` is
-    computed only on a failure path, so a non-cycle is still refused as
-    one before any other error."""
+    z is summed from the memoised unit solves of the cached H3 solver of
+    each weight block (`free_lie._sum_units`), and its coordinates are
+    the solution's entries on the quotient columns.  The d4 image and
+    the quotient basis span exactly ker d3 in each block, so a zero
+    summed residual proves z a cycle; `boundary(z)` is computed only on
+    a failure path, so a non-cycle is still refused as one before any
+    other error."""
     check_kind(z, WedgeChain, "z")
     if z.arity != 3:
         raise ValueError("class_of handles arity-3 chains")
     if z.genus < 1:
         raise ValueError("bad context")
     genus, k = z.genus, z.nilpotency_class
-    coords: dict[tuple[int, int], Fraction] = {}
-    for mu, block in _split_by_weight(z.coords, genus,
-                                      chain.from_iterable).items():
-        st = _h3_structure(genus, k, mu)
-        if st is None or not block.keys() <= st[0].keys():
+    coords, den = scaled(z.coords)
+    blocks = _split_by_weight(coords, genus, chain.from_iterable)
+    for mu, block in blocks.items():
+        solver = _h3_structure(genus, k, mu)
+        if solver is None or not block.keys() <= solver.index.keys():
             _check_cycle(z)
             raise BlockMismatchError(
                 "cycle monomial outside the enumerated basis")
-        index, (im_rows, im_pivots), (q_basis, q_pivots) = st
-        v = {index[mon]: c for mon, c in block.items()}
-        reduce_against(v, im_rows, im_pivots)
-        coeffs = reduce_against(v, q_basis, q_pivots)
-        if v:
-            _check_cycle(z)
-            raise RuntimeError("cycle reduction left a nonzero remainder")
-        if coeffs:                  # a block with no H3 has no offset
-            d = sum(mu)
-            offset = _quotient_layout(genus, k, d)[0][mu]
-            coords.update(((d, i), c)
-                          for i, c in enumerate(coeffs, offset) if c)
-    return HomologyClass._of(genus, k, coords)
+    solved = _sum_units(partial(_h3_structure, genus, k), blocks)
+    if solved is None:
+        _check_cycle(z)
+        raise RuntimeError("cycle reduction left a nonzero remainder")
+    x, m = solved
+    # a 4-monomial label's first part is a word, a coordinate key's an int
+    return HomologyClass._of(genus, k, unscaled(
+        {key: v for key, v in x.items() if isinstance(key[0], int)}, m * den))
 
 
 @lru_cache(maxsize=None)

@@ -102,15 +102,29 @@ class SparseCombination:
 
     def _fill(self, context: tuple, coords: Mapping | None) -> None:
         """Set the context fields, each an int, check them, and keep each
-        nonzero coefficient, as a `Fraction`, whose key `_admit` accepts."""
+        nonzero coefficient, as a `Fraction`, whose key `_admit` accepts;
+        a ValueError names coords, a coefficient or a key of the wrong kind."""
         for field, value in zip(self._context, context):
             check_kind(value, int, field)
             setattr(self, field, value)
         self._check_context()
+        if coords is not None and not isinstance(coords, Mapping):
+            raise ValueError(f"coords must be a mapping, "
+                             f"not {type(coords).__name__}")
         clean = {}
         for key, c in (coords or {}).items():
-            c = Fraction(c)
-            if c and self._admit(key):
+            try:
+                c = Fraction(c)
+            except TypeError:
+                raise ValueError(f"coefficient of {key!r} is not a rational: "
+                                 f"{c!r}") from None
+            if not c:
+                continue
+            try:
+                admitted = self._admit(key)
+            except TypeError:
+                raise ValueError(f"key {key!r} has the wrong shape") from None
+            if admitted:
                 clean[key] = c
         self.coords = clean
 

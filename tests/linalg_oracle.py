@@ -3,12 +3,16 @@
 `_eliminate` is Gauss-Jordan over `Fraction` with a fixed pivot rule:
 leftmost column first, first nonzero row at or below the current one in
 that column; `solve` reads its free-variables-zero solution of a
-system, and `rank_of_columns` its rank of sparse columns keyed by
-arbitrary row labels.  `echelon_reduce` and `reduce_against` are the
-dense semi-echelon over `Fraction` lists whose bases, pivots and
-coefficients the sparse `semi_echelon` must reproduce.  None of them
-shares code with `lietrees.exact_linalg`, whose fraction-free integer
-echelon and sparse `semi_echelon` the tests compare against them.
+system, `rank_of_columns` its rank of sparse columns keyed by
+arbitrary row labels, and `kernel_from_rref` its null-space basis, one
+vector per free column.  `echelon_reduce` and `reduce_against` are the
+dense semi-echelon over `Fraction` lists: a basis in input order, each
+vector reduced against the earlier ones and scaled to 1 at its pivot.
+`h3_route` chains them into the `Fraction` route to the canonical H3
+coordinates of one weight block: RREF kernel of d3, reduced modulo the
+d4 image, then semi-echelon; its basis and coordinates are what the
+integer build and unit sums of `koszul._h3_structure` must reproduce.
+None of them shares code with `lietrees.exact_linalg`.
 """
 
 from fractions import Fraction
@@ -70,6 +74,25 @@ def solve(rows: Sequence[Mapping[int, Fraction]], ncols: int,
     return {c: row[ncols] for row, c in zip(aug, pivots) if row.get(ncols)}
 
 
+def kernel_from_rref(rows: Sequence[Mapping[int, Fraction]],
+                     pivots: Sequence[int],
+                     ncols: int) -> list[dict[int, Fraction]]:
+    """Null-space basis read off reduced row echelon rows, each divided
+    by its entry at its pivot: one sparse vector per free column, with
+    a 1 there and 0 at the other free columns."""
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        v = {f: ONE}
+        for row, c in zip(rows, pivots):
+            if f in row:
+                v[c] = -Fraction(row[f], row[c])
+        basis.append(v)
+    return basis
+
+
 def rank_of_columns(columns: Sequence[Mapping[object, Fraction]]) -> int:
     """Rank of the span of sparse column vectors keyed by arbitrary row
     labels, by `_eliminate`."""
@@ -119,3 +142,40 @@ def echelon_reduce(vectors: Iterable[Sequence[Fraction]],
         basis.append(v)
         pivots.append(p)
     return basis, pivots
+
+
+def h3_route(n: int, image: Iterable[Mapping[int, Fraction]],
+             d3_rows: Sequence[Mapping[int, Fraction]]):
+    """The `Fraction` route to H3 coordinates on one weight block of n
+    3-monomials, given the d4 image vectors and the d3 matrix rows, both
+    keyed by monomial index.  Returns (basis, coordinates): the quotient
+    basis, dense, each vector the RREF kernel vector of a free column of
+    d3 reduced modulo the RREF of the image, then semi-echelonized; and
+    the function taking a dense vector to its coefficients on that
+    basis, or to None when it is not a cycle."""
+    rows = [dict(v) for v in image]
+    rank, im_pivots = _eliminate(rows, n)
+    im_rows = [_dense(row, n) for row in rows[:rank]]
+    rows = [dict(row) for row in d3_rows]
+    rank, pivots = _eliminate(rows, n)
+    kernel = []
+    for v in kernel_from_rref(rows[:rank], pivots, n):
+        v = _dense(v, n)
+        reduce_against(v, im_rows, im_pivots)
+        kernel.append(v)
+    basis, q_pivots = echelon_reduce(kernel, n)
+
+    def coordinates(vec: Sequence[Fraction]) -> list[Fraction] | None:
+        v = [Fraction(c) for c in vec]
+        reduce_against(v, im_rows, im_pivots)
+        coeffs = reduce_against(v, basis, q_pivots)
+        return None if any(v) else coeffs
+
+    return basis, coordinates
+
+
+def _dense(v: Mapping[int, Fraction], n: int) -> list[Fraction]:
+    out = [ZERO] * n
+    for j, c in v.items():
+        out[j] = Fraction(c)
+    return out

@@ -1,13 +1,13 @@
-"""Exact rational linear algebra: elimination, solving, kernels."""
+"""Exact rational linear algebra: elimination, solving, kernels, and the
+integer quotient-basis build and coordinates of the canonical H3 path."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lietrees.exact_linalg import (BlockSolver, _echelon, _rows_of, _rref,
-                                   kernel_from_rref, rank_of_rows,
-                                   reduce_against, semi_echelon)
+from lietrees.exact_linalg import (BlockSolver, _echelon, _reduce_fully,
+                                   _rows_of, rank_of_rows)
 from lietrees import koszul
 from lietrees.free_lie import _sum_units
 from lietrees.sparse import add_term, scaled, unscaled
@@ -45,10 +45,47 @@ def solve(data, b):
     return None if x is None else dense(x, len(data[0]))
 
 
-def kernel(data):
-    rows = row_dicts(data)
-    _, pivots = _eliminate(rows, len(data[0]))
-    return kernel_from_rref(rows, pivots, len(data[0]))
+def kernel(data, ncols=None):
+    """The kernel basis as `koszul._h3_structure` builds it, on integers:
+    per free column f of the solver, in column order, e_f minus the
+    unit-sum solve of column f."""
+    ncols = len(data[0]) if ncols is None else ncols
+    columns = [{i: F(row[j]) for i, row in enumerate(data) if row[j]}
+               for j in range(ncols)]
+    solver = BlockSolver(range(len(data)), range(len(columns)),
+                         columns.__getitem__)
+    pivots = set(solver.pivots)
+    basis = []
+    for f, col in enumerate(columns):
+        if f not in pivots:
+            basis.append({f: F(1), **{j: -v for j, v in sum_units(
+                solver, col).items()}})
+    return basis
+
+
+def integer_semi_echelon(vectors):
+    """The quotient-basis build of `koszul._h3_structure` on plain
+    vectors: each, cleared to integers, is reduced by `_reduce_fully`
+    against the rows kept so far, each under its least index, and a
+    nonzero remainder is kept.  Returns (basis, pivots), each basis
+    vector scaled to 1 at its pivot, its least index."""
+    kept, basis, pivots = {}, [], []
+    for vec in vectors:
+        row = scaled({j: F(c) for j, c in vec.items() if c})[0]
+        if row := _reduce_fully(row, kept):
+            p = min(row)
+            kept[p] = row
+            basis.append({j: F(v, row[p]) for j, v in row.items()})
+            pivots.append(p)
+    return basis, pivots
+
+
+def coefficients(basis, v, n):
+    """The coefficients on the independent vectors basis, of length n, of
+    v, read by unit sums as `koszul.class_of` reads them: dense, or None
+    off their span."""
+    x = sum_units(block_solver(range(n), dict(enumerate(basis))), v)
+    return None if x is None else dense(x, len(basis))
 
 
 def mat_vec(data, x):
@@ -192,7 +229,7 @@ class TestBlockSolver:
 
 class TestSemiEchelon:
     def test_dependent_vectors_dropped(self):
-        basis, pivots = semi_echelon(
+        basis, pivots = integer_semi_echelon(
             [{0: F(1), 1: F(2)}, {0: F(2), 1: F(4)}, {0: F(0), 1: F(1)}])
         assert len(basis) == 2
         assert pivots == [0, 1]
@@ -200,19 +237,21 @@ class TestSemiEchelon:
             assert vec[p] == 1
 
     def test_empty_input(self):
-        assert semi_echelon([]) == ([], [])
+        assert integer_semi_echelon([]) == ([], [])
 
     def test_keeps_input_order(self):
-        # the pivot is the least index after reduction, not after sorting
-        basis, pivots = semi_echelon([{1: F(2), 2: F(1)}, {0: F(1), 1: F(1)}])
+        # the pivot is the least index after reduction, not after sorting;
+        # the first vector is reduced at its later entry too, at pivot 1
+        basis, pivots = integer_semi_echelon([{1: F(2), 2: F(1)},
+                                              {0: F(1), 1: F(1)}])
         assert pivots == [1, 0]
         assert basis == [{1: F(1), 2: F(1, 2)}, {0: F(1), 2: F(-1, 2)}]
 
-    def test_reduce_against_returns_coefficients(self):
-        basis, pivots = semi_echelon([{0: F(2), 1: F(2)}, {1: F(3)}])
-        v = {0: F(3), 1: F(5)}
-        assert reduce_against(v, basis, pivots) == [F(3), F(2)]
-        assert v == {}
+    def test_unit_sums_return_the_coefficients(self):
+        basis, pivots = integer_semi_echelon([{0: F(2), 1: F(2)}, {1: F(3)}])
+        assert basis == [{0: F(1), 1: F(1)}, {1: F(1)}]
+        assert coefficients(basis, {0: F(3), 1: F(5)}, 2) == [F(3), F(2)]
+        assert coefficients(basis[:1], {0: F(3), 1: F(5)}, 2) is None
 
 
 # The fraction-free rank kernel against the Fraction Gauss-Jordan oracle.
@@ -263,17 +302,15 @@ def oracle_solution(ncols, rows, b):
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(matrices(sparse_int), matrices(sparse_fraction)))
-def test_rref_and_kernel_match_fraction_oracle(matrix):
+def test_unit_sum_kernel_matches_fraction_oracle(matrix):
     ncols, rows = matrix
     expect = row_dicts(rows)
     rank, pivots = _eliminate(expect, ncols)
-    got_pivots, got = _rref(_echelon(row_dicts(rows)), ncols)
-    assert got_pivots == pivots
-    assert [{j: F(v, row[c]) for j, v in row.items()}
-            for row, c in zip(got, got_pivots)] == expect[:rank]
-    assert not any(expect[rank:])
-    assert (kernel_from_rref(got, got_pivots, ncols)
-            == kernel_from_rref(expect, pivots, ncols))
+    # any echelon form's least columns are the RREF pivot columns
+    assert sorted(_echelon(row_dicts(rows))) == pivots
+    # the one kernel basis with a 1 at one free column and 0 at the others
+    assert kernel(rows, ncols) == linalg_oracle.kernel_from_rref(
+        expect[:rank], pivots, ncols)
 
 
 @settings(max_examples=150, deadline=None)
@@ -394,42 +431,46 @@ def sparse_rows(rows):
 @given(st.one_of(matrices(sparse_int), matrices(sparse_fraction)), st.data())
 def test_semi_echelon_matches_dense_oracle(matrix, data):
     ncols, rows = matrix
-    basis, pivots = semi_echelon(sparse_rows(rows))
+    basis, pivots = integer_semi_echelon(sparse_rows(rows))
     expect, expect_pivots = linalg_oracle.echelon_reduce(rows, ncols)
     assert pivots == expect_pivots
     assert [dense(v, ncols) for v in basis] == expect
     assert all(c for v in basis for c in v.values())
-    # the coordinates: the same coefficients and remainder, vector by vector
+    # the coordinates: unit sums give the oracle's coefficients, and
+    # refuse a vector exactly when the oracle leaves a remainder
     extra = data.draw(st.lists(sparse_fraction, min_size=ncols,
                                max_size=ncols))
     for row in rows + [extra]:
-        v = {j: F(c) for j, c in enumerate(row) if c}
         dv = [F(c) for c in row]
-        assert (reduce_against(v, basis, pivots)
-                == linalg_oracle.reduce_against(dv, expect, expect_pivots))
-        assert dense(v, ncols) == dv
+        coeffs = linalg_oracle.reduce_against(dv, expect, expect_pivots)
+        assert coefficients(basis, dict(enumerate(row)), ncols) == (
+            None if any(dv) else coeffs)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(matrices(sparse_int), matrices(sparse_fraction)), st.data())
-def test_reduce_against_scaled_rref_rows(matrix, data):
-    # reduction at the pivots of any echelon basis of a row space leaves
-    # the one representative vanishing at them, whatever the row scale
+def test_reduce_fully_leaves_the_one_representative(matrix, data):
+    # reduction at every pivot of any echelon basis of a row space leaves,
+    # up to scale, the one representative vanishing at them: the oracle's
+    # remainder against its semi-echelon basis of the same rows
     ncols, rows = matrix
-    got_pivots, got = _rref(_echelon(row_dicts(rows)), ncols)
-    normalised = row_dicts(rows)
-    rank, pivots = _eliminate(normalised, ncols)
+    pivot_rows = _echelon(row_dicts(rows))
     semi, semi_pivots = linalg_oracle.echelon_reduce(rows, ncols)
+    assert sorted(pivot_rows) == sorted(semi_pivots)
     x = data.draw(st.lists(sparse_fraction, min_size=ncols, max_size=ncols))
-    v = {j: F(c) for j, c in enumerate(x) if c}
-    w = dict(v)
     dv = [F(c) for c in x]
-    assert (reduce_against(v, got, got_pivots)
-            == reduce_against(w, normalised[:rank], pivots))
     linalg_oracle.reduce_against(dv, semi, semi_pivots)
-    assert v == w
-    assert dense(v, ncols) == dv
-    assert not any(v.get(c) for c in got_pivots)
+    got = _reduce_fully(scaled({j: F(c) for j, c in enumerate(x) if c})[0],
+                        pivot_rows)
+    assert not got.keys() & pivot_rows.keys()
+    assert all(isinstance(v, int) and v for v in got.values())
+    if not got:
+        assert not any(dv)
+    else:
+        p = min(got)
+        assert dv[p]
+        assert dense({j: F(v, got[p]) * dv[p] for j, v in got.items()},
+                     ncols) == dv
 
 
 class TestFractionFreeRank:

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lietrees import jacobi
-from lietrees.exact_linalg import kernel_from_rref
 from lietrees.free_lie import (LieSeries, _letter_weight, _split_by_weight,
                                bracket_basis, bracket_kernel_dim, gen_count,
                                lyndon_basis, witt_dim)
@@ -23,7 +22,7 @@ from lietrees.jacobi import (HLieTensor, TreeCombo, TreeDiagram,
 from lietrees.koszul import wedge_chain_from_terms
 from lietrees.sparse import add_term
 import linalg_oracle
-from linalg_oracle import _eliminate, rank_of_columns
+from linalg_oracle import _eliminate, kernel_from_rref, rank_of_columns
 
 F = Fraction
 

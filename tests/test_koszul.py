@@ -4,12 +4,14 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, combinations, product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from lietrees import jacobi, koszul
+from lietrees.exact_linalg import BlockSolver
 from lietrees.free_lie import (_letter_weight, _split_by_weight, lyndon_basis,
                                witt_dim)
 from lietrees.jacobi import (TreeCombo, TreeDiagram, _caterpillars, fission,
@@ -321,8 +323,11 @@ class TestQuotientLayout:
             offsets, total = koszul._quotient_layout(genus, k, d)
             ends = [*list(offsets.values())[1:], total]
             for (mu, start), end in zip(offsets.items(), ends):
-                q_basis = koszul._h3_structure(genus, k, mu)[2][0]
-                assert end - start == len(q_basis)
+                # the quotient columns follow the d4 columns, labelled by
+                # their coordinate keys
+                labels = koszul._h3_structure(genus, k, mu).labels
+                n4 = len(_monomials(genus, k, 4, mu))
+                assert labels[n4:] == [(d, i) for i in range(start, end)]
 
     @pytest.mark.parametrize("genus, k", [(1, 1), (1, 2), (1, 3), (1, 4),
                                           (2, 1), (2, 2), (2, 3), (3, 2)])
@@ -386,6 +391,82 @@ def draw_fission(data, genus, k):
     return fission(random_tree(genus, d, rng), k)
 
 
+@lru_cache(maxsize=None)
+def oracle_block(genus, k, mu):
+    """The `Fraction` oracle route on the (3, mu) block at class k: the
+    monomial index, the quotient basis and the coordinates function."""
+    index = {m: i for i, m in enumerate(_monomials(genus, k, 3, mu))}
+    image = [{index[m]: c for m, c in _monomial_boundary(k, m4).items()}
+             for m4 in _monomials(genus, k, 4, mu)]
+    return (index, *linalg_oracle.h3_route(
+        len(index), image, koszul._boundary_rows(genus, k, 3, mu)))
+
+
+def oracle_class(z):
+    """The oracle's coordinates of the 3-cycle z, keyed as in `class_of`."""
+    genus, k = z.genus, z.nilpotency_class
+    coords = {}
+    for mu, block in _split_by_weight(z.coords, genus,
+                                      chain.from_iterable).items():
+        index, _, coordinates = oracle_block(genus, k, mu)
+        v = [F(0)] * len(index)
+        for mon, c in block.items():
+            v[index[mon]] = c
+        got = coordinates(v)
+        assert got is not None
+        if got:
+            d = sum(mu)
+            offset = koszul._quotient_layout(genus, k, d)[0][mu]
+            coords.update(((d, i), c) for i, c in enumerate(got, offset) if c)
+    return coords
+
+
+class TestOracleRoute:
+    """The integer H3 path against the `Fraction` route it replaced."""
+
+    @pytest.mark.parametrize("genus, k", [(1, 1), (1, 2), (1, 3), (1, 4),
+                                          (2, 1), (2, 2), (2, 3), (3, 2)])
+    def test_quotient_basis_and_coordinates_match(self, genus, k,
+                                                  monkeypatch):
+        columns = {}
+
+        def recording(row_keys, labels, column):
+            # a coordinate key's first part is its degree, an int
+            columns.update((label, column(label)) for label in labels
+                           if isinstance(label[0], int))
+            return BlockSolver(row_keys, labels, column)
+
+        monkeypatch.setattr(koszul, "BlockSolver", recording)
+        koszul._h3_structure.cache_clear()
+        mon4 = []
+        for d in range(k + 2, 2 * k + 2):
+            offsets = koszul._quotient_layout(genus, k, d)[0]
+            for mu in koszul._weights(2 * genus, d):
+                mon4 += _monomials(genus, k, 4, mu)
+                index, basis, _ = oracle_block(genus, k, mu)
+                if not index:
+                    assert koszul._h3_structure(genus, k, mu) is None
+                    continue
+                koszul._h3_structure(genus, k, mu)
+                got = []
+                for i in range(offsets.get(mu, 0),
+                               offsets.get(mu, 0) + len(basis)):
+                    v = [F(0)] * len(index)
+                    for mon, c in columns[(d, i)].items():
+                        v[index[mon]] = c
+                    got.append(v)
+                assert got == basis
+        rng = random.Random(genus * 10 + k)
+        for _ in range(3):
+            z = boundary(WedgeChain(genus, k, 4, {
+                mon: rng.randint(-3, 3)
+                for mon in rng.sample(mon4, min(3, len(mon4)))}))
+            assert class_of(z).coords == oracle_class(z) == {}
+        for d in range(k, 2 * k):
+            z = fission(random_tree(genus, d, rng), k)
+            assert class_of(z).coords == oracle_class(z)
+
+
 class TestClassProperties:
     @settings(max_examples=20, deadline=None)
     @given(st.data())
@@ -394,6 +475,25 @@ class TestClassProperties:
         k = data.draw(st.integers(1, 3), label="class")
         c = class_of(draw_fission(data, genus, k))
         assert HomologyClass(genus, k, c.parts) == c
+
+    @pytest.mark.parametrize("genus, k", [(1, 3), (2, 2)])
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_boundaries_of_random_4_chains_are_zero(self, genus, k, data):
+        rng = random.Random(data.draw(st.integers(0, 10**6), label="seed"))
+        w = random_chain(genus, k, 4, rng,
+                         data.draw(st.integers(1, 6), label="terms"))
+        assert class_of(boundary(w)).is_zero()
+
+    @pytest.mark.parametrize("genus, k", [(1, 4), (2, 2), (3, 2)])
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_a_multiple_plus_a_cycle(self, genus, k, data):
+        z1 = draw_fission(data, genus, k)
+        z2 = draw_fission(data, genus, k)
+        a = data.draw(st.fractions(min_value=-5, max_value=5,
+                                   max_denominator=4), label="a")
+        assert class_of(a * z1 + z2) == a * class_of(z1) + class_of(z2)
 
     @settings(max_examples=20, deadline=None)
     @given(st.data())

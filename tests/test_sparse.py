@@ -153,6 +153,37 @@ def test_context_fields_of_a_wrong_kind_are_refused_by_name(make, message):
         make()
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: LieSeries(1, 3, [((0,), 1)]), "coords must be a mapping, not list"),
+    (lambda: WedgeChain(1, 2, 3, [1]), "coords must be a mapping, not list"),
+    (lambda: HomologyClass(2, 2, [1]), "parts must be a mapping, not list"),
+    (lambda: LieSeries(1, 3, {(0,): None}),
+     r"coefficient of \(0,\) is not a rational: None"),
+    (lambda: TensorSeries(1, 3, {(0,): None}),
+     r"coefficient of \(0,\) is not a rational: None"),
+    (lambda: WedgeChain(1, 2, 3, {((0,), (1,), (0, 1)): None}),
+     r"coefficient of \(\(0,\), \(1,\), \(0, 1\)\) is not a rational: None"),
+    (lambda: HomologyClass(2, 2, {4: (None,) * 20}),
+     "degree 4 coordinate 0 is not a rational: None"),
+    (lambda: LieSeries(1, 3, {5: 1}), "key 5 has the wrong shape"),
+    (lambda: TensorSeries(1, 3, {5: 1}), "key 5 has the wrong shape"),
+    (lambda: HLieTensor(1, {5: 1}), "key 5 has the wrong shape"),
+    (lambda: HLieTensor(1, {(0, 5): 1}), r"key \(0, 5\) has the wrong shape"),
+    (lambda: WedgeChain(1, 2, 3, {((0,), (1,), 5): 1}),
+     r"key \(\(0,\), \(1,\), 5\) has the wrong shape"),
+    (lambda: HomologyClass(2, 2, {4: 5}),
+     "degree 4 part must be a sequence, not int"),
+], ids=["LieSeries list", "WedgeChain list", "HomologyClass list",
+        "LieSeries None", "TensorSeries None", "WedgeChain None",
+        "HomologyClass None", "LieSeries int key", "TensorSeries int key",
+        "HLieTensor int key", "HLieTensor int word", "WedgeChain int factor",
+        "HomologyClass int part"])
+def test_coords_of_a_wrong_kind_are_refused_by_name(make, message):
+    # not the AttributeError or TypeError of the first use that fails
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
 def counting(step):
     """step, with the number of calls kept in .calls."""
     def run(x):
