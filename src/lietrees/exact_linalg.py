@@ -9,12 +9,13 @@ length.  `_reduce_fully` cancels a row at every pivot it reaches, least
 first, so what is left is zero on every pivot column: up to scale the
 one such representative of the row modulo the pivot rows' span, whatever
 their order.  `BlockSolver` runs `_reduce` on tagged columns, read only
-up to full rank; its one read, the memoised unit solve `unit`, runs
-`_reduce_fully` on a row key's unit vector, so a unit's residual is zero
-on every pivot row and unit solves add up.  `free_lie._sum_units` is the
-one blockwise solve, a solver per weight block, summed on integers from
-unit solves; its solutions, keyed by the column labels, are supported on
-the first independent columns.  None of them depends on row order.
+up to full rank, and on untracked ones, which span but carry no tag; its
+one read, the memoised unit solve `unit`, runs `_reduce_fully` on a row
+key's unit vector, so a unit's residual is zero on every pivot row and
+unit solves add up.  `free_lie._sum_units` is the one blockwise solve, a
+solver per weight block, summed on integers from unit solves; its
+solutions, keyed by the tracked column labels, are supported on the
+first independent columns.  None of them depends on row order.
 """
 
 from __future__ import annotations
@@ -114,35 +115,58 @@ class BlockSolver:
     n + j, is reduced by `_cancel` against the pivots kept so far, each
     filed under its least row, and dropped if only tags are left.  The
     kept columns, `pivots`, are the first independent ones in label
-    order; once they number n no later column is read.
+    order; once they number n no later column is read.  A column read
+    untracked, labelled None (all of them when tracked is false, or one
+    `add`ed so), is eliminated the same way but carries no tag: it spans
+    but never appears in a solution.
 
     Its one read, `unit(key)`, memoised on the solver, reduces the unit
     vector of a row key with a multiplier tag carried past every tag by
     `_reduce_fully`, so its residual is zero on every pivot row.  A
     vector of the span that is zero there is zero, so the sum of b_key
     unit(key) has a zero residual exactly when b is in the span, and its
-    x is then the unique solution supported on the pivots
-    (`free_lie._sum_units`).
+    x is then, on the tracked columns, the unique solution supported on
+    the pivots (`free_lie._sum_units`).
     """
 
     def __init__(self, row_keys: Iterable[object], labels: Sequence[object],
-                 column: Callable[[object], Mapping[object, Rational]]):
+                 column: Callable[[object], Mapping[object, Rational]],
+                 tracked: bool = True):
         self.index = {k: i for i, k in enumerate(row_keys)}
-        self.labels, self.pivots, self._echelon = labels, [], {}
+        self.labels, self.pivots, self.rank, self._echelon = [], [], 0, {}
         self._units: dict[object, tuple[dict, dict[int, int], int]] = {}
-        n = len(self.index)
-        for j, label in enumerate(labels):
-            if len(self.pivots) == n:
+        for label in labels:
+            if self.rank == len(self.index):
                 break
-            vec = {self.index[k]: v for k, v in column(label).items() if v}
-            row = _reduce(_primitive({**vec, n + j: 1}), self._echelon)
-            if (c := min(row)) < n:
-                self._echelon[c] = row
+            self.add(label if tracked else None, column(label))
+
+    def add(self, label: object, column: Mapping[object, Rational]) -> None:
+        """Read one more column, over row keys, untracked if label is None;
+        the unit memo is cleared."""
+        n = len(self.index)
+        vec = {self.index[k]: v for k, v in column.items() if v}
+        if label is not None:
+            vec[n + len(self.labels)] = 1
+        self.labels.append(label)
+        self._units.clear()
+        if (row := _reduce(_primitive(vec), self._echelon)) and (
+                c := min(row)) < n:
+            self._echelon[c] = row
+            self.rank += 1
+            if label is not None:
                 self.pivots.append(label)
-        self.rank = len(self.pivots)
+
+    def residue(self, row: dict[int, int]) -> dict[int, int]:
+        """The integer row, over row indices, reduced by `_reduce_fully`
+        against the pivots, tags dropped: up to scale the one vector
+        congruent to it modulo the span that is zero on every pivot row."""
+        n = len(self.index)
+        return {j: v for j, v in _reduce_fully(row, self._echelon).items()
+                if j < n}
 
     def unit(self, key: object) -> tuple[dict, dict[int, int], int]:
-        """(x, residual, m), integers, with m e_key = A x + residual,
+        """(x, residual, m), integers, with m e_key = A x + residual on the
+        tracked columns and some combination of the untracked ones,
         memoised."""
         got = self._units.get(key)
         if got is None:

@@ -132,6 +132,8 @@ def _mobius(n: int) -> int:
 
 def witt_dim(alphabet_size: int, degree: int) -> int:
     """Number of Lyndon words of the given length (necklace-counting formula)."""
+    check_kind(alphabet_size, int, "alphabet_size")
+    check_kind(degree, int, "degree")
     if alphabet_size < 1 or degree < 1:
         raise ValueError("alphabet size and degree must be >= 1")
     total = 0
@@ -141,11 +143,26 @@ def witt_dim(alphabet_size: int, degree: int) -> int:
     return total // degree
 
 
+def _check_weight(mu: tuple[int, ...]) -> int:
+    """|mu|, or a ValueError unless mu is a tuple of non-negative ints."""
+    check_kind(mu, tuple, "mu")
+    for m in mu:
+        check_kind(m, int, "weight entry")
+        if m < 0:
+            raise ValueError(f"weight entry {m} is negative")
+    return sum(mu)
+
+
 def lyndon_count(mu: tuple[int, ...]) -> int:
     """Number of Lyndon words of content mu (letter i occurring mu[i]
     times), the dimension of the free Lie algebra at weight mu: Witt's
     formula by multidegree, (1/n) sum over e | gcd(mu) of Moebius(e)
     (n/e)! / prod_i (mu_i/e)!, with n = |mu|."""
+    _check_weight(mu)
+    return _lyndon_count(mu)
+
+
+def _lyndon_count(mu: tuple[int, ...]) -> int:
     n = sum(mu)
     if not n:
         return 0
@@ -161,8 +178,11 @@ def bracket_kernel_dim(mu: tuple[int, ...]) -> int:
     weight of degree at least 2, so it is the block of H (x) L, the sum
     over the letters h in mu of `lyndon_count(mu - e_h)`, less
     `lyndon_count(mu)`."""
-    return sum(lyndon_count((*mu[:h], m - 1, *mu[h + 1:]))
-               for h, m in enumerate(mu) if m) - lyndon_count(mu)
+    if (n := _check_weight(mu)) < 2:
+        raise ValueError(f"weight {mu!r} has total {n}, but the bracket "
+                         "kernel needs at least 2")
+    return sum(_lyndon_count((*mu[:h], m - 1, *mu[h + 1:]))
+               for h, m in enumerate(mu) if m) - _lyndon_count(mu)
 
 
 @lru_cache(maxsize=None)
@@ -199,28 +219,30 @@ def _split_by_weight(coords: Mapping, genus: int,
     return blocks
 
 
-def _sum_units(solver_of, blocks: Mapping) -> tuple[dict, int] | None:
+def _sum_units(solver_of, blocks: Mapping) -> tuple[dict, dict, int]:
     """The one blockwise solve, by linearity: each block of integer
     right-hand sides, in weight order, summed as b_key times
     `BlockSolver.unit(key)` of its weight's solver `solver_of(mu)`, as
-    (integer numerators, den) over the lcm of the units' multipliers;
-    None when some block's summed residual is nonzero, which is when
-    its right-hand side is outside the span."""
+    (integer numerators, residuals, den) over the lcm of the units'
+    multipliers.  residuals keeps each block's nonzero summed residual
+    by its weight; it is empty exactly when every right-hand side is in
+    its solver's span."""
     terms = []
     for mu in sorted(blocks):
         unit = solver_of(mu).unit
-        terms.append([(c, *unit(key)) for key, c in blocks[mu].items()])
-    den = lcm(*(m for block in terms for *_, m in block))
+        terms.append((mu, [(c, *unit(key)) for key, c in blocks[mu].items()]))
+    den = lcm(*(m for _, block in terms for *_, m in block))
     out: dict = {}
-    for block in terms:
-        residual: dict[int, int] = {}
+    residuals: dict = {}
+    for mu, block in terms:
+        residual: dict = {}
         for c, x, r, m in block:
             f = c * (den // m)
             add_into(out, x, f)
             add_into(residual, r, f)
         if residual:
-            return None
-    return out, den
+            residuals[mu] = residual
+    return out, residuals, den
 
 
 # ---------------------------------------------------------------------------

@@ -362,6 +362,8 @@ def tree_space_dim(genus: int, d: int) -> int:
     Witt's `witt_dim`; by weight, its blocks are `bracket_kernel_dim`."""
     check_kind(genus, int, "genus")
     check_kind(d, int, "d")
+    if genus < 1:
+        raise ValueError("bad context: genus must be at least 1")
     if d < 0:
         raise ValueError("degree must be >= 0")
     n = gen_count(genus)
@@ -471,13 +473,13 @@ def eta_inverse(x: HLieTensor, d: int) -> TreeCombo:
     if x.is_zero():
         return TreeCombo.zero(x.genus)
     coords, den = scaled(x.coords)
-    solved = _sum_units(partial(_eta_solver, x.genus, d), _split_by_weight(
-        coords, x.genus, lambda hw: (hw[0], *hw[1])))
-    if solved is None:
+    y, residual, m = _sum_units(partial(_eta_solver, x.genus, d),
+                                _split_by_weight(coords, x.genus,
+                                                 lambda hw: (hw[0], *hw[1])))
+    if residual:
         if not x.bracket_contraction().is_zero():
             raise ValueError("input not in the bracket kernel")
         raise RuntimeError("kernel element outside the certified span")
-    y, m = solved
     return TreeCombo._of(x.genus, unscaled(y, m * den))
 
 

@@ -24,25 +24,23 @@ automorphism and delta for a derivation: `invert_aut`, `log_aut` and
 `exp_der` sum their powers on the same core's integers
 (`sparse.scaled_series`) and make one `Fraction` per word of each
 generator image.  The two invariants are linear in the window
-coefficients of psi, read from that memo on integers: `morita_mk` and
-`tau_to_trees` sum the memoised unit solves of the cached d3 and eta
-solvers (`free_lie._sum_units`), and build a chain or tensor only on
-a failure path, to name the fault, never to solve again.
+coefficients of psi, read from that memo on integers by one reader,
+`_window`: `tau_to_trees` sums the memoised unit solves of the cached
+eta solvers and `morita_mk` the memoised class of each window word
+(`free_lie._sum_units`), and each builds a chain or tensor only on a
+failure path, to name the fault, never to solve again.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import partial
-from itertools import chain
 from math import factorial, lcm
 
 from . import jacobi
 from .free_lie import (GeneratorMap, LieSeries, Word, _letter_weight,
-                       _split_by_weight, _sum_units, a_letter, b_letter,
-                       bracket_coords, gen_count, graded, letter_label,
-                       partner, std_factorization)
+                       _sum_units, bracket_coords, gen_count, graded,
+                       letter_label, partner, std_factorization)
 from .jacobi import HLieTensor, TreeCombo, eta, random_tree
 from .sparse import (add_into, add_term, check_kind, scaled, scaled_series,
                      unscaled)
@@ -342,18 +340,11 @@ def kernel_check(psi: LieAutomorphism, k: int) -> bool:
     return via_tau
 
 
-def tau_to_trees(psi: LieAutomorphism, k: int) -> TreeCombo:
-    """Tree-diagram lift of the window tensor, by linearity.
-
-    eta_inverse is linear, so the lift is summed from the memoised unit
-    solves of the cached eta solvers (`free_lie._sum_units`), one per
-    window word, weighted by its signed coefficient on integers over one
-    denominator, with no tensor built.  Each solver spans exactly its
-    block of the bracket kernel, so a residual left means the window
-    tensor is outside it; only then is the tensor built, and its bracket
-    contraction, as in `eta_inverse`, tells that from a solver fault.
-    """
-    _check_level(psi, k)
+def _window(psi: LieAutomorphism, k: int) -> tuple[dict, int]:
+    """The window tensor of a level-k psi as `tau_truncated` packages it,
+    read on integers from psi's image memo: (blocks, den), each block
+    {(h, w): numerator} of one tree degree d and weight mu under the key
+    (d, mu), over the lcm den of the generator images' denominators."""
     genus = psi.genus
     images = [(l, *psi._word((l,))) for l in range(gen_count(genus))]
     den = lcm(*(dl for *_, dl in images))
@@ -366,12 +357,29 @@ def tau_to_trees(psi: LieAutomorphism, k: int) -> TreeCombo:
                 for w, c in terms.items():
                     blocks.setdefault((d - 1, _letter_weight((mate, *w), genus)),
                                       {})[(mate, w)] = f * c
-    solved = _sum_units(lambda block: jacobi._eta_solver(genus, *block), blocks)
-    if solved is None:
+    return blocks, den
+
+
+def tau_to_trees(psi: LieAutomorphism, k: int) -> TreeCombo:
+    """Tree-diagram lift of the window tensor, by linearity.
+
+    eta_inverse is linear, so the lift is summed from the memoised unit
+    solves of the cached eta solvers (`free_lie._sum_units`), one per
+    window word of `_window`, with no tensor built.  Each solver spans
+    exactly its block of the bracket kernel, so a residual left means the
+    window tensor is outside it; only then is the tensor built, and its
+    bracket contraction, as in `eta_inverse`, tells that from a solver
+    fault.
+    """
+    _check_level(psi, k)
+    genus = psi.genus
+    blocks, den = _window(psi, k)
+    x, residual, m = _sum_units(
+        lambda block: jacobi._eta_solver(genus, *block), blocks)
+    if residual:
         if not tau_truncated(psi, k).bracket_contraction().is_zero():
             raise ValueError("input not in the bracket kernel")
         raise RuntimeError("kernel element outside the certified span")
-    x, m = solved
     return TreeCombo._of(genus, unscaled(x, m * den))
 
 
@@ -412,56 +420,45 @@ def morita_mk(psi: LieAutomorphism, k: int) -> "object":
     chosen bounding chain.
 
     Only the cycle's degrees k+2..2k+1, the degrees of H3(L/L_{>k}), are
-    built, checked and solved.  The boundary keeps degree, so each degree
-    part of the cycle is a cycle and bounds on its own.  Below k+2 the
-    cycle vanishes, since psi moves each generator only in degrees above
-    k: the a_i ^ b_i terms cancel in degree 2 and are left out.  Degrees
-    up to 2k are where psi can fail to fix the symplectic element, and
-    degree 2k+1 is where H2(L/L_{>2k}) = L_{2k+1} lives, so a cycle that
-    bounds nothing is still refused.  Above 2k+1 every 2-cycle bounds,
-    and the reduced 3-chain is a cycle in degrees where H3(L/L_{>k}) is
-    zero, so those degrees add nothing to the class.
+    solved.  The boundary keeps degree, so each degree part of the cycle
+    is a cycle and bounds on its own.  Below k+2 the cycle vanishes,
+    since psi moves each generator only in degrees above k: the a_i ^ b_i
+    terms cancel in degree 2 and are left out.  Degrees up to 2k are
+    where psi can fail to fix the symplectic element, and degree 2k+1 is
+    where H2(L/L_{>2k}) = L_{2k+1} lives, so a cycle that bounds nothing
+    is still refused.  Above 2k+1 every 2-cycle bounds, and the reduced
+    3-chain is a cycle in degrees where H3(L/L_{>k}) is zero, so those
+    degrees add nothing to the class.
 
-    The cycle is solved by linearity: its integer numerators over one
-    denominator, read from the memoised images of the a_i and b_i, weight
-    the memoised unit solves of the cached d3 solvers
-    (`free_lie._sum_units`), and one `class_of` reads the summed 3-chain
-    reduced to class k.  A residual left means the cycle is outside the
-    span of d3: it bounds nothing, or is no cycle; its boundary, computed
-    only there, tells a psi moving the symplectic element from a cycle
-    that bounds nothing.
+    In those degrees each term of the cycle has a one-letter factor,
+    since every deviation has degree above k, so the cycle is exactly
+    -sum tau_{h,w} h ^ w over the window tensor tau of `_window`, the
+    data `tau_to_trees` reads.  The class is linear in it: -sum
+    tau_{h,w} M(h, w), each M(h, w) the memoised class of one window
+    word (`koszul._window_classes`), summed by `free_lie._sum_units`
+    with the residuals of its d3 and H3 solves.  A d3 residual left
+    means the cycle is outside the span of d3: it bounds nothing, or is
+    no cycle; its boundary, computed only there, tells a psi moving the
+    symplectic element from a cycle that bounds nothing.
     """
-    from .koszul import (NotABoundaryError, WedgeChain, _d3_solver,
-                         boundary, class_of)
+    from .koszul import (HomologyClass, NotABoundaryError, WedgeChain,
+                         _window_classes, boundary)
     _check_level(psi, k)
     genus = psi.genus
-    lo, hi = k + 2, 2 * k + 1
-    handles = [(psi._word((a_letter(i),)), psi._word((b_letter(i),)))
-               for i in range(1, genus + 1)]
-    den = lcm(*(da * db for (_, da), (_, db) in handles))
-    terms: dict = {}
-    for (xa, da), (xb, db) in handles:
-        f = -(den // (da * db))
-        for du, pu in xa:
-            for dv, pv in xb:
-                if du + dv > hi:
-                    break
-                if du + dv >= lo:
-                    # wu ^ wv in basis order: by length, then by word
-                    for wu, cu in pu.items():
-                        for wv, cv in pv.items():
-                            if du < dv or du == dv and wu < wv:
-                                add_term(terms, (wu, wv), f * cu * cv)
-                            elif wu != wv:
-                                add_term(terms, (wv, wu), -f * cu * cv)
-    solved = _sum_units(partial(_d3_solver, genus, 2 * k), _split_by_weight(
-        terms, genus, chain.from_iterable))
-    if solved is not None:
-        x, m = solved
-        t = WedgeChain._of(genus, 2 * k, 3, x).reduced_to(k)
-        return class_of(t._like(unscaled(t.coords, m * den)))
+    if genus < 1:
+        raise ValueError("bad context")
+    blocks, den = _window(psi, k)
+    x, residual, m = _sum_units(
+        lambda block: _window_classes(genus, k, block[1]), blocks)
+    if not residual:
+        return HomologyClass._of(genus, k, unscaled(
+            {key: -v for key, v in x.items()}, m * den))
+    if all(arity == 3 for r in residual.values() for arity, _ in r):
+        raise RuntimeError("cycle reduction left a nonzero remainder")
+    cycle = {((h,), w): -c for block in blocks.values()
+             for (h, w), c in block.items()}
     if not boundary(WedgeChain._of(genus, 2 * k, 2,
-                                   unscaled(terms, den))).is_zero():
+                                   unscaled(cycle, den))).is_zero():
         raise ValueError("automorphism does not fix the symplectic "
                          "element modulo degree 2k+1")
     raise NotABoundaryError("2-cycle is not a 3-boundary")

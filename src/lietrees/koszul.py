@@ -14,17 +14,18 @@ counted, not ranked: Phi carries the trees of degree [k, 2k[ onto H3
 weight by weight, so a block's dimension is the tree space's,
 `free_lie.bracket_kernel_dim`.  Canonical H3 coordinates are per weight,
 never per orbit.  Each block a cycle lands in gets one cached H3
-`BlockSolver`, whose columns are the d4 boundaries and then the
-quotient basis: the d3 kernel reduced modulo the d4 image on integers
-and checked against the census.  Every solve sums the memoised unit
-solves of a cached `BlockSolver` per block: `class_of` reads the
-quotient columns' entries of its sum, and the boundary solves,
-`solve_boundary3` and `johnson.morita_mk`, sum those of the d3 solver,
-its columns built only up to full rank; `morita_mk` solves only its
-cycle's degrees k+2..2k+1, the degrees of H3 at class k, and builds its
-cycle as a chain only when that sum leaves a residual.  An H3 class
-keeps its coordinates sparsely, keyed by (degree, index); `parts` is a
-dense view per degree.  `capital_phi` is linear, so it sums one
+`BlockSolver`, whose columns are the d4 boundaries, untracked, and then
+the quotient basis: the d3 kernel reduced modulo the d4 image on
+integers and checked against the census.  Every solve sums the
+memoised unit solves of a cached `BlockSolver` per block: `class_of`
+reads its sum's x, the class coordinates, and `solve_boundary3` sums
+those of the d3 solver, its columns built only up to full rank.
+`johnson.morita_mk` is linear in the window of psi: it sums one
+memoised class per window word (`_window_classes`), the class of that
+word's d3 unit solve at class 2k reduced to class k, and so solves only
+its cycle's degrees k+2..2k+1, the degrees of H3 at class k.  An H3
+class keeps its coordinates sparsely, keyed by (degree, index); `parts`
+is a dense view per degree.  `capital_phi` is linear, so it sums one
 memoised class per distinct tree and class.  Membership is decided by
 the exact solves: `class_of` and `johnson.morita_mk` take a boundary
 only when a unit sum fails, to name a non-cycle as one.
@@ -39,8 +40,7 @@ from itertools import chain, combinations
 from math import factorial, prod
 from typing import Iterable, Mapping, Sequence
 
-from .exact_linalg import (BlockSolver, _echelon, _reduce_fully, _rows_of,
-                           rank_of_rows)
+from .exact_linalg import BlockSolver, _echelon, _rows_of, rank_of_rows
 from .free_lie import (Word, _split_by_weight, _sum_units, bracket_basis,
                        bracket_kernel_dim, gen_count, is_lyndon,
                        letter_label, lyndon_basis)
@@ -290,51 +290,47 @@ def homology_dims(genus: int, k: int, n: int) -> dict[int, int]:
 def _h3_structure(genus: int, k: int,
                   mu: tuple[int, ...]) -> BlockSolver | None:
     """The H3 solver of one block, None if it has no 3-monomials: its
-    columns are the d4 boundaries, labelled by their 4-monomials, then
-    the quotient basis, labelled by their coordinate keys (degree, index).
+    columns are the d4 boundaries, untracked, then the quotient basis,
+    labelled by their coordinate keys (degree, index), so a unit's x is
+    its class coordinates alone.
 
-    The quotient basis is built on integers, in monomial order over the
-    free columns f of `_d3_solver`: the kernel vector m e_f - x, x the
-    unit-sum solve of f's boundary, is reduced by `_reduce_fully` against
-    the d4 echelon and the basis so far, and a nonzero remainder joins
-    the basis, scaled to 1 at its least index.  The remainder is, up to
-    scale, the one representative that vanishes on every pivot so far, so
-    the basis is independent modulo im d4 and the q-part of a solve is
-    unique.
+    The d4 boundaries are eliminated once, by the solver itself, and the
+    quotient basis is built on integers against it, in monomial order
+    over the free columns f of `_d3_solver`: the kernel vector m e_f - x,
+    x the unit-sum solve of f's boundary, is reduced by
+    `BlockSolver.residue` against the d4 image and the basis so far, and
+    a nonzero remainder joins the basis, scaled to 1 at its least index.
+    The remainder is, up to scale, the one representative that vanishes
+    on every pivot so far, so the basis is independent modulo im d4 and
+    the coordinates of a solve are unique.
     Certified when built: the basis must have the census dimension of
     H3 at mu, `bracket_kernel_dim(mu)` in degrees k+2..2k+1, else 0."""
     mon3 = _monomials(genus, k, 3, mu)
     if not mon3:
         return None
-    index = {m: i for i, m in enumerate(mon3)}
-    mon4 = _monomials(genus, k, 4, mu)
-    columns = [_monomial_boundary(k, m4) for m4 in mon4]
-    kept = _echelon({index[m]: c for m, c in col.items()} for col in columns)
+    solver = BlockSolver(mon3, _monomials(genus, k, 4, mu),
+                         partial(_monomial_boundary, k), tracked=False)
+    index = solver.index
+    d = sum(mu)
+    dim = bracket_kernel_dim(mu) if k + 2 <= d <= 2 * k + 1 else 0
+    offset = _quotient_layout(genus, k, d)[0][mu] if dim else 0
     d3 = _d3_solver(genus, k, mu)
     pivots = set(d3.pivots)
-    quotient = []
+    found = 0
     for f in mon3:
         if f in pivots:
             continue
-        x, m = _sum_units(lambda _: d3, {mu: _monomial_boundary(k, f)})
+        x, _, m = _sum_units(lambda _: d3, {mu: _monomial_boundary(k, f)})
         row = {index[f]: m, **{index[t]: -v for t, v in x.items()}}
-        if row := _reduce_fully(row, kept):
+        if row := solver.residue(row):
             p = min(row)
-            kept[p] = row
-            quotient.append({mon3[j]: Fraction(v, row[p])
-                             for j, v in row.items()})
-    dim = bracket_kernel_dim(mu) if k + 2 <= sum(mu) <= 2 * k + 1 else 0
-    if len(quotient) != dim:
+            solver.add((d, offset + found),
+                       {mon3[j]: Fraction(v, row[p]) for j, v in row.items()})
+            found += 1
+    if found != dim:
         raise RuntimeError(f"H3 quotient basis at class {k}, weight {mu} has "
-                           f"{len(quotient)} vectors, but the census "
-                           f"gives {dim}")
-    labels = list(mon4)
-    if quotient:
-        d = sum(mu)
-        offset = _quotient_layout(genus, k, d)[0][mu]
-        labels += [(d, i) for i in range(offset, offset + dim)]
-    return BlockSolver(mon3, labels,
-                       dict(zip(labels, columns + quotient)).__getitem__)
+                           f"{found} vectors, but the census gives {dim}")
+    return solver
 
 
 @lru_cache(maxsize=None)
@@ -424,8 +420,8 @@ def class_of(z: WedgeChain) -> HomologyClass:
     as `HomologyClass` requires.
 
     z is summed from the memoised unit solves of the cached H3 solver of
-    each weight block (`free_lie._sum_units`), and its coordinates are
-    the solution's entries on the quotient columns.  The d4 image and
+    each weight block (`free_lie._sum_units`); the d4 columns are
+    untracked, so the summed solution is the coordinates.  The d4 image and
     the quotient basis span exactly ker d3 in each block, so a zero
     summed residual proves z a cycle; `boundary(z)` is computed only on
     a failure path, so a non-cycle is still refused as one before any
@@ -444,14 +440,11 @@ def class_of(z: WedgeChain) -> HomologyClass:
             _check_cycle(z)
             raise BlockMismatchError(
                 "cycle monomial outside the enumerated basis")
-    solved = _sum_units(partial(_h3_structure, genus, k), blocks)
-    if solved is None:
+    x, residual, m = _sum_units(partial(_h3_structure, genus, k), blocks)
+    if residual:
         _check_cycle(z)
         raise RuntimeError("cycle reduction left a nonzero remainder")
-    x, m = solved
-    # a 4-monomial label's first part is a word, a coordinate key's an int
-    return HomologyClass._of(genus, k, unscaled(
-        {key: v for key, v in x.items() if isinstance(key[0], int)}, m * den))
+    return HomologyClass._of(genus, k, unscaled(x, m * den))
 
 
 @lru_cache(maxsize=None)
@@ -459,6 +452,45 @@ def _d3_solver(genus: int, k: int, mu: tuple[int, ...]) -> BlockSolver:
     """d3 on the (3, mu) block, its columns labelled by their monomials."""
     return BlockSolver(_monomials(genus, k, 2, mu), _monomials(genus, k, 3, mu),
                        partial(_monomial_boundary, k))
+
+
+class _WindowClasses:
+    """The linear map `johnson.morita_mk` sums, on one weight block mu of
+    genus g: `unit((h, w))`, memoised, is M(h, w), the H3 class at class k
+    of the d3 unit solve of h ^ w at class 2k reduced to class k.
+
+    With the d3 unit m1 e = d3 x + r and the H3 unit sum of x's class-k
+    part, m2 x = B q + R, it is (q, residual, m1 m2): r m2 keyed (2, row)
+    and R keyed (3, row).  Summed over a window, the (2, row) part is the
+    2-cycle's d3 residual, zero exactly when it bounds, and then the
+    (3, row) part is the reduced 3-chain's H3 residual, zero for a cycle.
+    """
+
+    __slots__ = ("genus", "k", "mu", "_units")
+
+    def __init__(self, genus: int, k: int, mu: tuple[int, ...]):
+        self.genus, self.k, self.mu, self._units = genus, k, mu, {}
+
+    def unit(self, key: tuple[int, Word]) -> tuple[dict, dict, int]:
+        got = self._units.get(key)
+        if got is None:
+            genus, k, mu = self.genus, self.k, self.mu
+            h, w = key
+            x, r, m = _d3_solver(genus, 2 * k, mu).unit(((h,), w))
+            # factors sorted by length: the last is the longest
+            short = {mon: v for mon, v in x.items() if len(mon[-1]) <= k}
+            q, rest, m3 = _sum_units(partial(_h3_structure, genus, k),
+                                     {mu: short} if short else {})
+            residual = {(2, t): v * m3 for t, v in r.items()}
+            residual.update(((3, t), v) for t, v in rest.get(mu, {}).items())
+            got = self._units[key] = q, residual, m * m3
+        return got
+
+
+@lru_cache(maxsize=None)
+def _window_classes(genus: int, k: int,
+                    mu: tuple[int, ...]) -> _WindowClasses:
+    return _WindowClasses(genus, k, mu)
 
 
 class NotABoundaryError(ValueError, RuntimeError):
@@ -474,11 +506,10 @@ def solve_boundary3(z: WedgeChain) -> WedgeChain:
     _check_cycle(z)
     genus, k = z.genus, z.nilpotency_class
     coords, den = scaled(z.coords)
-    solved = _sum_units(partial(_d3_solver, genus, k),
-                        _split_by_weight(coords, genus, chain.from_iterable))
-    if solved is None:
+    x, residual, m = _sum_units(partial(_d3_solver, genus, k), _split_by_weight(
+        coords, genus, chain.from_iterable))
+    if residual:
         raise NotABoundaryError("2-cycle is not a 3-boundary")
-    x, m = solved
     return WedgeChain._of(genus, k, 3, unscaled(x, m * den))
 
 

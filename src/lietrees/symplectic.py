@@ -101,12 +101,11 @@ def _solve_splitting(genus: int, j: int,
                                     in bracket_basis((mate,), w).items()}
     if not all(col_blocks.values()):
         raise RuntimeError("defect weight outside the bracket image")
-    solved = _sum_units(lambda mu: BlockSolver(
+    sol, residual, m = _sum_units(lambda mu: BlockSolver(
         sorted(set().union(*col_blocks[mu].values())), list(col_blocks[mu]),
         col_blocks[mu].__getitem__), blocks)
-    if solved is None:
+    if residual:
         raise RuntimeError("bracket splitting system is inconsistent")
-    sol, m = solved
     gains: dict[int, dict[Word, Fraction]] = {}
     for (x, w), c in unscaled(sol, m * den).items():
         gains.setdefault(x, {})[w] = c

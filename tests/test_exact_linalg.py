@@ -32,8 +32,8 @@ def sum_units(solver, b):
     over the solver's row keys, as one block: the sparse `Fraction`
     solution, or None."""
     bint, den = scaled({k: v for k, v in b.items() if v})
-    got = _sum_units(lambda mu: solver, {(): bint})
-    return None if got is None else unscaled(got[0], got[1] * den)
+    x, residual, m = _sum_units(lambda mu: solver, {(): bint})
+    return None if residual else unscaled(x, m * den)
 
 
 def solve(data, b):
@@ -400,11 +400,10 @@ def test_sum_units_solves_and_memoises_the_keys_it_reads(matrix, data):
     memo = set()
     for rhs in (image, b):
         bint, den = scaled({i: v for i, v in enumerate(rhs) if v})
-        got = _sum_units(lambda mu: solver, {(): bint})
+        x, residual, m = _sum_units(lambda mu: solver, {(): bint})
         expect = oracle_solution(ncols, rows, rhs)
-        assert (got is None) == (expect is None)
-        if got is not None:
-            x, m = got
+        assert bool(residual) == (expect is None)
+        if not residual:
             assert dense(unscaled(x, m * den), ncols) == expect
         memo |= bint.keys()
         assert solver._units.keys() == memo
@@ -420,6 +419,37 @@ def test_the_unit_memo_lives_on_the_cached_solver():
     koszul._d3_solver.cache_clear()
     fresh = koszul._d3_solver(2, 4, mu)
     assert fresh is not solver and fresh._units == {}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(matrices(sparse_int), matrices(sparse_fraction)), st.data())
+def test_untracked_columns_leave_the_tracked_solution(matrix, data):
+    # an untracked column is eliminated with no tag: the tracked part of a
+    # solve and the in-span verdict are those of the fully tagged solver
+    ncols, rows = matrix
+    columns = [{i: F(row[j]) for i, row in enumerate(rows) if row[j]}
+               for j in range(ncols)]
+    tagged = BlockSolver(range(len(rows)), range(ncols), columns.__getitem__)
+    lead = data.draw(st.integers(0, ncols))
+    mixed = BlockSolver(range(len(rows)), range(lead), columns.__getitem__,
+                        tracked=False)
+    untracked = set(range(lead))
+    for j in range(lead, ncols):
+        if data.draw(st.booleans()):
+            untracked.add(j)
+        mixed.add(None if j in untracked else j, columns[j])
+    assert mixed.rank == tagged.rank
+    assert mixed.pivots == [j for j in tagged.pivots if j not in untracked]
+    xs = data.draw(st.lists(sparse_fraction, min_size=ncols, max_size=ncols))
+    b = data.draw(st.lists(sparse_fraction, min_size=len(rows),
+                           max_size=len(rows)))
+    for rhs in (mat_vec(rows, xs), b):
+        full = sum_units(tagged, dict(enumerate(rhs)))
+        part = sum_units(mixed, dict(enumerate(rhs)))
+        assert (part is None) == (full is None)
+        if full is not None:
+            assert part == {j: v for j, v in full.items()
+                            if j not in untracked}
 
 
 def sparse_rows(rows):

@@ -116,6 +116,31 @@ class TestCensus:
         assert lyndon_count((3, 3)) == 3
         assert lyndon_count((2, 2, 2, 2)) == 312  # (8!/2^4 - 4!) / 8
 
+    @pytest.mark.parametrize("args, message", [
+        ((True, 2), "alphabet_size must be an int, not bool"),
+        ((2.0, 3), "alphabet_size must be an int, not float"),
+        ((2, "3"), "degree must be an int, not str"),
+        ((2, False), "degree must be an int, not bool")])
+    def test_witt_dim_names_a_bad_argument(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            witt_dim(*args)
+
+    @pytest.mark.parametrize("census", [lyndon_count, bracket_kernel_dim])
+    @pytest.mark.parametrize("mu, message", [
+        ((2, -1), "weight entry -1 is negative"),
+        ((2, 1.0), "weight entry must be an int, not float"),
+        ((True, 1), "weight entry must be an int, not bool"),
+        ([2, 1], "mu must be a tuple, not list")])
+    def test_census_names_a_bad_weight_entry(self, census, mu, message):
+        with pytest.raises(ValueError, match=message):
+            census(mu)
+
+    @pytest.mark.parametrize("mu", [(), (0, 0), (1,), (0, 1, 0, 0)])
+    def test_bracket_kernel_needs_total_weight_two(self, mu):
+        with pytest.raises(ValueError, match=f"has total {sum(mu)}, but the "
+                           "bracket kernel needs at least 2"):
+            bracket_kernel_dim(mu)
+
     def test_bracket_kernel_of_a_y_and_of_a_strut(self):
         # one Y tree with leaves a1 b1 a2; struts are the symmetric pairs
         assert bracket_kernel_dim((1, 1, 1, 0)) == 1

@@ -464,6 +464,11 @@ class TestDimensions:
         with pytest.raises(ValueError):
             tree_space_dim(genus, 1)
 
+    def test_a_bad_genus_is_named_as_the_genus(self):
+        with pytest.raises(ValueError, match="bad context: genus must be at "
+                                             "least 1"):
+            tree_space_dim(0, 2)
+
     @pytest.mark.parametrize("genus, d", [(g, d) for g in (1, 2)
                                           for d in range(6)]
                              + [(3, d) for d in range(4)])

@@ -853,8 +853,17 @@ class TestObstruction:
         psi = random_ic_element(genus, k, 1, 2 * k)
         assert morita_mk(psi, k) == full_cycle_morita_mk(psi, k)
 
+    # seed 1 is test_window_route_equals_the_full_cycle_route
+    @pytest.mark.parametrize("seed", range(2, 6))
+    @pytest.mark.parametrize("genus, k", [(1, 1), (1, 2), (1, 3), (2, 1),
+                                          (2, 2), (2, 3), (3, 1), (3, 2)])
+    def test_window_classes_sum_to_the_full_cycle_route(self, genus, k, seed):
+        psi = random_ic_element(genus, k, seed, 2 * k)
+        assert morita_mk(psi, k) == full_cycle_morita_mk(psi, k)
+
     @pytest.mark.parametrize("genus, k", [(1, 3), (2, 2), (2, 3), (3, 2)])
     def test_solves_and_reads_only_the_h3_window(self, genus, k, monkeypatch):
+        koszul._window_classes.cache_clear()
         solved, read = set(), set()
 
         def solver(g, c, mu):

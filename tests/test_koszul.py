@@ -16,7 +16,7 @@ from lietrees.free_lie import (_letter_weight, _split_by_weight, lyndon_basis,
                                witt_dim)
 from lietrees.jacobi import (TreeCombo, TreeDiagram, _caterpillars, fission,
                              random_tree)
-from lietrees.johnson import morita_mk, random_ic_element
+from lietrees.johnson import morita_mk, random_ic_element, tau_truncated
 from lietrees.koszul import (BlockMismatchError, HomologyClass,
                              NotABoundaryError, WedgeChain, _block_rank,
                              _monomial_boundary, _monomials, boundary,
@@ -259,18 +259,20 @@ class TestClasses:
 
 
 class TestQuotientLayout:
-    def test_builds_only_the_blocks_the_cycle_touches(self, monkeypatch):
+    def test_builds_only_the_blocks_the_cycle_touches(self):
+        # an H3 solver is built only for the weight of a window word whose
+        # d3 unit solve at class 4 keeps a 3-monomial at class 2
         koszul._h3_structure.cache_clear()
         koszul._quotient_layout.cache_clear()
+        koszul._window_classes.cache_clear()
+        psi = random_ic_element(2, 2, 1, 4)
         touched = set()
-
-        def recording(z):
-            touched.update(_letter_weight(chain.from_iterable(mon), z.genus)
-                           for mon in z.coords)
-            return class_of(z)
-
-        monkeypatch.setattr(koszul, "class_of", recording)
-        assert not morita_mk(random_ic_element(2, 2, 1, 4), 2).is_zero()
+        for h, w in tau_truncated(psi, 2).coords:
+            mu = _letter_weight((h, *w), 2)
+            x = koszul._d3_solver(2, 4, mu).unit(((h,), w))[0]
+            if any(len(mon[-1]) <= 2 for mon in x):     # factors by length
+                touched.add(mu)
+        assert not morita_mk(psi, 2).is_zero()
         assert touched
         assert koszul._h3_structure.cache_info().currsize == len(touched)
 
@@ -430,13 +432,15 @@ class TestOracleRoute:
                                                   monkeypatch):
         columns = {}
 
-        def recording(row_keys, labels, column):
-            # a coordinate key's first part is its degree, an int
-            columns.update((label, column(label)) for label in labels
-                           if isinstance(label[0], int))
-            return BlockSolver(row_keys, labels, column)
+        def recording(self, label, column):
+            # the d4 columns are untracked; a quotient column's label is
+            # its coordinate key
+            if label is not None:
+                columns[label] = column
+            return add(self, label, column)
 
-        monkeypatch.setattr(koszul, "BlockSolver", recording)
+        add = BlockSolver.add
+        monkeypatch.setattr(BlockSolver, "add", recording)
         koszul._h3_structure.cache_clear()
         mon4 = []
         for d in range(k + 2, 2 * k + 2):
