@@ -9,13 +9,14 @@ length.  `_reduce_fully` cancels a row at every pivot it reaches, least
 first, so what is left is zero on every pivot column: up to scale the
 one such representative of the row modulo the pivot rows' span, whatever
 their order.  `BlockSolver` runs `_reduce` on tagged columns, read only
-up to full rank, and on untracked ones, which span but carry no tag; its
-one read, the memoised unit solve `unit`, runs `_reduce_fully` on a row
-key's unit vector, so a unit's residual is zero on every pivot row and
-unit solves add up.  `free_lie._sum_units` is the one blockwise solve, a
-solver per weight block, summed on integers from unit solves; its
-solutions, keyed by the tracked column labels, are supported on the
-first independent columns.  None of them depends on row order.
+up to full rank, and on untracked ones given to `add`, which span but
+carry no tag; its one read, the memoised unit solve `unit`, runs
+`_reduce_fully` on a row key's unit vector, so a unit's residual is zero
+on every pivot row and unit solves add up.  `free_lie._sum_units` is
+the one blockwise solve, a solver per weight block, summed on integers
+from unit solves; its solutions, keyed by the tracked column labels,
+are supported on the first independent columns.  None of them depends
+on row order.
 """
 
 from __future__ import annotations
@@ -115,10 +116,9 @@ class BlockSolver:
     n + j, is reduced by `_cancel` against the pivots kept so far, each
     filed under its least row, and dropped if only tags are left.  The
     kept columns, `pivots`, are the first independent ones in label
-    order; once they number n no later column is read.  A column read
-    untracked, labelled None (all of them when tracked is false, or one
-    `add`ed so), is eliminated the same way but carries no tag: it spans
-    but never appears in a solution.
+    order; once they number n no later column is read.  `add` reads one
+    more column; one labelled None, untracked, is eliminated the same way
+    but carries no tag: it spans but never appears in a solution.
 
     Its one read, `unit(key)`, memoised on the solver, reduces the unit
     vector of a row key with a multiplier tag carried past every tag by
@@ -130,15 +130,14 @@ class BlockSolver:
     """
 
     def __init__(self, row_keys: Iterable[object], labels: Sequence[object],
-                 column: Callable[[object], Mapping[object, Rational]],
-                 tracked: bool = True):
+                 column: Callable[[object], Mapping[object, Rational]]):
         self.index = {k: i for i, k in enumerate(row_keys)}
         self.labels, self.pivots, self.rank, self._echelon = [], [], 0, {}
         self._units: dict[object, tuple[dict, dict[int, int], int]] = {}
         for label in labels:
             if self.rank == len(self.index):
                 break
-            self.add(label if tracked else None, column(label))
+            self.add(label, column(label))
 
     def add(self, label: object, column: Mapping[object, Rational]) -> None:
         """Read one more column, over row keys, untracked if label is None;

@@ -219,17 +219,17 @@ def _split_by_weight(coords: Mapping, genus: int,
     return blocks
 
 
-def _sum_units(solver_of, blocks: Mapping) -> tuple[dict, dict, int]:
+def _sum_units(unit_of, blocks: Mapping) -> tuple[dict, dict, int]:
     """The one blockwise solve, by linearity: each block of integer
-    right-hand sides, in weight order, summed as b_key times
-    `BlockSolver.unit(key)` of its weight's solver `solver_of(mu)`, as
+    right-hand sides, in weight order, summed as b_key times the unit
+    solve `unit_of(mu)(key)` of its weight, such as a `BlockSolver.unit`, as
     (integer numerators, residuals, den) over the lcm of the units'
     multipliers.  residuals keeps each block's nonzero summed residual
     by its weight; it is empty exactly when every right-hand side is in
     its solver's span."""
     terms = []
     for mu in sorted(blocks):
-        unit = solver_of(mu).unit
+        unit = unit_of(mu)
         terms.append((mu, [(c, *unit(key)) for key, c in blocks[mu].items()]))
     den = lcm(*(m for _, block in terms for *_, m in block))
     out: dict = {}

@@ -34,7 +34,7 @@ it.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Iterable, Mapping
 
 from .exact_linalg import BlockSolver
@@ -473,7 +473,7 @@ def eta_inverse(x: HLieTensor, d: int) -> TreeCombo:
     if x.is_zero():
         return TreeCombo.zero(x.genus)
     coords, den = scaled(x.coords)
-    y, residual, m = _sum_units(partial(_eta_solver, x.genus, d),
+    y, residual, m = _sum_units(lambda mu: _eta_solver(x.genus, d, mu).unit,
                                 _split_by_weight(coords, x.genus,
                                                  lambda hw: (hw[0], *hw[1])))
     if residual:

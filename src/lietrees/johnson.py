@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial
 from math import factorial, lcm
 
 from . import jacobi
@@ -375,7 +376,7 @@ def tau_to_trees(psi: LieAutomorphism, k: int) -> TreeCombo:
     genus = psi.genus
     blocks, den = _window(psi, k)
     x, residual, m = _sum_units(
-        lambda block: jacobi._eta_solver(genus, *block), blocks)
+        lambda block: jacobi._eta_solver(genus, *block).unit, blocks)
     if residual:
         if not tau_truncated(psi, k).bracket_contraction().is_zero():
             raise ValueError("input not in the bracket kernel")
@@ -435,21 +436,21 @@ def morita_mk(psi: LieAutomorphism, k: int) -> "object":
     -sum tau_{h,w} h ^ w over the window tensor tau of `_window`, the
     data `tau_to_trees` reads.  The class is linear in it: -sum
     tau_{h,w} M(h, w), each M(h, w) the memoised class of one window
-    word (`koszul._window_classes`), summed by `free_lie._sum_units`
+    word (`koszul._window_class`), summed by `free_lie._sum_units`
     with the residuals of its d3 and H3 solves.  A d3 residual left
     means the cycle is outside the span of d3: it bounds nothing, or is
     no cycle; its boundary, computed only there, tells a psi moving the
     symplectic element from a cycle that bounds nothing.
     """
     from .koszul import (HomologyClass, NotABoundaryError, WedgeChain,
-                         _window_classes, boundary)
+                         _window_class, boundary)
     _check_level(psi, k)
     genus = psi.genus
     if genus < 1:
         raise ValueError("bad context")
     blocks, den = _window(psi, k)
     x, residual, m = _sum_units(
-        lambda block: _window_classes(genus, k, block[1]), blocks)
+        lambda block: partial(_window_class, genus, k, block[1]), blocks)
     if not residual:
         return HomologyClass._of(genus, k, unscaled(
             {key: -v for key, v in x.items()}, m * den))

@@ -21,7 +21,7 @@ memoised unit solves of a cached `BlockSolver` per block: `class_of`
 reads its sum's x, the class coordinates, and `solve_boundary3` sums
 those of the d3 solver, its columns built only up to full rank.
 `johnson.morita_mk` is linear in the window of psi: it sums one
-memoised class per window word (`_window_classes`), the class of that
+memoised class per window word (`_window_class`), the class of that
 word's d3 unit solve at class 2k reduced to class k, and so solves only
 its cycle's degrees k+2..2k+1, the degrees of H3 at class k.  An H3
 class keeps its coordinates sparsely, keyed by (degree, index); `parts`
@@ -308,8 +308,9 @@ def _h3_structure(genus: int, k: int,
     mon3 = _monomials(genus, k, 3, mu)
     if not mon3:
         return None
-    solver = BlockSolver(mon3, _monomials(genus, k, 4, mu),
-                         partial(_monomial_boundary, k), tracked=False)
+    solver = BlockSolver(mon3, (), None)
+    for m4 in _monomials(genus, k, 4, mu):
+        solver.add(None, _monomial_boundary(k, m4))
     index = solver.index
     d = sum(mu)
     dim = bracket_kernel_dim(mu) if k + 2 <= d <= 2 * k + 1 else 0
@@ -320,7 +321,7 @@ def _h3_structure(genus: int, k: int,
     for f in mon3:
         if f in pivots:
             continue
-        x, _, m = _sum_units(lambda _: d3, {mu: _monomial_boundary(k, f)})
+        x, _, m = _sum_units(lambda _: d3.unit, {mu: _monomial_boundary(k, f)})
         row = {index[f]: m, **{index[t]: -v for t, v in x.items()}}
         if row := solver.residue(row):
             p = min(row)
@@ -440,7 +441,8 @@ def class_of(z: WedgeChain) -> HomologyClass:
             _check_cycle(z)
             raise BlockMismatchError(
                 "cycle monomial outside the enumerated basis")
-    x, residual, m = _sum_units(partial(_h3_structure, genus, k), blocks)
+    x, residual, m = _sum_units(
+        lambda mu: _h3_structure(genus, k, mu).unit, blocks)
     if residual:
         _check_cycle(z)
         raise RuntimeError("cycle reduction left a nonzero remainder")
@@ -454,10 +456,12 @@ def _d3_solver(genus: int, k: int, mu: tuple[int, ...]) -> BlockSolver:
                        partial(_monomial_boundary, k))
 
 
-class _WindowClasses:
-    """The linear map `johnson.morita_mk` sums, on one weight block mu of
-    genus g: `unit((h, w))`, memoised, is M(h, w), the H3 class at class k
-    of the d3 unit solve of h ^ w at class 2k reduced to class k.
+@lru_cache(maxsize=None)
+def _window_class(genus: int, k: int, mu: tuple[int, ...],
+                  key: tuple[int, Word]) -> tuple[dict, dict, int]:
+    """The unit solve `johnson.morita_mk` sums for the window word
+    key = (h, w) of weight mu: M(h, w), the H3 class at class k of the d3
+    unit solve of h ^ w at class 2k reduced to class k.
 
     With the d3 unit m1 e = d3 x + r and the H3 unit sum of x's class-k
     part, m2 x = B q + R, it is (q, residual, m1 m2): r m2 keyed (2, row)
@@ -465,32 +469,15 @@ class _WindowClasses:
     2-cycle's d3 residual, zero exactly when it bounds, and then the
     (3, row) part is the reduced 3-chain's H3 residual, zero for a cycle.
     """
-
-    __slots__ = ("genus", "k", "mu", "_units")
-
-    def __init__(self, genus: int, k: int, mu: tuple[int, ...]):
-        self.genus, self.k, self.mu, self._units = genus, k, mu, {}
-
-    def unit(self, key: tuple[int, Word]) -> tuple[dict, dict, int]:
-        got = self._units.get(key)
-        if got is None:
-            genus, k, mu = self.genus, self.k, self.mu
-            h, w = key
-            x, r, m = _d3_solver(genus, 2 * k, mu).unit(((h,), w))
-            # factors sorted by length: the last is the longest
-            short = {mon: v for mon, v in x.items() if len(mon[-1]) <= k}
-            q, rest, m3 = _sum_units(partial(_h3_structure, genus, k),
-                                     {mu: short} if short else {})
-            residual = {(2, t): v * m3 for t, v in r.items()}
-            residual.update(((3, t), v) for t, v in rest.get(mu, {}).items())
-            got = self._units[key] = q, residual, m * m3
-        return got
-
-
-@lru_cache(maxsize=None)
-def _window_classes(genus: int, k: int,
-                    mu: tuple[int, ...]) -> _WindowClasses:
-    return _WindowClasses(genus, k, mu)
+    h, w = key
+    x, r, m = _d3_solver(genus, 2 * k, mu).unit(((h,), w))
+    # factors sorted by length: the last is the longest
+    short = {mon: v for mon, v in x.items() if len(mon[-1]) <= k}
+    q, rest, m3 = _sum_units(lambda _: _h3_structure(genus, k, mu).unit,
+                             {mu: short} if short else {})
+    residual = {(2, t): v * m3 for t, v in r.items()}
+    residual.update(((3, t), v) for t, v in rest.get(mu, {}).items())
+    return q, residual, m * m3
 
 
 class NotABoundaryError(ValueError, RuntimeError):
@@ -506,8 +493,9 @@ def solve_boundary3(z: WedgeChain) -> WedgeChain:
     _check_cycle(z)
     genus, k = z.genus, z.nilpotency_class
     coords, den = scaled(z.coords)
-    x, residual, m = _sum_units(partial(_d3_solver, genus, k), _split_by_weight(
-        coords, genus, chain.from_iterable))
+    x, residual, m = _sum_units(lambda mu: _d3_solver(genus, k, mu).unit,
+                                _split_by_weight(coords, genus,
+                                                 chain.from_iterable))
     if residual:
         raise NotABoundaryError("2-cycle is not a 3-boundary")
     return WedgeChain._of(genus, k, 3, unscaled(x, m * den))

@@ -103,7 +103,7 @@ def _solve_splitting(genus: int, j: int,
         raise RuntimeError("defect weight outside the bracket image")
     sol, residual, m = _sum_units(lambda mu: BlockSolver(
         sorted(set().union(*col_blocks[mu].values())), list(col_blocks[mu]),
-        col_blocks[mu].__getitem__), blocks)
+        col_blocks[mu].__getitem__).unit, blocks)
     if residual:
         raise RuntimeError("bracket splitting system is inconsistent")
     gains: dict[int, dict[Word, Fraction]] = {}

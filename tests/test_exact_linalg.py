@@ -32,7 +32,7 @@ def sum_units(solver, b):
     over the solver's row keys, as one block: the sparse `Fraction`
     solution, or None."""
     bint, den = scaled({k: v for k, v in b.items() if v})
-    x, residual, m = _sum_units(lambda mu: solver, {(): bint})
+    x, residual, m = _sum_units(lambda mu: solver.unit, {(): bint})
     return None if residual else unscaled(x, m * den)
 
 
@@ -400,7 +400,7 @@ def test_sum_units_solves_and_memoises_the_keys_it_reads(matrix, data):
     memo = set()
     for rhs in (image, b):
         bint, den = scaled({i: v for i, v in enumerate(rhs) if v})
-        x, residual, m = _sum_units(lambda mu: solver, {(): bint})
+        x, residual, m = _sum_units(lambda mu: solver.unit, {(): bint})
         expect = oracle_solution(ncols, rows, rhs)
         assert bool(residual) == (expect is None)
         if not residual:
@@ -431,9 +431,8 @@ def test_untracked_columns_leave_the_tracked_solution(matrix, data):
                for j in range(ncols)]
     tagged = BlockSolver(range(len(rows)), range(ncols), columns.__getitem__)
     lead = data.draw(st.integers(0, ncols))
-    mixed = BlockSolver(range(len(rows)), range(lead), columns.__getitem__,
-                        tracked=False)
-    untracked = set(range(lead))
+    mixed = BlockSolver(range(len(rows)), range(lead), columns.__getitem__)
+    untracked = set()
     for j in range(lead, ncols):
         if data.draw(st.booleans()):
             untracked.add(j)

@@ -863,7 +863,7 @@ class TestObstruction:
 
     @pytest.mark.parametrize("genus, k", [(1, 3), (2, 2), (2, 3), (3, 2)])
     def test_solves_and_reads_only_the_h3_window(self, genus, k, monkeypatch):
-        koszul._window_classes.cache_clear()
+        koszul._window_class.cache_clear()
         solved, read = set(), set()
 
         def solver(g, c, mu):

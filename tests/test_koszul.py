@@ -16,7 +16,7 @@ from lietrees.free_lie import (_letter_weight, _split_by_weight, lyndon_basis,
                                witt_dim)
 from lietrees.jacobi import (TreeCombo, TreeDiagram, _caterpillars, fission,
                              random_tree)
-from lietrees.johnson import morita_mk, random_ic_element, tau_truncated
+from lietrees.johnson import morita_mk, random_ic_element
 from lietrees.koszul import (BlockMismatchError, HomologyClass,
                              NotABoundaryError, WedgeChain, _block_rank,
                              _monomial_boundary, _monomials, boundary,
@@ -259,22 +259,24 @@ class TestClasses:
 
 
 class TestQuotientLayout:
-    def test_builds_only_the_blocks_the_cycle_touches(self):
-        # an H3 solver is built only for the weight of a window word whose
-        # d3 unit solve at class 4 keeps a 3-monomial at class 2
+    def test_builds_only_the_blocks_the_cycle_touches(self, monkeypatch):
+        # an H3 solver is built only for a weight the class sum asks for
         koszul._h3_structure.cache_clear()
         koszul._quotient_layout.cache_clear()
-        koszul._window_classes.cache_clear()
-        psi = random_ic_element(2, 2, 1, 4)
+        koszul._window_class.cache_clear()
         touched = set()
-        for h, w in tau_truncated(psi, 2).coords:
-            mu = _letter_weight((h, *w), 2)
-            x = koszul._d3_solver(2, 4, mu).unit(((h,), w))[0]
-            if any(len(mon[-1]) <= 2 for mon in x):     # factors by length
-                touched.add(mu)
-        assert not morita_mk(psi, 2).is_zero()
-        assert touched
-        assert koszul._h3_structure.cache_info().currsize == len(touched)
+
+        def recording(genus, k, mu):
+            touched.add((genus, k, mu))
+            return h3_structure(genus, k, mu)
+
+        h3_structure = koszul._h3_structure
+        monkeypatch.setattr(koszul, "_h3_structure", recording)
+        assert not morita_mk(random_ic_element(2, 2, 1, 4), 2).is_zero()
+        assert touched and {(g, k) for g, k, _ in touched} == {(2, 2)}
+        assert h3_structure.cache_info().currsize == len(touched)
+        assert len(touched) < sum(1 for d in (4, 5) for mu in koszul._weights(
+            4, d) if _monomials(2, 2, 3, mu))
 
     def test_ranks_are_taken_once_per_weight_orbit(self, monkeypatch):
         # the layout is counted; the rank path left is homology_dims
