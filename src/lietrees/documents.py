@@ -10,9 +10,10 @@ DocumentError with a message naming the offending field.
 `_header` checks what the series-like documents share (an object, no
 unknown field, `genus`, `max_degree`), and one loop,
 `_series_terms_from_doc`, reads every series, checking each term once,
-in order: an object, no unknown field, coefficient, word list, names
-(looked up in one table per document), Lyndon, degree, duplicate.  A
-location such as `images.b2[17].word[0]` is formatted only for an error.
+in order: an object, no unknown field, coefficient (looked up in one
+table per document, so each distinct string is parsed once), word list,
+names (looked up in another), Lyndon, degree, duplicate.  A location
+such as `images.b2[17].word[0]` is formatted only for an error.
 The readers check all that the series constructors would and build with
 the unchecked `_of`; the generator-map constructors still vet the images.
 """
@@ -27,7 +28,7 @@ from typing import Any
 from .free_lie import (LieSeries, Word, gen_count, is_lyndon, letter_label,
                        parse_letter)
 from .jacobi import TreeCombo, parse_tree_text, tree_text
-from .johnson import LieAutomorphism
+from .johnson import LieAutomorphism, _degree_one_is
 from .sparse import check_kind
 from .tensor_hopf import ExpansionMap, TensorSeries
 
@@ -62,6 +63,16 @@ class _Letters(dict):
     def __missing__(self, name):
         letter = self[name] = parse_letter(name, self.genus)
         return letter
+
+
+class _Rationals(dict):
+    """Coefficient string -> value for one document, filled by
+    `_rational` as strings are first met, so each distinct string is
+    parsed once; a bad string raises and is not kept."""
+
+    def __missing__(self, text):
+        value = self[text] = _rational(text)
+        return value
 
 
 def _is_name(key: Any, letters: _Letters) -> bool:
@@ -106,8 +117,9 @@ def _header(doc: Any, body: str, min_genus: int) -> tuple[int, int]:
     return doc["genus"], doc["max_degree"]
 
 
-def _series_terms_from_doc(raw: Any, letters: _Letters, max_degree: int,
-                           where: str, lyndon: bool) -> dict[Word, Fraction]:
+def _series_terms_from_doc(raw: Any, letters: _Letters, rationals: _Rationals,
+                           max_degree: int, where: str,
+                           lyndon: bool) -> dict[Word, Fraction]:
     """Nonzero coefficients by word, each term checked once, in the order
     of the module docstring; Lyndon words only if lyndon is set."""
     if not isinstance(raw, list):
@@ -129,7 +141,7 @@ def _series_terms_from_doc(raw: Any, letters: _Letters, max_degree: int,
         if not isinstance(cr, str):
             raise bad(".coefficient", "coefficient must be a rational string")
         try:
-            c = _rational(cr)
+            c = rationals[cr]
         except (ValueError, ZeroDivisionError):
             raise bad(".coefficient", f"bad rational {cr!r}") from None
         wr = term.get("word")
@@ -158,8 +170,8 @@ def _series_terms_from_doc(raw: Any, letters: _Letters, max_degree: int,
 
 def lie_series_from_doc(doc: Any) -> LieSeries:
     genus, n = _header(doc, "terms", 0)
-    coords = _series_terms_from_doc(doc.get("terms"), _Letters(genus), n,
-                                    "terms", True)
+    coords = _series_terms_from_doc(doc.get("terms"), _Letters(genus),
+                                    _Rationals(), n, "terms", True)
     return LieSeries._of(genus, n, coords)
 
 
@@ -184,7 +196,7 @@ def _images_from_doc(doc: Any, lyndon: bool):
     raw = doc.get("images")
     if not isinstance(raw, dict):
         raise DocumentError("images: expected an object keyed by generator")
-    letters = _Letters(genus)
+    letters, rationals = _Letters(genus), _Rationals()
     unknown = [name for name in raw if not _is_name(name, letters)]
     if unknown:
         raise DocumentError(
@@ -194,8 +206,8 @@ def _images_from_doc(doc: Any, lyndon: bool):
         name = letter_label(letter)
         if name not in raw:
             raise DocumentError(f"images.{name}: missing generator image")
-        out[letter] = _series_terms_from_doc(raw[name], letters, n,
-                                             f"images.{name}", lyndon)
+        out[letter] = _series_terms_from_doc(raw[name], letters, rationals,
+                                             n, f"images.{name}", lyndon)
     return genus, n, out
 
 
@@ -220,8 +232,7 @@ def automorphism_from_doc(doc: Any) -> LieAutomorphism:
     images = {}
     for letter, coords in raw.items():
         name = letter_label(letter)
-        if coords.get((letter,)) != 1 or any(
-                len(w) == 1 and w != (letter,) for w in coords):
+        if not _degree_one_is(letter, coords):
             raise DocumentError(
                 f"images.{name}: degree-1 part must be exactly {name}")
         images[letter] = LieSeries._of(genus, n, coords)

@@ -84,9 +84,12 @@ def parse_letter(name: str, genus: int) -> int:
 
 
 def is_lyndon(w: Word) -> bool:
+    """Whether w is nonempty and strictly below each of its proper
+    suffixes, which is equivalent to being strictly below each of its
+    proper rotations."""
     if not w:
         return False
-    return all(w < w[i:] + w[:i] for i in range(1, len(w)))
+    return all(w < w[i:] for i in range(1, len(w)))
 
 
 @lru_cache(maxsize=None)

@@ -25,10 +25,12 @@ automorphism and delta for a derivation: `invert_aut`, `log_aut` and
 (`sparse.scaled_series`) and make one `Fraction` per word of each
 generator image.  The two invariants are linear in the window
 coefficients of psi, read from that memo on integers by one reader,
-`_window`: `tau_to_trees` sums the memoised unit solves of the cached
-eta solvers and `morita_mk` the memoised class of each window word
-(`free_lie._sum_units`), and each builds a chain or tensor only on a
-failure path, to name the fault, never to solve again.
+`_window`, whose read is kept in the same memo under the int key k, so
+each (psi, k) is read once: `tau_to_trees` sums the memoised unit
+solves of the cached eta solvers and `morita_mk` the memoised class of
+each window word (`free_lie._sum_units`), `tau_truncated` unscales the
+read into the window tensor, and each route builds a chain or tensor
+only on a failure path, to name the fault, never to solve again.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from .jacobi import HLieTensor, TreeCombo, eta, random_tree
 from .sparse import (add_into, add_term, check_kind, scaled, scaled_series,
                      unscaled)
 
-ONE = Fraction(1)
 Parts = tuple[tuple[int, dict[Word, int]], ...]
 
 
@@ -55,7 +56,9 @@ class _LieMap(GeneratorMap):
     `_extend`, the image of a basis word from those of its standard
     factors, and `_step`, the series step of `_generator_series`; the
     memo keeps word images as (parts, denominator), the parts the
-    `graded` integer numerators, each made when first asked for."""
+    `graded` integer numerators, each made when first asked for, and an
+    automorphism's memo keeps its window reads too (`_window`), under
+    int keys, which no word key (a tuple) equals."""
 
     __slots__ = ()
     _series = LieSeries
@@ -121,6 +124,13 @@ class _LieMap(GeneratorMap):
         return out
 
 
+def _degree_one_is(letter: int, coords: dict[Word, object]) -> bool:
+    """Whether the degree-one part of coords, read in place, is exactly
+    the letter."""
+    return coords.get((letter,)) == 1 and all(
+        len(w) != 1 or w == (letter,) for w in coords)
+
+
 class LieAutomorphism(_LieMap):
     """Automorphism of L/L_{>N} fixing every generator modulo L_{>=2}."""
 
@@ -128,7 +138,7 @@ class LieAutomorphism(_LieMap):
     _kind = "automorphism"
 
     def _check_image(self, letter: int, img: LieSeries) -> None:
-        if img.graded_part(1).coords != {(letter,): ONE}:
+        if not _degree_one_is(letter, img.coords):
             raise ValueError(
                 f"image of {letter_label(letter)} must be the generator "
                 "plus higher-degree terms")
@@ -287,18 +297,14 @@ def tau_truncated(psi: LieAutomorphism, k: int) -> HLieTensor:
     """Deviations of a level-k psi in degrees k+1..2k, packaged as a tensor.
 
     Each deviation rides with the `partner` of its generator, signed, so
-    the window data of psi is recovered exactly from the result.  Above
-    degree one a deviation's words are its image's, read in place.
+    the window data of psi is recovered exactly from the result.  The
+    tensor is the memoised `_window` read, its blocks unscaled.
     """
     _check_level(psi, k)
-    genus = psi.genus
-    coords: dict[tuple[int, Word], Fraction] = {}
-    for letter in range(gen_count(genus)):
-        mate, sign = partner(letter)
-        for w, c in psi.image_of(letter).coords.items():
-            if k + 1 <= len(w) <= 2 * k:
-                add_term(coords, (mate, w), sign * c)
-    return HLieTensor._of(genus, coords)
+    blocks, den = _window(psi, k)
+    return HLieTensor._of(psi.genus, unscaled(
+        {key: c for block in blocks.values() for key, c in block.items()},
+        den))
 
 
 def _check_level(psi: LieAutomorphism, k: int) -> None:
@@ -345,7 +351,12 @@ def _window(psi: LieAutomorphism, k: int) -> tuple[dict, int]:
     """The window tensor of a level-k psi as `tau_truncated` packages it,
     read on integers from psi's image memo: (blocks, den), each block
     {(h, w): numerator} of one tree degree d and weight mu under the key
-    (d, mu), over the lcm den of the generator images' denominators."""
+    (d, mu), over the lcm den of the generator images' denominators.
+    The read is kept in the same memo under the int key k, so each
+    (psi, k) is read once; callers only read it."""
+    got = psi._memo.get(k)
+    if got is not None:
+        return got
     genus = psi.genus
     images = [(l, *psi._word((l,))) for l in range(gen_count(genus))]
     den = lcm(*(dl for *_, dl in images))
@@ -358,7 +369,8 @@ def _window(psi: LieAutomorphism, k: int) -> tuple[dict, int]:
                 for w, c in terms.items():
                     blocks.setdefault((d - 1, _letter_weight((mate, *w), genus)),
                                       {})[(mate, w)] = f * c
-    return blocks, den
+    got = psi._memo[k] = blocks, den
+    return got
 
 
 def tau_to_trees(psi: LieAutomorphism, k: int) -> TreeCombo:

@@ -422,6 +422,49 @@ def test_duplicate_word_in_either_order(read, make, word, message,
     assert str(err.value) == message
 
 
+# a bad coefficient string given twice is refused at its first term
+REPEATED_BAD = [
+    (automorphism_doc([B2, term("x", "a1", "b2"), term("x", "a2", "b2")]),
+     "images.b2[1].coefficient: bad rational 'x'"),
+    ({"genus": 2, "max_degree": 3,
+      "images": {"a1": [term("1", "a1"), term("1/0", "a1", "b1")],
+                 "b1": [term("1", "b1")], "a2": [term("1", "a2")],
+                 "b2": [term("1", "b2"), term("1/0", "a1", "b2")]}},
+     "images.a1[1].coefficient: bad rational '1/0'"),
+]
+
+
+@pytest.mark.parametrize("doc, message", REPEATED_BAD)
+def test_a_repeated_bad_coefficient_is_refused_at_its_first_term(doc,
+                                                                 message):
+    for _ in range(2):
+        with pytest.raises(DocumentError) as err:
+            automorphism_from_doc(doc)
+        assert str(err.value) == message
+
+
+def test_each_coefficient_string_is_parsed_once_per_document(monkeypatch):
+    parsed, real = [], documents._rational
+
+    def counting(text):
+        parsed.append(text)
+        return real(text)
+
+    monkeypatch.setattr(documents, "_rational", counting)
+    doc = automorphism_doc([B2, term("1/3", "a1", "b2"),
+                            term("2/6", "a2", "b2"), term("1/3", "b1", "b2")])
+    psi = automorphism_from_doc(doc)
+    assert sorted(parsed) == ["1", "1/3", "2/6"]
+    b2 = psi.image_of(3).coords
+    assert b2[(0, 3)] == b2[(1, 3)] == b2[(2, 3)] == F(1, 3)
+    assert psi == LieAutomorphism(2, 3, {
+        **{l: LieSeries.gen(2, 3, l) for l in range(3)},
+        3: LieSeries(2, 3, {(3,): 1, (0, 3): F(1, 3), (1, 3): F(1, 3),
+                            (2, 3): F(1, 3)})})
+    automorphism_from_doc(doc)
+    assert len(parsed) == 6
+
+
 def assert_fraction_coords(x):
     assert all(type(c) is F and c for c in x.coords.values()), x.coords
 

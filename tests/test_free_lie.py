@@ -75,6 +75,15 @@ class TestLyndonWords:
         assert not is_lyndon((0, 1, 0, 1))
         assert not is_lyndon(())
 
+    def test_suffix_form_agrees_with_rotations(self):
+        """Strictly below every proper suffix, as `is_lyndon` tests, is
+        strictly below every proper rotation, the definition."""
+        for n in range(9):
+            for w in product(range(3), repeat=n):
+                by_rotation = bool(w) and all(w < w[i:] + w[:i]
+                                              for i in range(1, n))
+                assert is_lyndon(w) == by_rotation, w
+
     def test_counts_match_dimension_formula(self):
         for genus in (1, 2, 3):
             for d in range(1, 8):

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import series_oracle as oracle
 from lietrees import jacobi, johnson, koszul
 from lietrees.free_lie import (LieSeries, _letter_weight, a_letter, b_letter,
-                               gen_count, lyndon_basis)
+                               gen_count, lyndon_basis, partner)
 from lietrees.jacobi import HLieTensor, TreeCombo, eta, random_tree
 from lietrees.johnson import (Derivation, LieAutomorphism, apply_aut,
                               apply_der, compose_aut, derivation_from_tensor,
@@ -651,6 +651,77 @@ class TestWindowTensor:
         psi = identity_aut(2, 3)
         with pytest.raises(ValueError):
             tau_truncated(psi, 2)
+
+
+def deviation_window(psi, k):
+    """The window tensor's coordinates from the deviations of psi."""
+    coords = {}
+    for letter in range(gen_count(psi.genus)):
+        mate, sign = partner(letter)
+        coords.update(((mate, w), sign * c)
+                      for w, c in psi.deviation(letter).coords.items()
+                      if k + 1 <= len(w) <= 2 * k)
+    return coords
+
+
+class TestWindowRead:
+    """Each (psi, k) reads its window once, into psi's memo."""
+
+    @staticmethod
+    def count_reads(monkeypatch, genus):
+        # a read pairs each generator with its partner once
+        calls = []
+
+        def counting(letter):
+            calls.append(letter)
+            return partner(letter)
+
+        monkeypatch.setattr(johnson, "partner", counting)
+        return lambda: len(calls) / gen_count(genus)
+
+    @pytest.mark.parametrize("genus, k", [(1, 2), (2, 2), (3, 1)])
+    def test_the_routes_share_one_read(self, genus, k, monkeypatch):
+        psi = random_ic_element(genus, k, 1, 2 * k + 1)
+        reads = self.count_reads(monkeypatch, genus)
+        morita_mk(psi, k)
+        tau_to_trees(psi, k)
+        t = tau_truncated(psi, k)
+        johnson_k(psi, k)
+        tau_bracket_check(psi, k)
+        kernel_check(psi, k)
+        assert reads() == 1
+        cut = psi.truncated(2 * k)
+        assert tau_truncated(cut, k) == t
+        assert reads() == 2
+        morita_mk(cut, k)
+        assert reads() == 2
+
+    @pytest.mark.parametrize("genus, k, seed", [(1, 1, 0), (2, 1, 3),
+                                                 (2, 2, 1), (3, 2, 4)])
+    def test_the_window_tensor_is_the_deviations(self, genus, k, seed):
+        psi = random_ic_element(genus, k, seed, 2 * k + 1)
+        t = tau_truncated(psi, k)
+        assert t.coords == deviation_window(psi, k)
+        assert johnson_k(psi, k).coords == {
+            key: c for key, c in t.coords.items() if len(key[1]) == k + 1}
+
+    def test_the_failure_paths_read_the_same_tensor(self):
+        psi = level_two_unfixing_automorphism()
+        assert tau_truncated(psi, 2).coords == deviation_window(psi, 2)
+        assert not tau_bracket_check(psi, 2)
+        with pytest.raises(ValueError):
+            tau_to_trees(psi, 2)
+        with pytest.raises(ValueError):
+            morita_mk(psi, 2)
+        assert tau_truncated(psi, 2).coords == deviation_window(psi, 2)
+
+    def test_the_memo_keys_the_window_by_k(self):
+        psi = random_ic_element(2, 3, 2, 6)
+        t2, t3 = tau_truncated(psi, 2), tau_truncated(psi, 3)
+        assert 2 in psi._memo and 3 in psi._memo
+        assert t2 and t2.coords == deviation_window(psi, 2)
+        assert t3 and t3.coords == deviation_window(psi, 3)
+        assert apply_aut(psi, LieSeries.gen(2, 6, 0)) == psi.image_of(0)
 
 
 class TestKernelCheck:
